@@ -2,33 +2,21 @@
 
 Every quadrature oracle in the package reduces to evaluating basis
 functions on quadrature grids: normalized associated-Legendre recurrences,
-Hermite recurrences, and Fourier sums. Each kernel here has a pure-numpy
-implementation and a numba ``@njit`` twin; the public names bind to the
-numba path when numba imports and ``LZPHI_PURE_NUMPY`` is unset.
-
-Both implementations stay importable (``*_numpy`` / ``*_numba``) so the
-benchmark and the equivalence tests can compare them directly.
+Hermite recurrences, and Fourier sums. The recurrences run elementwise in
+numpy, so the grids may have any shape.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_flag = os.environ.get("LZPHI_PURE_NUMPY", "").strip().lower()
-_want_numba = _flag not in ("1", "true", "yes")
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    HAS_NUMBA = False
+#: numba is not used; the constant stays for provenance records that read it
+USING_NUMBA = False
 
 
-def legendre_grid_numpy(l: int, m: int, x: np.ndarray) -> np.ndarray:
+def legendre_grid(l: int, m: int, x: np.ndarray) -> np.ndarray:
     """Orthonormal associated-Legendre factor (Condon-Shortley), m >= 0.
 
     Returns values normalized so that the square integrates to 1 over
@@ -53,7 +41,7 @@ def legendre_grid_numpy(l: int, m: int, x: np.ndarray) -> np.ndarray:
     return math.sqrt((2 * l + 1) / 2.0) * pm1
 
 
-def hermite_grid_numpy(n: int, xi: np.ndarray) -> np.ndarray:
+def hermite_grid(n: int, xi: np.ndarray) -> np.ndarray:
     """Physicists' Hermite polynomial H_n on a grid, three-term recurrence."""
     h0 = np.ones_like(xi)
     if n == 0:
@@ -64,75 +52,6 @@ def hermite_grid_numpy(n: int, xi: np.ndarray) -> np.ndarray:
     return h1
 
 
-def fourier_sum_numpy(ms: np.ndarray, coeffs: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def fourier_sum(ms: np.ndarray, coeffs: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] * exp(i * ms[k] * phi) on a grid."""
     return np.exp(1j * np.outer(phi, ms.astype(np.float64))) @ coeffs
-
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True)
-    def legendre_grid_numba(l, m, x):  # pragma: no cover - numba path
-        npts = x.shape[0]
-        out = np.empty(npts, dtype=np.float64)
-        fact = 1.0
-        for i in range(1, 2 * m + 1):
-            if i % 2:
-                fact *= i
-            fact /= math.sqrt(i)
-        sign = -1.0 if m % 2 else 1.0
-        norm = math.sqrt((2 * l + 1) / 2.0)
-        for t in range(npts):
-            xt = x[t]
-            pmm = sign * fact * (1.0 - xt * xt) ** (m / 2.0)
-            if l == m:
-                out[t] = norm * pmm
-                continue
-            pm1 = xt * math.sqrt(2.0 * m + 1.0) * pmm
-            for ll in range(m + 2, l + 1):
-                pll = (xt * (2 * ll - 1) * pm1 - math.sqrt((ll - 1) ** 2 - m * m) * pmm) / math.sqrt(
-                    ll * ll - m * m
-                )
-                pmm = pm1
-                pm1 = pll
-            out[t] = norm * pm1
-        return out
-
-    @numba.njit(cache=True)
-    def hermite_grid_numba(n, xi):  # pragma: no cover - numba path
-        npts = xi.shape[0]
-        out = np.empty(npts, dtype=np.float64)
-        for t in range(npts):
-            h0 = 1.0
-            if n == 0:
-                out[t] = h0
-                continue
-            h1 = 2.0 * xi[t]
-            for k in range(1, n):
-                h0, h1 = h1, 2.0 * xi[t] * h1 - 2.0 * k * h0
-            out[t] = h1
-        return out
-
-    @numba.njit(cache=True)
-    def fourier_sum_numba(ms, coeffs, phi):  # pragma: no cover - numba path
-        npts = phi.shape[0]
-        nm = ms.shape[0]
-        out = np.zeros(npts, dtype=np.complex128)
-        for t in range(npts):
-            acc = 0.0 + 0.0j
-            for k in range(nm):
-                acc += coeffs[k] * np.exp(1j * ms[k] * phi[t])
-            out[t] = acc
-        return out
-
-
-USING_NUMBA = HAS_NUMBA and _want_numba
-
-if USING_NUMBA:
-    legendre_grid = legendre_grid_numba
-    hermite_grid = hermite_grid_numba
-    fourier_sum = fourier_sum_numba
-else:
-    legendre_grid = legendre_grid_numpy
-    hermite_grid = hermite_grid_numpy
-    fourier_sum = fourier_sum_numpy

@@ -76,13 +76,8 @@ class SphericalGrid:
         self.hbar = state.hbar
         self.ms = np.arange(-state.l, state.l + 1)
         self.coeffs = st.coeff_vector(state)
-        tl = np.stack(
-            [numerics.theta_lm_grid(state.l, m, trule.nodes) for m in self.ms]
-        )
-        ph = np.exp(1j * np.outer(self.ms, self.phi)) / math.sqrt(TWO_PI)
-        self._tl = tl
-        self._ph = ph
-        self.psi = np.einsum("m,mt,mp->tp", self.coeffs, tl, ph)
+        self._tl, self._ph = numerics.basis_on_grid(self.ms, state.l, trule.nodes, self.phi)
+        self.psi = np.einsum("m,mt,mp->tp", self.coeffs, self._tl, self._ph)
         self.weights2d = np.outer(
             trule.weights * np.sin(trule.nodes), prule.weights
         )

@@ -49,9 +49,8 @@ class FourierCoefficients:
         """Sum b_m exp(i*m*phi)/sqrt(2*pi) back on the circle (periodic only)."""
         if self.factored:
             raise ValueError("reconstruct applies to plain periodic coefficients")
-        phi = np.asarray(phi, dtype=np.float64)
-        ms = np.array(self.ms, dtype=np.float64)
-        return np.exp(1j * np.multiply.outer(phi, ms)) @ np.array(self.values) / math.sqrt(TWO_PI)
+        _, ph = numerics.basis_on_grid(self.ms, None, None, phi)
+        return np.tensordot(np.array(self.values), ph, axes=1)
 
 
 def coefficients(state, *, method: str = "analytic", settings=None) -> FourierCoefficients:
@@ -75,11 +74,9 @@ def coefficients(state, *, method: str = "analytic", settings=None) -> FourierCo
     settings = engine.resolve(settings)
     rule = numerics.phi_rule(settings.phi_nodes)
     psi = st.wavefunction(state, rule.nodes)
-    vals = tuple(
-        complex(rule.integrate(psi * np.exp(-1j * m * rule.nodes)) / math.sqrt(TWO_PI))
-        for m in ms
-    )
-    return FourierCoefficients(ms, vals)
+    _, ph = numerics.basis_on_grid(ms, None, None, rule.nodes)
+    vals = np.conj(ph) @ (rule.weights * psi)
+    return FourierCoefficients(ms, tuple(complex(v) for v in vals))
 
 
 def parseval_check(state, *, settings=None) -> float:
@@ -102,17 +99,13 @@ def parseval_check(state, *, settings=None) -> float:
     if fam == "spherical":
         trule = numerics.theta_rule(settings.theta_nodes)
         prule = numerics.phi_rule(settings.phi_nodes)
-        theta = trule.nodes
-        psi = st.wavefunction(
-            state, (theta[:, None] * np.ones_like(prule.nodes)[None, :], np.broadcast_to(prule.nodes, (theta.size, prule.nodes.size)))
-        )
-        density = np.abs(psi) ** 2
-        position = float(np.einsum("t,p,tp->", trule.weights * np.sin(theta), prule.weights, density))
+        tl, ph = numerics.basis_on_grid(st.basis_ms(state), state.l, trule.nodes, prule.nodes)
+        psi = (st.coeff_vector(state)[:, None] * tl).T @ ph
+        polar_weights = trule.weights * np.sin(trule.nodes)
+        position = float(polar_weights @ np.abs(psi) ** 2 @ prule.weights)
         # b_m(theta) by direct azimuthal integration at each polar node
-        side = 0.0
-        for m in st.basis_ms(state):
-            bm = (psi * np.exp(-1j * m * prule.nodes)[None, :]) @ prule.weights / math.sqrt(TWO_PI)
-            side += float(np.dot(trule.weights * np.sin(theta), np.abs(bm) ** 2))
+        bm = psi @ (np.conj(ph) * prule.weights).T
+        side = float(np.sum(polar_weights @ np.abs(bm) ** 2))
         return abs(side - position)
     # pendulum: compare int |psi~(k)|^2 dk with the position norm
     grid = engine.state_grid(state, settings)

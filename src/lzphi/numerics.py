@@ -1,4 +1,10 @@
-"""Quadrature rules and special functions behind every analytic cross-check."""
+"""Quadrature rules and special functions behind every analytic cross-check.
+
+``basis_on_grid`` is the one evaluator of the basis
+theta_lm(theta) * exp(i*m*phi)/sqrt(2*pi) on a grid; every quadrature
+route (wave functions, engine grids, oracle tables, Fourier sides) builds
+its polar and azimuthal tables through it.
+"""
 
 from __future__ import annotations
 
@@ -97,9 +103,8 @@ def hermite_poly(n: int, xi):
     if n < 0 or n > MAX_HERMITE_DEGREE:
         raise ValueError(f"hermite_poly supports 0 <= n <= {MAX_HERMITE_DEGREE}, got {n}")
     arr = np.asarray(xi, dtype=np.float64)
-    flat = np.ascontiguousarray(arr).reshape(-1)
-    out = _kernels.hermite_grid(n, flat)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    out = _kernels.hermite_grid(n, arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def theta_lm(l: int, m: int, theta):
@@ -116,18 +121,33 @@ def theta_lm(l: int, m: int, theta):
     arr = np.asarray(theta, dtype=np.float64)
     if np.any(arr < -1e-12) or np.any(arr > math.pi + 1e-12):
         raise ValueError("theta_lm needs theta in [0, pi]")
-    out = theta_lm_grid(l, m, np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out
+    out = theta_lm_grid(l, m, arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def theta_lm_grid(l: int, m: int, theta: np.ndarray) -> np.ndarray:
     """theta_lm values on an array of any shape; no domain checks."""
-    x = np.cos(np.asarray(theta, dtype=np.float64))
-    flat = np.ascontiguousarray(x).reshape(-1)
-    vals = _kernels.legendre_grid(l, abs(m), flat).reshape(x.shape)
+    vals = _kernels.legendre_grid(l, abs(m), np.cos(np.asarray(theta, dtype=np.float64)))
     if m < 0 and abs(m) % 2:
         return -vals
     return vals
+
+
+def basis_on_grid(ms, l, theta, phi):
+    """Polar and azimuthal basis tables on grids of any shape; no domain checks.
+
+    Returns ``(polar, azimuthal)`` with ``polar[k] = theta_lm(l, ms[k], theta)``
+    and ``azimuthal[k] = exp(i*ms[k]*phi)/sqrt(2*pi)``. ``polar`` is None when
+    ``l`` is None (the circle-only families) and ``azimuthal`` is None when
+    ``phi`` is None.
+    """
+    polar = None if l is None else np.stack([theta_lm_grid(l, m, theta) for m in ms])
+    azimuthal = None
+    if phi is not None:
+        ms_f = np.asarray(ms, dtype=np.float64)
+        angles = np.multiply.outer(ms_f, np.asarray(phi, dtype=np.float64))
+        azimuthal = np.exp(1j * angles) / math.sqrt(TWO_PI)
+    return polar, azimuthal
 
 
 @lru_cache(maxsize=512)
@@ -140,7 +160,7 @@ def theta_overlap_matrix(l: int, power: int, nodes: int) -> np.ndarray:
     """
     rule = theta_rule(nodes)
     th = rule.nodes
-    big = np.vstack([theta_lm_grid(l, m, th) for m in range(-l, l + 1)])
+    big, _ = basis_on_grid(range(-l, l + 1), l, th, None)
     weighted = big * (rule.weights * np.sin(th) * th**power)
     out = weighted @ big.T
     out.flags.writeable = False

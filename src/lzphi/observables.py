@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-import math
 
 import numpy as np
 
@@ -307,38 +306,30 @@ def matrix_table(
 
 
 def _quadrature_matrix(kind, basis, hbar, settings):
+    """<basis_i| A |basis_j> as one weighted sum over the sampled grid.
+
+    The basis is sampled on the phi rule (rotor) or the theta x phi tensor
+    rule (spherical), flattened to one point axis, and every element comes
+    from a single matmul against the sampled integrand.
+    """
     ms = basis.ms
-    n = len(ms)
-    out = np.zeros((n, n), dtype=np.complex128)
+    prule = numerics.phi_rule(settings.phi_nodes)
     if isinstance(basis, SphericalBasis):
         trule = numerics.theta_rule(settings.theta_nodes)
-        prule = numerics.phi_rule(settings.phi_nodes)
-        tl = np.stack([numerics.theta_lm_grid(basis.l, m, trule.nodes) for m in ms])
-        ph = np.exp(1j * np.outer(np.array(ms), prule.nodes)) / math.sqrt(TWO_PI)
-        wt = trule.weights * np.sin(trule.nodes)
-        if kind.name == "Lz":
-            op_t, op_p = tl, hbar * np.array(ms)[:, None] * ph
-        else:
-            vals = kind_symbol(kind).evaluate(trule.nodes[:, None], prule.nodes[None, :])
-            for i in range(n):
-                fi = np.conj(tl[i][:, None] * ph[i][None, :])
-                for j in range(n):
-                    gj = tl[j][:, None] * ph[j][None, :] * vals
-                    out[i, j] = np.einsum("t,p,tp->", wt, prule.weights, fi * gj)
-            return out
-        for i in range(n):
-            fi = np.conj(tl[i][:, None] * ph[i][None, :])
-            for j in range(n):
-                gj = op_t[j][:, None] * op_p[j][None, :]
-                out[i, j] = np.einsum("t,p,tp->", wt, prule.weights, fi * gj)
-        return out
-    prule = numerics.phi_rule(settings.phi_nodes)
-    basis_vals = np.exp(1j * np.outer(np.array(ms), prule.nodes)) / math.sqrt(TWO_PI)
-    if kind.name == "Lz":
-        op_vals = hbar * np.array(ms)[:, None] * basis_vals
+        tl, ph = numerics.basis_on_grid(ms, basis.l, trule.nodes, prule.nodes)
+        table = (tl[:, :, None] * ph[:, None, :]).reshape(len(ms), -1)
+        weights = np.outer(trule.weights * np.sin(trule.nodes), prule.weights).ravel()
+        theta, phi = np.meshgrid(trule.nodes, prule.nodes, indexing="ij")
     else:
-        op_vals = kind_symbol(kind).evaluate(None, prule.nodes)[None, :] * basis_vals
-    return np.conj(basis_vals * prule.weights) @ op_vals.T
+        _, table = numerics.basis_on_grid(ms, None, None, prule.nodes)
+        weights = prule.weights
+        theta, phi = None, prule.nodes
+    left = np.conj(table * weights)
+    if kind.name == "Lz":
+        # integrand 1, then column j scaled by the eigenvalue hbar*m_j
+        return (left @ table.T) * (hbar * np.array(ms, dtype=np.float64))
+    integrand = np.ravel(kind_symbol(kind).evaluate(theta, phi))
+    return left @ (table * integrand).T
 
 
 def matrix_element(

@@ -318,10 +318,7 @@ def _pair_deficits(pair, state, settings):
     out = {}
     for key, (x, y) in (("aa", (a, a)), ("ab", (a, b)), ("ba", (b, a)), ("bb", (b, b))):
         if obs.applicable(x, fam) and obs.applicable(y, fam):
-            if x.name == "Lz" and y.name == "Phi":
-                out[key] = obs.lz_phi_symmetry_deficit(state, settings=settings)
-            else:
-                out[key] = obs.symmetry_deficit(x, y, state, settings=settings)
+            out[key] = obs.symmetry_deficit(x, y, state, settings=settings)
         else:
             out[key] = 0.0 + 0.0j
     return out

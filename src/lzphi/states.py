@@ -202,12 +202,9 @@ def wavefunction(state: State, point):
         phi = np.asarray(phi, dtype=np.float64)
         _check_range(theta, 0.0, math.pi, "theta")
         _check_range(phi, 0.0, TWO_PI, "phi")
-        ms = np.arange(-state.l, state.l + 1)
-        c = coeff_vector(state)
-        tl = np.stack([numerics.theta_lm_grid(state.l, m, np.atleast_1d(theta)) for m in ms])
-        ph = np.exp(1j * np.multiply.outer(ms, np.atleast_1d(phi))) / math.sqrt(TWO_PI)
-        out = np.einsum("m,m...,m...->...", c, tl, ph)
-        return complex(out.flat[0]) if np.ndim(theta) == 0 and np.ndim(phi) == 0 else out
+        tl, ph = numerics.basis_on_grid(basis_ms(state), state.l, theta, phi)
+        out = np.einsum("m,m...,m...->...", coeff_vector(state), tl, ph)
+        return complex(out) if out.ndim == 0 else out
 
     phi = np.asarray(point, dtype=np.float64)
     if fam == "pendulum":
@@ -216,10 +213,9 @@ def wavefunction(state: State, point):
         out = np.asarray(vals, dtype=np.complex128)
     else:
         _check_range(phi, 0.0, TWO_PI, "phi")
-        ms = np.array(basis_ms(state), dtype=np.float64)
-        c = coeff_vector(state)
-        out = np.exp(1j * np.multiply.outer(np.atleast_1d(phi), ms)) @ c / math.sqrt(TWO_PI)
-    return complex(out.flat[0]) if phi.ndim == 0 else out.reshape(phi.shape)
+        _, ph = numerics.basis_on_grid(basis_ms(state), None, None, phi)
+        out = np.tensordot(coeff_vector(state), ph, axes=1)
+    return complex(out) if phi.ndim == 0 else out
 
 
 def norm(state: State, *, settings=None) -> float:

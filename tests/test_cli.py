@@ -166,13 +166,13 @@ def test_console_entry_point_runs(tmp_path):
         [sys.executable, "-m", "lzphi.cli", "eval", str(spec)],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "LZPHI_PURE_NUMPY": "1"},
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
     )
     second = subprocess.run(
         [sys.executable, "-m", "lzphi.cli", "eval", str(spec)],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "LZPHI_PURE_NUMPY": "1"},
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
     )
     assert first.returncode == 0
     assert first.stdout == second.stdout

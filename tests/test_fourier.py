@@ -61,8 +61,9 @@ class TestParseval:
         assert parseval_check(CircularState(m=4)) < 1e-12
 
     def test_spherical_random(self):
-        state = random_spherical(np.random.default_rng(21), 2)
-        assert parseval_check(state) < 1e-10
+        for l in (2, 64):
+            state = random_spherical(np.random.default_rng(21), l)
+            assert parseval_check(state) < 1e-10
 
     def test_pendulum(self):
         assert parseval_check(PendulumState(n=3)) < 1e-8

@@ -8,41 +8,24 @@ from lzphi import _kernels
 def grids():
     rng = np.random.default_rng(42)
     return {
-        "x": rng.uniform(-1.0, 1.0, 257),
         "xi": rng.uniform(-6.0, 6.0, 257),
         "phi": rng.uniform(0.0, 2 * np.pi, 257),
     }
 
 
-def test_active_path_matches_numpy_legendre(grids):
-    for l in range(0, 9):
-        for m in range(0, l + 1):
-            a = _kernels.legendre_grid(l, m, grids["x"])
-            b = _kernels.legendre_grid_numpy(l, m, grids["x"])
-            assert np.max(np.abs(a - b)) < 1e-12
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 20, 64])
+def test_hermite_grid_matches_hermval(grids, n):
+    coeffs = np.zeros(n + 1)
+    coeffs[n] = 1.0
+    want = np.polynomial.hermite.hermval(grids["xi"], coeffs)
+    got = _kernels.hermite_grid(n, grids["xi"])
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def test_active_path_matches_numpy_hermite(grids):
-    for n in (0, 1, 2, 7, 20):
-        a = _kernels.hermite_grid(n, grids["xi"])
-        b = _kernels.hermite_grid_numpy(n, grids["xi"])
-        assert np.allclose(a, b, rtol=1e-12, atol=0)
-
-
-def test_active_path_matches_numpy_fourier(grids):
+def test_fourier_sum_matches_direct_sum(grids):
     rng = np.random.default_rng(7)
     ms = np.array([-4, -1, 0, 2, 5], dtype=np.int64)
     coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
-    a = _kernels.fourier_sum(ms, coeffs, grids["phi"])
-    b = _kernels.fourier_sum_numpy(ms, coeffs, grids["phi"])
-    assert np.max(np.abs(a - b)) < 1e-12
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not installed")
-def test_numba_twins_match_numpy(grids):
-    a = _kernels.legendre_grid_numba(5, 2, grids["x"])
-    b = _kernels.legendre_grid_numpy(5, 2, grids["x"])
-    assert np.max(np.abs(a - b)) < 1e-12
-    a = _kernels.hermite_grid_numba(9, grids["xi"])
-    b = _kernels.hermite_grid_numpy(9, grids["xi"])
-    assert np.allclose(a, b, rtol=1e-12)
+    want = sum(c * np.exp(1j * m * grids["phi"]) for m, c in zip(ms, coeffs))
+    got = _kernels.fourier_sum(ms, coeffs, grids["phi"])
+    assert np.max(np.abs(got - want)) < 1e-12

@@ -10,6 +10,7 @@ from lzphi.numerics import (
     gauss_legendre,
     hermite_poly,
     theta_lm,
+    theta_overlap_matrix,
     theta_rule,
 )
 
@@ -112,6 +113,8 @@ class TestThetaLm:
                     vals = theta_lm(l, m, rule.nodes) * theta_lm(lp, m, rule.nodes)
                     got = rule.integrate(vals * sin_t)
                     assert got == pytest.approx(1.0 if l == lp else 0.0, abs=1e-9)
+        diagonal = np.diag(theta_overlap_matrix(64, 0, 128))
+        assert np.max(np.abs(diagonal - 1.0)) < 1e-10
 
     def test_condon_shortley_reflection(self):
         theta = 0.8

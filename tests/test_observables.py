@@ -82,7 +82,7 @@ class TestAnalyticVersusQuadrature:
         oracle = matrix_table(kind, basis, method="quadrature").matrix
         assert np.max(np.abs(exact - oracle)) < 1e-9
 
-    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 24])
     @pytest.mark.parametrize("kind", [LZ, PHI, PHI_SQUARED, SIN_PHI, COS_PHI, THETA, THETA_PHI])
     def test_spherical_all_kinds(self, kind, l):
         basis = SphericalBasis(l)
@@ -139,6 +139,15 @@ class TestSymmetryDeficit:
             closed = lz_phi_symmetry_deficit(state)
             quad = lz_phi_symmetry_deficit(state, method="quadrature")
             assert abs(closed - quad) < 1e-9
+
+    def test_general_route_matches_closed_form_on_fixtures(self, fixture_states):
+        for state in fixture_states:
+            assert abs(symmetry_deficit(LZ, PHI, state) - lz_phi_symmetry_deficit(state)) < 1e-12
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6, 7, 8, 64])
+    def test_general_route_matches_closed_form_spherical(self, l):
+        state = random_spherical(np.random.default_rng(100 + l), l)
+        assert abs(symmetry_deficit(LZ, PHI, state) - lz_phi_symmetry_deficit(state)) < 1e-12
 
     def test_multiplicative_pairs_have_no_deficit(self):
         state = SphericalState(l=2, coefficients=(0, 0.6, 0, 0.8j, 0))

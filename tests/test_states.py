@@ -132,3 +132,12 @@ def test_wavefunction_array_broadcast():
     vals = wavefunction(state, phi)
     assert vals.shape == phi.shape
     assert vals[0] == pytest.approx(vals[-1])
+    grid = np.linspace(0.1, 3.0, 12).reshape(3, 4)
+    for state in (RotorSuperposition({-1: 0.6, 2: 0.8j}), PendulumState(n=5)):
+        vals = wavefunction(state, grid)
+        assert vals.shape == grid.shape
+        assert vals[2, 1] == pytest.approx(wavefunction(state, grid[2, 1]), abs=1e-14)
+    state = SphericalState(l=3, coefficients=np.full(7, 7**-0.5))
+    vals = wavefunction(state, (grid[:, :1], grid[0] * 2.0))
+    assert vals.shape == grid.shape
+    assert vals[2, 1] == pytest.approx(wavefunction(state, (grid[2, 0], grid[0, 1] * 2.0)), abs=1e-14)
