@@ -222,10 +222,13 @@ def _mixed(state, angle: float):
 
     The quadrature relative phase is what makes the polar/azimuthal
     correlation visible; real mixtures have exactly zero correlation.
+    At l = 0 both terms land on c_0 = cos t + i sin t, which is Y_00 at
+    every t.
     """
     if not isinstance(state, SphericalState):
         return state
-    coeffs = {0: math.cos(angle), state.l: 1j * math.sin(angle)}
+    c0, cl = math.cos(angle), 1j * math.sin(angle)
+    coeffs = {0: c0 + cl} if state.l == 0 else {0: c0, state.l: cl}
     return SphericalState(
         l=state.l, coefficients=coeffs, hbar=state.hbar, inertia=state.inertia, normalize=True
     )

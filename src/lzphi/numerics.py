@@ -158,6 +158,8 @@ def theta_overlap_matrix(l: int, power: int, nodes: int) -> np.ndarray:
     overlap of polar factors. Computed on the cached [0, pi] rule with the
     sin(theta) factor explicit in the integrand. The result is read-only.
     """
+    if l < 0 or l > MAX_ORBITAL_L:
+        raise ValueError(f"theta_overlap_matrix supports 0 <= l <= {MAX_ORBITAL_L}, got {l}")
     rule = theta_rule(nodes)
     th = rule.nodes
     big, _ = basis_on_grid(range(-l, l + 1), l, th, None)

@@ -3,9 +3,12 @@
 Multiplicative observables are carried as finite symbol sums
 ``coeff * theta^a * phi^p * exp(i*j*phi)``; their matrix elements in the
 exp(i*m*phi)/sqrt(2*pi) basis close over azimuthal Fourier moments of
-phi^p, which obey an exact integration-by-parts recurrence. On the fixed-l
-spherical basis each term factorizes into a polar overlap integral times
-the rotor element, so no 2-D quadrature enters the analytic path.
+phi^p, which obey an exact integration-by-parts recurrence. The phi factor
+of element (m, m') depends only on the offset m' - m, so each term's matrix
+is Toeplitz: every distinct offset's moment is computed once and indexed
+out. On the fixed-l spherical basis each term factorizes into a polar
+overlap integral times the rotor element, so no 2-D quadrature enters the
+analytic path.
 """
 
 from __future__ import annotations
@@ -199,6 +202,23 @@ def phi_fourier_moment(k: int, p: int) -> complex:
     return t
 
 
+def _offset_moments(ms, j: int, p: int) -> np.ndarray:
+    """Matrix of phi_fourier_moment(m' - m + j, p) over (m, m') in ms x ms.
+
+    Each distinct offset's moment is computed once: over -span..span when
+    the basis has as many pairs as offsets, else over the pairs themselves
+    (a few widely spaced rotor modes).
+    """
+    ms = np.asarray(ms, dtype=np.int64)
+    offsets = np.subtract.outer(ms, ms).T
+    span = int(ms.max() - ms.min())
+    if 2 * span + 1 <= offsets.size:
+        ks, index = range(-span, span + 1), offsets + span
+    else:
+        ks, index = offsets.ravel().tolist(), np.arange(offsets.size).reshape(offsets.shape)
+    return np.array([phi_fourier_moment(k + j, p) for k in ks])[index]
+
+
 @dataclass(frozen=True)
 class RotorBasis:
     """Fourier basis exp(i*m*phi)/sqrt(2*pi) over an explicit index tuple."""
@@ -260,10 +280,7 @@ def symbol_matrix(sym: Symbol, basis, theta_nodes: int = 128) -> np.ndarray:
         theta_fac = (
             numerics.theta_overlap_matrix(basis.l, a, theta_nodes) if spherical else 1.0
         )
-        phi_fac = np.array(
-            [[phi_fourier_moment(mj - mi + j, p) for mj in ms] for mi in ms]
-        )
-        out = out + v * theta_fac * phi_fac
+        out = out + v * theta_fac * _offset_moments(ms, j, p)
     return out
 
 
@@ -376,9 +393,7 @@ def lz_phi_symmetry_deficit(
     basis = SphericalBasis(state.l)
     c = st.coeff_vector(state)
     gam = numerics.theta_overlap_matrix(state.l, 0, settings.theta_nodes)
-    phi_el = np.array(
-        [[phi_fourier_moment(mj - mi, 1) for mj in basis.ms] for mi in basis.ms]
-    )
+    phi_el = _offset_moments(basis.ms, 0, 1)
     ms = np.array(basis.ms, dtype=np.float64)
     double_sum = np.einsum("i,j,i,ij,ij->", np.conj(c), c, ms, gam, phi_el)
     return 1j * state.hbar * (1.0 + 2.0 * float(np.imag(double_sum)))

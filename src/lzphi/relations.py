@@ -5,6 +5,15 @@ against the right-hand side printed in the source inequality. Relations
 whose derivation assumes the symmetric-pairing conditions carry a gate:
 when the symmetry deficit of the operative pair is nonzero the verdict
 is NotApplicable rather than a numeric comparison.
+
+Every moment a relation reads (standard deviations, means, correlations,
+commutator means, the gamma-weighted sum, the boundary term and the pair
+deficits) comes from a table that computes each quantity on first use.
+One table is kept, for the last (state, settings) that ``evaluate`` saw,
+keyed on object identity: evaluating the relations of one state object in
+turn computes its moments once, and any other state or settings object
+starts a fresh table. States and settings are immutable, so an identical
+object always has the same moments.
 """
 
 from __future__ import annotations
@@ -122,6 +131,8 @@ def gamma(l: int, m: int, m1: int, *, settings: engine.EngineSettings | None = N
     With the Condon-Shortley convention gamma(l, m, -m) = (-1)**m; only the
     magnitude enters the relation that consumes it.
     """
+    if l < 0 or l > numerics.MAX_ORBITAL_L:
+        raise ValueError(f"gamma supports 0 <= l <= {numerics.MAX_ORBITAL_L}, got {l}")
     if abs(m) > l or abs(m1) > l:
         raise ValueError(f"gamma needs |m|, |m1| <= l, got l={l}, m={m}, m1={m1}")
     settings = engine.resolve(settings)
@@ -179,7 +190,8 @@ def evaluate(
     if fam not in families:
         raise ValueError(f"relation {relation.value} is not defined on the {fam} family")
     pair = _operative_pair(relation, params)
-    deficits = _pair_deficits(pair, state, settings)
+    table = _moment_table(state, settings)
+    deficits = _pair_deficits(pair, table)
     deficit_abs = max(abs(d) for d in deficits.values())
     condition31 = deficit_abs <= tol
     diag = {f"deficit_{k}_re": d.real for k, d in deficits.items() if k == "ab"}
@@ -191,43 +203,39 @@ def evaluate(
     indeterminate = False
 
     if relation in (RelationId.R5, RelationId.R33):
-        lhs = _d(obs.LZ, state, settings) * _d(obs.PHI, state, settings)
+        lhs = table.std(obs.LZ) * table.std(obs.PHI)
         rhs = hbar / 2.0
     elif relation == RelationId.R6:
-        dphi = _d(obs.PHI, state, settings)
+        dphi = table.std(obs.PHI)
         den = 1.0 - 3.0 * (dphi / math.pi) ** 2
         diag["denominator"] = den
         if den <= 0 or abs(den) < tol:
             lhs, rhs, indeterminate = 0.0, 0.16 * hbar, True
         else:
-            lhs = _d(obs.LZ, state, settings) * dphi / den
+            lhs = table.std(obs.LZ) * dphi / den
             rhs = 0.16 * hbar
     elif relation == RelationId.R7:
-        dphi = _d(obs.PHI, state, settings)
+        dphi = table.std(obs.PHI)
         den = 1.0 - dphi**2
         diag["denominator"] = den
         if den <= 0 or abs(den) < tol:
             lhs, rhs, indeterminate = 0.0, hbar**2 / 4.0, True
         else:
-            lhs = _d(obs.LZ, state, settings) ** 2 * dphi**2 / den
+            lhs = table.std(obs.LZ) ** 2 * dphi**2 / den
             rhs = hbar**2 / 4.0
     elif relation == RelationId.R8:
         if params.alpha is None or not math.isfinite(params.alpha):
             raise ValueError("R8 requires a finite real parameter alpha")
         alpha = params.alpha
         diag["alpha"] = alpha
-        lhs = _d(obs.LZ, state, settings) ** 2 + (hbar * alpha / 2.0) ** 2 * _d(
-            obs.PHI, state, settings
-        ) ** 2
+        lhs = table.std(obs.LZ) ** 2 + (hbar * alpha / 2.0) ** 2 * table.std(obs.PHI) ** 2
         rhs = hbar**2 / 2.0 * (math.sqrt(9.0 / math.pi**2 + alpha**2) - 3.0 / math.pi**2)
     elif relation in (RelationId.R10, RelationId.R11):
         trig = obs.SIN_PHI if relation == RelationId.R10 else obs.COS_PHI
         other = obs.COS_PHI if relation == RelationId.R10 else obs.SIN_PHI
-        sq = mo.mean(other, state, settings=settings) ** 2 + mo.std_dev(
-            other, state, settings=settings
-        ) ** 2
+        sq = table.mean(other) ** 2 + table.std(other) ** 2
         diag["mean_square"] = sq
-        lhs = _d(obs.LZ, state, settings) ** 2 * _d(trig, state, settings) ** 2
+        lhs = table.std(obs.LZ) ** 2 * table.std(trig) ** 2
         rhs = hbar**2 / 4.0 * sq
     elif relation == RelationId.R12:
         if params.N is None or params.N1 is None:
@@ -236,39 +244,39 @@ def evaluate(
             raise ValueError("R12 requires N != N1")
         dchi = delta_chi(params.N, params.N1)
         diag["delta_chi"] = dchi
-        lhs = _d(obs.LZ, state, settings) * dchi
+        lhs = table.std(obs.LZ) * dchi
         rhs = hbar / 2.0
     elif relation == RelationId.R14:
-        lhs = _d(obs.LZ, state, settings) ** 2 + hbar**2 * _d(obs.PHI, state, settings) ** 2
+        lhs = table.std(obs.LZ) ** 2 + hbar**2 * table.std(obs.PHI) ** 2
         rhs = hbar**2
     elif relation in (RelationId.R15, RelationId.R52):
-        boundary = fourier_boundary_term(state)
+        boundary = table.boundary_term()
         diag["boundary_term"] = boundary
-        lhs = _d(obs.LZ, state, settings) * _d(obs.PHI, state, settings)
+        lhs = table.std(obs.LZ) * table.std(obs.PHI)
         rhs = hbar / 2.0 * boundary
     elif relation == RelationId.R30:
-        corr = mo.correlation(obs.LZ, obs.PHI, state, settings=settings)
+        corr = table.correlation(obs.LZ, obs.PHI)
         diag["corr_re"] = corr.value.real
         diag["corr_im"] = corr.value.imag
-        lhs = _d(obs.LZ, state, settings) * _d(obs.PHI, state, settings)
+        lhs = table.std(obs.LZ) * table.std(obs.PHI)
         rhs = abs(corr.value)
     elif relation == RelationId.R36:
-        corr = mo.correlation(obs.THETA, obs.PHI, state, settings=settings)
+        corr = table.correlation(obs.THETA, obs.PHI)
         diag["corr_re"] = corr.value.real
         diag["corr_im"] = corr.value.imag
-        lhs = _d(obs.THETA, state, settings) * _d(obs.PHI, state, settings)
+        lhs = table.std(obs.THETA) * table.std(obs.PHI)
         rhs = abs(corr.value)
     elif relation == RelationId.R58:
-        gsum = gamma_weighted_sum(state, settings=settings)
+        gsum = table.gamma_sum()
         diag["gamma_sum"] = gsum
-        lhs = _d(obs.LZ, state, settings) * _d(obs.PHI, state, settings)
+        lhs = table.std(obs.LZ) * table.std(obs.PHI)
         rhs = hbar / 2.0 * abs(1.0 - gsum)
     elif relation == RelationId.R60:
         a, b = pair
-        comm = mo.commutator_mean(a, b, state, settings=settings)
+        comm = table.commutator(a, b)
         diag["commutator_re"] = comm.real
         diag["commutator_im"] = comm.imag
-        lhs = _d(a, state, settings) * _d(b, state, settings)
+        lhs = table.std(a) * table.std(b)
         rhs = abs(comm) / 2.0
     else:  # pragma: no cover - closed enumeration
         raise AssertionError(relation)
@@ -298,8 +306,60 @@ def evaluate(
     )
 
 
-def _d(kind, state, settings) -> float:
-    return mo.std_dev(kind, state, settings=settings)
+class _MomentTable:
+    """The moments of one state under one settings object, each computed once."""
+
+    __slots__ = ("state", "settings", "_memo")
+
+    def __init__(self, state, settings):
+        self.state = state
+        self.settings = settings
+        self._memo = {}
+
+    def _once(self, key, compute, *args, **kwargs):
+        if key not in self._memo:
+            self._memo[key] = compute(*args, **kwargs)
+        return self._memo[key]
+
+    def std(self, kind) -> float:
+        return self._once(("std", kind), mo.std_dev, kind, self.state, settings=self.settings)
+
+    def mean(self, kind) -> float:
+        return self._once(("mean", kind), mo.mean, kind, self.state, settings=self.settings)
+
+    def correlation(self, a, b):
+        return self._once(
+            ("corr", a, b), mo.correlation, a, b, self.state, settings=self.settings
+        )
+
+    def commutator(self, a, b) -> complex:
+        return self._once(
+            ("comm", a, b), mo.commutator_mean, a, b, self.state, settings=self.settings
+        )
+
+    def deficit(self, a, b) -> complex:
+        return self._once(
+            ("deficit", a, b), obs.symmetry_deficit, a, b, self.state, settings=self.settings
+        )
+
+    def gamma_sum(self) -> float:
+        return self._once("gamma_sum", gamma_weighted_sum, self.state, settings=self.settings)
+
+    def boundary_term(self) -> float:
+        return self._once("boundary", fourier_boundary_term, self.state)
+
+
+#: the table of the last (state, settings) evaluated; replaced in one assignment
+_last_table = _MomentTable(None, None)
+
+
+def _moment_table(state, settings) -> _MomentTable:
+    """The table of (state, settings), reused while both are the same objects."""
+    global _last_table
+    table = _last_table
+    if table.state is not state or table.settings is not settings:
+        table = _last_table = _MomentTable(state, settings)
+    return table
 
 
 def _operative_pair(relation, params):
@@ -312,13 +372,13 @@ def _operative_pair(relation, params):
     return (obs.LZ, obs.PHI)
 
 
-def _pair_deficits(pair, state, settings):
+def _pair_deficits(pair, table):
     a, b = pair
-    fam = st.family_of(state)
+    fam = st.family_of(table.state)
     out = {}
     for key, (x, y) in (("aa", (a, a)), ("ab", (a, b)), ("ba", (b, a)), ("bb", (b, b))):
         if obs.applicable(x, fam) and obs.applicable(y, fam):
-            out[key] = obs.symmetry_deficit(x, y, state, settings=settings)
+            out[key] = table.deficit(x, y)
         else:
             out[key] = 0.0 + 0.0j
     return out

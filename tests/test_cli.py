@@ -122,6 +122,19 @@ class TestScan:
         rhs = [float(row.split(",")[3]) for row in rows]
         assert max(rhs) > 0.01
 
+    def test_mixing_angle_sweep_on_l0(self, tmp_path, capsys):
+        """At l = 0 both mixing terms land on c_0, so every point is Y_00."""
+        spec = write(
+            tmp_path, "s0.spec", "state spherical l=0 c=[(1,0)]\nrelations R5 R30 R36 R58\n"
+        )
+        code, out, err = run_main(["scan", spec, "--sweep", "mix=0:1:3", "--format", "csv"], capsys)
+        assert code in (0, 1, 2), err
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 3 * 4
+        for k in range(4):
+            lhs = [float(row.split(",")[2]) for row in rows[k::4]]
+            assert lhs == pytest.approx([lhs[0]] * 3, abs=1e-12)
+
     def test_alpha_sweep_varies_rhs(self, tmp_path, capsys):
         spec = write(tmp_path, "a.spec", "state circular m=1\nrelations R8(alpha=0)\n")
         code, out, _ = run_main(

@@ -128,6 +128,16 @@ class TestThetaLm:
             theta_lm(1, 0, 3.5)
 
 
+class TestThetaOverlapBounds:
+    @pytest.mark.parametrize("l", [65, -1])
+    def test_rejects_l_outside_documented_range(self, l):
+        with pytest.raises(ValueError, match="0 <= l <= 64"):
+            theta_overlap_matrix(l, 0, 128)
+
+    def test_accepts_l_at_the_bound(self):
+        assert theta_overlap_matrix(64, 0, 128).shape == (129, 129)
+
+
 def test_quadrature_convergence_on_moments(fixture_states):
     """Doubling node counts moves no moment integral by more than 1e-10."""
     from lzphi import PHI, EngineSettings, mean

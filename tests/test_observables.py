@@ -22,7 +22,14 @@ from lzphi import (
     matrix_table,
     symmetry_deficit,
 )
-from lzphi.observables import ObservableKind
+from lzphi.numerics import theta_overlap_matrix
+from lzphi.observables import (
+    ObservableKind,
+    applicable,
+    kind_symbol,
+    phi_fourier_moment,
+    symbol_matrix,
+)
 
 from .conftest import random_spherical
 from .oracles import SphericalOracle
@@ -174,6 +181,54 @@ class TestSymmetryDeficit:
             closed = lz_phi_symmetry_deficit(state)
             quad = lz_phi_symmetry_deficit(state, method="quadrature")
             assert abs(closed - quad) < 1e-9
+
+
+def _double_sum_matrix(sym, basis, theta_nodes=128):
+    """The definition of symbol_matrix: one phi moment per (m, m') pair."""
+    ms = basis.ms
+    out = np.zeros((len(ms), len(ms)), dtype=np.complex128)
+    for (a, j, p), v in sym.terms.items():
+        theta_fac = (
+            theta_overlap_matrix(basis.l, a, theta_nodes)
+            if isinstance(basis, SphericalBasis)
+            else 1.0
+        )
+        phi_fac = np.array([[phi_fourier_moment(mj - mi + j, p) for mj in ms] for mi in ms])
+        out = out + v * theta_fac * phi_fac
+    return out
+
+
+_MULTIPLICATIVE_KINDS = (PHI, PHI_SQUARED, SIN_PHI, COS_PHI, THETA, THETA_PHI, chi(1), chi(-2))
+
+
+class TestToeplitzSymbolMatrix:
+    """symbol_matrix indexes one moment per offset; the floats must not change."""
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            RotorBasis((-3, 0, 5)),
+            RotorBasis((4,)),
+            RotorBasis(tuple(range(-8, 9))),
+            RotorBasis((-2, 100000)),
+            SphericalBasis(0),
+            SphericalBasis(1),
+            SphericalBasis(8),
+            SphericalBasis(64),
+        ],
+        ids=["rotor-gaps", "rotor-single", "rotor-17", "rotor-wide", "l0", "l1", "l8", "l64"],
+    )
+    def test_equals_double_sum_exactly(self, basis):
+        symbols = [kind_symbol(k) for k in _MULTIPLICATIVE_KINDS if applicable(k, basis.family)]
+        symbols += [
+            (kind_symbol(SIN_PHI) - 0.3) ** 2,
+            (kind_symbol(PHI_SQUARED) - 2.3) ** 2,
+            kind_symbol(COS_PHI).phi_derivative(),
+        ]
+        if basis.family == "spherical":
+            symbols.append((kind_symbol(THETA_PHI) - 1.1) ** 2)
+        for sym in symbols:
+            assert np.array_equal(symbol_matrix(sym, basis), _double_sum_matrix(sym, basis))
 
 
 def _mixed_rotor():

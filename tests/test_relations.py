@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -169,6 +170,15 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma(2, 3, 0)
 
+    @pytest.mark.parametrize("l", [65, 70, -1])
+    def test_rejects_l_outside_documented_range(self, l):
+        with pytest.raises(ValueError, match="0 <= l <= 64"):
+            gamma(l, 0, 0)
+
+    def test_accepts_l_at_the_bound(self):
+        assert gamma(64, 5, 5) == pytest.approx(1.0, abs=1e-10)
+        assert abs(gamma(64, 64, -64)) == pytest.approx(1.0, abs=1e-10)
+
 
 class TestDeltaChi:
     def test_rejects_equal(self):
@@ -249,6 +259,94 @@ class TestScaleCovariance:
             report = evaluate(RelationId.R33, CircularState(m=2, hbar=scale))
             assert report.verdict == Verdict.NOT_APPLICABLE
             assert report.diagnostics["deficit_abs"] == pytest.approx(scale)
+
+
+def _report_values(report):
+    return (
+        report.relation,
+        report.lhs,
+        report.rhs,
+        report.verdict,
+        report.condition31,
+        report.diagnostics,
+    )
+
+
+def _state_a():
+    return SphericalState(l=2, coefficients=(0.1, 0.3j, 0.5, -0.4, 0.2 + 0.3j), normalize=True)
+
+
+def _state_b():
+    return SphericalState(l=3, coefficients={0: math.cos(0.4), 3: 1j * math.sin(0.4)})
+
+
+_SPHERICAL_SELECTION = (
+    (RelationId.R5, None),
+    (RelationId.R8, RelationParams(alpha=1.5)),
+    (RelationId.R10, None),
+    (RelationId.R30, None),
+    (RelationId.R33, None),
+    (RelationId.R36, None),
+    (RelationId.R58, None),
+    (RelationId.R60, RelationParams(pair=(LZ, SIN_PHI))),
+)
+
+
+class TestMomentTable:
+    """evaluate computes a state's moments once and reuses them per state object."""
+
+    def test_std_dev_once_per_kind_per_state(self, monkeypatch):
+        from lzphi import cli, specio
+        from lzphi import moments as mo
+
+        doc = specio.parse(
+            "state circular m=2\n"
+            "state rotor c={0:(0.6,0),3:(0,0.8)}\n"
+            "state spherical l=2 c=[(0,0),(0.6,0),(0,0),(0,0.8),(0,0)]\n"
+            "relations R5 R6 R7 R8(alpha=1.5) R10 R11 R14 R30 R33 R60(a=Lz,b=SinPhi)\n"
+        )
+        calls = collections.Counter()
+        real = mo.std_dev
+
+        def counting(kind, state, **kwargs):
+            calls[(id(state), kind)] += 1
+            return real(kind, state, **kwargs)
+
+        monkeypatch.setattr(mo, "std_dev", counting)
+        reports = cli._evaluate_document(doc)
+        assert len(reports) == 3 * 10
+        # Lz, Phi, SinPhi and CosPhi on each of the three states
+        assert len(calls) == 3 * 4
+        assert set(calls.values()) == {1}
+
+    def test_interleaved_states_match_fresh_evaluations(self):
+        a, b = _state_a(), _state_b()
+        interleaved = [
+            _report_values(evaluate(rid, state, params))
+            for state in (a, b, a)
+            for rid, params in _SPHERICAL_SELECTION
+        ]
+        fresh = [
+            _report_values(evaluate(rid, make(), params))
+            for make in (_state_a, _state_b, _state_a)
+            for rid, params in _SPHERICAL_SELECTION
+        ]
+        assert interleaved == fresh
+
+    def test_each_settings_object_gets_its_own_moments(self):
+        from lzphi import EngineSettings, correlation, std_dev
+
+        state = _state_a()
+        fine, coarse = EngineSettings(), EngineSettings(theta_nodes=6)
+        order = (fine, coarse, fine, coarse)
+        got = [evaluate(RelationId.R36, state, settings=s) for s in order]
+        want_lhs = [
+            std_dev(THETA, state, settings=s) * std_dev(PHI, state, settings=s) for s in order
+        ]
+        want_rhs = [abs(correlation(THETA, PHI, state, settings=s).value) for s in order]
+        assert [r.lhs for r in got] == want_lhs
+        assert [r.rhs for r in got] == want_rhs
+        assert got[0].lhs != got[1].lhs
 
 
 def test_family_mismatch_raises():
