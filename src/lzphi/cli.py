@@ -154,9 +154,15 @@ def _run_catalog(args) -> int:
 def _run_scan(args) -> int:
     doc = _load_document(args)
     param, values = _parse_sweep(args.sweep)
+    if param.split(":", 1)[0] in ("cmag", "cphase"):
+        index = _sweep_index(param)
+        if not any(_carries(state, index) for _, state in doc.states):
+            raise ValueError(f"sweep {args.sweep!r}: no state carries coefficient m={index}")
+    points = [_apply_sweep(doc, param, value) for value in values]
+    # the points of a sweep share their bases, so each basis is one stacked table
+    relations.share_moments((s for point in points for _, s in point.states), doc.settings)
     reports = []
-    for value in values:
-        point_doc = _apply_sweep(doc, param, value)
+    for value, point_doc in zip(values, points):
         for report in _evaluate_document(point_doc):
             report.diagnostics["sweep_value"] = float(value)
             report.diagnostics["sweep_param_name"] = param
@@ -173,6 +179,8 @@ def _parse_sweep(text: str):
     if len(pieces) != 3:
         raise ValueError("sweep reads NAME=START:STOP:STEPS")
     start, stop, steps = float(pieces[0]), float(pieces[1]), int(pieces[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"sweep {text!r} needs a finite START and STOP")
     if steps < 1:
         raise ValueError("sweep needs at least one step")
     base = name.split(":", 1)[0]
@@ -203,7 +211,7 @@ def _apply_sweep(doc, param: str, value):
     elif base == "mix":
         states = tuple((name, _mixed(s, float(value))) for name, s in states)
     else:
-        index = int(param.split(":", 1)[1])
+        index = _sweep_index(param)
         states = tuple((name, _retuned(s, index, base, float(value))) for name, s in states)
     return replace(doc, states=states, selections=selections)
 
@@ -234,23 +242,35 @@ def _mixed(state, angle: float):
     )
 
 
+def _sweep_index(param: str) -> int:
+    """The m of a ``cmag:<m>`` or ``cphase:<m>`` sweep."""
+    base, _, index = param.partition(":")
+    try:
+        return int(index)
+    except ValueError:
+        raise ValueError(f"sweep {param!r} reads {base}:<m>=START:STOP:STEPS") from None
+
+
+def _carries(state, index: int) -> bool:
+    """Whether the state has a coefficient c_m with m = index."""
+    if isinstance(state, RotorSuperposition):
+        return index in state.coeff_map
+    return isinstance(state, SphericalState) and abs(index) <= state.l
+
+
 def _retuned(state, index: int, base: str, value: float):
     """Set the magnitude or phase of one coefficient, then renormalize."""
+    if not _carries(state, index):
+        return state
     if isinstance(state, RotorSuperposition):
         cmap = state.coeff_map
-        if index not in cmap:
-            return state
         cmap[index] = _adjust(cmap[index], base, value)
         return RotorSuperposition(cmap, hbar=state.hbar, normalize=True)
-    if isinstance(state, SphericalState):
-        if abs(index) > state.l:
-            return state
-        vec = list(state.coefficients)
-        vec[index + state.l] = _adjust(vec[index + state.l], base, value)
-        return SphericalState(
-            l=state.l, coefficients=vec, hbar=state.hbar, inertia=state.inertia, normalize=True
-        )
-    return state
+    vec = list(state.coefficients)
+    vec[index + state.l] = _adjust(vec[index + state.l], base, value)
+    return SphericalState(
+        l=state.l, coefficients=vec, hbar=state.hbar, inertia=state.inertia, normalize=True
+    )
 
 
 def _adjust(coeff: complex, base: str, value: float) -> complex:

@@ -23,7 +23,12 @@ from .numerics import TWO_PI
 
 @dataclass(frozen=True)
 class EngineSettings:
-    """Node counts and tolerances shared by oracles, parser and CLI."""
+    """Node counts and tolerances shared by oracles, parser and CLI.
+
+    Node counts must lie in 2..the largest count their rule builds
+    correctly, and the tolerance must be finite and >= 0; anything else
+    raises ValueError.
+    """
 
     phi_nodes: int = 256
     theta_nodes: int = 128
@@ -31,6 +36,17 @@ class EngineSettings:
     tolerance: float = 1e-9
     hbar: float = 1.0
     normalize: bool = False
+
+    def __post_init__(self):
+        for name, top in (
+            ("phi_nodes", numerics.MAX_LEGENDRE_NODES),
+            ("theta_nodes", numerics.MAX_LEGENDRE_NODES),
+            ("hermite_nodes", numerics.MAX_HERMITE_NODES),
+        ):
+            if not 2 <= getattr(self, name) <= top:
+                raise ValueError(f"{name} must be in 2..{top}, got {getattr(self, name)}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
 
 
 DEFAULT_SETTINGS = EngineSettings()

@@ -3,19 +3,25 @@
 The analytic path works in each family's own basis: exact azimuthal
 Fourier moments for circular/rotor states, polar-overlap-factorized
 tables for fixed-l spherical states, and oscillator ladder matrices for
-the pendulum. The quadrature path re-derives every number on the
-family's grid and serves as the oracle.
+the pendulum. It lives in ``MomentStack``, which holds the moments of a
+stack of states that share one basis: every quantity is a binomial
+combination of quadratic forms (c, M c) over basis matrices M that do not
+depend on the state, so each M is built once per stack and each form is
+taken over all rows at once. The public analytic functions below are the
+one-row case. The quadrature path re-derives every number on the family's
+grid and serves as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from . import engine
+from . import engine, numerics
 from . import observables as obs
 from . import states as st
 
@@ -46,32 +52,21 @@ class Correlation:
 
 def mean(kind, state, *, method: str = "analytic", settings=None) -> float:
     """<A> = (Psi, A Psi)."""
-    fam = obs.check_applicable(kind, state)
-    settings = engine.resolve(settings)
-    if method == "quadrature":
-        grid = engine.state_grid(state, settings)
-        vec = _centered_grid_vector(grid, kind, 1, 0.0)
-        return float(np.real(grid.inner(_psi_vector(grid), vec)))
-    if method != "analytic":
-        raise ValueError(f"unknown method {method!r}")
-    if fam == "pendulum":
-        return _pendulum_mean(kind, state)
-    c = st.coeff_vector(state)
-    if kind.name == "Lz":
-        return float(np.sum(np.abs(c) ** 2 * obs.lz_diagonal(obs.basis_of(state), state.hbar)))
-    mat = obs.symbol_matrix(obs.kind_symbol(kind), obs.basis_of(state), settings.theta_nodes)
-    return float(np.real(np.conj(c) @ mat @ c))
+    obs.check_applicable(kind, state)
+    if method == "analytic":
+        return float(MomentStack((state,), settings).mean(kind)[0])
+    grid = _quadrature_grid(state, method, settings)
+    vec = _centered_grid_vector(grid, kind, 1, 0.0)
+    return float(np.real(grid.inner(_psi_vector(grid), vec)))
 
 
 def std_dev(kind, state, *, method: str = "analytic", settings=None) -> float:
     """Standard deviation (C(A, A))^(1/2) of the observable in the state."""
     obs.check_applicable(kind, state)
-    if method == "analytic" and st.family_of(state) == "pendulum":
-        closed = _pendulum_closed_std(kind, state)
-        if closed is not None:
-            return closed
+    if method == "analytic":
+        return float(MomentStack((state,), settings).std(kind)[0])
     mu = mean(kind, state, method=method, settings=settings)
-    var = _pair_inner(kind, kind, 1, 1, mu, mu, state, method, settings)
+    var = _grid_pair_inner(kind, kind, 1, 1, mu, mu, state, settings)
     return math.sqrt(max(float(np.real(var)), 0.0))
 
 
@@ -85,19 +80,19 @@ def moment_set(kind, state, *, method: str = "analytic", settings=None) -> Momen
 
 def correlation(a, b, state, *, method: str = "analytic", settings=None) -> Correlation:
     """C(A, B) = (dA Psi, dB Psi) with dA = A - <A>."""
-    mu_a = mean(a, state, method=method, settings=settings)
-    mu_b = mean(b, state, method=method, settings=settings)
-    value = _pair_inner(a, b, 1, 1, mu_a, mu_b, state, method, settings)
-    return Correlation(value=complex(value), hermitized=float(np.real(value)))
+    value = higher_correlation(a, b, 1, 1, state, method=method, settings=settings)
+    return Correlation(value=value, hermitized=float(np.real(value)))
 
 
 def higher_correlation(a, b, r: int, s: int, state, *, method: str = "analytic", settings=None) -> complex:
     """((dA)^r Psi, (dB)^s Psi) for orders up to MAX_CORRELATION_ORDER."""
     if not (1 <= r <= MAX_CORRELATION_ORDER and 1 <= s <= MAX_CORRELATION_ORDER):
         raise ValueError(f"orders must be in 1..{MAX_CORRELATION_ORDER}, got r={r}, s={s}")
+    if method == "analytic":
+        return complex(MomentStack((state,), settings).pair(a, b, r, s)[0])
     mu_a = mean(a, state, method=method, settings=settings)
     mu_b = mean(b, state, method=method, settings=settings)
-    return complex(_pair_inner(a, b, r, s, mu_a, mu_b, state, method, settings))
+    return complex(_grid_pair_inner(a, b, r, s, mu_a, mu_b, state, settings))
 
 
 def commutator_mean(a, b, state, *, settings=None) -> complex:
@@ -106,63 +101,180 @@ def commutator_mean(a, b, state, *, settings=None) -> complex:
     Multiplicative pairs commute exactly; mixed pairs reduce to the mean
     of -i*hbar times the phi derivative of the multiplicative symbol.
     """
-    fam_a = obs.check_applicable(a, state)
-    obs.check_applicable(b, state)
-    if a.name != "Lz" and b.name != "Lz":
-        return 0.0 + 0.0j
-    if a.name == "Lz" and b.name == "Lz":
-        return 0.0 + 0.0j
-    mult = b if a.name == "Lz" else a
-    sign = 1.0 if a.name == "Lz" else -1.0
-    if fam_a == "pendulum":
-        deriv = obs.kind_symbol(mult).phi_derivative()
-        val = _pendulum_symbol_mean(deriv, state)
-    else:
-        settings = engine.resolve(settings)
-        c = st.coeff_vector(state)
-        mat = obs.symbol_matrix(
-            obs.kind_symbol(mult).phi_derivative(), obs.basis_of(state), settings.theta_nodes
+    return complex(MomentStack((state,), settings).commutator(a, b)[0])
+
+
+def stacks(states, settings=None) -> list:
+    """One MomentStack per basis over the distinct state objects in ``states``.
+
+    Rows keep the order in which the states first appear; pendulum states
+    form one stack whatever their n.
+    """
+    groups = {}
+    for state in {id(s): s for s in states}.values():
+        groups.setdefault(_stack_key(state), []).append(state)
+    return [MomentStack(group, settings) for group in groups.values()]
+
+
+def _stack_key(state):
+    return "pendulum" if st.family_of(state) == "pendulum" else obs.basis_of(state)
+
+
+def _memoized(method):
+    """Compute a stack quantity for every row on first use and keep it in the stack."""
+
+    @functools.wraps(method)
+    def once(self, *args):
+        key = (method.__name__, *args)
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = method(self, *args)
+            return value
+
+    return once
+
+
+class MomentStack:
+    """Analytic moments of a stack of states, each quantity computed once for all rows.
+
+    Circular, rotor and spherical rows share one basis; their coefficient
+    vectors are the rows of a P x n matrix C. A basis matrix M (the
+    ``symbol_matrix`` of a product of observable symbols, or of a phi
+    derivative) enters only through the products M c_p of every row,
+    built on first use, so the stack holds O(P*n) numbers per matrix and
+    never a P x n x n array. The Lz diagonal scales each row by its own
+    hbar. Pendulum rows may differ in n; their quantities come row by row
+    from the oscillator ladder matrices. Every method returns one value
+    per row, in the order of ``states``. The stack keeps its states
+    alive, and a state's moments depend only on the state and the
+    settings, so a stack never goes stale.
+    """
+
+    def __init__(self, states, settings=None):
+        self.states = tuple(states)
+        if not self.states:
+            raise ValueError("a moment stack needs at least one state")
+        self.settings = engine.resolve(settings)
+        key = _stack_key(self.states[0])
+        if any(_stack_key(s) != key for s in self.states[1:]):
+            raise ValueError("stacked states must share one basis (or all be pendulum states)")
+        self._pendulum = key == "pendulum"
+        self._basis = None if self._pendulum else key
+        self._hbar = np.array([s.hbar for s in self.states])
+        if not self._pendulum:
+            self._coeffs = np.array([st.coeff_vector(s) for s in self.states])
+            ms = np.array(key.ms, dtype=np.float64)
+            self._lz = np.multiply.outer(self._hbar, ms)
+        self._memo = {}
+        self._applied_rows = {}
+
+    def _check(self, *kinds):
+        for kind in kinds:
+            obs.check_applicable(kind, self.states[0])
+
+    def _applied(self, sym) -> np.ndarray:
+        """Row p holds M c_p for the symbol's basis matrix M."""
+        key = tuple(sorted(sym.terms.items()))
+        rows = self._applied_rows.get(key)
+        if rows is None:
+            mat = obs.symbol_matrix(sym, self._basis, self.settings.theta_nodes)
+            rows = self._applied_rows[key] = obs.apply_to_rows(mat, self._coeffs)
+        return rows
+
+    def _form(self, sym, left=None) -> np.ndarray:
+        """(left_p, M c_p) for every row p; ``left`` defaults to C."""
+        left = self._coeffs if left is None else left
+        return np.einsum("pi,pi->p", np.conj(left), self._applied(sym))
+
+    @_memoized
+    def mean(self, kind) -> np.ndarray:
+        """<A> for every row."""
+        self._check(kind)
+        if self._pendulum:
+            return np.array([_pendulum_mean(kind, s) for s in self.states])
+        if kind.name == "Lz":
+            return np.sum(np.abs(self._coeffs) ** 2 * self._lz, axis=1)
+        return np.real(self._form(obs.kind_symbol(kind)))
+
+    @_memoized
+    def std(self, kind) -> np.ndarray:
+        """(C(A, A))^(1/2) for every row."""
+        if self._pendulum:
+            closed = [_pendulum_closed_std(kind, s) for s in self.states]
+            if closed[0] is not None:  # a closed form exists per kind, for all n
+                return np.array(closed)
+        return np.sqrt(np.maximum(np.real(self.pair(kind, kind, 1, 1)), 0.0))
+
+    @_memoized
+    def pair(self, a, b, r: int, s: int) -> np.ndarray:
+        """((A - <A>)^r Psi, (B - <B>)^s Psi) for every row.
+
+        Multiplicative sides expand binomially into the uncentered
+        products A^i B^k, whose matrices are shared by every row and every
+        mean; an Lz side is the diagonal (hbar*m - <Lz>)^r on the left.
+        """
+        mu_a, mu_b = self.mean(a), self.mean(b)
+        if self._pendulum:
+            return np.array([
+                complex(np.conj(_pendulum_centered_vector(a, r, ma, state))
+                        @ _pendulum_centered_vector(b, s, mb, state))
+                for state, ma, mb in zip(self.states, mu_a, mu_b)
+            ])
+        if b.name == "Lz" and a.name != "Lz":
+            return np.conj(self.pair(b, a, s, r))
+        if a.name == "Lz":
+            left = (self._lz - mu_a[:, None]) ** r
+            if b.name == "Lz":
+                weights = np.abs(self._coeffs) ** 2 * left * (self._lz - mu_b[:, None]) ** s
+                return np.sum(weights, axis=1)
+            left = left * self._coeffs
+            sym_b = obs.kind_symbol(b)
+            return sum(
+                math.comb(s, k) * (-mu_b) ** (s - k) * self._form(sym_b**k, left)
+                for k in range(s + 1)
+            )
+        sym_a, sym_b = obs.kind_symbol(a), obs.kind_symbol(b)
+        return sum(
+            math.comb(r, i) * math.comb(s, k) * (-mu_a) ** (r - i) * (-mu_b) ** (s - k)
+            * self._form(sym_a**i * sym_b**k)
+            for i in range(r + 1)
+            for k in range(s + 1)
         )
-        val = complex(np.conj(c) @ mat @ c)
-    return sign * (-1j) * state.hbar * val
 
+    @_memoized
+    def commutator(self, a, b) -> np.ndarray:
+        """<[A, B]> for every row; see ``commutator_mean``."""
+        self._check(a, b)
+        if (a.name == "Lz") == (b.name == "Lz"):
+            return np.zeros(len(self.states), dtype=np.complex128)
+        mult = b if a.name == "Lz" else a
+        sign = 1.0 if a.name == "Lz" else -1.0
+        deriv = obs.kind_symbol(mult).phi_derivative()
+        if self._pendulum:
+            val = np.array([_pendulum_symbol_mean(deriv, state) for state in self.states])
+        else:
+            val = self._form(deriv)
+        return sign * (-1j) * self._hbar * val
 
-def _pair_inner(a, b, r, s, mu_a, mu_b, state, method, settings):
-    """((dA)^r Psi, (dB)^s Psi) dispatched on family and method."""
-    settings = engine.resolve(settings)
-    if method == "quadrature":
-        grid = engine.state_grid(state, settings)
-        va = _centered_grid_vector(grid, a, r, mu_a)
-        vb = _centered_grid_vector(grid, b, s, mu_b)
-        return grid.inner(va, vb)
-    if method != "analytic":
-        raise ValueError(f"unknown method {method!r}")
-    fam = st.family_of(state)
-    if fam == "pendulum":
-        va = _pendulum_centered_vector(a, r, mu_a, state)
-        vb = _pendulum_centered_vector(b, s, mu_b, state)
-        return complex(np.conj(va) @ vb)
-    c = st.coeff_vector(state)
-    basis = obs.basis_of(state)
-    nodes = settings.theta_nodes
-    a_lz, b_lz = a.name == "Lz", b.name == "Lz"
-    if a_lz and b_lz:
-        d = obs.lz_diagonal(basis, state.hbar)
-        return complex(np.sum(np.abs(c) ** 2 * (d - mu_a) ** r * (d - mu_b) ** s))
-    if a_lz:
-        left = (obs.lz_diagonal(basis, state.hbar) - mu_a) ** r * c
-        mat = obs.symbol_matrix(_centered_symbol(b, mu_b) ** s, basis, nodes)
-        return complex(np.conj(left) @ mat @ c)
-    if b_lz:
-        swapped = _pair_inner(b, a, s, r, mu_b, mu_a, state, method, settings)
-        return np.conj(swapped)
-    sym = (_centered_symbol(a, mu_a) ** r) * (_centered_symbol(b, mu_b) ** s)
-    mat = obs.symbol_matrix(sym, basis, nodes)
-    return complex(np.conj(c) @ mat @ c)
+    @_memoized
+    def deficit(self, a, b) -> np.ndarray:
+        """(A Psi, B Psi) - (Psi, A B Psi) for every row; see ``observables.symmetry_deficit``."""
+        self._check(a, b)
+        if self._pendulum:
+            return np.zeros(len(self.states), dtype=np.complex128)
+        return obs.symmetry_deficits(
+            a, b, self._basis, self._coeffs, self._hbar, self.settings.theta_nodes
+        )
 
-
-def _centered_symbol(kind, mu):
-    return obs.kind_symbol(kind) - mu
+    @_memoized
+    def gamma_sum(self) -> np.ndarray:
+        """sum_mm' conj(c_m) c_m' gamma(l, m, m') for every row of a spherical stack."""
+        if not isinstance(self._basis, obs.SphericalBasis):
+            raise ValueError("the gamma-weighted sum needs spherical states")
+        table = numerics.theta_overlap_matrix(self._basis.l, 0, self.settings.theta_nodes)
+        rows = obs.apply_to_rows(table, self._coeffs)
+        return np.real(np.einsum("pi,pi->p", np.conj(self._coeffs), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +343,26 @@ def _pendulum_symbol_mean(sym, state) -> complex:
 # ---------------------------------------------------------------------------
 # quadrature path: centered operator applications on the family grid
 
+def _quadrature_grid(state, method, settings):
+    if method != "quadrature":
+        raise ValueError(f"unknown method {method!r}")
+    return engine.state_grid(state, engine.resolve(settings))
+
+
+def _grid_pair_inner(a, b, r, s, mu_a, mu_b, state, settings):
+    """((dA)^r Psi, (dB)^s Psi) on the family grid."""
+    grid = engine.state_grid(state, engine.resolve(settings))
+    va = _centered_grid_vector(grid, a, r, mu_a)
+    vb = _centered_grid_vector(grid, b, s, mu_b)
+    return grid.inner(va, vb)
+
+
 def _psi_vector(grid):
     return grid.psi
+
+
+def _centered_symbol(kind, mu):
+    return obs.kind_symbol(kind) - mu
 
 
 def _centered_grid_vector(grid, kind, power, mu):

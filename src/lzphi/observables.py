@@ -284,6 +284,16 @@ def symbol_matrix(sym: Symbol, basis, theta_nodes: int = 128) -> np.ndarray:
     return out
 
 
+def apply_to_rows(mat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Row p of the result is mat @ coeffs[p], for a P x n coefficient matrix.
+
+    Each row is summed in an order that no other row affects (a BLAS
+    product blocks its sums by the row count), so a state's moments do not
+    depend on which states share its stack.
+    """
+    return np.einsum("ij,pj->pi", mat, coeffs)
+
+
 def lz_diagonal(basis, hbar: float) -> np.ndarray:
     return hbar * np.array(basis.ms, dtype=np.float64)
 
@@ -419,24 +429,40 @@ def symmetry_deficit(
         return _deficit_quadrature(a, b, state, engine.resolve(settings))
     if method != "analytic":
         raise ValueError(f"unknown method {method!r}")
-    if a.name != "Lz" or b.name == "Lz" or fam == "pendulum":
+    if fam == "pendulum":
         return 0.0 + 0.0j
-    settings = engine.resolve(settings)
+    c = st.coeff_vector(state)[None, :]
+    nodes = engine.resolve(settings).theta_nodes
+    return complex(symmetry_deficits(a, b, basis_of(state), c, state.hbar, nodes)[0])
+
+
+def symmetry_deficits(a, b, basis, coeffs, hbar, theta_nodes: int = 128) -> np.ndarray:
+    """``symmetry_deficit(a, b)`` for each row of a P x n coefficient matrix.
+
+    The rows are states on one rotor or spherical basis; ``hbar`` is a
+    scalar or one value per row. The deficit is i*hbar/(2*pi) times the
+    boundary jump of B weighted by the state's density along phi = 0:
+    |sum_m c_m|^2 on a rotor basis, and the polar-overlap form
+    (c, T_a c) per theta power a of the jump on a spherical basis.
+    """
+    out = np.zeros(len(coeffs), dtype=np.complex128)
+    if a.name != "Lz" or b.name == "Lz":
+        return out
     jump = kind_symbol(b).boundary_jump()
     if not jump:
-        return 0.0 + 0.0j
-    if fam == "spherical":
-        c = st.coeff_vector(state)
-        total = 0.0 + 0.0j
-        for a_pow, coeff in jump.items():
-            tmat = numerics.theta_overlap_matrix(state.l, a_pow, settings.theta_nodes)
-            total += coeff * np.einsum("i,j,ij->", np.conj(c), c, tmat) / TWO_PI
-        return 1j * state.hbar * complex(total)
-    if fam == "circular":
-        density = 1.0 / TWO_PI
+        return out
+    if isinstance(basis, SphericalBasis):
+        total = sum(
+            coeff * np.einsum(
+                "pi,pi->p",
+                np.conj(coeffs),
+                apply_to_rows(numerics.theta_overlap_matrix(basis.l, a_pow, theta_nodes), coeffs),
+            )
+            for a_pow, coeff in jump.items()
+        )
     else:
-        density = abs(sum(cc for _, cc in state.coefficients)) ** 2 / TWO_PI
-    return 1j * state.hbar * jump[0] * density
+        total = jump[0] * np.abs(coeffs.sum(axis=1)) ** 2
+    return 1j * hbar * total / TWO_PI
 
 
 def _deficit_quadrature(a, b, state, settings) -> complex:

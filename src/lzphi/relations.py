@@ -7,12 +7,12 @@ when the symmetry deficit of the operative pair is nonzero the verdict
 is NotApplicable rather than a numeric comparison.
 
 Every moment a relation reads (standard deviations, means, correlations,
-commutator means, the gamma-weighted sum, the boundary term and the pair
-deficits) comes from a table that computes each quantity on first use.
-One table is kept, for the last (state, settings) that ``evaluate`` saw,
-keyed on object identity: evaluating the relations of one state object in
-turn computes its moments once, and any other state or settings object
-starts a fresh table. States and settings are immutable, so an identical
+commutator means, the gamma-weighted sum and the pair deficits) comes
+from a ``moments.MomentStack``, which computes each quantity once for all
+of its rows. ``share_moments`` stacks a set of states, one stack per
+basis, and ``evaluate`` reads a state's row while the state and settings
+are the same objects; for any other state or settings object it stacks
+that state alone. States and settings are immutable, so an identical
 object always has the same moments.
 """
 
@@ -161,10 +161,19 @@ def fourier_boundary_term(state) -> float:
 
 def gamma_weighted_sum(state, *, settings=None) -> float:
     """sum_mm' conj(c_m) c_m' gamma(l, m, m') for a spherical state."""
-    settings = engine.resolve(settings)
-    table = numerics.theta_overlap_matrix(state.l, 0, settings.theta_nodes)
-    c = st.coeff_vector(state)
-    return float(np.real(np.conj(c) @ table @ c))
+    return float(mo.MomentStack((state,), settings).gamma_sum()[0])
+
+
+def share_moments(states, settings: engine.EngineSettings | None = None) -> None:
+    """Have ``evaluate`` read the moments of ``states`` from shared stacks.
+
+    States that share a basis become the rows of one ``moments.MomentStack``,
+    so each quantity is computed once for all of them. The stacks are kept
+    until the next call, or until ``evaluate`` meets a state or settings
+    object outside them.
+    """
+    global _shared
+    _shared = _stacked(states, engine.resolve(settings))
 
 
 def evaluate(
@@ -190,8 +199,8 @@ def evaluate(
     if fam not in families:
         raise ValueError(f"relation {relation.value} is not defined on the {fam} family")
     pair = _operative_pair(relation, params)
-    table = _moment_table(state, settings)
-    deficits = _pair_deficits(pair, table)
+    table = _moment_row(state, settings)
+    deficits = _pair_deficits(pair, table, fam)
     deficit_abs = max(abs(d) for d in deficits.values())
     condition31 = deficit_abs <= tol
     diag = {f"deficit_{k}_re": d.real for k, d in deficits.items() if k == "ab"}
@@ -250,22 +259,22 @@ def evaluate(
         lhs = table.std(obs.LZ) ** 2 + hbar**2 * table.std(obs.PHI) ** 2
         rhs = hbar**2
     elif relation in (RelationId.R15, RelationId.R52):
-        boundary = table.boundary_term()
+        boundary = fourier_boundary_term(state)
         diag["boundary_term"] = boundary
         lhs = table.std(obs.LZ) * table.std(obs.PHI)
         rhs = hbar / 2.0 * boundary
     elif relation == RelationId.R30:
         corr = table.correlation(obs.LZ, obs.PHI)
-        diag["corr_re"] = corr.value.real
-        diag["corr_im"] = corr.value.imag
+        diag["corr_re"] = corr.real
+        diag["corr_im"] = corr.imag
         lhs = table.std(obs.LZ) * table.std(obs.PHI)
-        rhs = abs(corr.value)
+        rhs = abs(corr)
     elif relation == RelationId.R36:
         corr = table.correlation(obs.THETA, obs.PHI)
-        diag["corr_re"] = corr.value.real
-        diag["corr_im"] = corr.value.imag
+        diag["corr_re"] = corr.real
+        diag["corr_im"] = corr.imag
         lhs = table.std(obs.THETA) * table.std(obs.PHI)
-        rhs = abs(corr.value)
+        rhs = abs(corr)
     elif relation == RelationId.R58:
         gsum = table.gamma_sum()
         diag["gamma_sum"] = gsum
@@ -306,60 +315,62 @@ def evaluate(
     )
 
 
-class _MomentTable:
-    """The moments of one state under one settings object, each computed once."""
+class _MomentRow:
+    """One state's moments: its row of a shared ``moments.MomentStack``."""
 
-    __slots__ = ("state", "settings", "_memo")
+    __slots__ = ("stack", "index")
 
-    def __init__(self, state, settings):
-        self.state = state
-        self.settings = settings
-        self._memo = {}
-
-    def _once(self, key, compute, *args, **kwargs):
-        if key not in self._memo:
-            self._memo[key] = compute(*args, **kwargs)
-        return self._memo[key]
+    def __init__(self, stack, index):
+        self.stack = stack
+        self.index = index
 
     def std(self, kind) -> float:
-        return self._once(("std", kind), mo.std_dev, kind, self.state, settings=self.settings)
+        return float(self.stack.std(kind)[self.index])
 
     def mean(self, kind) -> float:
-        return self._once(("mean", kind), mo.mean, kind, self.state, settings=self.settings)
+        return float(self.stack.mean(kind)[self.index])
 
-    def correlation(self, a, b):
-        return self._once(
-            ("corr", a, b), mo.correlation, a, b, self.state, settings=self.settings
-        )
+    def correlation(self, a, b) -> complex:
+        return complex(self.stack.pair(a, b, 1, 1)[self.index])
 
     def commutator(self, a, b) -> complex:
-        return self._once(
-            ("comm", a, b), mo.commutator_mean, a, b, self.state, settings=self.settings
-        )
+        return complex(self.stack.commutator(a, b)[self.index])
 
     def deficit(self, a, b) -> complex:
-        return self._once(
-            ("deficit", a, b), obs.symmetry_deficit, a, b, self.state, settings=self.settings
-        )
+        return complex(self.stack.deficit(a, b)[self.index])
 
     def gamma_sum(self) -> float:
-        return self._once("gamma_sum", gamma_weighted_sum, self.state, settings=self.settings)
-
-    def boundary_term(self) -> float:
-        return self._once("boundary", fourier_boundary_term, self.state)
+        return float(self.stack.gamma_sum()[self.index])
 
 
-#: the table of the last (state, settings) evaluated; replaced in one assignment
-_last_table = _MomentTable(None, None)
+def _stacked(states, settings):
+    """(settings, {id(state): row}) over the stacks of ``states``.
+
+    Each stack holds its states, so an id found here names that state.
+    """
+    rows = {
+        id(state): _MomentRow(stack, index)
+        for stack in mo.stacks(states, settings)
+        for index, state in enumerate(stack.states)
+    }
+    return settings, rows
 
 
-def _moment_table(state, settings) -> _MomentTable:
-    """The table of (state, settings), reused while both are the same objects."""
-    global _last_table
-    table = _last_table
-    if table.state is not state or table.settings is not settings:
-        table = _last_table = _MomentTable(state, settings)
-    return table
+#: the shared rows of the last ``share_moments``; replaced in one assignment,
+#: so a thread race costs a recomputation, not a wrong number
+_shared = (None, {})
+
+
+def _moment_row(state, settings) -> _MomentRow:
+    """The row of ``state`` in the shared stacks, or a fresh one-row stack."""
+    global _shared
+    shared_settings, rows = _shared
+    row = rows.get(id(state)) if shared_settings is settings else None
+    if row is None:
+        fresh = _stacked((state,), settings)
+        row = fresh[1][id(state)]
+        _shared = fresh
+    return row
 
 
 def _operative_pair(relation, params):
@@ -372,9 +383,8 @@ def _operative_pair(relation, params):
     return (obs.LZ, obs.PHI)
 
 
-def _pair_deficits(pair, table):
+def _pair_deficits(pair, table, fam):
     a, b = pair
-    fam = st.family_of(table.state)
     out = {}
     for key, (x, y) in (("aa", (a, a)), ("ab", (a, b)), ("ba", (b, a)), ("bb", (b, b))):
         if obs.applicable(x, fam) and obs.applicable(y, fam):

@@ -26,13 +26,18 @@ from .states import CircularState, PendulumState, RotorSuperposition, SphericalS
 
 
 class SpecParseError(Exception):
-    """Parse or validation failure with a stable code and source position."""
+    """Parse or validation failure with a stable code and source position.
+
+    Line 0 marks a value that came from the overrides (the CLI flags), not
+    from a line of the spec.
+    """
 
     def __init__(self, code: str, line: int, col: int, message: str):
         self.code = code
         self.line = line
         self.col = col
-        super().__init__(f"line {line}, col {col}: [{code}] {message}")
+        where = f"line {line}, col {col}: " if line else ""
+        super().__init__(f"{where}[{code}] {message}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,7 @@ def parse(text: str, overrides: dict | None = None) -> SpecDocument:
     lines = text.splitlines()
     settings = _collect_settings(lines)
     if overrides:
-        settings = replace(settings, **overrides)
+        settings = _with_settings(settings, overrides, 0, 0)
     states: list = []
     selections: list = []
     auto = 0
@@ -129,12 +134,21 @@ def _collect_settings(lines) -> EngineSettings:
         if want is bool:
             if value not in ("true", "false"):
                 raise SpecParseError("bad-value", lineno, vcol, "normalize takes true or false")
-            settings = replace(settings, **{key: value == "true"})
+            parsed = value == "true"
         elif want is int:
-            settings = replace(settings, **{key: _parse_int(value, lineno, vcol)})
+            parsed = _parse_int(value, lineno, vcol)
         else:
-            settings = replace(settings, **{key: _parse_float(value, lineno, vcol)})
+            parsed = _parse_float(value, lineno, vcol)
+        settings = _with_settings(settings, {key: parsed}, lineno, vcol)
     return settings
+
+
+def _with_settings(settings, changes: dict, lineno: int, col: int) -> EngineSettings:
+    """``settings`` with ``changes`` applied; out-of-range values are bad-value errors."""
+    try:
+        return replace(settings, **changes)
+    except ValueError as exc:
+        raise SpecParseError("bad-value", lineno, col, str(exc)) from None
 
 
 def _tokens(raw: str):

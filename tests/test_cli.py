@@ -1,9 +1,17 @@
+import csv
+import io
+import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+import numpy as np
 import pytest
 
+from lzphi import cli, specio
 from lzphi.cli import exit_code_for, main
 from lzphi.relations import Verdict
 
@@ -154,6 +162,237 @@ class TestScan:
         _, out, _ = run_main(["scan", spec, "--sweep", "n=0:2:3"], capsys)
         assert '"sweep_param": "n"' in out
         assert '"sweep_value": 2' in out
+
+
+def _fresh_scan(text, sweep, fmt):
+    """Exit code and report text of a scan whose point states are each evaluated alone."""
+    doc = specio.parse(text)
+    param, values = cli._parse_sweep(sweep)
+    reports = []
+    for value in values:
+        for report in cli._evaluate_document(cli._apply_sweep(doc, param, value)):
+            report.diagnostics["sweep_value"] = float(value)
+            report.diagnostics["sweep_param_name"] = param
+            reports.append(report)
+    code = exit_code_for(r.verdict for r in reports)
+    return code, specio.serialize_report(reports, fmt)
+
+
+def _rows(text, fmt):
+    return json.loads(text) if fmt == "json" else list(csv.DictReader(io.StringIO(text)))
+
+
+def _assert_close(got, want, where):
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            _assert_close(got[key], want[key], f"{where}.{key}")
+        return
+    try:
+        got_x, want_x = float(got), float(want)
+    except (TypeError, ValueError):
+        assert got == want, where
+        return
+    if isinstance(want, bool):
+        assert got == want, where
+        return
+    assert abs(got_x - want_x) <= 1e-11 * max(1.0, abs(want_x)), (where, got, want)
+
+
+def assert_scan_matches_fresh(text, sweep, fmt="json"):
+    """The batched scan gives every point's verdicts and numbers of a lone evaluation."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = Path(tmp) / "s.spec", Path(tmp) / "out"
+        spec.write_text(text)
+        code = main(["scan", str(spec), "--sweep", sweep, "--format", fmt, "--output", str(out)])
+        got = out.read_text()
+    want_code, want = _fresh_scan(text, sweep, fmt)
+    assert code == want_code
+    got_rows, want_rows = _rows(got, fmt), _rows(want, fmt)
+    assert len(got_rows) == len(want_rows)
+    for k, (got_row, want_row) in enumerate(zip(got_rows, want_rows)):
+        _assert_close(got_row, want_row, f"report {k}")
+    return got_rows
+
+
+def _cpx_list(values):
+    return ",".join(f"({float(z.real)!r},{float(z.imag)!r})" for z in values)
+
+
+def _spherical_line(rng, l, name="sph"):
+    c = rng.normal(size=2 * l + 1) + 1j * rng.normal(size=2 * l + 1)
+    return f"state spherical name={name} l={l} c=[{_cpx_list(c)}]\n"
+
+
+SPHERICAL_RELATIONS = (
+    "relations R5 R6 R7 R8(alpha=1.5) R10 R11 R12(N=1,N1=0) R14 R30 R33 R36 R58 "
+    "R60(a=Lz,b=Phi) R60(a=Lz,b=PhiSquared) R60(a=Theta,b=ThetaPhi)\n"
+)
+PERIODIC_RELATIONS = (
+    "relations R5 R6 R7 R8(alpha=0.5) R10 R11 R12(N=2,N1=0) R14 R15 R30 R33 R52 "
+    "R60(a=Lz,b=SinPhi) R60(a=Lz,b=Chi,N=2)\n"
+)
+ALL_FAMILY_RELATIONS = "relations R5 R6 R7 R8(alpha=1) R12(N=1,N1=-1) R14 R30 R33 R60(a=Lz,b=PhiSquared)\n"
+
+
+class TestBatchedScan:
+    """Every point of a batched sweep equals an evaluation of its state alone."""
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 8, 64])
+    @pytest.mark.parametrize("kind", ["mix", "cphase"])
+    def test_spherical_sweeps(self, l, kind):
+        rng = np.random.default_rng(l)
+        text = "setting normalize true\n" + _spherical_line(rng, l) + SPHERICAL_RELATIONS
+        points = 3 if l == 64 else 5
+        name = "mix" if kind == "mix" else f"cphase:{l // 2}"
+        rows = assert_scan_matches_fresh(text, f"{name}=0.1:2.9:{points}")
+        assert len(rows) == points * 15
+
+    @pytest.mark.parametrize("sweep", ["cphase:1=0:6:7", "cmag:-2=0:2:5"])
+    def test_rotor_sweeps(self, sweep):
+        text = (
+            "setting normalize true\n"
+            "state circular name=circ m=1\n"
+            "state rotor name=one c={1:(1,0)}\n"
+            "state rotor name=rot c={-2:(0.3,0.1),0:(0.5,0),1:(0,-0.4),3:(0.2,0.6)}\n"
+            + PERIODIC_RELATIONS
+        )
+        rows = assert_scan_matches_fresh(text, sweep)
+        assert {row["state_name"] for row in rows} == {"circ", "one", "rot"}
+
+    @pytest.mark.parametrize("sweep", ["mix=0:3:4", "cphase:1=0:6:4"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_mixed_families(self, sweep, fmt):
+        rng = np.random.default_rng(7)
+        text = (
+            "setting normalize true\n"
+            + _spherical_line(rng, 3, "sph3")
+            + _spherical_line(rng, 3, "sph3b")
+            + _spherical_line(rng, 1, "sph1")
+            + "state rotor name=rot c={0:(0.6,0),1:(0,0.8)}\n"
+            + "state circular name=circ m=2\n"
+            + "state pendulum name=pend n=2 inertia=2 omega=0.5\n"
+            + ALL_FAMILY_RELATIONS
+        )
+        rows = assert_scan_matches_fresh(text, sweep, fmt)
+        assert len(rows) == 4 * 6 * 9
+
+    def test_pendulum_ladder_sweep_with_other_families(self):
+        text = (
+            "state pendulum name=pend n=0\n"
+            "state rotor name=rot c={0:(0.6,0),1:(0,0.8)}\n" + ALL_FAMILY_RELATIONS
+        )
+        assert_scan_matches_fresh(text, "n=0:64:5")
+
+    @given(
+        l=hst.integers(0, 10),
+        data=hst.data(),
+        kind=hst.sampled_from(["mix", "cphase"]),
+        points=hst.integers(1, 4),
+    )
+    @settings(max_examples=25)
+    def test_random_spherical_states(self, l, data, kind, points):
+        part = hst.floats(-1.0, 1.0, allow_nan=False)
+        coeffs = [
+            complex(*data.draw(hst.tuples(part, part))) for _ in range(2 * l + 1)
+        ]
+        if sum(abs(c) ** 2 for c in coeffs) < 1e-6:
+            coeffs[l] = 1.0
+        text = (
+            "setting normalize true\n"
+            f"state spherical l={l} c=[{_cpx_list(coeffs)}]\n" + SPHERICAL_RELATIONS
+        )
+        m = data.draw(hst.integers(-l, l))
+        name = "mix" if kind == "mix" else f"cphase:{m}"
+        assert_scan_matches_fresh(text, f"{name}=0:3:{points}")
+
+
+class TestInputErrors:
+    """Out-of-domain input is a coded input error (exit 3), never a number or a trace."""
+
+    SPEC = "state spherical l=2 c=[(0,0),(0.6,0),(0,0),(0,0.8),(0,0)]\nrelations R5 R30\n"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--tolerance", "nan"],
+            ["--tolerance", "inf"],
+            ["--tolerance=-1e-9"],
+            ["--quad-nodes", "1"],
+            ["--quad-nodes", "371"],
+            ["--quad-nodes", "100000"],
+        ],
+    )
+    def test_bad_flag_values(self, tmp_path, capsys, flags):
+        spec = write(tmp_path, "s.spec", self.SPEC)
+        code, out, err = run_main(["eval", spec, *flags], capsys)
+        assert code == 3
+        assert "[bad-value]" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "setting tolerance -1e-9",
+            "setting phi_nodes 1",
+            "setting phi_nodes 1025",
+            "setting theta_nodes 1",
+            "setting theta_nodes 1025",
+            "setting hermite_nodes 0",
+            "setting hermite_nodes 371",
+        ],
+    )
+    def test_bad_setting_lines(self, tmp_path, capsys, line):
+        spec = write(tmp_path, "s.spec", line + "\n" + self.SPEC)
+        code, _, err = run_main(["eval", spec], capsys)
+        assert code == 3
+        assert "line 1, col" in err and "[bad-value]" in err
+
+    def test_largest_node_counts_are_accepted(self, tmp_path, capsys):
+        spec = write(
+            tmp_path,
+            "s.spec",
+            "setting phi_nodes 1024\nsetting theta_nodes 1024\nsetting hermite_nodes 370\n"
+            + self.SPEC,
+        )
+        code, _, err = run_main(["eval", spec], capsys)
+        assert code in (0, 1, 2), err
+
+    @pytest.mark.parametrize(
+        "sweep", ["mix=nan:1:3", "mix=0:inf:3", "cphase:1=-inf:0:2", "cmag:0=0:nan:2"]
+    )
+    def test_non_finite_sweep_bounds(self, tmp_path, capsys, sweep):
+        spec = write(tmp_path, "s.spec", self.SPEC)
+        code, out, err = run_main(["scan", spec, "--sweep", sweep], capsys)
+        assert code == 3
+        assert sweep in err
+        assert out == ""
+
+    @pytest.mark.parametrize("sweep", ["cphase:9=0:1:3", "cmag:-3=0:1:3", "cphase=0:1:3"])
+    def test_coefficient_no_state_carries(self, tmp_path, capsys, sweep):
+        spec = write(
+            tmp_path,
+            "s.spec",
+            "state rotor c={0:(0.6,0),1:(0,0.8)}\nstate pendulum n=1\n" + self.SPEC,
+        )
+        code, out, err = run_main(["scan", spec, "--sweep", sweep], capsys)
+        assert code == 3
+        assert sweep.split("=")[0] in err
+        assert out == ""
+
+    def test_state_without_the_coefficient_is_left_as_is(self, tmp_path, capsys):
+        spec = write(
+            tmp_path,
+            "s.spec",
+            "state rotor name=rot c={0:(0.6,0),1:(0,0.8)}\n"
+            "state spherical name=sph l=3 c={3:(1,0)}\nrelations R5 R30\n",
+        )
+        code, out, err = run_main(["scan", spec, "--sweep", "cphase:3=0:3:3", "--format", "csv"], capsys)
+        assert code in (0, 1, 2), err
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 3 * 2 * 2
+        rotor_rows = {tuple(row.split(",")[1:7]) for row in rows if row.startswith("rot,")}
+        assert len(rotor_rows) == 2
 
 
 class TestExitCodes:

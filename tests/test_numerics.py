@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from lzphi.engine import EngineSettings
 from lzphi.numerics import (
+    MAX_HERMITE_NODES,
+    MAX_LEGENDRE_NODES,
     gauss_hermite,
     gauss_legendre,
     hermite_poly,
@@ -66,6 +69,64 @@ class TestGaussHermite:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             gauss_hermite(1)
+
+
+class TestRuleLimits:
+    """The node-count bounds are the largest counts whose rules build correctly."""
+
+    def test_largest_legendre_rule_is_exact(self):
+        rule = gauss_legendre(MAX_LEGENDRE_NODES, -1.0, 1.0)
+        x, w = rule.nodes, rule.weights
+        # every Legendre polynomial of degree 1..2n-1 integrates to 0
+        worst = max(abs(w.sum() - 2.0), abs(w @ x))
+        prev, cur = np.ones_like(x), x
+        for k in range(1, 2 * MAX_LEGENDRE_NODES - 1):
+            prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+            worst = max(worst, abs(w @ cur))
+        assert worst < 1e-13
+
+    def test_largest_hermite_rule_is_exact(self):
+        rule = gauss_hermite(MAX_HERMITE_NODES)
+        assert np.all(rule.weights > 0)
+        root_pi = math.sqrt(math.pi)
+        assert rule.integrate(np.ones_like(rule.nodes)) == pytest.approx(root_pi, rel=1e-12)
+        assert rule.integrate(rule.nodes**2) == pytest.approx(root_pi / 2, rel=1e-12)
+        assert rule.integrate(rule.nodes**4) == pytest.approx(3 * root_pi / 4, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "build, top",
+        [
+            (lambda n: gauss_legendre(n, 0.0, 1.0), MAX_LEGENDRE_NODES),
+            (gauss_hermite, MAX_HERMITE_NODES),
+        ],
+    )
+    def test_counts_past_the_limit_are_rejected_before_building(self, build, top):
+        with pytest.raises(ValueError, match=str(top)):
+            build(top + 1)
+        with pytest.raises(ValueError, match=str(top)):
+            build(100000)  # a Legendre rule this size needs an 80 GB companion matrix
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("phi_nodes", 1),
+            ("phi_nodes", MAX_LEGENDRE_NODES + 1),
+            ("theta_nodes", 0),
+            ("theta_nodes", MAX_LEGENDRE_NODES + 1),
+            ("hermite_nodes", 1),
+            ("hermite_nodes", MAX_HERMITE_NODES + 1),
+            ("tolerance", float("nan")),
+            ("tolerance", float("inf")),
+            ("tolerance", -1e-12),
+        ],
+    )
+    def test_settings_reject_out_of_range_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EngineSettings(**{field: value})
+
+    def test_settings_accept_the_bounds(self):
+        EngineSettings(phi_nodes=2, theta_nodes=MAX_LEGENDRE_NODES, hermite_nodes=MAX_HERMITE_NODES)
+        EngineSettings(tolerance=0.0)
 
 
 class TestHermitePoly:

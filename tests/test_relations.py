@@ -306,18 +306,92 @@ class TestMomentTable:
             "relations R5 R6 R7 R8(alpha=1.5) R10 R11 R14 R30 R33 R60(a=Lz,b=SinPhi)\n"
         )
         calls = collections.Counter()
-        real = mo.std_dev
+        real = mo.MomentStack.std.__wrapped__
 
-        def counting(kind, state, **kwargs):
-            calls[(id(state), kind)] += 1
-            return real(kind, state, **kwargs)
+        def std(stack, kind):
+            for state in stack.states:
+                calls[(id(state), kind)] += 1
+            return real(stack, kind)
 
-        monkeypatch.setattr(mo, "std_dev", counting)
+        # count the computations behind the stack's memo, one per row and kind
+        monkeypatch.setattr(mo.MomentStack, "std", mo._memoized(std))
         reports = cli._evaluate_document(doc)
         assert len(reports) == 3 * 10
         # Lz, Phi, SinPhi and CosPhi on each of the three states
         assert len(calls) == 3 * 4
         assert set(calls.values()) == {1}
+
+    def test_shared_states_compute_each_kind_once_for_all_rows(self, monkeypatch):
+        from lzphi import COS_PHI, relations
+        from lzphi import moments as mo
+
+        rng = np.random.default_rng(5)
+        states = [random_spherical(rng, 3) for _ in range(6)]
+        computed = collections.Counter()
+        real = mo.MomentStack.std.__wrapped__
+
+        def std(stack, kind):
+            computed[(len(stack.states), kind)] += 1
+            return real(stack, kind)
+
+        monkeypatch.setattr(mo.MomentStack, "std", mo._memoized(std))
+        relations.share_moments(states)
+        got = [_report_values(evaluate(rid, s, p)) for s in states for rid, p in _SPHERICAL_SELECTION]
+        # one computation per kind, each covering all six states
+        assert computed == {(6, kind): 1 for kind in (LZ, PHI, SIN_PHI, COS_PHI, THETA)}
+        fresh = [
+            _report_values(evaluate(rid, SphericalState(s.l, s.coefficients), p))
+            for s in states
+            for rid, p in _SPHERICAL_SELECTION
+        ]
+        assert got == fresh
+
+    def test_threads_sharing_the_slot_get_their_own_numbers(self):
+        """Threads stack the same states under their own settings; none reads another's rows."""
+        import sys
+        import threading
+
+        from lzphi import EngineSettings, relations
+
+        rng = np.random.default_rng(11)
+        states = [random_spherical(rng, l) for l in (1, 2, 3, 4) for _ in range(2)]
+        settings = [EngineSettings(theta_nodes=n) for n in (6, 9, 12, 16)]
+
+        def reports(state, s):
+            return [
+                _report_values(evaluate(rid, state, p, settings=s))
+                for rid, p in _SPHERICAL_SELECTION
+            ]
+
+        want = {
+            (id(state), id(s)): reports(SphericalState(state.l, state.coefficients), s)
+            for state in states
+            for s in settings
+        }
+        wrong = []
+
+        def work(s):
+            try:
+                for _ in range(15):
+                    relations.share_moments(states, s)
+                    wrong.extend(
+                        state for state in states if reports(state, s) != want[(id(state), id(s))]
+                    )
+            except Exception as exc:  # recorded, so the assertion below reports it
+                wrong.append(exc)
+
+        threads = [threading.Thread(target=work, args=(s,)) for s in settings]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     def test_interleaved_states_match_fresh_evaluations(self):
         a, b = _state_a(), _state_b()

@@ -107,6 +107,24 @@ class TestParseErrors:
     def test_malformed_coefficient_list(self):
         self.assert_code("state spherical l=1 c=[(1,0),(0,0)]\nrelations R5\n", "bad-value")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["setting tolerance -1e-9", "setting theta_nodes 1", "setting hermite_nodes 371"],
+    )
+    def test_out_of_range_settings_are_bad_values(self, line):
+        self.assert_code(line + "\nstate circular m=0\nrelations R5\n", "bad-value")
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"tolerance": float("nan")}, {"tolerance": -1.0}, {"phi_nodes": 100000}],
+    )
+    def test_out_of_range_overrides_are_bad_values(self, overrides):
+        with pytest.raises(SpecParseError) as excinfo:
+            parse("state circular m=0\nrelations R5\n", overrides=overrides)
+        assert excinfo.value.code == "bad-value"
+        assert excinfo.value.line == 0
+        assert str(excinfo.value).startswith("[bad-value]")
+
     def test_error_position_is_reported(self):
         with pytest.raises(SpecParseError) as excinfo:
             parse("state circular m=1\nrelations R5 R99\n")
