@@ -1,10 +1,11 @@
 """Engine settings and the quadrature grids behind every oracle path.
 
-Grids turn a state into sampled (or, for the pendulum, polynomial)
-representations on the family's quadrature rule. Operator applications
-never differentiate numerically: angular-momentum action uses the exact
-per-mode factor (periodic families) or exact polynomial calculus against
-the Gaussian envelope (pendulum family).
+Grids sample a state on the family's quadrature rule, and every grid has
+one interface: ``psi``, ``lz_pow(j)``, ``symbol_values(sym)`` and
+``inner(f, g)``. Operator applications never differentiate numerically:
+angular-momentum action uses the exact per-mode factor (periodic
+families) or the exact derivative of the Hermite series (pendulum family)
+before sampling.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as P
+from numpy.polynomial import hermite as H
 
 from . import numerics
 from . import states as st
@@ -67,7 +68,6 @@ class PeriodicGrid:
         self.ms = np.array(st.basis_ms(state), dtype=np.int64)
         self.coeffs = st.coeff_vector(state) / math.sqrt(TWO_PI)
         self.psi = fourier_sum(self.ms, self.coeffs, self.phi)
-        self.theta = None
 
     def lz_pow(self, j: int) -> np.ndarray:
         """Values of Lz^j Psi via the exact per-mode factor (hbar*m)^j."""
@@ -110,47 +110,36 @@ class SphericalGrid:
 
 
 class PendulumGrid:
-    """Pendulum states as polynomial factors against exp(-xi^2/2).
+    """Pendulum states sampled at the Gauss-Hermite nodes xi = scale * phi.
 
-    A grid function is a complex coefficient array c with value
-    exp(-xi^2/2) * polyval(xi, c); products, the phi multiplication and
-    the Lz action stay inside this family, so Gauss-Hermite sums are
-    exact up to the rule's degree.
+    A grid function holds exp(xi^2/2) times the function's values: the
+    rule's weight exp(-xi^2) carries the Gaussian envelope of both sides,
+    so inner products are weighted sums as on the other grids. Lz acts
+    exactly on the Hermite series f of the state before sampling,
+    Lz [exp(-xi^2/2) f] = -i*hbar*scale * exp(-xi^2/2) * (f' - xi*f).
     """
 
     def __init__(self, state, settings: EngineSettings):
         rule = numerics.hermite_rule(settings.hermite_nodes)
         self.xi = rule.nodes
-        self.weights = rule.weights
+        self.weights = rule.weights / state.scale
         self.scale = state.scale
         self.hbar = state.hbar
-        herm = np.zeros(state.n + 1)
-        herm[state.n] = 1.0
-        self.psi = state.amplitude * np.polynomial.hermite.herm2poly(herm)
-        self.theta = None
-
-    def lz_apply(self, coeffs: np.ndarray) -> np.ndarray:
-        # Lz [e^(-xi^2/2) p] = -i*hbar*s * e^(-xi^2/2) * (p' - xi*p)
-        deriv = P.polyder(coeffs) if len(coeffs) > 1 else np.zeros(1)
-        return -1j * self.hbar * self.scale * P.polysub(deriv, P.polymulx(coeffs))
+        self._series = np.zeros(state.n + 1, dtype=np.complex128)
+        self._series[state.n] = state.amplitude
+        self.psi = H.hermval(self.xi, self._series)
 
     def lz_pow(self, j: int) -> np.ndarray:
-        out = self.psi.astype(np.complex128)
+        series = self._series
         for _ in range(j):
-            out = self.lz_apply(out)
-        return out
+            series = -1j * self.hbar * self.scale * H.hermsub(H.hermder(series), H.hermmulx(series))
+        return H.hermval(self.xi, series)
 
-    def multiply_phi_poly(self, coeffs: np.ndarray, phi_poly: np.ndarray) -> np.ndarray:
-        """Multiply by a polynomial in phi, given by coefficients in phi."""
-        xi_poly = np.array(
-            [c / self.scale**k for k, c in enumerate(phi_poly)], dtype=np.complex128
-        )
-        return P.polymul(coeffs, xi_poly)
+    def symbol_values(self, sym) -> np.ndarray:
+        return sym.evaluate(None, self.xi / self.scale)
 
     def inner(self, f, g) -> complex:
-        fv = P.polyval(self.xi, np.conj(np.asarray(f, dtype=np.complex128)))
-        gv = P.polyval(self.xi, np.asarray(g, dtype=np.complex128))
-        return complex(np.dot(self.weights, fv * gv) / self.scale)
+        return complex(np.dot(self.weights, np.conj(f) * g))
 
 
 def state_grid(state, settings: EngineSettings | None = None):

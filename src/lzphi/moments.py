@@ -9,7 +9,8 @@ combination of quadratic forms (c, M c) over basis matrices M that do not
 depend on the state, so each M is built once per stack and each form is
 taken over all rows at once. The public analytic functions below are the
 one-row case. The quadrature path re-derives every number on the family's
-grid and serves as the oracle.
+grid and serves as the oracle; each call samples the state on one grid and
+takes the means it centers by from that same grid.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import engine, numerics
 from . import observables as obs
@@ -55,9 +55,7 @@ def mean(kind, state, *, method: str = "analytic", settings=None) -> float:
     obs.check_applicable(kind, state)
     if method == "analytic":
         return float(MomentStack((state,), settings).mean(kind)[0])
-    grid = _quadrature_grid(state, method, settings)
-    vec = _centered_grid_vector(grid, kind, 1, 0.0)
-    return float(np.real(grid.inner(_psi_vector(grid), vec)))
+    return _grid_mean(_quadrature_grid(state, method, settings), kind)
 
 
 def std_dev(kind, state, *, method: str = "analytic", settings=None) -> float:
@@ -65,8 +63,7 @@ def std_dev(kind, state, *, method: str = "analytic", settings=None) -> float:
     obs.check_applicable(kind, state)
     if method == "analytic":
         return float(MomentStack((state,), settings).std(kind)[0])
-    mu = mean(kind, state, method=method, settings=settings)
-    var = _grid_pair_inner(kind, kind, 1, 1, mu, mu, state, settings)
+    var = _grid_pair(_quadrature_grid(state, method, settings), kind, kind, 1, 1)
     return math.sqrt(max(float(np.real(var)), 0.0))
 
 
@@ -90,9 +87,9 @@ def higher_correlation(a, b, r: int, s: int, state, *, method: str = "analytic",
         raise ValueError(f"orders must be in 1..{MAX_CORRELATION_ORDER}, got r={r}, s={s}")
     if method == "analytic":
         return complex(MomentStack((state,), settings).pair(a, b, r, s)[0])
-    mu_a = mean(a, state, method=method, settings=settings)
-    mu_b = mean(b, state, method=method, settings=settings)
-    return complex(_grid_pair_inner(a, b, r, s, mu_a, mu_b, state, settings))
+    obs.check_applicable(a, state)
+    obs.check_applicable(b, state)
+    return complex(_grid_pair(_quadrature_grid(state, method, settings), a, b, r, s))
 
 
 def commutator_mean(a, b, state, *, settings=None) -> complex:
@@ -217,8 +214,7 @@ class MomentStack:
         mu_a, mu_b = self.mean(a), self.mean(b)
         if self._pendulum:
             return np.array([
-                complex(np.conj(_pendulum_centered_vector(a, r, ma, state))
-                        @ _pendulum_centered_vector(b, s, mb, state))
+                _pendulum_pair(a, b, r, s, ma, mb, state)
                 for state, ma, mb in zip(self.states, mu_a, mu_b)
             ])
         if b.name == "Lz" and a.name != "Lz":
@@ -300,9 +296,15 @@ def _pendulum_kind_matrix(kind, state, size):
     raise ValueError(f"observable {kind} is not defined on the pendulum family")
 
 
-def _pendulum_centered_vector(kind, power, mu, state):
-    # bandwidth 2 per application of PhiSquared; pad so truncation is inert
-    size = state.n + 2 * power + 6
+def _pendulum_pair(a, b, r, s, mu_a, mu_b, state) -> complex:
+    # bandwidth 2 per application of PhiSquared; both sides share one
+    # padding, wide enough that truncation is inert
+    size = state.n + 2 * max(r, s) + 6
+    left = _pendulum_centered_vector(a, r, mu_a, state, size)
+    return complex(np.conj(left) @ _pendulum_centered_vector(b, s, mu_b, state, size))
+
+
+def _pendulum_centered_vector(kind, power, mu, state, size):
     mat = _pendulum_kind_matrix(kind, state, size) - mu * np.eye(size)
     vec = np.zeros(size, dtype=np.complex128)
     vec[state.n] = 1.0
@@ -349,41 +351,24 @@ def _quadrature_grid(state, method, settings):
     return engine.state_grid(state, engine.resolve(settings))
 
 
-def _grid_pair_inner(a, b, r, s, mu_a, mu_b, state, settings):
-    """((dA)^r Psi, (dB)^s Psi) on the family grid."""
-    grid = engine.state_grid(state, engine.resolve(settings))
-    va = _centered_grid_vector(grid, a, r, mu_a)
-    vb = _centered_grid_vector(grid, b, s, mu_b)
+def _grid_mean(grid, kind) -> float:
+    return float(np.real(grid.inner(grid.psi, _centered_grid_vector(grid, kind, 1, 0.0))))
+
+
+def _grid_pair(grid, a, b, r, s):
+    """((dA)^r Psi, (dB)^s Psi) on one grid, centered by that grid's own means."""
+    va = _centered_grid_vector(grid, a, r, _grid_mean(grid, a))
+    vb = _centered_grid_vector(grid, b, s, _grid_mean(grid, b))
     return grid.inner(va, vb)
 
 
-def _psi_vector(grid):
-    return grid.psi
-
-
-def _centered_symbol(kind, mu):
-    return obs.kind_symbol(kind) - mu
-
-
 def _centered_grid_vector(grid, kind, power, mu):
-    if isinstance(grid, engine.PendulumGrid):
-        if kind.name == "Lz":
-            return _binomial_combine(
-                [grid.lz_pow(k) for k in range(power + 1)], power, mu, P.polyadd
-            )
-        centered = (_centered_symbol(kind, mu) ** power).phi_polynomial()
-        return grid.multiply_phi_poly(grid.psi, centered)
+    """(A - mu)^power Psi: binomially over the exact Lz^k Psi, else pointwise."""
     if kind.name == "Lz":
-        return _binomial_combine(
-            [grid.lz_pow(k) for k in range(power + 1)], power, mu, lambda x, y: x + y
-        )
+        terms = [
+            math.comb(power, k) * (-mu) ** (power - k) * grid.lz_pow(k)
+            for k in range(power + 1)
+        ]
+        return sum(terms[1:], terms[0])
     vals = grid.symbol_values(obs.kind_symbol(kind))
     return (vals - mu) ** power * grid.psi
-
-
-def _binomial_combine(powers, r, mu, add):
-    total = None
-    for k in range(r + 1):
-        term = math.comb(r, k) * (-mu) ** (r - k) * powers[k]
-        total = term if total is None else add(total, term)
-    return total

@@ -133,12 +133,6 @@ class Symbol:
                 out[k] = out.get(k, 0.0) + v * 1j * j
         return Symbol(out)
 
-    def theta_degree(self) -> int:
-        return max((a for (a, _, _) in self.terms), default=0)
-
-    def is_theta_free(self) -> bool:
-        return self.theta_degree() == 0
-
     def boundary_jump(self) -> dict:
         """Per theta-power totals of term(2*pi) - term(0) along phi."""
         out = {}
@@ -468,24 +462,13 @@ def symmetry_deficits(a, b, basis, coeffs, hbar, theta_nodes: int = 128) -> np.n
 def _deficit_quadrature(a, b, state, settings) -> complex:
     """Oracle twin of symmetry_deficit: both inner products on the grid.
 
-    Operator actions use exact per-mode derivatives (periodic families)
-    or polynomial calculus (pendulum); the only numerics is the final
-    weighted sum, so no integration by parts is ever performed.
+    Lz acts through the grid's exact derivative (per-mode factors on the
+    periodic families, the Hermite series on the pendulum) and Lz B Psi
+    through the product rule; the only numerics is the final weighted sum,
+    so no integration by parts is ever performed.
     """
     grid = engine.state_grid(state, settings)
     hbar = state.hbar
-
-    if isinstance(grid, engine.PendulumGrid):
-        def apply(kind, coeffs):
-            if kind.name == "Lz":
-                return grid.lz_apply(coeffs)
-            return grid.multiply_phi_poly(coeffs, kind_symbol(kind).phi_polynomial())
-
-        psi = grid.psi.astype(np.complex128)
-        return grid.inner(apply(a, psi), apply(b, psi)) - grid.inner(
-            psi, apply(a, apply(b, psi))
-        )
-
     psi = grid.psi
     lz_psi = grid.lz_pow(1)
     if a.name == "Lz" and b.name == "Lz":

@@ -266,6 +266,14 @@ def _coeff_map(fields, cols, lineno, fcol):
     text, col = fields.pop("c"), cols["c"]
     if not (text.startswith("{") and text.endswith("}")):
         raise SpecParseError("bad-value", lineno, col, "rotor coefficients read c={m:(re,im),...}")
+    out = _parse_coeff_entries(text, lineno, col)
+    if not out:
+        raise SpecParseError("bad-value", lineno, col, "empty coefficient map")
+    return out
+
+
+def _parse_coeff_entries(text, lineno, col):
+    """The {m:(re,im),...} map of a ``c=`` value; an m given twice is a bad value."""
     out = {}
     for item in _split_top(text[1:-1], ","):
         if not item:
@@ -273,9 +281,10 @@ def _coeff_map(fields, cols, lineno, fcol):
         if ":" not in item:
             raise SpecParseError("bad-value", lineno, col, f"coefficient entries read m:(re,im), got {item!r}")
         m_text, c_text = item.split(":", 1)
-        out[_parse_int(m_text, lineno, col)] = _parse_complex(c_text, lineno, col)
-    if not out:
-        raise SpecParseError("bad-value", lineno, col, "empty coefficient map")
+        m = _parse_int(m_text, lineno, col)
+        if m in out:
+            raise SpecParseError("bad-value", lineno, col, f"coefficient m={m} given twice")
+        out[m] = _parse_complex(c_text, lineno, col)
     return out
 
 
@@ -284,19 +293,10 @@ def _spherical_coeffs(l, fields, cols, lineno, fcol):
         raise SpecParseError("missing-field", lineno, fcol, "spherical state needs c=[...] or c={...}")
     text, col = fields.pop("c"), cols["c"]
     if text.startswith("{") and text.endswith("}"):
-        cmap = {}
-        for item in _split_top(text[1:-1], ","):
-            if not item:
-                continue
-            if ":" not in item:
-                raise SpecParseError(
-                    "bad-value", lineno, col, f"coefficient entries read m:(re,im), got {item!r}"
-                )
-            m_text, c_text = item.split(":", 1)
-            m = _parse_int(m_text, lineno, col)
+        cmap = _parse_coeff_entries(text, lineno, col)
+        for m in cmap:
             if abs(m) > l:
                 raise SpecParseError("m-out-of-range", lineno, col, f"|m|={abs(m)} exceeds l={l}")
-            cmap[m] = _parse_complex(c_text, lineno, col)
         return cmap
     if not (text.startswith("[") and text.endswith("]")):
         raise SpecParseError("bad-value", lineno, col, "spherical coefficients read c=[(re,im),...]")

@@ -2,12 +2,15 @@
 
 All states are immutable value objects. ``hbar`` (and, where relevant,
 ``inertia`` / ``omega``) live on the state so mixed-unit sweeps work;
-the dimensionless default is hbar = 1.
+the dimensionless default is hbar = 1. Each state checks them on
+construction: they, hbar**2 and the pendulum's widths must be finite and
+positive, and every coefficient must be finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import cmath
 import math
 from typing import Mapping, Union
 
@@ -28,8 +31,7 @@ class CircularState:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        _require_finite_positive(hbar=self.hbar)
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,7 @@ class RotorSuperposition:
         object.__setattr__(self, "coefficients", tuple(pairs))
         object.__setattr__(self, "hbar", float(hbar))
         object.__setattr__(self, "normalize", bool(normalize))
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        _require_finite_positive(hbar=self.hbar)
 
     @property
     def coeff_map(self) -> dict:
@@ -96,8 +97,7 @@ class SphericalState:
         object.__setattr__(self, "hbar", float(hbar))
         object.__setattr__(self, "inertia", float(inertia))
         object.__setattr__(self, "normalize", bool(normalize))
-        if self.hbar <= 0 or self.inertia <= 0:
-            raise ValueError("hbar and inertia must be positive")
+        _require_finite_positive(hbar=self.hbar, inertia=self.inertia)
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,18 @@ class PendulumState:
     def __post_init__(self):
         if self.n < 0 or self.n > numerics.MAX_HERMITE_DEGREE:
             raise ValueError(f"n must be in 0..{numerics.MAX_HERMITE_DEGREE}")
-        if self.inertia <= 0 or self.omega <= 0 or self.hbar <= 0:
-            raise ValueError("inertia, omega and hbar must be positive")
+        _require_finite_positive(inertia=self.inertia, omega=self.omega, hbar=self.hbar)
+        # the widths scale as hbar/(I*omega) and hbar*I*omega, the grids as
+        # I*omega/hbar; none of them may overflow or vanish
+        stiffness = self.inertia * self.omega
+        if not 0 < stiffness < math.inf or not all(
+            0 < x < math.inf
+            for x in (stiffness / self.hbar, stiffness * self.hbar, self.hbar / stiffness)
+        ):
+            raise ValueError(
+                f"inertia={self.inertia!r}, omega={self.omega!r} and hbar={self.hbar!r} "
+                "give the state widths that are not finite and nonzero"
+            )
 
     @property
     def scale(self) -> float:
@@ -139,7 +149,18 @@ _FAMILIES = {
 }
 
 
+def _require_finite_positive(**values):
+    """Each value must be finite and > 0, and so must hbar**2, which the bounds use."""
+    if "hbar" in values:
+        values["hbar**2"] = values["hbar"] * values["hbar"]
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def _normalized_pairs(pairs, normalize):
+    if not all(cmath.isfinite(c) for _, c in pairs):
+        raise ValueError("coefficients must be finite")
     total = sum(abs(c) ** 2 for _, c in pairs)
     if normalize:
         if total == 0:

@@ -348,6 +348,23 @@ class TestInputErrors:
         assert code == 3
         assert "line 1, col" in err and "[bad-value]" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "setting hbar 1e400\nstate circular m=1\n",
+            "state pendulum n=2 inertia=1e400\n",
+            "state pendulum n=2 inertia=1e300 omega=1e300\n",
+            "state pendulum n=2 inertia=1e-300 omega=1e-300\n",
+            "state circular m=1 hbar=1e200\n",
+        ],
+    )
+    def test_non_finite_state_parameters(self, tmp_path, capsys, text):
+        spec = write(tmp_path, "s.spec", text + "relations R5 R7\n")
+        code, out, err = run_main(["eval", spec], capsys)
+        assert code == 3
+        assert "[bad-value]" in err
+        assert out == ""
+
     def test_largest_node_counts_are_accepted(self, tmp_path, capsys):
         spec = write(
             tmp_path,

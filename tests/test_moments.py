@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 
 from lzphi import (
     LZ,
+    EngineSettings,
     PHI,
     PHI_SQUARED,
     SIN_PHI,
@@ -22,7 +23,9 @@ from lzphi import (
     mean,
     moment_set,
     std_dev,
+    symmetry_deficit,
 )
+from lzphi import engine
 
 from .conftest import random_rotor, random_spherical
 from .oracles import SphericalOracle
@@ -236,3 +239,96 @@ def test_means_of_hermitian_kinds_are_real(fixture_states):
                 continue
             grid_mean = mean(kind, state, method="quadrature")
             assert abs(complex(grid_mean).imag) < 1e-11
+
+
+def _drawn_pendulum(n, seed):
+    rng = np.random.default_rng(seed)
+    return PendulumState(n=n, inertia=float(rng.uniform(0.5, 2.0)), omega=float(rng.uniform(0.5, 2.0)))
+
+
+#: the oracle's own pendulum inputs up to the documented n = 64; the shared
+#: fixture_states stop at n = 10 because Parseval runs on them too
+EDGE_PENDULUMS = [_drawn_pendulum(n, seed) for seed, n in enumerate((20, 30, 64))]
+PENDULUM_KINDS = (LZ, PHI, PHI_SQUARED)
+
+
+@pytest.mark.parametrize("nodes", [128, 370])
+@pytest.mark.parametrize("state", EDGE_PENDULUMS, ids=lambda s: f"n{s.n}")
+class TestPendulumOracleEdges:
+    def test_std_dev(self, state, nodes):
+        cfg = EngineSettings(hermite_nodes=nodes)
+        for kind in PENDULUM_KINDS:
+            quad = std_dev(kind, state, method="quadrature", settings=cfg)
+            assert quad == pytest.approx(std_dev(kind, state), abs=1e-9)
+
+    def test_correlation(self, state, nodes):
+        cfg = EngineSettings(hermite_nodes=nodes)
+        for a, b in ((LZ, PHI), (LZ, PHI_SQUARED), (PHI, PHI_SQUARED), (PHI_SQUARED, LZ)):
+            quad = correlation(a, b, state, method="quadrature", settings=cfg).value
+            assert quad == pytest.approx(correlation(a, b, state).value, abs=1e-9)
+
+    def test_mixed_order_higher_correlation(self, state, nodes):
+        cfg = EngineSettings(hermite_nodes=nodes)
+        for a, b, r, s in ((PHI, LZ, 1, 2), (LZ, PHI, 1, 3), (LZ, PHI, 2, 3), (PHI_SQUARED, PHI, 2, 1)):
+            quad = higher_correlation(a, b, r, s, state, method="quadrature", settings=cfg)
+            assert quad == pytest.approx(higher_correlation(a, b, r, s, state), rel=1e-9)
+
+    def test_symmetry_deficit(self, state, nodes):
+        cfg = EngineSettings(hermite_nodes=nodes)
+        for a, b in ((LZ, PHI), (LZ, PHI_SQUARED), (PHI, PHI_SQUARED)):
+            assert symmetry_deficit(a, b, state) == 0
+            assert abs(symmetry_deficit(a, b, state, method="quadrature", settings=cfg)) < 1e-10
+
+
+@pytest.mark.parametrize("nodes", [128, 370])
+def test_pendulum_oracle_over_the_whole_range(nodes):
+    cfg = EngineSettings(hermite_nodes=nodes)
+    for n in range(65):
+        state = _drawn_pendulum(n, 100 + n)
+        for kind in (LZ, PHI):
+            quad = std_dev(kind, state, method="quadrature", settings=cfg)
+            assert quad == pytest.approx(std_dev(kind, state), rel=1e-9), (n, kind)
+        quad = correlation(LZ, PHI, state, method="quadrature", settings=cfg).value
+        assert quad == pytest.approx(correlation(LZ, PHI, state).value, abs=1e-9), n
+        deficit = symmetry_deficit(LZ, PHI, state, method="quadrature", settings=cfg)
+        assert abs(deficit) <= cfg.tolerance, n
+
+
+@pytest.mark.parametrize("n", [0, 20, 64])
+@pytest.mark.parametrize("a, b, r, s", [(PHI, LZ, 1, 2), (LZ, PHI, 1, 3), (PHI_SQUARED, LZ, 3, 1)])
+def test_mixed_orders_on_the_pendulum(n, a, b, r, s):
+    """Sides of different order share one padded number basis."""
+    state = PendulumState(n=n)
+    exact = higher_correlation(a, b, r, s, state)
+    quad = higher_correlation(a, b, r, s, state, method="quadrature")
+    assert exact == pytest.approx(quad, rel=1e-9, abs=1e-12)
+
+
+def test_one_grid_per_quadrature_check(monkeypatch):
+    calls = []
+    build = engine.state_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "state_grid", counted)
+    quad = {"method": "quadrature"}
+    checks = (
+        lambda s: mean(PHI, s, **quad),
+        lambda s: std_dev(PHI, s, **quad),
+        lambda s: std_dev(LZ, s, **quad),
+        lambda s: correlation(LZ, PHI, s, **quad),
+        lambda s: higher_correlation(PHI, LZ, 2, 3, s, **quad),
+    )
+    states = (
+        CircularState(m=2),
+        random_rotor(np.random.default_rng(3)),
+        random_spherical(np.random.default_rng(4), 2),
+        PendulumState(n=5),
+    )
+    for state in states:
+        for check in checks:
+            calls.clear()
+            check(state)
+            assert calls == [state]

@@ -104,6 +104,29 @@ class TestParseErrors:
     def test_empty_document(self):
         self.assert_code("# nothing here\n", "empty-document")
 
+    @pytest.mark.parametrize(
+        "line",
+        ["state rotor c={0:(1,0),1:(0,0),0:(1,0)}", "state spherical l=1 c={0:(0.6,0),0:(1,0)}"],
+    )
+    def test_repeated_m_in_coefficient_map(self, line):
+        with pytest.raises(SpecParseError, match="m=0 given twice") as excinfo:
+            parse(line + "\nrelations R5\n")
+        assert excinfo.value.code == "bad-value"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "setting hbar 1e400\nstate circular m=1\n",
+            "state pendulum n=2 inertia=1e400\n",
+            "state pendulum n=2 inertia=1e300 omega=1e300\n",
+            "state pendulum n=2 inertia=1e-300 omega=1e-300\n",
+            "state spherical l=1 c=[(0,0),(1,0),(0,0)] inertia=1e400\n",
+            "setting normalize true\nstate rotor c={0:(1e400,0),1:(1,0)}\n",
+        ],
+    )
+    def test_non_finite_state_parameters(self, text):
+        self.assert_code(text + "relations R5\n", "bad-value")
+
     def test_malformed_coefficient_list(self):
         self.assert_code("state spherical l=1 c=[(1,0),(0,0)]\nrelations R5\n", "bad-value")
 

@@ -141,3 +141,34 @@ def test_wavefunction_array_broadcast():
     vals = wavefunction(state, (grid[:, :1], grid[0] * 2.0))
     assert vals.shape == grid.shape
     assert vals[2, 1] == pytest.approx(wavefunction(state, (grid[2, 0], grid[0, 1] * 2.0)), abs=1e-14)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CircularState(m=1, hbar=INF),
+        lambda: CircularState(m=1, hbar=NAN),
+        lambda: CircularState(m=1, hbar=1e200),  # hbar**2 overflows in the bounds
+        lambda: RotorSuperposition({0: 1.0}, hbar=INF),
+        lambda: RotorSuperposition({0: INF, 1: 1.0}, normalize=True),
+        lambda: SphericalState(l=1, coefficients=(0, 1, 0), inertia=INF),
+        lambda: SphericalState(l=1, coefficients=(0, 1, 0), hbar=NAN),
+        lambda: PendulumState(n=2, inertia=INF),
+        lambda: PendulumState(n=2, omega=NAN),
+        lambda: PendulumState(n=2, inertia=1e300, omega=1e300),
+        lambda: PendulumState(n=2, inertia=1e-300, omega=1e-300),
+        lambda: PendulumState(n=2, inertia=1e200, hbar=1e-150),
+    ],
+)
+def test_non_finite_or_degenerate_parameters_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
+def test_wide_but_representable_parameters_accepted():
+    state = PendulumState(n=2, inertia=1e100, omega=1e-90, hbar=1e-20)
+    assert math.isfinite(std_dev(PHI, state)) and math.isfinite(std_dev(LZ, state))
+    assert CircularState(m=1, hbar=1e150).hbar == 1e150
