@@ -93,14 +93,14 @@ class SphericalGrid:
         self.ms = np.arange(-state.l, state.l + 1)
         self.coeffs = st.coeff_vector(state)
         self._tl, self._ph = numerics.basis_on_grid(self.ms, state.l, trule.nodes, self.phi)
-        self.psi = np.einsum("m,mt,mp->tp", self.coeffs, self._tl, self._ph)
+        self.psi = (self.coeffs[:, None] * self._tl).T @ self._ph
         self.weights2d = np.outer(
             trule.weights * np.sin(trule.nodes), prule.weights
         )
 
     def lz_pow(self, j: int) -> np.ndarray:
         scaled = (self.hbar * self.ms.astype(np.float64)) ** j * self.coeffs
-        return np.einsum("m,mt,mp->tp", scaled, self._tl, self._ph)
+        return (scaled[:, None] * self._tl).T @ self._ph
 
     def symbol_values(self, sym) -> np.ndarray:
         return sym.evaluate(self.theta, self.phi[None, :])

@@ -110,11 +110,21 @@ def parseval_check(state, *, settings=None) -> float:
     # pendulum: compare int |psi~(k)|^2 dk with the position norm
     grid = engine.state_grid(state, settings)
     position = float(np.real(grid.inner(grid.psi, grid.psi)))
-    spread = state.scale * (math.sqrt(2.0 * state.n + 1.0) + 8.0)
-    krule = numerics.gauss_legendre(max(512, 4 * settings.hermite_nodes), -spread, spread)
+    krule = _k_rule(state, settings)
     transformed = line_transform(state, krule.nodes, settings=settings)
     momentum = float(np.real(krule.integrate(np.abs(transformed) ** 2)))
     return abs(momentum - position)
+
+
+def _k_rule(state, settings) -> numerics.QuadratureRule:
+    """Legendre rule over k in +-scale*(sqrt(2n+1) + 8) for the pendulum's psi~.
+
+    4 * hermite_nodes nodes, at least 512 and at most the largest count a
+    Legendre rule builds, so every accepted hermite_nodes works.
+    """
+    spread = state.scale * (math.sqrt(2.0 * state.n + 1.0) + 8.0)
+    nodes = min(numerics.MAX_LEGENDRE_NODES, max(512, 4 * settings.hermite_nodes))
+    return numerics.gauss_legendre(nodes, -spread, spread)
 
 
 def line_transform(state, k, *, settings=None):
@@ -158,8 +168,7 @@ def width_product(state, *, method: str = "analytic", settings=None) -> float:
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     var_phi = mo.std_dev(obs.PHI, state, method="quadrature", settings=settings) ** 2
-    spread = state.scale * (math.sqrt(2.0 * state.n + 1.0) + 8.0)
-    krule = numerics.gauss_legendre(max(512, 4 * settings.hermite_nodes), -spread, spread)
+    krule = _k_rule(state, settings)
     density = np.abs(line_transform(state, krule.nodes, settings=settings)) ** 2
     total = float(krule.integrate(density))
     mean_k = float(krule.integrate(krule.nodes * density)) / total

@@ -58,6 +58,9 @@ class QuadratureRule:
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Legendre rule on [a, b], exact for polynomials of degree <= 2n-1.
 
+    The nodes and weights are the affine map of the cached [-1, 1] rule of
+    n nodes; they are fresh arrays, so a caller may write into them.
+
     Parameters
     ----------
     n : int
@@ -69,10 +72,23 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
         raise ValueError(f"gauss_legendre needs 2 <= n <= {MAX_LEGENDRE_NODES}, got {n}")
     if not a < b:
         raise ValueError(f"gauss_legendre needs a < b, got a={a}, b={b}")
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
     weights = 0.5 * (b - a) * w
     return QuadratureRule(nodes, weights, f"legendre[{a!r},{b!r}]")
+
+
+@lru_cache(maxsize=64)
+def _leggauss(n: int) -> tuple:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n.
+
+    Every interval's rule is an affine map of this one, so the companion
+    matrix eigensolve runs once per node count, not once per interval.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def gauss_hermite(n: int) -> QuadratureRule:

@@ -196,20 +196,24 @@ def phi_fourier_moment(k: int, p: int) -> complex:
     return t
 
 
-def _offset_moments(ms, j: int, p: int) -> np.ndarray:
-    """Matrix of phi_fourier_moment(m' - m + j, p) over (m, m') in ms x ms.
+def _offset_index(ms):
+    """Offsets k and an index with ks[index[i, j]] = ms[j] - ms[i].
 
-    Each distinct offset's moment is computed once: over -span..span when
-    the basis has as many pairs as offsets, else over the pairs themselves
-    (a few widely spaced rotor modes).
+    The offsets run over -span..span when the basis has as many pairs as
+    offsets, else over the pairs themselves (a few widely spaced rotor
+    modes), so each distinct offset's value is computed once.
     """
     ms = np.asarray(ms, dtype=np.int64)
     offsets = np.subtract.outer(ms, ms).T
     span = int(ms.max() - ms.min())
     if 2 * span + 1 <= offsets.size:
-        ks, index = range(-span, span + 1), offsets + span
-    else:
-        ks, index = offsets.ravel().tolist(), np.arange(offsets.size).reshape(offsets.shape)
+        return range(-span, span + 1), offsets + span
+    return offsets.ravel().tolist(), np.arange(offsets.size).reshape(offsets.shape)
+
+
+def _offset_moments(ms, j: int, p: int) -> np.ndarray:
+    """Matrix of phi_fourier_moment(m' - m + j, p) over (m, m') in ms x ms."""
+    ks, index = _offset_index(ms)
     return np.array([phi_fourier_moment(k + j, p) for k in ks])[index]
 
 
@@ -327,30 +331,37 @@ def matrix_table(
 
 
 def _quadrature_matrix(kind, basis, hbar, settings):
-    """<basis_i| A |basis_j> as one weighted sum over the sampled grid.
+    """<basis_i| A |basis_j> as a sum-factorized quadrature of the sampled A.
 
-    The basis is sampled on the phi rule (rotor) or the theta x phi tensor
-    rule (spherical), flattened to one point axis, and every element comes
-    from a single matmul against the sampled integrand.
+    A is sampled on the theta x phi tensor rule (spherical) or the phi rule
+    (rotor, taken as one polar node of weight 1 and factor 1). The phi sums
+    come first: F_k(theta) = (1/2*pi) sum_phi w * A * exp(i*k*phi) for every
+    offset k = m_j - m_i. Element (i, j) is then the polar sum of
+    theta_i * theta_j * F_{m_j - m_i} * w * sin(theta). Every number is still
+    a weighted sum of sampled values, independent of the closed-form moments.
     """
     ms = basis.ms
     prule = numerics.phi_rule(settings.phi_nodes)
     if isinstance(basis, SphericalBasis):
         trule = numerics.theta_rule(settings.theta_nodes)
-        tl, ph = numerics.basis_on_grid(ms, basis.l, trule.nodes, prule.nodes)
-        table = (tl[:, :, None] * ph[:, None, :]).reshape(len(ms), -1)
-        weights = np.outer(trule.weights * np.sin(trule.nodes), prule.weights).ravel()
-        theta, phi = np.meshgrid(trule.nodes, prule.nodes, indexing="ij")
+        polar, _ = numerics.basis_on_grid(ms, basis.l, trule.nodes, None)
+        polar_weights = trule.weights * np.sin(trule.nodes)
+        theta = trule.nodes[:, None]
     else:
-        _, table = numerics.basis_on_grid(ms, None, None, prule.nodes)
-        weights = prule.weights
-        theta, phi = None, prule.nodes
-    left = np.conj(table * weights)
+        polar, polar_weights, theta = np.ones((len(ms), 1)), np.ones(1), None
+    # Lz: integrand 1, then column j scaled by the eigenvalue hbar*m_j
+    sym = Symbol.constant(1.0) if kind.name == "Lz" else kind_symbol(kind)
+    integrand = np.broadcast_to(
+        sym.evaluate(theta, prule.nodes), (polar_weights.size, prule.nodes.size)
+    )
+    ks, index = _offset_index(ms)
+    waves = np.exp(1j * np.multiply.outer(prule.nodes, ks)) * (prule.weights / TWO_PI)[:, None]
+    by_offset = integrand @ waves
+    left = polar * polar_weights
+    out = np.array([(polar * by_offset[:, row].T) @ w for row, w in zip(index, left)])
     if kind.name == "Lz":
-        # integrand 1, then column j scaled by the eigenvalue hbar*m_j
-        return (left @ table.T) * (hbar * np.array(ms, dtype=np.float64))
-    integrand = np.ravel(kind_symbol(kind).evaluate(theta, phi))
-    return left @ (table * integrand).T
+        out = out * (hbar * np.array(ms, dtype=np.float64))
+    return out
 
 
 def matrix_element(

@@ -14,6 +14,9 @@ from lzphi import (
     width_product,
 )
 
+from lzphi.engine import EngineSettings
+from lzphi.numerics import MAX_HERMITE_NODES
+
 from .conftest import random_rotor, random_spherical
 from .oracles import legendre_nodes
 
@@ -72,6 +75,17 @@ class TestParseval:
         for state in fixture_states:
             assert parseval_check(state) < 1e-10
 
+    @pytest.mark.parametrize("nodes", [257, MAX_HERMITE_NODES])
+    def test_pendulum_at_large_hermite_rules(self, nodes):
+        # the k rule takes 4 * nodes, capped at the largest Legendre rule
+        settings = EngineSettings(hermite_nodes=nodes)
+        for n in (0, 5, 16):
+            state = PendulumState(n=n)
+            assert parseval_check(state, settings=settings) < 1e-10
+            assert width_product(state, method="quadrature", settings=settings) == pytest.approx(
+                (n + 0.5) ** 2, abs=1e-8
+            )
+
 
 class TestLineTransform:
     def test_gaussian_at_origin(self):
@@ -84,6 +98,18 @@ class TestLineTransform:
     def test_rejects_periodic_families(self):
         with pytest.raises(ValueError):
             line_transform(CircularState(m=0), 1.0)
+
+    def test_matches_the_closed_form(self):
+        # Hermite functions are Fourier eigenfunctions:
+        # psi~(k) = (A/s) * (-i)^n * exp(-q^2/2) * H_n(q) with q = k/s
+        for n in range(13):
+            state = PendulumState(n=n, hbar=1.7, inertia=0.37, omega=2.9)
+            s = state.scale
+            k = np.linspace(-1.0, 1.0, 201) * s * (math.sqrt(2 * n + 1) + 8.0)
+            q = k / s
+            h_n = np.polynomial.hermite.hermval(q, [0.0] * n + [1.0])
+            exact = state.amplitude / s * (-1j) ** n * np.exp(-q * q / 2) * h_n
+            assert np.max(np.abs(line_transform(state, k) - exact)) < 1e-13
 
     def test_self_reciprocal_density(self):
         # |psi~(k)|^2 of an eigenstate is the scaled position density

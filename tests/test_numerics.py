@@ -9,6 +9,7 @@ from lzphi.engine import EngineSettings
 from lzphi.numerics import (
     MAX_HERMITE_NODES,
     MAX_LEGENDRE_NODES,
+    _leggauss,
     gauss_hermite,
     gauss_legendre,
     hermite_poly,
@@ -51,6 +52,32 @@ class TestGaussLegendre:
         assert circle.integrate(np.ones(64)) == pytest.approx(TWO_PI, rel=1e-12)
         polar = theta_rule(128)
         assert polar.integrate(np.sin(polar.nodes)) == pytest.approx(2.0, rel=1e-12)
+
+
+class TestRuleCache:
+    """Every Legendre rule maps the one cached [-1, 1] rule of its node count."""
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 512, MAX_LEGENDRE_NODES])
+    def test_bit_identical_to_a_direct_build(self, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        for a, b in ((-3.7, 3.7), (0.0, TWO_PI), (0.0, math.pi)):
+            rule = gauss_legendre(n, a, b)
+            assert rule.nodes.tobytes() == (0.5 * (b - a) * x + 0.5 * (b + a)).tobytes()
+            assert rule.weights.tobytes() == (0.5 * (b - a) * w).tobytes()
+
+    def test_reference_arrays_are_read_only(self):
+        for arr in _leggauss(16):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_writing_into_a_rule_leaves_the_next_intact(self):
+        first = gauss_legendre(16, 0.0, 1.0)
+        fresh = (first.nodes.copy(), first.weights.copy())
+        first.nodes[:] = 0.0
+        first.weights[:] = -1.0
+        second = gauss_legendre(16, 0.0, 1.0)
+        assert np.array_equal(second.nodes, fresh[0])
+        assert np.array_equal(second.weights, fresh[1])
 
 
 class TestGaussHermite:

@@ -89,7 +89,15 @@ class TestAnalyticVersusQuadrature:
         oracle = matrix_table(kind, basis, method="quadrature").matrix
         assert np.max(np.abs(exact - oracle)) < 1e-9
 
-    @pytest.mark.parametrize("l", [1, 2, 3, 4, 24])
+    @pytest.mark.parametrize("kind", [LZ, PHI, PHI_SQUARED, SIN_PHI, COS_PHI, chi(1)])
+    def test_sparse_rotor_all_kinds(self, kind):
+        # widely spaced modes: the offsets are the pairs themselves, not -span..span
+        basis = RotorBasis((-7, 0, 3, 20))
+        exact = matrix_table(kind, basis).matrix
+        oracle = matrix_table(kind, basis, method="quadrature").matrix
+        assert np.max(np.abs(exact - oracle)) < 1e-9
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 4, 24, 64])
     @pytest.mark.parametrize("kind", [LZ, PHI, PHI_SQUARED, SIN_PHI, COS_PHI, THETA, THETA_PHI])
     def test_spherical_all_kinds(self, kind, l):
         basis = SphericalBasis(l)
