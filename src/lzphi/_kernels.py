@@ -8,6 +8,7 @@ numpy, so the grids may have any shape.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -16,28 +17,39 @@ import numpy as np
 USING_NUMBA = False
 
 
-def legendre_grid(l: int, m: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal associated-Legendre factor (Condon-Shortley), m >= 0.
+def legendre_grid(l: int, ms, x: np.ndarray) -> np.ndarray:
+    """Orthonormal associated-Legendre factors (Condon-Shortley) of degree l.
 
-    Returns values normalized so that the square integrates to 1 over
-    x in [-1, 1]; the degree recurrence runs per grid point.
+    ``ms`` are increasing, distinct orders in 0..l; row k holds order
+    ms[k] on the grid x, normalized so that its square integrates to 1 over
+    x in [-1, 1]. One degree recurrence runs for all orders at once: row k
+    joins it at degree ms[k] + 2, and each step applies to each row the
+    same operations a recurrence for that order alone would.
     """
-    fact = 1.0
-    for i in range(1, 2 * m + 1):
+    x = np.asarray(x, dtype=np.float64)
+    orders = list(ms)
+    column = (-1,) + (1,) * x.ndim
+    # (2m-1)!!/sqrt((2m)!) for every m up to the largest order, by one running product
+    facts, fact = [1.0], 1.0
+    for i in range(1, 2 * orders[-1] + 1):
         if i % 2:
             fact *= i
         fact /= math.sqrt(i)
-    pmm = ((-1.0) ** m) * fact * (1.0 - x * x) ** (m / 2.0)
-    if l == m:
-        return math.sqrt((2 * l + 1) / 2.0) * pmm
-    pm1 = x * math.sqrt(2.0 * m + 1.0) * pmm
-    if l == m + 1:
-        return math.sqrt((2 * l + 1) / 2.0) * pm1
-    for ll in range(m + 2, l + 1):
-        pll = (x * (2 * ll - 1) * pm1 - math.sqrt((ll - 1) ** 2 - m * m) * pmm) / math.sqrt(
-            ll * ll - m * m
+        if i % 2 == 0:
+            facts.append(fact)
+    base = 1.0 - x * x
+    pmm = np.stack([((-1.0) ** m) * facts[m] * base ** (m / 2.0) for m in orders])
+    m_col = np.array(orders, dtype=np.float64).reshape(column)
+    pm1 = x * np.sqrt(2.0 * m_col + 1.0) * pmm
+    m2 = m_col * m_col
+    for ll in range(orders[0] + 2, l + 1):
+        k = bisect.bisect_right(orders, ll - 2)  # the rows whose recurrence has begun
+        pll = (x * (2 * ll - 1) * pm1[:k] - np.sqrt((ll - 1) ** 2 - m2[:k]) * pmm[:k]) / np.sqrt(
+            ll * ll - m2[:k]
         )
-        pmm, pm1 = pm1, pll
+        pmm[:k], pm1[:k] = pm1[:k], pll
+    if orders[-1] == l:
+        pm1[-1] = pmm[-1]
     return math.sqrt((2 * l + 1) / 2.0) * pm1
 
 

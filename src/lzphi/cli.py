@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import replace
+import functools
 import math
 import sys
 
@@ -41,7 +42,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="lzphi",
         description="Evaluate angular-momentum/angle uncertainty relations on quantum rotational states.",

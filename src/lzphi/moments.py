@@ -158,11 +158,12 @@ class MomentStack:
             raise ValueError("stacked states must share one basis (or all be pendulum states)")
         self._pendulum = key == "pendulum"
         self._basis = None if self._pendulum else key
-        self._hbar = np.array([s.hbar for s in self.states])
+        #: hbar of every row
+        self.hbar = np.array([s.hbar for s in self.states])
         if not self._pendulum:
             self._coeffs = np.array([st.coeff_vector(s) for s in self.states])
             ms = np.array(key.ms, dtype=np.float64)
-            self._lz = np.multiply.outer(self._hbar, ms)
+            self._lz = np.multiply.outer(self.hbar, ms)
         self._memo = {}
         self._applied_rows = {}
 
@@ -251,7 +252,7 @@ class MomentStack:
             val = np.array([_pendulum_symbol_mean(deriv, state) for state in self.states])
         else:
             val = self._form(deriv)
-        return sign * (-1j) * self._hbar * val
+        return sign * (-1j) * self.hbar * val
 
     @_memoized
     def deficit(self, a, b) -> np.ndarray:
@@ -260,7 +261,7 @@ class MomentStack:
         if self._pendulum:
             return np.zeros(len(self.states), dtype=np.complex128)
         return obs.symmetry_deficits(
-            a, b, self._basis, self._coeffs, self._hbar, self.settings.theta_nodes
+            a, b, self._basis, self._coeffs, self.hbar, self.settings.theta_nodes
         )
 
     @_memoized
@@ -280,8 +281,10 @@ def _ladder_ops(state, size):
     root = np.sqrt(np.arange(1.0, size))
     lower = np.diag(root, 1)
     raise_ = lower.T
-    phi_m = math.sqrt(state.hbar / (2.0 * state.inertia * state.omega)) * (lower + raise_)
-    lz_m = 1j * math.sqrt(state.hbar * state.inertia * state.omega / 2.0) * (raise_ - lower)
+    # hbar enters against the stiffness I*omega, the product the state bounds
+    stiffness = state.inertia * state.omega
+    phi_m = math.sqrt(state.hbar / (2.0 * stiffness)) * (lower + raise_)
+    lz_m = 1j * math.sqrt(state.hbar * stiffness / 2.0) * (raise_ - lower)
     return phi_m.astype(np.complex128), lz_m
 
 
@@ -323,10 +326,11 @@ def _pendulum_mean(kind, state) -> float:
 
 def _pendulum_closed_std(kind, state):
     n_half = state.n + 0.5
+    stiffness = state.inertia * state.omega
     if kind.name == "Lz":
-        return math.sqrt(state.hbar * state.inertia * state.omega * n_half)
+        return math.sqrt(state.hbar * stiffness * n_half)
     if kind.name == "Phi":
-        return math.sqrt(state.hbar / (state.inertia * state.omega) * n_half)
+        return math.sqrt(state.hbar / stiffness * n_half)
     return None
 
 

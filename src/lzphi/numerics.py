@@ -152,10 +152,8 @@ def theta_lm(l: int, m: int, theta):
 
 def theta_lm_grid(l: int, m: int, theta: np.ndarray) -> np.ndarray:
     """theta_lm values on an array of any shape; no domain checks."""
-    vals = _kernels.legendre_grid(l, abs(m), np.cos(np.asarray(theta, dtype=np.float64)))
-    if m < 0 and abs(m) % 2:
-        return -vals
-    return vals
+    polar, _ = basis_on_grid((m,), l, theta, None)
+    return polar[0]
 
 
 def basis_on_grid(ms, l, theta, phi):
@@ -166,7 +164,14 @@ def basis_on_grid(ms, l, theta, phi):
     ``l`` is None (the circle-only families) and ``azimuthal`` is None when
     ``phi`` is None.
     """
-    polar = None if l is None else np.stack([theta_lm_grid(l, m, theta) for m in ms])
+    polar = None
+    if l is not None:
+        # one recurrence for every |m|; theta_l,-m = (-1)**m * theta_lm
+        orders = sorted({abs(m) for m in ms})
+        table = _kernels.legendre_grid(l, orders, np.cos(np.asarray(theta, dtype=np.float64)))
+        polar = table[[orders.index(abs(m)) for m in ms]]
+        odd_negative = [m < 0 and m % 2 == 1 for m in ms]
+        polar[odd_negative] = -polar[odd_negative]
     azimuthal = None
     if phi is not None:
         ms_f = np.asarray(ms, dtype=np.float64)

@@ -9,11 +9,14 @@ is NotApplicable rather than a numeric comparison.
 Every moment a relation reads (standard deviations, means, correlations,
 commutator means, the gamma-weighted sum and the pair deficits) comes
 from a ``moments.MomentStack``, which computes each quantity once for all
-of its rows. ``share_moments`` stacks a set of states, one stack per
-basis, and ``evaluate`` reads a state's row while the state and settings
-are the same objects; for any other state or settings object it stacks
-that state alone. States and settings are immutable, so an identical
-object always has the same moments.
+of its rows. A relation is evaluated the same way: for each
+``(relation, params, tol)`` its lhs, rhs, verdict, condition31 and
+diagnostics are one column over all rows of a stack, computed on first
+use and kept beside the stack. ``share_moments`` stacks a set of states,
+one stack per basis, and ``evaluate`` reads a state's row while the state
+and settings are the same objects; for any other state or settings
+object it stacks that state alone. States and settings are immutable, so
+an identical object always has the same moments.
 """
 
 from __future__ import annotations
@@ -168,9 +171,9 @@ def share_moments(states, settings: engine.EngineSettings | None = None) -> None
     """Have ``evaluate`` read the moments of ``states`` from shared stacks.
 
     States that share a basis become the rows of one ``moments.MomentStack``,
-    so each quantity is computed once for all of them. The stacks are kept
-    until the next call, or until ``evaluate`` meets a state or settings
-    object outside them.
+    so each quantity, and each relation's verdict, is computed once for all
+    of them. The stacks are kept until the next call, or until ``evaluate``
+    meets a state or settings object outside them.
     """
     global _shared
     _shared = _stacked(states, engine.resolve(settings))
@@ -187,9 +190,11 @@ def evaluate(
 ) -> RelationReport:
     """Evaluate one relation against one state and report the verdict.
 
-    Raises ValueError on family mismatch or invalid parameters; every
-    numeric outcome (including trivial 0 >= 0 degenerations and gate
-    failures) comes back as a report.
+    Raises ValueError on family mismatch, invalid parameters, or a left
+    side, right side or diagnostic that is not finite; every other numeric
+    outcome (including trivial 0 >= 0 degenerations and gate failures)
+    comes back as a report. The numbers are the state's row of a column
+    computed once for every row of its moment stack.
     """
     relation = RelationId(relation)
     params = params or NO_PARAMS
@@ -198,161 +203,210 @@ def evaluate(
     families, _, _ = CATALOG[relation]
     if fam not in families:
         raise ValueError(f"relation {relation.value} is not defined on the {fam} family")
-    pair = _operative_pair(relation, params)
-    table = _moment_row(state, settings)
-    deficits = _pair_deficits(pair, table, fam)
-    deficit_abs = max(abs(d) for d in deficits.values())
-    condition31 = deficit_abs <= tol
-    diag = {f"deficit_{k}_re": d.real for k, d in deficits.items() if k == "ab"}
-    diag.update({f"deficit_{k}_im": d.imag for k, d in deficits.items() if k == "ab"})
-    diag["deficit_abs"] = deficit_abs
+    constants = _checked_constants(relation, params, state)
+    rows, index = _moment_row(state, settings)
+    return rows.column(relation, params, tol).report(index, constants, state_name)
 
-    hbar = state.hbar
-    gated = relation in (RelationId.R33, RelationId.R60)
-    indeterminate = False
 
-    if relation in (RelationId.R5, RelationId.R33):
-        lhs = table.std(obs.LZ) * table.std(obs.PHI)
-        rhs = hbar / 2.0
-    elif relation == RelationId.R6:
-        dphi = table.std(obs.PHI)
-        den = 1.0 - 3.0 * (dphi / math.pi) ** 2
-        diag["denominator"] = den
-        if den <= 0 or abs(den) < tol:
-            lhs, rhs, indeterminate = 0.0, 0.16 * hbar, True
-        else:
-            lhs = table.std(obs.LZ) * dphi / den
-            rhs = 0.16 * hbar
-    elif relation == RelationId.R7:
-        dphi = table.std(obs.PHI)
-        den = 1.0 - dphi**2
-        diag["denominator"] = den
-        if den <= 0 or abs(den) < tol:
-            lhs, rhs, indeterminate = 0.0, hbar**2 / 4.0, True
-        else:
-            lhs = table.std(obs.LZ) ** 2 * dphi**2 / den
-            rhs = hbar**2 / 4.0
-    elif relation == RelationId.R8:
+def _checked_constants(relation, params, state) -> dict:
+    """The diagnostics that depend on ``params`` alone; raises on invalid params."""
+    if relation == RelationId.R8:
         if params.alpha is None or not math.isfinite(params.alpha):
             raise ValueError("R8 requires a finite real parameter alpha")
-        alpha = params.alpha
-        diag["alpha"] = alpha
-        lhs = table.std(obs.LZ) ** 2 + (hbar * alpha / 2.0) ** 2 * table.std(obs.PHI) ** 2
-        rhs = hbar**2 / 2.0 * (math.sqrt(9.0 / math.pi**2 + alpha**2) - 3.0 / math.pi**2)
-    elif relation in (RelationId.R10, RelationId.R11):
-        trig = obs.SIN_PHI if relation == RelationId.R10 else obs.COS_PHI
-        other = obs.COS_PHI if relation == RelationId.R10 else obs.SIN_PHI
-        sq = table.mean(other) ** 2 + table.std(other) ** 2
-        diag["mean_square"] = sq
-        lhs = table.std(obs.LZ) ** 2 * table.std(trig) ** 2
-        rhs = hbar**2 / 4.0 * sq
-    elif relation == RelationId.R12:
+        return {"alpha": params.alpha}
+    if relation == RelationId.R12:
         if params.N is None or params.N1 is None:
             raise ValueError("R12 requires integer parameters N and N1")
         if params.N == params.N1:
             raise ValueError("R12 requires N != N1")
-        dchi = delta_chi(params.N, params.N1)
-        diag["delta_chi"] = dchi
-        lhs = table.std(obs.LZ) * dchi
+        return {"delta_chi": delta_chi(params.N, params.N1)}
+    if relation == RelationId.R60:
+        for kind in _operative_pair(relation, params):
+            obs.check_applicable(kind, state)
+    return {}
+
+
+#: verdict codes of a column, in the order the decision rule tries them
+_VERDICTS = (
+    Verdict.NOT_APPLICABLE,
+    Verdict.INDETERMINATE,
+    Verdict.SATISFIED_WITH_EQUALITY,
+    Verdict.SATISFIED,
+    Verdict.VIOLATED,
+)
+
+
+class _Column:
+    """One relation's numbers for every row of a moment stack, as Python lists."""
+
+    __slots__ = ("relation", "lhs", "rhs", "verdicts", "condition31", "trivial", "finite",
+                 "diagnostics")
+
+    def __init__(self, relation, lhs, rhs, codes, condition31, trivial, diagnostics):
+        finite = np.isfinite(lhs) & np.isfinite(rhs)
+        for values in diagnostics.values():
+            finite &= np.isfinite(values)
+        self.relation = relation
+        self.lhs = lhs.tolist()
+        self.rhs = rhs.tolist()
+        self.verdicts = [_VERDICTS[code] for code in codes.tolist()]
+        self.condition31 = condition31.tolist()
+        self.trivial = trivial.tolist()
+        self.finite = finite.tolist()
+        self.diagnostics = [(name, values.tolist()) for name, values in diagnostics.items()]
+
+    def report(self, index, constants, state_name) -> RelationReport:
+        """The report of row ``index``; a row with a non-finite number is a ValueError."""
+        if not self.finite[index]:
+            raise ValueError(
+                f"relation {self.relation.value} is not finite on this state "
+                f"(lhs={self.lhs[index]!r}, rhs={self.rhs[index]!r}); its moments overflow"
+            )
+        diag = {name: values[index] for name, values in self.diagnostics}
+        diag.update(constants)
+        if self.trivial[index]:
+            diag["trivial_zero"] = 1.0
+        return RelationReport(
+            relation=self.relation,
+            lhs=self.lhs[index],
+            rhs=self.rhs[index],
+            verdict=self.verdicts[index],
+            diagnostics=diag,
+            condition31=self.condition31[index],
+            state_name=state_name,
+        )
+
+
+class _StackRows:
+    """A moment stack and its relation columns, each computed on first use."""
+
+    __slots__ = ("moments", "columns")
+
+    def __init__(self, moments):
+        self.moments = moments
+        self.columns = {}
+
+    def column(self, relation, params, tol) -> _Column:
+        key = (relation, params, tol)
+        try:
+            return self.columns[key]
+        except KeyError:
+            # a row whose numbers overflow is refused when it is read
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                column = _relation_column(self.moments, relation, params, tol)
+            self.columns[key] = column
+            return column
+
+
+def _relation_column(stack, relation, params, tol) -> _Column:
+    """lhs, rhs, verdict, condition31 and diagnostics of ``relation`` on every row.
+
+    Each expression is the scalar formula of the catalog applied to whole
+    rows.
+    """
+    fam = st.family_of(stack.states[0])
+    pair = _operative_pair(relation, params)
+    deficits = _pair_deficits(pair, stack, fam)
+    deficit_abs = np.maximum.reduce([_cabs(d) for d in deficits.values()])
+    condition31 = deficit_abs <= tol
+    diag = {
+        "deficit_ab_re": deficits["ab"].real,
+        "deficit_ab_im": deficits["ab"].imag,
+        "deficit_abs": deficit_abs,
+    }
+
+    hbar = stack.hbar
+    gated = relation in (RelationId.R33, RelationId.R60)
+    indeterminate = np.zeros(len(hbar), dtype=bool)
+
+    if relation in (RelationId.R5, RelationId.R33):
+        lhs = stack.std(obs.LZ) * stack.std(obs.PHI)
+        rhs = hbar / 2.0
+    elif relation == RelationId.R6:
+        dphi = stack.std(obs.PHI)
+        den = 1.0 - 3.0 * (dphi / math.pi) ** 2
+        diag["denominator"] = den
+        indeterminate = (den <= 0) | (np.abs(den) < tol)
+        lhs = np.where(indeterminate, 0.0, stack.std(obs.LZ) * dphi / den)
+        rhs = 0.16 * hbar
+    elif relation == RelationId.R7:
+        dphi = stack.std(obs.PHI)
+        den = 1.0 - dphi**2
+        diag["denominator"] = den
+        indeterminate = (den <= 0) | (np.abs(den) < tol)
+        lhs = np.where(indeterminate, 0.0, stack.std(obs.LZ) ** 2 * dphi**2 / den)
+        rhs = hbar**2 / 4.0
+    elif relation == RelationId.R8:
+        alpha = params.alpha
+        lhs = stack.std(obs.LZ) ** 2 + (hbar * alpha / 2.0) ** 2 * stack.std(obs.PHI) ** 2
+        rhs = hbar**2 / 2.0 * (math.sqrt(9.0 / math.pi**2 + alpha**2) - 3.0 / math.pi**2)
+    elif relation in (RelationId.R10, RelationId.R11):
+        trig = obs.SIN_PHI if relation == RelationId.R10 else obs.COS_PHI
+        other = obs.COS_PHI if relation == RelationId.R10 else obs.SIN_PHI
+        sq = stack.mean(other) ** 2 + stack.std(other) ** 2
+        diag["mean_square"] = sq
+        lhs = stack.std(obs.LZ) ** 2 * stack.std(trig) ** 2
+        rhs = hbar**2 / 4.0 * sq
+    elif relation == RelationId.R12:
+        lhs = stack.std(obs.LZ) * delta_chi(params.N, params.N1)
         rhs = hbar / 2.0
     elif relation == RelationId.R14:
-        lhs = table.std(obs.LZ) ** 2 + hbar**2 * table.std(obs.PHI) ** 2
+        lhs = stack.std(obs.LZ) ** 2 + hbar**2 * stack.std(obs.PHI) ** 2
         rhs = hbar**2
     elif relation in (RelationId.R15, RelationId.R52):
-        boundary = fourier_boundary_term(state)
+        boundary = np.array([fourier_boundary_term(state) for state in stack.states])
         diag["boundary_term"] = boundary
-        lhs = table.std(obs.LZ) * table.std(obs.PHI)
+        lhs = stack.std(obs.LZ) * stack.std(obs.PHI)
         rhs = hbar / 2.0 * boundary
-    elif relation == RelationId.R30:
-        corr = table.correlation(obs.LZ, obs.PHI)
+    elif relation in (RelationId.R30, RelationId.R36):
+        a = obs.LZ if relation == RelationId.R30 else obs.THETA
+        corr = stack.pair(a, obs.PHI, 1, 1)
         diag["corr_re"] = corr.real
         diag["corr_im"] = corr.imag
-        lhs = table.std(obs.LZ) * table.std(obs.PHI)
-        rhs = abs(corr)
-    elif relation == RelationId.R36:
-        corr = table.correlation(obs.THETA, obs.PHI)
-        diag["corr_re"] = corr.real
-        diag["corr_im"] = corr.imag
-        lhs = table.std(obs.THETA) * table.std(obs.PHI)
-        rhs = abs(corr)
+        lhs = stack.std(a) * stack.std(obs.PHI)
+        rhs = _cabs(corr)
     elif relation == RelationId.R58:
-        gsum = table.gamma_sum()
+        gsum = stack.gamma_sum()
         diag["gamma_sum"] = gsum
-        lhs = table.std(obs.LZ) * table.std(obs.PHI)
-        rhs = hbar / 2.0 * abs(1.0 - gsum)
+        lhs = stack.std(obs.LZ) * stack.std(obs.PHI)
+        rhs = hbar / 2.0 * np.abs(1.0 - gsum)
     elif relation == RelationId.R60:
         a, b = pair
-        comm = table.commutator(a, b)
+        comm = stack.commutator(a, b)
         diag["commutator_re"] = comm.real
         diag["commutator_im"] = comm.imag
-        lhs = table.std(a) * table.std(b)
-        rhs = abs(comm) / 2.0
+        lhs = stack.std(a) * stack.std(b)
+        rhs = _cabs(comm) / 2.0
     else:  # pragma: no cover - closed enumeration
         raise AssertionError(relation)
 
-    if gated and not condition31:
-        verdict = Verdict.NOT_APPLICABLE
-    elif indeterminate:
-        verdict = Verdict.INDETERMINATE
-    elif lhs <= tol and rhs <= tol:
-        diag["trivial_zero"] = 1.0
-        verdict = Verdict.SATISFIED_WITH_EQUALITY
-    elif abs(lhs - rhs) <= tol:
-        verdict = Verdict.SATISFIED_WITH_EQUALITY
-    elif lhs >= rhs - tol:
-        verdict = Verdict.SATISFIED
-    else:
-        verdict = Verdict.VIOLATED
-
-    return RelationReport(
-        relation=relation,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        verdict=verdict,
-        diagnostics=diag,
-        condition31=condition31,
-        state_name=state_name,
+    # the decision rule; np.select takes the first condition that holds
+    not_applicable = ~condition31 if gated else np.zeros_like(condition31)
+    trivial = (lhs <= tol) & (rhs <= tol)
+    codes = np.select(
+        [not_applicable, indeterminate, trivial, np.abs(lhs - rhs) <= tol, lhs >= rhs - tol],
+        [0, 1, 2, 2, 3],
+        default=4,
     )
+    trivial &= ~not_applicable & ~indeterminate
+    return _Column(relation, lhs, rhs, codes, condition31, trivial, diag)
 
 
-class _MomentRow:
-    """One state's moments: its row of a shared ``moments.MomentStack``."""
-
-    __slots__ = ("stack", "index")
-
-    def __init__(self, stack, index):
-        self.stack = stack
-        self.index = index
-
-    def std(self, kind) -> float:
-        return float(self.stack.std(kind)[self.index])
-
-    def mean(self, kind) -> float:
-        return float(self.stack.mean(kind)[self.index])
-
-    def correlation(self, a, b) -> complex:
-        return complex(self.stack.pair(a, b, 1, 1)[self.index])
-
-    def commutator(self, a, b) -> complex:
-        return complex(self.stack.commutator(a, b)[self.index])
-
-    def deficit(self, a, b) -> complex:
-        return complex(self.stack.deficit(a, b)[self.index])
-
-    def gamma_sum(self) -> float:
-        return float(self.stack.gamma_sum()[self.index])
+def _cabs(z: np.ndarray) -> np.ndarray:
+    """|z| by libm hypot, as Python's abs(complex) computes it."""
+    return np.hypot(z.real, z.imag)
 
 
 def _stacked(states, settings):
-    """(settings, {id(state): row}) over the stacks of ``states``.
+    """(settings, {id(state): (stack rows, index)}) over the stacks of ``states``.
 
     Each stack holds its states, so an id found here names that state.
     """
-    rows = {
-        id(state): _MomentRow(stack, index)
-        for stack in mo.stacks(states, settings)
-        for index, state in enumerate(stack.states)
-    }
+    rows = {}
+    for stack in mo.stacks(states, settings):
+        stack_rows = _StackRows(stack)
+        for index, state in enumerate(stack.states):
+            rows[id(state)] = (stack_rows, index)
     return settings, rows
 
 
@@ -361,8 +415,8 @@ def _stacked(states, settings):
 _shared = (None, {})
 
 
-def _moment_row(state, settings) -> _MomentRow:
-    """The row of ``state`` in the shared stacks, or a fresh one-row stack."""
+def _moment_row(state, settings):
+    """(stack rows, index) of ``state`` in the shared stacks, or of a fresh one-row stack."""
     global _shared
     shared_settings, rows = _shared
     row = rows.get(id(state)) if shared_settings is settings else None
@@ -383,12 +437,13 @@ def _operative_pair(relation, params):
     return (obs.LZ, obs.PHI)
 
 
-def _pair_deficits(pair, table, fam):
+def _pair_deficits(pair, stack, fam):
+    """The aa, ab, ba and bb symmetry deficits of every row; zero where a side is undefined."""
     a, b = pair
     out = {}
     for key, (x, y) in (("aa", (a, a)), ("ab", (a, b)), ("ba", (b, a)), ("bb", (b, b))):
         if obs.applicable(x, fam) and obs.applicable(y, fam):
-            out[key] = table.deficit(x, y)
+            out[key] = stack.deficit(x, y)
         else:
-            out[key] = 0.0 + 0.0j
+            out[key] = np.zeros(len(stack.states), dtype=np.complex128)
     return out

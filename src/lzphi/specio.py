@@ -17,6 +17,8 @@ carry a decimal point; floats accept decimal and scientific notation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import functools
+import operator
 import re
 
 from . import observables as obs
@@ -427,13 +429,9 @@ def _fmt(x: float) -> str:
     return "%.12g" % float(x)
 
 
-def _json_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    return _fmt(value)
+def _quoted(text: str) -> str:
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
 
 
 def serialize_report(reports, format: str = "json") -> str:
@@ -469,20 +467,67 @@ def _report_fields(report: RelationReport) -> dict:
     return fields
 
 
+#: diagnostics printed as report fields, not inside "diagnostics"
+_LIFTED = ("deficit_abs", "sweep_value", "sweep_param_name")
+
+#: each JSON report field: its index in the row ``_to_json`` builds, and its
+#: format; the row quotes the free-text names, the template the enum values
+_JSON_FIELDS = {
+    "condition31": (0, "%s"),
+    "deficit_abs": (1, "%.12g"),
+    "lhs": (2, "%.12g"),
+    "relation": (3, '"%s"'),
+    "rhs": (4, "%.12g"),
+    "state_name": (5, "%s"),
+    "verdict": (6, '"%s"'),
+}
+_SWEEP_FIELDS = {"sweep_param": (7, "%s"), "sweep_value": (8, "%.12g")}
+_ROW_FIXED = 9
+
+
+@functools.lru_cache(maxsize=256)
+def _json_layout(diag_keys: tuple):
+    """The %-template of one JSON report and the picker of its values.
+
+    ``diag_keys`` are a report's diagnostics keys in insertion order; the
+    row the picker reads holds the report fields at their
+    ``_JSON_FIELDS`` indices, then the diagnostics values in that order.
+    Every key, of the report and of its diagnostics, is printed sorted.
+    """
+    fields = dict(_JSON_FIELDS)
+    if "sweep_value" in diag_keys:
+        fields.update(_SWEEP_FIELDS)
+    printed = sorted(
+        (key, _ROW_FIXED + pos) for pos, key in enumerate(diag_keys) if key not in _LIFTED
+    )
+    inner = ", ".join(f'"{key.replace("%", "%%")}": %.12g' for key, _ in printed)
+    fields["diagnostics"] = (None, "{" + inner + "}")
+    parts, picks = [], []
+    for name in sorted(fields):
+        index, fmt = fields[name]
+        parts.append(f'"{name}": {fmt}')
+        picks.extend([index] if index is not None else [i for _, i in printed])
+    return "  {" + ", ".join(parts) + "}", operator.itemgetter(*picks)
+
+
 def _to_json(reports) -> str:
     blocks = []
     for report in reports:
-        fields = _report_fields(report)
-        diag = {
-            k: v
-            for k, v in report.diagnostics.items()
-            if k not in ("deficit_abs", "sweep_value", "sweep_param_name")
-        }
-        parts = [f'"{k}": {_json_scalar(v)}' for k, v in sorted(fields.items())]
-        inner = ", ".join(f'"{k}": {_fmt(v)}' for k, v in sorted(diag.items()))
-        parts.append(f'"diagnostics": {{{inner}}}')
-        parts.sort(key=lambda item: item.split(":", 1)[0])
-        blocks.append("  {" + ", ".join(parts) + "}")
+        diag = report.diagnostics
+        template, pick = _json_layout(tuple(diag))
+        row = (
+            "true" if report.condition31 else "false",
+            diag.get("deficit_abs", 0.0),
+            report.lhs,
+            report.relation.value,
+            report.rhs,
+            _quoted(report.state_name),
+            report.verdict.value,
+            _quoted(diag.get("sweep_param_name", "")),
+            diag.get("sweep_value", 0.0),
+            *diag.values(),
+        )
+        blocks.append(template % pick(row))
     return "[\n" + ",\n".join(blocks) + "\n]\n"
 
 

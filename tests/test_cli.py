@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import json
@@ -284,6 +285,55 @@ class TestBatchedScan:
         )
         assert_scan_matches_fresh(text, "n=0:64:5")
 
+    @pytest.mark.parametrize("sweep", ["alpha=-2:3:6", "N=1:4:4", "N1=-3:2:6"])
+    def test_relation_parameter_sweeps(self, sweep):
+        """alpha, N and N1 change the relations, not the states: each point has its own columns."""
+        rng = np.random.default_rng(4)
+        text = (
+            "setting normalize true\n"
+            + _spherical_line(rng, 2, "sph")
+            + "state rotor name=rot c={-1:(0.6,0),2:(0,0.8)}\n"
+            + "state circular name=circ m=3\n"
+            + "relations R5 R8(alpha=1) R12(N=3,N1=0) R14 R60(a=Lz,b=Phi)\n"
+            + "relations R8(alpha=0.5) R12(N=4,N1=-1) R60(a=Lz,b=Chi,N=2)\n"
+        )
+        rows = assert_scan_matches_fresh(text, sweep)
+        points = int(sweep.rsplit(":", 1)[1])
+        key = "alpha" if sweep.startswith("alpha") else "delta_chi"
+        assert len({row["diagnostics"][key] for row in rows if key in row["diagnostics"]}) >= points
+        assert len(rows) == points * 3 * 8
+
+    @pytest.mark.parametrize("sweep", ["alpha=-2:3:6", "N=1:4:4", "N1=-3:2:6"])
+    def test_relation_parameter_sweeps_on_the_pendulum(self, sweep):
+        text = (
+            "state pendulum name=pend n=4 inertia=2 omega=0.5\n"
+            "state pendulum name=top n=64 hbar=3\n"
+            "relations R5 R8(alpha=1) R12(N=3,N1=0) R12(N=4,N1=-1) R14 R60(a=Lz,b=PhiSquared)\n"
+        )
+        rows = assert_scan_matches_fresh(text, sweep)
+        assert len(rows) == int(sweep.rsplit(":", 1)[1]) * 2 * 6
+
+    def test_alpha_sweep_computes_one_r8_column_per_point(self, tmp_path, monkeypatch):
+        from lzphi import relations
+
+        computed = collections.Counter()
+        real = relations._relation_column
+
+        def column(stack, relation, params, tol):
+            computed[(len(stack.states), relation.value)] += 1
+            return real(stack, relation, params, tol)
+
+        monkeypatch.setattr(relations, "_relation_column", column)
+        spec = write(
+            tmp_path,
+            "s.spec",
+            "state rotor c={0:(0.6,0),1:(0,0.8)}\nstate rotor c={0:(0,0.6),1:(0.8,0)}\n"
+            "relations R5 R8(alpha=1) R30\n",
+        )
+        main(["scan", spec, "--sweep", "alpha=0:3:4", "--output", str(tmp_path / "out")])
+        # the points share their two states, so each column covers both rows
+        assert computed == {(2, "R5"): 1, (2, "R8"): 4, (2, "R30"): 1}
+
     @given(
         l=hst.integers(0, 10),
         data=hst.data(),
@@ -364,6 +414,26 @@ class TestInputErrors:
         assert code == 3
         assert "[bad-value]" in err
         assert out == ""
+
+    def test_overflowing_relation_is_an_input_error(self, tmp_path, capsys):
+        """hbar^2*dphi^2 above 1e308 is refused, not printed as inf."""
+        spec = write(
+            tmp_path, "s.spec", "state pendulum n=3 inertia=1e-200 omega=1e-50 hbar=1e50\nrelations R14\n"
+        )
+        code, out, err = run_main(["eval", spec], capsys)
+        assert code == 3
+        assert "R14 is not finite" in err
+        assert out == ""
+
+    def test_extreme_pendulum_products_stay_finite(self, tmp_path, capsys):
+        spec = write(
+            tmp_path,
+            "s.spec",
+            "state pendulum n=3 inertia=1e200 omega=1e-200 hbar=1e150\nrelations R5 R30 R33\n",
+        )
+        code, out, err = run_main(["eval", spec], capsys)
+        assert code == 0, err
+        assert [row["lhs"] for row in json.loads(out)] == [3.5e150] * 3
 
     def test_largest_node_counts_are_accepted(self, tmp_path, capsys):
         spec = write(

@@ -29,3 +29,26 @@ def test_fourier_sum_matches_direct_sum(grids):
     want = sum(c * np.exp(1j * m * grids["phi"]) for m, c in zip(ms, coeffs))
     got = _kernels.fourier_sum(ms, coeffs, grids["phi"])
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 9, 33, 64])
+def test_legendre_grid_rows_match_one_order_at_a_time(l):
+    """One recurrence over many orders gives each row bit for bit as that order alone."""
+    x = np.cos(np.linspace(0.01, np.pi - 0.01, 41))
+    orders = list(range(l + 1))
+    table = _kernels.legendre_grid(l, orders, x)
+    assert table.shape == (l + 1, x.size)
+    for m in orders:
+        assert np.array_equal(table[m], _kernels.legendre_grid(l, [m], x)[0])
+    sparse = orders[::3] + ([l] if l % 3 else [])
+    assert np.array_equal(_kernels.legendre_grid(l, sparse, x), table[sparse])
+
+
+@pytest.mark.parametrize("l", [0, 1, 5, 20, 64])
+def test_legendre_grid_is_orthonormal(l):
+    x, w = np.polynomial.legendre.leggauss(l + 2)
+    for m in range(l + 1):
+        row = _kernels.legendre_grid(l, [m], x)[0]
+        assert abs(np.dot(w, row * row) - 1.0) < 1e-12
+    want = np.polynomial.legendre.legval(x, [0.0] * l + [1.0]) * np.sqrt((2 * l + 1) / 2.0)
+    assert np.max(np.abs(_kernels.legendre_grid(l, [0], x)[0] - want)) < 1e-12

@@ -423,6 +423,121 @@ class TestMomentTable:
         assert got[0].lhs != got[1].lhs
 
 
+class TestRelationColumns:
+    """Each relation's verdict is computed once per moment stack; evaluate reads a row."""
+
+    def test_each_column_is_computed_once_per_stack(self, monkeypatch):
+        from lzphi import relations
+
+        rng = np.random.default_rng(3)
+        states = [random_spherical(rng, 3) for _ in range(5)]
+        computed = collections.Counter()
+        real = relations._relation_column
+
+        def column(stack, relation, params, tol):
+            computed[(len(stack.states), relation, params, tol)] += 1
+            return real(stack, relation, params, tol)
+
+        monkeypatch.setattr(relations, "_relation_column", column)
+        relations.share_moments(states)
+        for _ in range(2):
+            for state in states:
+                for rid, params in _SPHERICAL_SELECTION:
+                    evaluate(rid, state, params)
+                evaluate(RelationId.R5, state, tol=1e-6)
+                evaluate(RelationId.R8, state, RelationParams(alpha=-0.5))
+        want = {
+            (5, rid, params or relations.NO_PARAMS, 1e-9): 1 for rid, params in _SPHERICAL_SELECTION
+        }
+        want[(5, RelationId.R5, relations.NO_PARAMS, 1e-6)] = 1
+        want[(5, RelationId.R8, RelationParams(alpha=-0.5), 1e-9)] = 1
+        assert computed == want
+
+    def test_lone_and_stacked_rows_serialize_the_same(self, fixture_states):
+        """Every relation on every fixture state: a one-row stack and a shared stack agree byte for byte."""
+        from lzphi import PHI_SQUARED, relations, specio
+
+        rng = np.random.default_rng(8)
+        states = list(fixture_states) + [random_spherical(rng, 3) for _ in range(3)] + [
+            RotorSuperposition({-1: 0.8, 2: 0.6j}),
+            RotorSuperposition({-1: 0.6j, 2: -0.8}, hbar=3.0),
+        ]
+        with_params = (RelationId.R8, RelationId.R12, RelationId.R60)
+        selection = [(rid, None) for rid in RelationId if rid not in with_params] + [
+            (RelationId.R8, RelationParams(alpha=1.5)),
+            (RelationId.R12, RelationParams(N=1, N1=0)),
+            (RelationId.R60, RelationParams(pair=(LZ, PHI))),
+            (RelationId.R60, RelationParams(pair=(LZ, PHI_SQUARED))),
+            (RelationId.R60, RelationParams(pair=(LZ, SIN_PHI))),
+            (RelationId.R60, RelationParams(pair=(THETA, PHI))),
+        ]
+
+        def outcomes():
+            out = []
+            for index, state in enumerate(states):
+                for rid, params in selection:
+                    try:
+                        report = evaluate(rid, state, params, state_name=f"s{index}")
+                    except ValueError as exc:
+                        out.append(str(exc))
+                    else:
+                        out.append(specio.serialize_report([report]))
+            return out
+
+        relations.share_moments(())  # nothing shared: each state gets its own one-row stack
+        lone = outcomes()
+        relations.share_moments(states)
+        _, rows = relations._shared
+        assert max(len(stack_rows.moments.states) for stack_rows, _ in rows.values()) == 6
+        stacked = outcomes()
+        assert stacked == lone
+        assert sum(text.startswith("[") for text in lone) > 200
+
+    def test_overflowing_pendulum_relations_raise(self):
+        """n = 3 with inertia, omega and hbar in 1e-200..1e200: every report is finite or refused."""
+        import itertools
+        import json
+
+        from lzphi import PHI_SQUARED, specio
+
+        selection = (
+            (RelationId.R5, None),
+            (RelationId.R6, None),
+            (RelationId.R7, None),
+            (RelationId.R8, RelationParams(alpha=1.5)),
+            (RelationId.R12, RelationParams(N=1, N1=0)),
+            (RelationId.R14, None),
+            (RelationId.R30, None),
+            (RelationId.R33, None),
+            (RelationId.R60, RelationParams(pair=(LZ, PHI_SQUARED))),
+        )
+        scales = [10.0**e for e in range(-200, 201, 50)]
+        states = refused = 0
+        for inertia, omega, hbar in itertools.product(scales, scales, scales):
+            try:
+                state = PendulumState(n=3, inertia=inertia, omega=omega, hbar=hbar)
+            except ValueError:
+                continue
+            states += 1
+            reports = []
+            for rid, params in selection:
+                try:
+                    report = evaluate(rid, state, params)
+                except ValueError as exc:
+                    assert "not finite" in str(exc)
+                    # the products hbar*I*omega and hbar/(I*omega) are bounded by the state
+                    assert rid not in (RelationId.R5, RelationId.R30, RelationId.R33)
+                    refused += 1
+                    continue
+                numbers = (report.lhs, report.rhs, *report.diagnostics.values())
+                assert all(math.isfinite(x) for x in numbers), (state, rid, report)
+                reports.append(report)
+            if reports:
+                json.loads(specio.serialize_report(reports), parse_constant=pytest.fail)
+        assert states == 437
+        assert 0 < refused < states
+
+
 def test_family_mismatch_raises():
     with pytest.raises(ValueError):
         evaluate(RelationId.R36, CircularState(m=0))
