@@ -1,10 +1,11 @@
 """First-, second- and higher-order probabilistic parameters of observables.
 
-The analytic path works in each family's own basis: exact azimuthal
-Fourier moments for circular/rotor states, polar-overlap-factorized
-tables for fixed-l spherical states, and oscillator ladder matrices for
-the pendulum. It lives in ``MomentStack``, which holds the moments of a
-stack of states that share one basis: every quantity is a binomial
+The analytic path is one algebra over each family's own basis
+(``observables.basis_of``): exact azimuthal Fourier moments for
+circular/rotor states, polar-overlap-factorized tables for fixed-l
+spherical states, and the padded oscillator number basis of the
+pendulum's width. It lives in ``MomentStack``, which holds the moments of
+a stack of states that share one basis: every quantity is a binomial
 combination of quadratic forms (c, M c) over basis matrices M that do not
 depend on the state, so each M is built once per stack and each form is
 taken over all rows at once. The public analytic functions below are the
@@ -25,7 +26,7 @@ from . import engine, numerics
 from . import observables as obs
 from . import states as st
 
-MAX_CORRELATION_ORDER = 6
+MAX_CORRELATION_ORDER = obs.MAX_CORRELATION_ORDER
 
 
 @dataclass(frozen=True)
@@ -105,16 +106,12 @@ def stacks(states, settings=None) -> list:
     """One MomentStack per basis over the distinct state objects in ``states``.
 
     Rows keep the order in which the states first appear; pendulum states
-    form one stack whatever their n.
+    of one width form one stack whatever their n.
     """
     groups = {}
     for state in {id(s): s for s in states}.values():
-        groups.setdefault(_stack_key(state), []).append(state)
+        groups.setdefault(obs.basis_of(state), []).append(state)
     return [MomentStack(group, settings) for group in groups.values()]
-
-
-def _stack_key(state):
-    return "pendulum" if st.family_of(state) == "pendulum" else obs.basis_of(state)
 
 
 def _memoized(method):
@@ -135,17 +132,17 @@ def _memoized(method):
 class MomentStack:
     """Analytic moments of a stack of states, each quantity computed once for all rows.
 
-    Circular, rotor and spherical rows share one basis; their coefficient
-    vectors are the rows of a P x n matrix C. A basis matrix M (the
+    The rows share one basis; their coefficient vectors (a pendulum's is
+    |n>, padded) are the rows of a P x n matrix C. A basis matrix M (the
     ``symbol_matrix`` of a product of observable symbols, or of a phi
     derivative) enters only through the products M c_p of every row,
     built on first use, so the stack holds O(P*n) numbers per matrix and
-    never a P x n x n array. The Lz diagonal scales each row by its own
-    hbar. Pendulum rows may differ in n; their quantities come row by row
-    from the oscillator ladder matrices. Every method returns one value
-    per row, in the order of ``states``. The stack keeps its states
-    alive, and a state's moments depend only on the state and the
-    settings, so a stack never goes stale.
+    never a P x n x n array. Lz scales each row by its own hbar: the
+    diagonal hbar*m, or hbar times ``lz_ladder`` on the oscillator basis,
+    where means and standard deviations are closed forms in n. Every
+    method returns one value per row, in the order of ``states``. The
+    stack keeps its states alive, and a state's moments depend only on the
+    state and the settings, so a stack never goes stale.
     """
 
     def __init__(self, states, settings=None):
@@ -153,16 +150,18 @@ class MomentStack:
         if not self.states:
             raise ValueError("a moment stack needs at least one state")
         self.settings = engine.resolve(settings)
-        key = _stack_key(self.states[0])
-        if any(_stack_key(s) != key for s in self.states[1:]):
-            raise ValueError("stacked states must share one basis (or all be pendulum states)")
-        self._pendulum = key == "pendulum"
-        self._basis = None if self._pendulum else key
+        basis = obs.basis_of(self.states[0])
+        if any(obs.basis_of(s) != basis for s in self.states[1:]):
+            raise ValueError("stacked states must share one basis")
+        self._basis = basis
         #: hbar of every row
         self.hbar = np.array([s.hbar for s in self.states])
-        if not self._pendulum:
-            self._coeffs = np.array([st.coeff_vector(s) for s in self.states])
-            ms = np.array(key.ms, dtype=np.float64)
+        coeffs = [st.coeff_vector(s) for s in self.states]
+        if isinstance(basis, obs.OscillatorBasis):
+            self._coeffs = np.array([np.pad(c, (0, basis.size - c.size)) for c in coeffs])
+        else:
+            self._coeffs = np.array(coeffs)
+            ms = np.array(basis.ms, dtype=np.float64)
             self._lz = np.multiply.outer(self.hbar, ms)
         self._memo = {}
         self._applied_rows = {}
@@ -185,11 +184,20 @@ class MomentStack:
         left = self._coeffs if left is None else left
         return np.einsum("pi,pi->p", np.conj(left), self._applied(sym))
 
+    def _lz_applied(self, mu, power) -> np.ndarray:
+        """Row p holds (Lz - mu_p)^power c_p."""
+        if isinstance(self._basis, obs.OscillatorBasis):
+            lz, rows = obs.lz_ladder(self._basis), self._coeffs
+            for _ in range(power):
+                rows = self.hbar[:, None] * obs.apply_to_rows(lz, rows) - mu[:, None] * rows
+            return rows
+        return (self._lz - mu[:, None]) ** power * self._coeffs
+
     @_memoized
     def mean(self, kind) -> np.ndarray:
         """<A> for every row."""
         self._check(kind)
-        if self._pendulum:
+        if isinstance(self._basis, obs.OscillatorBasis):
             return np.array([_pendulum_mean(kind, s) for s in self.states])
         if kind.name == "Lz":
             return np.sum(np.abs(self._coeffs) ** 2 * self._lz, axis=1)
@@ -198,10 +206,8 @@ class MomentStack:
     @_memoized
     def std(self, kind) -> np.ndarray:
         """(C(A, A))^(1/2) for every row."""
-        if self._pendulum:
-            closed = [_pendulum_closed_std(kind, s) for s in self.states]
-            if closed[0] is not None:  # a closed form exists per kind, for all n
-                return np.array(closed)
+        if isinstance(self._basis, obs.OscillatorBasis):
+            return np.array([_pendulum_closed_std(kind, s) for s in self.states])
         return np.sqrt(np.maximum(np.real(self.pair(kind, kind, 1, 1)), 0.0))
 
     @_memoized
@@ -210,22 +216,21 @@ class MomentStack:
 
         Multiplicative sides expand binomially into the uncentered
         products A^i B^k, whose matrices are shared by every row and every
-        mean; an Lz side is the diagonal (hbar*m - <Lz>)^r on the left.
+        mean; an Lz side is (Lz - <Lz>)^r c on the left, a diagonal on
+        rotor and spherical bases.
         """
         mu_a, mu_b = self.mean(a), self.mean(b)
-        if self._pendulum:
-            return np.array([
-                _pendulum_pair(a, b, r, s, ma, mb, state)
-                for state, ma, mb in zip(self.states, mu_a, mu_b)
-            ])
         if b.name == "Lz" and a.name != "Lz":
             return np.conj(self.pair(b, a, s, r))
         if a.name == "Lz":
-            left = (self._lz - mu_a[:, None]) ** r
             if b.name == "Lz":
+                if isinstance(self._basis, obs.OscillatorBasis):
+                    right = self._lz_applied(mu_b, s)
+                    return np.einsum("pi,pi->p", np.conj(self._lz_applied(mu_a, r)), right)
+                left = (self._lz - mu_a[:, None]) ** r
                 weights = np.abs(self._coeffs) ** 2 * left * (self._lz - mu_b[:, None]) ** s
                 return np.sum(weights, axis=1)
-            left = left * self._coeffs
+            left = self._lz_applied(mu_a, r)
             sym_b = obs.kind_symbol(b)
             return sum(
                 math.comb(s, k) * (-mu_b) ** (s - k) * self._form(sym_b**k, left)
@@ -248,18 +253,12 @@ class MomentStack:
         mult = b if a.name == "Lz" else a
         sign = 1.0 if a.name == "Lz" else -1.0
         deriv = obs.kind_symbol(mult).phi_derivative()
-        if self._pendulum:
-            val = np.array([_pendulum_symbol_mean(deriv, state) for state in self.states])
-        else:
-            val = self._form(deriv)
-        return sign * (-1j) * self.hbar * val
+        return sign * (-1j) * self.hbar * self._form(deriv)
 
     @_memoized
     def deficit(self, a, b) -> np.ndarray:
         """(A Psi, B Psi) - (Psi, A B Psi) for every row; see ``observables.symmetry_deficit``."""
         self._check(a, b)
-        if self._pendulum:
-            return np.zeros(len(self.states), dtype=np.complex128)
         return obs.symmetry_deficits(
             a, b, self._basis, self._coeffs, self.hbar, self.settings.theta_nodes
         )
@@ -275,46 +274,7 @@ class MomentStack:
 
 
 # ---------------------------------------------------------------------------
-# pendulum family: oscillator ladder matrices, exact in a padded number basis
-
-def _ladder_ops(state, size):
-    root = np.sqrt(np.arange(1.0, size))
-    lower = np.diag(root, 1)
-    raise_ = lower.T
-    # hbar enters against the stiffness I*omega, the product the state bounds
-    stiffness = state.inertia * state.omega
-    phi_m = math.sqrt(state.hbar / (2.0 * stiffness)) * (lower + raise_)
-    lz_m = 1j * math.sqrt(state.hbar * stiffness / 2.0) * (raise_ - lower)
-    return phi_m.astype(np.complex128), lz_m
-
-
-def _pendulum_kind_matrix(kind, state, size):
-    phi_m, lz_m = _ladder_ops(state, size)
-    if kind.name == "Lz":
-        return lz_m
-    if kind.name == "Phi":
-        return phi_m
-    if kind.name == "PhiSquared":
-        return phi_m @ phi_m
-    raise ValueError(f"observable {kind} is not defined on the pendulum family")
-
-
-def _pendulum_pair(a, b, r, s, mu_a, mu_b, state) -> complex:
-    # bandwidth 2 per application of PhiSquared; both sides share one
-    # padding, wide enough that truncation is inert
-    size = state.n + 2 * max(r, s) + 6
-    left = _pendulum_centered_vector(a, r, mu_a, state, size)
-    return complex(np.conj(left) @ _pendulum_centered_vector(b, s, mu_b, state, size))
-
-
-def _pendulum_centered_vector(kind, power, mu, state, size):
-    mat = _pendulum_kind_matrix(kind, state, size) - mu * np.eye(size)
-    vec = np.zeros(size, dtype=np.complex128)
-    vec[state.n] = 1.0
-    for _ in range(power):
-        vec = mat @ vec
-    return vec
-
+# pendulum family: closed forms of the means and standard deviations
 
 def _pendulum_mean(kind, state) -> float:
     if kind.name in ("Lz", "Phi"):
@@ -324,26 +284,16 @@ def _pendulum_mean(kind, state) -> float:
     raise ValueError(f"observable {kind} is not defined on the pendulum family")
 
 
-def _pendulum_closed_std(kind, state):
+def _pendulum_closed_std(kind, state) -> float:
     n_half = state.n + 0.5
     stiffness = state.inertia * state.omega
     if kind.name == "Lz":
         return math.sqrt(state.hbar * stiffness * n_half)
     if kind.name == "Phi":
         return math.sqrt(state.hbar / stiffness * n_half)
-    return None
-
-
-def _pendulum_symbol_mean(sym, state) -> complex:
-    phi_poly = sym.phi_polynomial()
-    size = state.n + 2 * len(phi_poly) + 6
-    phi_m, _ = _ladder_ops(state, size)
-    acc = np.zeros((size, size), dtype=np.complex128)
-    pw = np.eye(size, dtype=np.complex128)
-    for coeff in phi_poly:
-        acc = acc + coeff * pw
-        pw = pw @ phi_m
-    return complex(acc[state.n, state.n])
+    if kind.name == "PhiSquared":
+        return state.hbar / stiffness * math.sqrt((state.n * (state.n + 1) + 1) / 2.0)
+    raise ValueError(f"observable {kind} is not defined on the pendulum family")
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,32 @@
 """Angular observables: exact matrix elements and boundary-term diagnostics.
 
 Multiplicative observables are carried as finite symbol sums
-``coeff * theta^a * phi^p * exp(i*j*phi)``; their matrix elements in the
-exp(i*m*phi)/sqrt(2*pi) basis close over azimuthal Fourier moments of
-phi^p, which obey an exact integration-by-parts recurrence. The phi factor
-of element (m, m') depends only on the offset m' - m, so each term's matrix
-is Toeplitz: every distinct offset's moment is computed once and indexed
-out. On the fixed-l spherical basis each term factorizes into a polar
-overlap integral times the rotor element, so no 2-D quadrature enters the
-analytic path.
+``coeff * theta^a * phi^p * exp(i*j*phi)``, exact matrices on each
+family's basis (``basis_of``). In the exp(i*m*phi)/sqrt(2*pi) basis they
+close over azimuthal Fourier moments of phi^p, which obey an exact
+integration-by-parts recurrence. The phi factor of element (m, m') depends
+only on the offset m' - m, so each term's matrix is Toeplitz: every
+distinct offset's moment is computed once and indexed out. On the fixed-l
+spherical basis each term factorizes into a polar overlap integral times
+the rotor element, so no 2-D quadrature enters the analytic path. On the
+pendulum's oscillator basis phi and Lz/hbar are ladder matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+import math
+from typing import ClassVar
 
 import numpy as np
 
 from . import engine, numerics
 from . import states as st
 from .numerics import TWO_PI
+
+#: highest order r, s of a centered moment ((A - <A>)^r Psi, (B - <B>)^s Psi)
+MAX_CORRELATION_ORDER = 6
 
 _KIND_NAMES = ("Lz", "Phi", "PhiSquared", "SinPhi", "CosPhi", "Theta", "ThetaPhi", "Chi")
 
@@ -141,16 +147,6 @@ class Symbol:
                 out[a] = out.get(a, 0.0) + v * TWO_PI**p
         return out
 
-    def phi_polynomial(self) -> np.ndarray:
-        """Coefficients in phi for harmonic-free, theta-free symbols."""
-        if any(a or j for (a, j, _) in self.terms):
-            raise ValueError("symbol is not a plain polynomial in phi")
-        deg = max((p for (_, _, p) in self.terms), default=0)
-        out = np.zeros(deg + 1, dtype=np.complex128)
-        for (_, _, p), v in self.terms.items():
-            out[p] = v
-        return out
-
     def evaluate(self, theta, phi):
         """Pointwise values; theta is None for the plain periodic families."""
         total = 0.0
@@ -244,6 +240,19 @@ class SphericalBasis:
 
 
 @dataclass(frozen=True)
+class OscillatorBasis:
+    """Number states |0>..|size - 1> of a pendulum of width ``scale`` = sqrt(I*omega/hbar).
+
+    A centered moment expands into powers up to phi^(4*MAX_CORRELATION_ORDER),
+    and <n|phi^p|n> sums over walks that climb p/2 levels above n, so
+    ``size`` keeps it exact for every n <= MAX_HERMITE_DEGREE.
+    """
+
+    scale: float
+    size: ClassVar[int] = numerics.MAX_HERMITE_DEGREE + 2 * MAX_CORRELATION_ORDER + 1
+
+
+@dataclass(frozen=True)
 class MatrixElementTable:
     """Dense matrix of <basis_i| A |basis_j> with its provenance."""
 
@@ -257,17 +266,30 @@ class MatrixElementTable:
         return complex(self.matrix[ms.index(mi), ms.index(mj)])
 
 
-def basis_of(state) -> RotorBasis | SphericalBasis:
+def basis_of(state) -> RotorBasis | SphericalBasis | OscillatorBasis:
+    """The basis of the state's coefficient vector; equal bases share every matrix."""
     fam = st.family_of(state)
     if fam in ("circular", "rotor"):
         return RotorBasis(st.basis_ms(state))
     if fam == "spherical":
         return SphericalBasis(state.l)
-    raise ValueError("pendulum states use oscillator ladder matrices, not tables")
+    return OscillatorBasis(state.scale)
 
 
 def symbol_matrix(sym: Symbol, basis, theta_nodes: int = 128) -> np.ndarray:
-    """Exact-in-phi matrix of a multiplicative symbol on a basis."""
+    """Exact-in-phi matrix of a multiplicative symbol on a basis.
+
+    On the oscillator basis phi^p is X^p, X = (a + a^dagger)/(sqrt(2)*scale).
+    """
+    if isinstance(basis, OscillatorBasis):
+        if any(a or j for (a, j, _) in sym.terms):
+            raise ValueError("only polynomials in phi act on the oscillator basis")
+        lower = _lowering(basis)
+        x = (lower + lower.T) / (math.sqrt(2.0) * basis.scale)
+        out = np.zeros((basis.size, basis.size), dtype=np.complex128)
+        for (_, _, p), v in sym.terms.items():
+            out = out + v * np.linalg.matrix_power(x, p)
+        return out
     ms = basis.ms
     n = len(ms)
     out = np.zeros((n, n), dtype=np.complex128)
@@ -296,6 +318,17 @@ def lz_diagonal(basis, hbar: float) -> np.ndarray:
     return hbar * np.array(basis.ms, dtype=np.float64)
 
 
+def lz_ladder(basis: OscillatorBasis) -> np.ndarray:
+    """Lz/hbar on the oscillator basis: scale*i*(a^dagger - a)/sqrt(2)."""
+    lower = _lowering(basis)
+    return 1j * (basis.scale / math.sqrt(2.0)) * (lower.T - lower)
+
+
+def _lowering(basis: OscillatorBasis) -> np.ndarray:
+    """The lowering operator a on the oscillator basis."""
+    return np.diag(np.sqrt(np.arange(1.0, basis.size)), 1)
+
+
 def matrix_table(
     kind: ObservableKind,
     basis,
@@ -310,6 +343,8 @@ def matrix_table(
     tables other than Lz fold in the 1-D polar overlap integrals and are
     flagged as quadrature-backed.
     """
+    if isinstance(basis, OscillatorBasis):
+        raise ValueError("pendulum moments come from MomentStack, not matrix tables")
     settings = engine.resolve(settings)
     if isinstance(basis, SphericalBasis):
         fam = "spherical"
@@ -429,13 +464,11 @@ def symmetry_deficit(
     the pendulum family has no boundary at all.
     """
     check_applicable(a, state)
-    fam = check_applicable(b, state)
+    check_applicable(b, state)
     if method == "quadrature":
         return _deficit_quadrature(a, b, state, engine.resolve(settings))
     if method != "analytic":
         raise ValueError(f"unknown method {method!r}")
-    if fam == "pendulum":
-        return 0.0 + 0.0j
     c = st.coeff_vector(state)[None, :]
     nodes = engine.resolve(settings).theta_nodes
     return complex(symmetry_deficits(a, b, basis_of(state), c, state.hbar, nodes)[0])
@@ -444,14 +477,15 @@ def symmetry_deficit(
 def symmetry_deficits(a, b, basis, coeffs, hbar, theta_nodes: int = 128) -> np.ndarray:
     """``symmetry_deficit(a, b)`` for each row of a P x n coefficient matrix.
 
-    The rows are states on one rotor or spherical basis; ``hbar`` is a
-    scalar or one value per row. The deficit is i*hbar/(2*pi) times the
-    boundary jump of B weighted by the state's density along phi = 0:
-    |sum_m c_m|^2 on a rotor basis, and the polar-overlap form
-    (c, T_a c) per theta power a of the jump on a spherical basis.
+    The rows are states on one basis; ``hbar`` is a scalar or one value
+    per row. The deficit is i*hbar/(2*pi) times the boundary jump of B
+    weighted by the state's density along phi = 0: |sum_m c_m|^2 on a rotor
+    basis, and the polar-overlap form (c, T_a c) per theta power a of the
+    jump on a spherical basis. The pendulum's line has no boundary, so on
+    the oscillator basis every deficit is zero.
     """
     out = np.zeros(len(coeffs), dtype=np.complex128)
-    if a.name != "Lz" or b.name == "Lz":
+    if a.name != "Lz" or b.name == "Lz" or isinstance(basis, OscillatorBasis):
         return out
     jump = kind_symbol(b).boundary_jump()
     if not jump:

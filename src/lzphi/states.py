@@ -197,7 +197,7 @@ def basis_ms(state: State) -> tuple:
 
 
 def coeff_vector(state: State) -> np.ndarray:
-    """Complex amplitudes aligned with basis_ms(state)."""
+    """Complex amplitudes aligned with basis_ms(state), or over the number states |0>..|n> of a pendulum."""
     fam = family_of(state)
     if fam == "circular":
         return np.array([1.0 + 0.0j])
@@ -205,7 +205,7 @@ def coeff_vector(state: State) -> np.ndarray:
         return np.array([c for _, c in state.coefficients])
     if fam == "spherical":
         return np.array(state.coefficients)
-    raise ValueError("pendulum states have no azimuthal Fourier basis")
+    return np.eye(state.n + 1, dtype=np.complex128)[state.n]
 
 
 def wavefunction(state: State, point):

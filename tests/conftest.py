@@ -21,6 +21,12 @@ def random_rotor(rng, span=4, hbar=1.0):
     return RotorSuperposition({int(m): cc for m, cc in zip(ms, c)}, hbar=hbar)
 
 
+def pendulums_of_two_widths():
+    """An n = 0..64 sweep at one (I, omega, hbar), then one pendulum of another width."""
+    sweep = [PendulumState(n=n, inertia=1.3, omega=0.7, hbar=1.1) for n in range(65)]
+    return sweep + [PendulumState(n=7, inertia=0.4, omega=0.7, hbar=1.1)]
+
+
 @pytest.fixture(scope="session")
 def fixture_states():
     """A spread of states across all four families, deterministic."""

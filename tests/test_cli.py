@@ -55,6 +55,12 @@ class TestEval:
         assert code == 3
         assert "error:" in err
 
+    def test_readme_sample_spec_is_accepted(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```text\n", 1)[1].split("```", 1)[0]
+        code, _, err = run_main(["eval", write(tmp_path, "readme.spec", block)], capsys)
+        assert code != 3, err
+
     def test_missing_file_exits_three(self, tmp_path, capsys):
         code, _, err = run_main(["eval", str(tmp_path / "absent.spec")], capsys)
         assert code == 3

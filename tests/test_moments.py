@@ -25,9 +25,9 @@ from lzphi import (
     std_dev,
     symmetry_deficit,
 )
-from lzphi import engine
+from lzphi import engine, moments
 
-from .conftest import random_rotor, random_spherical
+from .conftest import pendulums_of_two_widths, random_rotor, random_spherical
 from .oracles import SphericalOracle
 
 TWO_PI = 2.0 * math.pi
@@ -302,6 +302,23 @@ def test_mixed_orders_on_the_pendulum(n, a, b, r, s):
     exact = higher_correlation(a, b, r, s, state)
     quad = higher_correlation(a, b, r, s, state, method="quadrature")
     assert exact == pytest.approx(quad, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(PHI_SQUARED, PHI_SQUARED), (LZ, PHI_SQUARED), (LZ, LZ), (PHI, LZ)])
+def test_sixth_orders_at_the_top_of_the_number_basis(a, b):
+    """n = 64 at order 6 on both sides: (PhiSquared, PhiSquared) reaches phi^24, 12 levels above n."""
+    state = PendulumState(n=64)
+    cfg = EngineSettings(hermite_nodes=370)
+    quad = higher_correlation(a, b, 6, 6, state, method="quadrature", settings=cfg)
+    assert higher_correlation(a, b, 6, 6, state) == pytest.approx(quad, rel=1e-9)
+
+
+def test_pendulums_stack_by_width():
+    """An n sweep at one width is one stack; a pendulum of another width gets its own."""
+    states = pendulums_of_two_widths()
+    sweep = tuple(states[:-1])
+    assert [stack.states for stack in moments.stacks(sweep)] == [sweep]
+    assert [stack.states for stack in moments.stacks(states)] == [sweep, (states[-1],)]
 
 
 def test_one_grid_per_quadrature_check(monkeypatch):

@@ -22,7 +22,7 @@ from lzphi import (
     gamma,
 )
 
-from .conftest import random_rotor, random_spherical
+from .conftest import pendulums_of_two_widths, random_rotor, random_spherical
 
 
 class TestRestrictedRelation:
@@ -461,7 +461,7 @@ class TestRelationColumns:
         states = list(fixture_states) + [random_spherical(rng, 3) for _ in range(3)] + [
             RotorSuperposition({-1: 0.8, 2: 0.6j}),
             RotorSuperposition({-1: 0.6j, 2: -0.8}, hbar=3.0),
-        ]
+        ] + pendulums_of_two_widths()
         with_params = (RelationId.R8, RelationId.R12, RelationId.R60)
         selection = [(rid, None) for rid in RelationId if rid not in with_params] + [
             (RelationId.R8, RelationParams(alpha=1.5)),
@@ -488,7 +488,7 @@ class TestRelationColumns:
         lone = outcomes()
         relations.share_moments(states)
         _, rows = relations._shared
-        assert max(len(stack_rows.moments.states) for stack_rows, _ in rows.values()) == 6
+        assert max(len(stack_rows.moments.states) for stack_rows, _ in rows.values()) == 65
         stacked = outcomes()
         assert stacked == lone
         assert sum(text.startswith("[") for text in lone) > 200
@@ -536,6 +536,21 @@ class TestRelationColumns:
                 json.loads(specio.serialize_report(reports), parse_constant=pytest.fail)
         assert states == 437
         assert 0 < refused < states
+
+    def test_phi_squared_spread_past_1e154_is_finite(self):
+        """d(phi^2) is a closed form, not the root of a variance that overflows."""
+        import warnings
+
+        from lzphi import PHI_SQUARED, std_dev
+
+        state = PendulumState(n=3, inertia=1e-200, omega=1e-100, hbar=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spread = std_dev(PHI_SQUARED, state)
+            report = evaluate(RelationId.R60, state, RelationParams(pair=(LZ, PHI_SQUARED)))
+        assert spread == pytest.approx(1e300 * math.sqrt(6.5), rel=1e-15)
+        assert report.lhs == pytest.approx(std_dev(LZ, state) * spread, rel=1e-15)
+        assert report.lhs == pytest.approx(4.7697e150, rel=1e-4)
 
 
 def test_family_mismatch_raises():
