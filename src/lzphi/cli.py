@@ -100,20 +100,12 @@ def _load_document(args) -> specio.SpecDocument:
 
 
 def _evaluate_document(doc) -> list:
-    reports = []
-    for name, state in doc.states:
-        for rid, params in doc.selections:
-            reports.append(
-                relations.evaluate(
-                    rid,
-                    state,
-                    params,
-                    doc.settings.tolerance,
-                    settings=doc.settings,
-                    state_name=name,
-                )
-            )
-    return reports
+    tol = doc.settings.tolerance
+    return [
+        relations.evaluate(rid, state, params, tol, state_name=name)
+        for name, state in doc.states
+        for rid, params in doc.selections
+    ]
 
 
 def _emit(args, text: str) -> None:
@@ -163,7 +155,7 @@ def _run_scan(args) -> int:
             raise ValueError(f"sweep {args.sweep!r}: no state carries coefficient m={index}")
     points = [_apply_sweep(doc, param, value) for value in values]
     # the points of a sweep share their bases, so each basis is one stacked table
-    relations.share_moments((s for point in points for _, s in point.states), doc.settings)
+    relations.share_moments(s for point in points for _, s in point.states)
     reports = []
     for value, point_doc in zip(values, points):
         for report in _evaluate_document(point_doc):

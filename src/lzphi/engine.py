@@ -26,9 +26,9 @@ from .numerics import TWO_PI
 class EngineSettings:
     """Node counts and tolerances shared by oracles, parser and CLI.
 
-    Node counts must lie in 2..the largest count their rule builds
-    correctly, and the tolerance must be finite and >= 0; anything else
-    raises ValueError.
+    Node counts govern only ``method="quadrature"`` (the analytic route reads
+    no settings) and must lie in 2..the largest count their rule builds
+    correctly; the tolerance must be finite and >= 0. Else: ValueError.
     """
 
     phi_nodes: int = 256

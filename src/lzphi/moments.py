@@ -9,9 +9,10 @@ a stack of states that share one basis: every quantity is a binomial
 combination of quadratic forms (c, M c) over basis matrices M that do not
 depend on the state, so each M is built once per stack and each form is
 taken over all rows at once. The public analytic functions below are the
-one-row case. The quadrature path re-derives every number on the family's
-grid and serves as the oracle; each call samples the state on one grid and
-takes the means it centers by from that same grid.
+one-row case, and no setting enters them. The quadrature path re-derives
+every number on the family's grid with the node counts of ``settings``
+as the oracle; each call samples the state on one grid and takes the
+means it centers by from that same grid.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def mean(kind, state, *, method: str = "analytic", settings=None) -> float:
     """<A> = (Psi, A Psi)."""
     obs.check_applicable(kind, state)
     if method == "analytic":
-        return float(MomentStack((state,), settings).mean(kind)[0])
+        return float(MomentStack((state,)).mean(kind)[0])
     return _grid_mean(_quadrature_grid(state, method, settings), kind)
 
 
@@ -63,7 +64,7 @@ def std_dev(kind, state, *, method: str = "analytic", settings=None) -> float:
     """Standard deviation (C(A, A))^(1/2) of the observable in the state."""
     obs.check_applicable(kind, state)
     if method == "analytic":
-        return float(MomentStack((state,), settings).std(kind)[0])
+        return float(MomentStack((state,)).std(kind)[0])
     var = _grid_pair(_quadrature_grid(state, method, settings), kind, kind, 1, 1)
     return math.sqrt(max(float(np.real(var)), 0.0))
 
@@ -87,22 +88,22 @@ def higher_correlation(a, b, r: int, s: int, state, *, method: str = "analytic",
     if not (1 <= r <= MAX_CORRELATION_ORDER and 1 <= s <= MAX_CORRELATION_ORDER):
         raise ValueError(f"orders must be in 1..{MAX_CORRELATION_ORDER}, got r={r}, s={s}")
     if method == "analytic":
-        return complex(MomentStack((state,), settings).pair(a, b, r, s)[0])
+        return complex(MomentStack((state,)).pair(a, b, r, s)[0])
     obs.check_applicable(a, state)
     obs.check_applicable(b, state)
     return complex(_grid_pair(_quadrature_grid(state, method, settings), a, b, r, s))
 
 
-def commutator_mean(a, b, state, *, settings=None) -> complex:
+def commutator_mean(a, b, state) -> complex:
     """<[A, B]> evaluated with the product rule inside the domain.
 
     Multiplicative pairs commute exactly; mixed pairs reduce to the mean
     of -i*hbar times the phi derivative of the multiplicative symbol.
     """
-    return complex(MomentStack((state,), settings).commutator(a, b)[0])
+    return complex(MomentStack((state,)).commutator(a, b)[0])
 
 
-def stacks(states, settings=None) -> list:
+def stacks(states) -> list:
     """One MomentStack per basis over the distinct state objects in ``states``.
 
     Rows keep the order in which the states first appear; pendulum states
@@ -111,7 +112,7 @@ def stacks(states, settings=None) -> list:
     groups = {}
     for state in {id(s): s for s in states}.values():
         groups.setdefault(obs.basis_of(state), []).append(state)
-    return [MomentStack(group, settings) for group in groups.values()]
+    return [MomentStack(group) for group in groups.values()]
 
 
 def _memoized(method):
@@ -140,16 +141,15 @@ class MomentStack:
     never a P x n x n array. Lz scales each row by its own hbar: the
     diagonal hbar*m, or hbar times ``lz_ladder`` on the oscillator basis,
     where means and standard deviations are closed forms in n. Every
-    method returns one value per row, in the order of ``states``. The
-    stack keeps its states alive, and a state's moments depend only on the
-    state and the settings, so a stack never goes stale.
+    method returns one value per row, in the order of ``states``. No
+    setting enters: the stack keeps its states alive, and a state's
+    moments depend only on the state, so a stack never goes stale.
     """
 
-    def __init__(self, states, settings=None):
+    def __init__(self, states):
         self.states = tuple(states)
         if not self.states:
             raise ValueError("a moment stack needs at least one state")
-        self.settings = engine.resolve(settings)
         basis = obs.basis_of(self.states[0])
         if any(obs.basis_of(s) != basis for s in self.states[1:]):
             raise ValueError("stacked states must share one basis")
@@ -175,7 +175,7 @@ class MomentStack:
         key = tuple(sorted(sym.terms.items()))
         rows = self._applied_rows.get(key)
         if rows is None:
-            mat = obs.symbol_matrix(sym, self._basis, self.settings.theta_nodes)
+            mat = obs.symbol_matrix(sym, self._basis)
             rows = self._applied_rows[key] = obs.apply_to_rows(mat, self._coeffs)
         return rows
 
@@ -217,8 +217,11 @@ class MomentStack:
         Multiplicative sides expand binomially into the uncentered
         products A^i B^k, whose matrices are shared by every row and every
         mean; an Lz side is (Lz - <Lz>)^r c on the left, a diagonal on
-        rotor and spherical bases.
+        rotor and spherical bases. Chi - <Chi> = Phi - <Phi>: a Chi side is a Phi side.
         """
+        if "Chi" in (a.name, b.name):
+            self._check(a, b)
+            return self.pair(_unwound(a), _unwound(b), r, s)
         mu_a, mu_b = self.mean(a), self.mean(b)
         if b.name == "Lz" and a.name != "Lz":
             return np.conj(self.pair(b, a, s, r))
@@ -259,18 +262,21 @@ class MomentStack:
     def deficit(self, a, b) -> np.ndarray:
         """(A Psi, B Psi) - (Psi, A B Psi) for every row; see ``observables.symmetry_deficit``."""
         self._check(a, b)
-        return obs.symmetry_deficits(
-            a, b, self._basis, self._coeffs, self.hbar, self.settings.theta_nodes
-        )
+        return obs.symmetry_deficits(a, b, self._basis, self._coeffs, self.hbar)
 
     @_memoized
     def gamma_sum(self) -> np.ndarray:
         """sum_mm' conj(c_m) c_m' gamma(l, m, m') for every row of a spherical stack."""
         if not isinstance(self._basis, obs.SphericalBasis):
             raise ValueError("the gamma-weighted sum needs spherical states")
-        table = numerics.theta_overlap_matrix(self._basis.l, 0, self.settings.theta_nodes)
+        table = numerics.theta_overlap_matrix(self._basis.l, 0)
         rows = obs.apply_to_rows(table, self._coeffs)
         return np.real(np.einsum("pi,pi->p", np.conj(self._coeffs), rows))
+
+
+def _unwound(kind):
+    """Phi for Chi = phi + 2*pi*N, whose centered powers are Phi's; else ``kind``."""
+    return obs.PHI if kind.name == "Chi" else kind
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +317,7 @@ def _grid_mean(grid, kind) -> float:
 
 def _grid_pair(grid, a, b, r, s):
     """((dA)^r Psi, (dB)^s Psi) on one grid, centered by that grid's own means."""
+    a, b = _unwound(a), _unwound(b)
     va = _centered_grid_vector(grid, a, r, _grid_mean(grid, a))
     vb = _centered_grid_vector(grid, b, s, _grid_mean(grid, b))
     return grid.inner(va, vb)

@@ -181,16 +181,18 @@ def basis_on_grid(ms, l, theta, phi):
 
 
 @lru_cache(maxsize=512)
-def theta_overlap_matrix(l: int, power: int, nodes: int) -> np.ndarray:
+def theta_overlap_matrix(l: int, power: int) -> np.ndarray:
     """Matrix of int theta_lm * theta^power * theta_lm' * sin(theta) dtheta.
 
     Indexed by (m, m') offsets with m = -l..l; power = 0 gives the plain
-    overlap of polar factors. Computed on the cached [0, pi] rule with the
-    sin(theta) factor explicit in the integrand. The result is read-only.
+    overlap of polar factors. The integrand, sin(theta) explicit, is a
+    trigonometric polynomial of degree 2l + 1 times theta^power, so a rule of
+    2l + 32 nodes sized from l alone gives every entry to round-off: no
+    setting enters the analytic route. The result is read-only.
     """
     if l < 0 or l > MAX_ORBITAL_L:
         raise ValueError(f"theta_overlap_matrix supports 0 <= l <= {MAX_ORBITAL_L}, got {l}")
-    rule = theta_rule(nodes)
+    rule = theta_rule(2 * l + 32)
     th = rule.nodes
     big, _ = basis_on_grid(range(-l, l + 1), l, th, None)
     weighted = big * (rule.weights * np.sin(th) * th**power)

@@ -43,6 +43,12 @@ class ObservableKind:
             raise ValueError(f"unknown observable kind {self.name!r}")
         if self.winding and self.name != "Chi":
             raise ValueError("only Chi carries a winding number")
+        try:
+            offset = TWO_PI * self.winding
+        except OverflowError:
+            offset = math.inf
+        if not math.isfinite(offset):
+            raise ValueError("Chi's winding N is too large: 2*pi*N is not a finite float")
 
     def __str__(self):
         return f"Chi({self.winding})" if self.name == "Chi" else self.name
@@ -276,7 +282,7 @@ def basis_of(state) -> RotorBasis | SphericalBasis | OscillatorBasis:
     return OscillatorBasis(state.scale)
 
 
-def symbol_matrix(sym: Symbol, basis, theta_nodes: int = 128) -> np.ndarray:
+def symbol_matrix(sym: Symbol, basis) -> np.ndarray:
     """Exact-in-phi matrix of a multiplicative symbol on a basis.
 
     On the oscillator basis phi^p is X^p, X = (a + a^dagger)/(sqrt(2)*scale).
@@ -297,9 +303,7 @@ def symbol_matrix(sym: Symbol, basis, theta_nodes: int = 128) -> np.ndarray:
     if not spherical and not all(a == 0 for (a, _, _) in sym.terms):
         raise ValueError("theta-dependent symbol on a non-spherical basis")
     for (a, j, p), v in sym.terms.items():
-        theta_fac = (
-            numerics.theta_overlap_matrix(basis.l, a, theta_nodes) if spherical else 1.0
-        )
+        theta_fac = numerics.theta_overlap_matrix(basis.l, a) if spherical else 1.0
         out = out + v * theta_fac * _offset_moments(ms, j, p)
     return out
 
@@ -341,28 +345,25 @@ def matrix_table(
 
     Analytic provenance means closed-form azimuthal elements; spherical
     tables other than Lz fold in the 1-D polar overlap integrals and are
-    flagged as quadrature-backed.
+    flagged as quadrature-backed. Only the quadrature route reads
+    ``settings``.
     """
     if isinstance(basis, OscillatorBasis):
         raise ValueError("pendulum moments come from MomentStack, not matrix tables")
-    settings = engine.resolve(settings)
-    if isinstance(basis, SphericalBasis):
-        fam = "spherical"
-    else:
-        fam = "rotor"
-    if not applicable(kind, fam):
-        raise ValueError(f"observable {kind} is not defined on the {fam} basis")
+    if not applicable(kind, basis.family):
+        raise ValueError(f"observable {kind} is not defined on the {basis.family} basis")
     if method == "analytic":
         if kind.name == "Lz":
             mat = np.diag(lz_diagonal(basis, hbar)).astype(np.complex128)
             prov = "analytic"
         else:
-            mat = symbol_matrix(kind_symbol(kind), basis, settings.theta_nodes)
+            mat = symbol_matrix(kind_symbol(kind), basis)
             prov = "quadrature" if isinstance(basis, SphericalBasis) else "analytic"
         return MatrixElementTable(basis, kind, mat, prov)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    return MatrixElementTable(basis, kind, _quadrature_matrix(kind, basis, hbar, settings), "quadrature")
+    matrix = _quadrature_matrix(kind, basis, hbar, engine.resolve(settings))
+    return MatrixElementTable(basis, kind, matrix, "quadrature")
 
 
 def _quadrature_matrix(kind, basis, hbar, settings):
@@ -439,10 +440,9 @@ def lz_phi_symmetry_deficit(
         return 1j * state.hbar * abs(total) ** 2
     if fam == "pendulum":
         return 0.0 + 0.0j
-    settings = engine.resolve(settings)
     basis = SphericalBasis(state.l)
     c = st.coeff_vector(state)
-    gam = numerics.theta_overlap_matrix(state.l, 0, settings.theta_nodes)
+    gam = numerics.theta_overlap_matrix(state.l, 0)
     phi_el = _offset_moments(basis.ms, 0, 1)
     ms = np.array(basis.ms, dtype=np.float64)
     double_sum = np.einsum("i,j,i,ij,ij->", np.conj(c), c, ms, gam, phi_el)
@@ -470,11 +470,10 @@ def symmetry_deficit(
     if method != "analytic":
         raise ValueError(f"unknown method {method!r}")
     c = st.coeff_vector(state)[None, :]
-    nodes = engine.resolve(settings).theta_nodes
-    return complex(symmetry_deficits(a, b, basis_of(state), c, state.hbar, nodes)[0])
+    return complex(symmetry_deficits(a, b, basis_of(state), c, state.hbar)[0])
 
 
-def symmetry_deficits(a, b, basis, coeffs, hbar, theta_nodes: int = 128) -> np.ndarray:
+def symmetry_deficits(a, b, basis, coeffs, hbar) -> np.ndarray:
     """``symmetry_deficit(a, b)`` for each row of a P x n coefficient matrix.
 
     The rows are states on one basis; ``hbar`` is a scalar or one value
@@ -495,7 +494,7 @@ def symmetry_deficits(a, b, basis, coeffs, hbar, theta_nodes: int = 128) -> np.n
             coeff * np.einsum(
                 "pi,pi->p",
                 np.conj(coeffs),
-                apply_to_rows(numerics.theta_overlap_matrix(basis.l, a_pow, theta_nodes), coeffs),
+                apply_to_rows(numerics.theta_overlap_matrix(basis.l, a_pow), coeffs),
             )
             for a_pow, coeff in jump.items()
         )

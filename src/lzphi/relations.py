@@ -14,9 +14,9 @@ of its rows. A relation is evaluated the same way: for each
 diagnostics are one column over all rows of a stack, computed on first
 use and kept beside the stack. ``share_moments`` stacks a set of states,
 one stack per basis, and ``evaluate`` reads a state's row while the state
-and settings are the same objects; for any other state or settings
-object it stacks that state alone. States and settings are immutable, so
-an identical object always has the same moments.
+is the same object; for any other state it stacks that state alone. No
+setting enters these moments and states are immutable, so an identical
+state always has the same moments.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 
 import numpy as np
 
-from . import engine
 from . import moments as mo
 from . import numerics
 from . import observables as obs
@@ -128,8 +127,8 @@ CATALOG = {
 EXCLUDED = {"R9": "excluded: under-specified", "R13": "excluded: under-specified"}
 
 
-def gamma(l: int, m: int, m1: int, *, settings: engine.EngineSettings | None = None) -> float:
-    """Polar overlap integral of two same-l factors over [0, pi], by quadrature.
+def gamma(l: int, m: int, m1: int) -> float:
+    """Polar overlap integral of two same-l factors over [0, pi], on the rule sized from l.
 
     With the Condon-Shortley convention gamma(l, m, -m) = (-1)**m; only the
     magnitude enters the relation that consumes it.
@@ -138,8 +137,7 @@ def gamma(l: int, m: int, m1: int, *, settings: engine.EngineSettings | None = N
         raise ValueError(f"gamma supports 0 <= l <= {numerics.MAX_ORBITAL_L}, got {l}")
     if abs(m) > l or abs(m1) > l:
         raise ValueError(f"gamma needs |m|, |m1| <= l, got l={l}, m={m}, m1={m1}")
-    settings = engine.resolve(settings)
-    table = numerics.theta_overlap_matrix(l, 0, settings.theta_nodes)
+    table = numerics.theta_overlap_matrix(l, 0)
     return float(np.real(table[m + l, m1 + l]))
 
 
@@ -147,9 +145,15 @@ def delta_chi(N: int, N1: int) -> float:
     """The printed state-independent width of chi = phi + 2*pi*N."""
     if N == N1:
         raise ValueError("delta_chi requires N != N1")
-    radicand = 2.0 * math.pi**2 * (1.0 / 12.0 + N * N - N1 * N1 + N - N1)
-    if radicand < 0:
-        raise ValueError(f"delta_chi radicand is negative ({radicand!r}) for N={N}, N1={N1}")
+    whole = (N - N1) * (N + N1 + 1)  # N^2 - N1^2 + N - N1 with no float cancellation
+    if whole < 0:
+        raise ValueError(f"delta_chi radicand is negative ({whole} + 1/12) for N={N}, N1={N1}")
+    try:
+        radicand = 2.0 * math.pi**2 * (whole + 1.0 / 12.0)
+    except OverflowError:
+        radicand = math.inf
+    if not math.isfinite(radicand):
+        raise ValueError("delta_chi is not a finite float: the windings N, N1 are too large")
     return math.sqrt(radicand)
 
 
@@ -162,21 +166,21 @@ def fourier_boundary_term(state) -> float:
     return abs(1.0 - TWO_PI * abs(psi_edge) ** 2)
 
 
-def gamma_weighted_sum(state, *, settings=None) -> float:
+def gamma_weighted_sum(state) -> float:
     """sum_mm' conj(c_m) c_m' gamma(l, m, m') for a spherical state."""
-    return float(mo.MomentStack((state,), settings).gamma_sum()[0])
+    return float(mo.MomentStack((state,)).gamma_sum()[0])
 
 
-def share_moments(states, settings: engine.EngineSettings | None = None) -> None:
+def share_moments(states) -> None:
     """Have ``evaluate`` read the moments of ``states`` from shared stacks.
 
     States that share a basis become the rows of one ``moments.MomentStack``,
     so each quantity, and each relation's verdict, is computed once for all
     of them. The stacks are kept until the next call, or until ``evaluate``
-    meets a state or settings object outside them.
+    meets a state outside them.
     """
     global _shared
-    _shared = _stacked(states, engine.resolve(settings))
+    _shared = _stacked(states)
 
 
 def evaluate(
@@ -185,7 +189,6 @@ def evaluate(
     params: RelationParams | None = None,
     tol: float = 1e-9,
     *,
-    settings: engine.EngineSettings | None = None,
     state_name: str = "",
 ) -> RelationReport:
     """Evaluate one relation against one state and report the verdict.
@@ -198,13 +201,12 @@ def evaluate(
     """
     relation = RelationId(relation)
     params = params or NO_PARAMS
-    settings = engine.resolve(settings)
     fam = st.family_of(state)
     families, _, _ = CATALOG[relation]
     if fam not in families:
         raise ValueError(f"relation {relation.value} is not defined on the {fam} family")
     constants = _checked_constants(relation, params, state)
-    rows, index = _moment_row(state, settings)
+    rows, index = _moment_row(state)
     return rows.column(relation, params, tol).report(index, constants, state_name)
 
 
@@ -217,8 +219,6 @@ def _checked_constants(relation, params, state) -> dict:
     if relation == RelationId.R12:
         if params.N is None or params.N1 is None:
             raise ValueError("R12 requires integer parameters N and N1")
-        if params.N == params.N1:
-            raise ValueError("R12 requires N != N1")
         return {"delta_chi": delta_chi(params.N, params.N1)}
     if relation == RelationId.R60:
         for kind in _operative_pair(relation, params):
@@ -397,33 +397,31 @@ def _cabs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _stacked(states, settings):
-    """(settings, {id(state): (stack rows, index)}) over the stacks of ``states``.
+def _stacked(states):
+    """{id(state): (stack rows, index)} over the stacks of ``states``.
 
     Each stack holds its states, so an id found here names that state.
     """
     rows = {}
-    for stack in mo.stacks(states, settings):
+    for stack in mo.stacks(states):
         stack_rows = _StackRows(stack)
         for index, state in enumerate(stack.states):
             rows[id(state)] = (stack_rows, index)
-    return settings, rows
+    return rows
 
 
 #: the shared rows of the last ``share_moments``; replaced in one assignment,
 #: so a thread race costs a recomputation, not a wrong number
-_shared = (None, {})
+_shared = {}
 
 
-def _moment_row(state, settings):
+def _moment_row(state):
     """(stack rows, index) of ``state`` in the shared stacks, or of a fresh one-row stack."""
     global _shared
-    shared_settings, rows = _shared
-    row = rows.get(id(state)) if shared_settings is settings else None
+    row = _shared.get(id(state))
     if row is None:
-        fresh = _stacked((state,), settings)
-        row = fresh[1][id(state)]
-        _shared = fresh
+        _shared = fresh = _stacked((state,))
+        row = fresh[id(state)]
     return row
 
 

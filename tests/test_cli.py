@@ -242,6 +242,26 @@ PERIODIC_RELATIONS = (
 ALL_FAMILY_RELATIONS = "relations R5 R6 R7 R8(alpha=1) R12(N=1,N1=-1) R14 R30 R33 R60(a=Lz,b=PhiSquared)\n"
 
 
+@pytest.mark.parametrize("l", [0, 1, 8, 32, 64])
+def test_spherical_reports_ignore_theta_nodes(l, tmp_path, capsys):
+    """Node counts govern only the oracle: every spherical report is the same at any count."""
+    rng = np.random.default_rng(300 + l)
+    body = (
+        "setting normalize true\n"
+        + _spherical_line(rng, l, "a")
+        + f"state spherical name=zonal l={l} c={{0:(1,0)}}\n"
+        + SPHERICAL_RELATIONS
+    )
+    outputs = []
+    for nodes in (2, 64, 128, 1024):
+        spec = write(tmp_path, "s.spec", f"setting theta_nodes {nodes}\n" + body)
+        code, out, err = run_main(["eval", spec], capsys)
+        assert code in (0, 1, 2), err
+        outputs.append((code, out))
+    assert outputs[0][1].count('"relation"') == 2 * 15
+    assert outputs[1:] == outputs[:1] * 3
+
+
 class TestBatchedScan:
     """Every point of a batched sweep equals an evaluation of its state alone."""
 
@@ -367,6 +387,17 @@ class TestInputErrors:
     """Out-of-domain input is a coded input error (exit 3), never a number or a trace."""
 
     SPEC = "state spherical l=2 c=[(0,0),(0.6,0),(0,0),(0,0.8),(0,0)]\nrelations R5 R30\n"
+
+    @pytest.mark.parametrize(
+        "relation", [f"R12(N={10**400},N1=0)", f"R60(a=Chi,b=Chi,N={10**400})"], ids=["R12", "R60"]
+    )
+    def test_windings_without_a_finite_float_are_input_errors(self, tmp_path, capsys, relation):
+        spec = write(tmp_path, "w.spec", f"state circular m=3\nrelations {relation}\n")
+        code, out, err = run_main(["eval", spec], capsys)
+        assert code == 3
+        assert err.startswith("error:") and "not a finite float" in err
+        assert "Traceback" not in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "flags",

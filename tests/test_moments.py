@@ -9,9 +9,11 @@ from lzphi import (
     LZ,
     EngineSettings,
     PHI,
+    COS_PHI,
     PHI_SQUARED,
     SIN_PHI,
     THETA,
+    THETA_PHI,
     CircularState,
     PendulumState,
     RotorSuperposition,
@@ -194,6 +196,45 @@ class TestChiTranslation:
         assert spread < 1e-10
 
 
+WINDINGS = (0, 1, 10**4, 10**8)
+
+
+class TestChiCentering:
+    """Chi - <Chi> = Phi - <Phi> exactly, so no winding enters a centered moment."""
+
+    @pytest.mark.parametrize("method", ["analytic", "quadrature"])
+    @pytest.mark.parametrize(
+        "state",
+        [CircularState(m=3), RotorSuperposition({0: 0.6, 1: 0.8j}), SphericalState(2, {1: 0.6, -2: 0.8j})],
+        ids=["circular", "rotor", "spherical"],
+    )
+    def test_centered_moments_are_phis(self, state, method):
+        want_std = std_dev(PHI, state, method=method)
+        want_corr = correlation(LZ, PHI, state, method=method).value
+        want_high = higher_correlation(PHI, SIN_PHI, 3, 2, state, method=method)
+        for n in WINDINGS:
+            assert std_dev(chi(n), state, method=method) == want_std
+            assert correlation(LZ, chi(n), state, method=method).value == want_corr
+            assert higher_correlation(chi(n), SIN_PHI, 3, 2, state, method=method) == want_high
+            assert mean(chi(n), state, method=method) == pytest.approx(
+                mean(PHI, state, method=method) + TWO_PI * n, rel=1e-13
+            )
+
+    def test_spread_of_a_circular_state_at_a_large_winding(self):
+        assert std_dev(chi(10**8), CircularState(m=3)) == pytest.approx(math.pi / math.sqrt(3.0), rel=1e-14)
+
+    def test_chi_is_not_defined_on_the_pendulum(self):
+        with pytest.raises(ValueError, match="not defined"):
+            std_dev(chi(2), PendulumState(n=1))
+        with pytest.raises(ValueError, match="not defined"):
+            correlation(LZ, chi(2), PendulumState(n=1))
+
+    def test_a_winding_without_a_finite_offset_is_refused(self):
+        chi(10**300)
+        with pytest.raises(ValueError, match="not a finite float"):
+            chi(10**400)
+
+
 class TestSchwarz:
     @settings(max_examples=80)
     @given(hst.integers(min_value=1, max_value=3), hst.integers(min_value=0, max_value=10**6))
@@ -311,6 +352,28 @@ def test_sixth_orders_at_the_top_of_the_number_basis(a, b):
     cfg = EngineSettings(hermite_nodes=370)
     quad = higher_correlation(a, b, 6, 6, state, method="quadrature", settings=cfg)
     assert higher_correlation(a, b, 6, 6, state) == pytest.approx(quad, rel=1e-9)
+
+
+class TestSphericalOracleIndependence:
+    """The oracle's polar rule has the user's theta_nodes; the analytic rule is sized from l."""
+
+    def test_too_few_nodes_show_in_the_oracle(self):
+        state = SphericalState(l=64, coefficients={0: 1.0})
+        coarse = EngineSettings(theta_nodes=64 + 2)
+        quad = std_dev(THETA, state, method="quadrature", settings=coarse)
+        assert abs(quad - std_dev(THETA, state, settings=coarse)) > 1e-3
+
+    @pytest.mark.parametrize("l", [8, 32, 64])
+    def test_enough_nodes_agree(self, l):
+        state = random_spherical(np.random.default_rng(l), l)
+        cfg = EngineSettings(theta_nodes=2 * l + 16)
+        for kind in (THETA, THETA_PHI, PHI, PHI_SQUARED, COS_PHI, LZ):
+            quad = std_dev(kind, state, method="quadrature", settings=cfg)
+            assert abs(quad - std_dev(kind, state, settings=cfg)) < 1e-12, kind
+        quad = correlation(THETA, PHI, state, method="quadrature", settings=cfg).value
+        assert abs(quad - correlation(THETA, PHI, state, settings=cfg).value) < 1e-12
+        quad = symmetry_deficit(LZ, THETA_PHI, state, method="quadrature", settings=cfg)
+        assert abs(quad - symmetry_deficit(LZ, THETA_PHI, state, settings=cfg)) < 1e-12
 
 
 def test_pendulums_stack_by_width():

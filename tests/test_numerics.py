@@ -9,7 +9,9 @@ from lzphi.engine import EngineSettings
 from lzphi.numerics import (
     MAX_HERMITE_NODES,
     MAX_LEGENDRE_NODES,
+    MAX_ORBITAL_L,
     _leggauss,
+    basis_on_grid,
     gauss_hermite,
     gauss_legendre,
     hermite_poly,
@@ -201,7 +203,7 @@ class TestThetaLm:
                     vals = theta_lm(l, m, rule.nodes) * theta_lm(lp, m, rule.nodes)
                     got = rule.integrate(vals * sin_t)
                     assert got == pytest.approx(1.0 if l == lp else 0.0, abs=1e-9)
-        diagonal = np.diag(theta_overlap_matrix(64, 0, 128))
+        diagonal = np.diag(theta_overlap_matrix(64, 0))
         assert np.max(np.abs(diagonal - 1.0)) < 1e-10
 
     def test_condon_shortley_reflection(self):
@@ -220,10 +222,28 @@ class TestThetaOverlapBounds:
     @pytest.mark.parametrize("l", [65, -1])
     def test_rejects_l_outside_documented_range(self, l):
         with pytest.raises(ValueError, match="0 <= l <= 64"):
-            theta_overlap_matrix(l, 0, 128)
+            theta_overlap_matrix(l, 0)
 
     def test_accepts_l_at_the_bound(self):
-        assert theta_overlap_matrix(64, 0, 128).shape == (129, 129)
+        assert theta_overlap_matrix(64, 0).shape == (129, 129)
+
+
+class TestThetaOverlapRule:
+    """The polar rule is sized from l: exact to round-off at every l and power."""
+
+    def test_diagonal_is_one_at_every_l(self):
+        for l in range(MAX_ORBITAL_L + 1):
+            diagonal = np.diag(theta_overlap_matrix(l, 0))
+            assert np.max(np.abs(diagonal - 1.0)) < 2e-14, l
+
+    @pytest.mark.parametrize("l", [0, 1, 8, 16, 32, 48, 64])
+    def test_matches_the_finest_rule(self, l):
+        rule = theta_rule(MAX_LEGENDRE_NODES)
+        polar, _ = basis_on_grid(range(-l, l + 1), l, rule.nodes, None)
+        for power in (0, 1, 2, 6, 12):
+            fine = (polar * (rule.weights * np.sin(rule.nodes) * rule.nodes**power)) @ polar.T
+            error = np.max(np.abs(theta_overlap_matrix(l, power) - fine))
+            assert error <= 2e-13 * np.max(np.abs(fine)), power
 
 
 def test_quadrature_convergence_on_moments(fixture_states):

@@ -191,13 +191,13 @@ class TestSymmetryDeficit:
             assert abs(closed - quad) < 1e-9
 
 
-def _double_sum_matrix(sym, basis, theta_nodes=128):
+def _double_sum_matrix(sym, basis):
     """The definition of symbol_matrix: one phi moment per (m, m') pair."""
     ms = basis.ms
     out = np.zeros((len(ms), len(ms)), dtype=np.complex128)
     for (a, j, p), v in sym.terms.items():
         theta_fac = (
-            theta_overlap_matrix(basis.l, a, theta_nodes)
+            theta_overlap_matrix(basis.l, a)
             if isinstance(basis, SphericalBasis)
             else 1.0
         )

@@ -192,8 +192,37 @@ class TestDeltaChi:
         with pytest.raises(ValueError, match="radicand"):
             delta_chi(0, 1)
 
+    @pytest.mark.parametrize(
+        "N, N1",
+        [(1, 0), (100000001, 100000000), (-7, 3), (3 * 10**7, -2), (10**15, 10**15 - 1)],
+    )
+    def test_matches_a_decimal_reference(self, N, N1):
+        import decimal
+
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            pi = decimal.Decimal("3.14159265358979323846264338327950288419716939937511")
+            radicand = 2 * pi**2 * (decimal.Decimal(1) / 12 + N * N - N1 * N1 + N - N1)
+            want = float(radicand.sqrt())
+        assert delta_chi(N, N1) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "N, N1", [(10**400, 0), (10**160, 1), (10**154, 0)], ids=["1e400", "1e160", "1e154"]
+    )
+    def test_windings_without_a_finite_width_are_refused(self, N, N1):
+        with pytest.raises(ValueError, match="not a finite float"):
+            delta_chi(N, N1)
+
 
 class TestSphericalRelation:
+    def test_zonal_harmonic_at_the_top_of_the_range_is_exact(self):
+        """Y_64,0: the gamma-weighted sum is 1 and the theta-phi correlation 0."""
+        state = SphericalState(l=64, coefficients={0: 1.0})
+        r58 = evaluate(RelationId.R58, state)
+        assert abs(r58.diagnostics["gamma_sum"] - 1.0) < 1e-14
+        assert r58.verdict == Verdict.SATISFIED_WITH_EQUALITY
+        assert abs(evaluate(RelationId.R36, state).diagnostics["corr_re"]) < 1e-14
+
     def test_never_violated_on_random_states(self):
         rng = np.random.default_rng(99)
         for _ in range(100):
@@ -347,40 +376,39 @@ class TestMomentTable:
         assert got == fresh
 
     def test_threads_sharing_the_slot_get_their_own_numbers(self):
-        """Threads stack the same states under their own settings; none reads another's rows."""
+        """Threads stack their own copies of the states, each at its own hbar; none reads
+        another's rows."""
         import sys
         import threading
 
-        from lzphi import EngineSettings, relations
+        from lzphi import relations
 
         rng = np.random.default_rng(11)
         states = [random_spherical(rng, l) for l in (1, 2, 3, 4) for _ in range(2)]
-        settings = [EngineSettings(theta_nodes=n) for n in (6, 9, 12, 16)]
+        copies = [
+            [SphericalState(state.l, state.coefficients, hbar=hbar) for state in states]
+            for hbar in (1.0, 1.5, 2.0, 3.0)
+        ]
 
-        def reports(state, s):
-            return [
-                _report_values(evaluate(rid, state, p, settings=s))
-                for rid, p in _SPHERICAL_SELECTION
-            ]
+        def reports(state):
+            return [_report_values(evaluate(rid, state, p)) for rid, p in _SPHERICAL_SELECTION]
 
         want = {
-            (id(state), id(s)): reports(SphericalState(state.l, state.coefficients), s)
-            for state in states
-            for s in settings
+            id(state): reports(SphericalState(state.l, state.coefficients, hbar=state.hbar))
+            for own in copies
+            for state in own
         }
         wrong = []
 
-        def work(s):
+        def work(own):
             try:
                 for _ in range(15):
-                    relations.share_moments(states, s)
-                    wrong.extend(
-                        state for state in states if reports(state, s) != want[(id(state), id(s))]
-                    )
+                    relations.share_moments(own)
+                    wrong.extend(state for state in own if reports(state) != want[id(state)])
             except Exception as exc:  # recorded, so the assertion below reports it
                 wrong.append(exc)
 
-        threads = [threading.Thread(target=work, args=(s,)) for s in settings]
+        threads = [threading.Thread(target=work, args=(own,)) for own in copies]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -407,20 +435,28 @@ class TestMomentTable:
         ]
         assert interleaved == fresh
 
-    def test_each_settings_object_gets_its_own_moments(self):
-        from lzphi import EngineSettings, correlation, std_dev
+    def test_analytic_moments_ignore_the_settings(self, tmp_path, capsys):
+        """Node counts govern only the oracle: the analytic moments and R36 report match."""
+        from lzphi import EngineSettings, cli, correlation, std_dev
 
         state = _state_a()
-        fine, coarse = EngineSettings(), EngineSettings(theta_nodes=6)
-        order = (fine, coarse, fine, coarse)
-        got = [evaluate(RelationId.R36, state, settings=s) for s in order]
-        want_lhs = [
-            std_dev(THETA, state, settings=s) * std_dev(PHI, state, settings=s) for s in order
-        ]
-        want_rhs = [abs(correlation(THETA, PHI, state, settings=s).value) for s in order]
-        assert [r.lhs for r in got] == want_lhs
-        assert [r.rhs for r in got] == want_rhs
-        assert got[0].lhs != got[1].lhs
+        default, coarse = EngineSettings(), EngineSettings(theta_nodes=6)
+        for kind in (THETA, PHI):
+            assert std_dev(kind, state, settings=coarse) == std_dev(kind, state, settings=default)
+        assert (
+            correlation(THETA, PHI, state, settings=coarse).value
+            == correlation(THETA, PHI, state, settings=default).value
+        )
+        coefficients = ",".join(f"({c.real!r},{c.imag!r})" for c in state.coefficients)
+        body = f"state spherical name=a l=2 c=[{coefficients}]\nrelations R36\n"
+        outputs = []
+        for head in ("", "setting theta_nodes 6\n"):
+            spec = tmp_path / "r36.spec"
+            spec.write_text(head + body, encoding="utf-8")
+            assert cli.main(["eval", str(spec)]) in (0, 1, 2)
+            outputs.append(capsys.readouterr().out)
+        assert '"relation": "R36"' in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestRelationColumns:
@@ -487,7 +523,7 @@ class TestRelationColumns:
         relations.share_moments(())  # nothing shared: each state gets its own one-row stack
         lone = outcomes()
         relations.share_moments(states)
-        _, rows = relations._shared
+        rows = relations._shared
         assert max(len(stack_rows.moments.states) for stack_rows, _ in rows.values()) == 65
         stacked = outcomes()
         assert stacked == lone
