@@ -26,9 +26,11 @@ from .numerics import TWO_PI
 class EngineSettings:
     """Node counts and tolerances shared by oracles, parser and CLI.
 
-    Node counts govern only ``method="quadrature"`` (the analytic route reads
-    no settings) and must lie in 2..the largest count their rule builds
-    correctly; the tolerance must be finite and >= 0. Else: ValueError.
+    Node counts govern only the sampled grids of ``method="quadrature"``
+    (the analytic route reads no settings; the pendulum's line transform
+    sizes its own rules from n, so ``hermite_nodes`` reaches only
+    ``PendulumGrid``) and must lie in 2..the largest count their rule
+    builds correctly; the tolerance must be finite and >= 0. Else: ValueError.
     """
 
     phi_nodes: int = 256

@@ -86,7 +86,8 @@ def parseval_check(state, *, settings=None) -> float:
     of psi. Spherical: sum_m of the polar integrals of |b_m(theta)|^2,
     with b_m(theta) from direct azimuthal integration at the polar nodes.
     Pendulum: the k-integral of the numerically transformed |psi~|^2
-    against the Gauss-Hermite position norm.
+    against the Gauss-Hermite position norm, both on rules sized from n
+    alone, so this branch reads no settings.
     """
     settings = engine.resolve(settings)
     fam = st.family_of(state)
@@ -107,48 +108,65 @@ def parseval_check(state, *, settings=None) -> float:
         bm = psi @ (np.conj(ph) * prule.weights).T
         side = float(np.sum(polar_weights @ np.abs(bm) ** 2))
         return abs(side - position)
-    # pendulum: compare int |psi~(k)|^2 dk with the position norm
-    grid = engine.state_grid(state, settings)
-    position = float(np.real(grid.inner(grid.psi, grid.psi)))
-    krule = _k_rule(state, settings)
-    transformed = line_transform(state, krule.nodes, settings=settings)
-    momentum = float(np.real(krule.integrate(np.abs(transformed) ** 2)))
+    # pendulum: int |psi|^2 dphi = (A^2/s) int exp(-xi^2) H_n(xi)^2 dxi, exact on the rule
+    rule = numerics.hermite_rule(_rule_nodes(state.n))
+    herm = numerics.hermite_poly(state.n, rule.nodes)
+    position = state.amplitude**2 / state.scale * float(rule.weights @ (herm * herm))
+    krule = _k_rule(state)
+    momentum = float(krule.integrate(np.abs(line_transform(state, krule.nodes)) ** 2))
     return abs(momentum - position)
 
 
-def _k_rule(state, settings) -> numerics.QuadratureRule:
-    """Legendre rule over k in +-scale*(sqrt(2n+1) + 8) for the pendulum's psi~.
+def _rule_nodes(n: int) -> int:
+    """Node count of both line-transform rules of the pendulum with number n.
 
-    4 * hermite_nodes nodes, at least 512 and at most the largest count a
-    Legendre rule builds, so every accepted hermite_nodes works.
+    96 + 4n rounded up to a multiple of 32: 96..352 for n <= 64, within the
+    largest Hermite rule. The count is even, so each symmetric rule splits
+    into exact halves with no node at 0, and the rounding keeps the number
+    of distinct (cached) rules small.
+    """
+    return -(-(96 + 4 * n) // 32) * 32
+
+
+def _k_rule(state) -> numerics.QuadratureRule:
+    """Nonnegative half of a Legendre rule over k in +-scale*(sqrt(2n+1) + 8).
+
+    The full rule is symmetric with _rule_nodes(n) nodes; the half keeps
+    its k > 0 nodes with doubled weights, so it integrates a function even
+    in k, such as |psi~(k)|^2, exactly as the full rule does.
     """
     spread = state.scale * (math.sqrt(2.0 * state.n + 1.0) + 8.0)
-    nodes = min(numerics.MAX_LEGENDRE_NODES, max(512, 4 * settings.hermite_nodes))
-    return numerics.gauss_legendre(nodes, -spread, spread)
+    full = numerics.gauss_legendre(_rule_nodes(state.n), -spread, spread)
+    half = full.nodes.size // 2
+    return numerics.QuadratureRule(
+        full.nodes[half:], 2.0 * full.weights[half:], f"legendre[0,{spread!r}] doubled"
+    )
 
 
-def line_transform(state, k, *, settings=None):
+def line_transform(state, k):
     """psi~(k) = (2*pi)**-0.5 int psi(phi) exp(-i*k*phi) dphi (pendulum only).
 
-    Evaluated by Gauss-Hermite quadrature with the Gaussian envelope fully
-    absorbed into the weight, so the remaining factor is entire and the
-    sum converges spectrally in the node count.
+    Evaluated by Gauss-Hermite quadrature on _rule_nodes(n) nodes with the
+    Gaussian envelope fully absorbed into the weight, so the remaining
+    factor is entire and the sum converges spectrally in the node count.
+    The rule is symmetric and H_n has the parity of n, so the sum folds onto
+    the positive nodes: 2 * sum w h cos(...) for even n and -2i * sum w h
+    sin(...) for odd n. Hence psi~(-k) = (-1)**n * psi~(k) exactly.
     """
     if st.family_of(state) != "pendulum":
         raise ValueError("line_transform is defined for pendulum states")
-    settings = engine.resolve(settings)
-    rule = numerics.hermite_rule(settings.hermite_nodes)
-    u = rule.nodes
+    rule = numerics.hermite_rule(_rule_nodes(state.n))
+    half = rule.nodes.size // 2
+    u = math.sqrt(2.0) * rule.nodes[half:]
     s = state.scale
-    herm = numerics.hermite_poly(state.n, math.sqrt(2.0) * u)
+    weighted = rule.weights[half:] * numerics.hermite_poly(state.n, u)
     k_arr = np.asarray(k, dtype=np.float64)
-    phase = np.exp(-1j * np.multiply.outer(np.atleast_1d(k_arr), math.sqrt(2.0) * u / s))
-    vals = (
-        state.amplitude
-        * math.sqrt(2.0)
-        / (s * math.sqrt(TWO_PI))
-        * (phase * (rule.weights * herm)[None, :]).sum(axis=1)
-    )
+    angles = np.multiply.outer(np.atleast_1d(k_arr), u / s)
+    prefactor = 2.0 * state.amplitude * math.sqrt(2.0) / (s * math.sqrt(TWO_PI))
+    if state.n % 2 == 0:
+        vals = (prefactor * (np.cos(angles) @ weighted)).astype(np.complex128)
+    else:
+        vals = -1j * (prefactor * (np.sin(angles) @ weighted))
     return complex(vals[0]) if k_arr.ndim == 0 else vals.reshape(k_arr.shape)
 
 
@@ -156,7 +174,8 @@ def width_product(state, *, method: str = "analytic", settings=None) -> float:
     """Variance product <(k - <k>)^2> * <(phi - <phi>)^2> for the pendulum.
 
     Analytic path uses the ladder-relation moments (equals (n + 1/2)^2);
-    the quadrature path integrates |psi~|^2 and |psi|^2 directly.
+    the quadrature path integrates |psi~|^2 on the k rule of _k_rule and
+    |psi|^2 on the oracle grid of the settings.
     """
     if st.family_of(state) != "pendulum":
         raise ValueError("width_product is defined for pendulum states")
@@ -168,9 +187,8 @@ def width_product(state, *, method: str = "analytic", settings=None) -> float:
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     var_phi = mo.std_dev(obs.PHI, state, method="quadrature", settings=settings) ** 2
-    krule = _k_rule(state, settings)
-    density = np.abs(line_transform(state, krule.nodes, settings=settings)) ** 2
-    total = float(krule.integrate(density))
-    mean_k = float(krule.integrate(krule.nodes * density)) / total
-    var_k = float(krule.integrate((krule.nodes - mean_k) ** 2 * density)) / total
+    krule = _k_rule(state)
+    density = np.abs(line_transform(state, krule.nodes)) ** 2
+    # the density is even in k, so <k> = 0 and no mean is subtracted
+    var_k = float(krule.integrate(krule.nodes**2 * density)) / float(krule.integrate(density))
     return var_k * var_phi

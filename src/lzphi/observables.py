@@ -480,8 +480,10 @@ def symmetry_deficits(a, b, basis, coeffs, hbar) -> np.ndarray:
     per row. The deficit is i*hbar/(2*pi) times the boundary jump of B
     weighted by the state's density along phi = 0: |sum_m c_m|^2 on a rotor
     basis, and the polar-overlap form (c, T_a c) per theta power a of the
-    jump on a spherical basis. The pendulum's line has no boundary, so on
-    the oscillator basis every deficit is zero.
+    jump on a spherical basis. B is real and each T_a is real and symmetric,
+    so the jump and each form are real, and every deficit's real part is an
+    exact +0.0. The pendulum's line has no boundary, so on the oscillator
+    basis every deficit is zero.
     """
     out = np.zeros(len(coeffs), dtype=np.complex128)
     if a.name != "Lz" or b.name == "Lz" or isinstance(basis, OscillatorBasis):
@@ -491,16 +493,18 @@ def symmetry_deficits(a, b, basis, coeffs, hbar) -> np.ndarray:
         return out
     if isinstance(basis, SphericalBasis):
         total = sum(
-            coeff * np.einsum(
+            coeff.real * np.einsum(
                 "pi,pi->p",
                 np.conj(coeffs),
                 apply_to_rows(numerics.theta_overlap_matrix(basis.l, a_pow), coeffs),
-            )
+            ).real
             for a_pow, coeff in jump.items()
         )
     else:
-        total = jump[0] * np.abs(coeffs.sum(axis=1)) ** 2
-    return 1j * hbar * total / TWO_PI
+        total = jump[0].real * np.abs(coeffs.sum(axis=1)) ** 2
+    # set the imaginary part alone: 1j * x would give the real part -0.0 for x < 0
+    out.imag = hbar * total / TWO_PI
+    return out
 
 
 def _deficit_quadrature(a, b, state, settings) -> complex:

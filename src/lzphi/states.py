@@ -22,6 +22,10 @@ from .numerics import TWO_PI
 #: |sum |c|^2 - 1| beyond this is rejected unless normalize=True rescales
 NORM_INPUT_TOL = 1e-6
 
+#: the largest accepted |m| of the periodic families: m is exact as a
+#: float, and every offset m' - m of a basis fits in int64
+MAX_ABS_M = 2**52
+
 
 @dataclass(frozen=True)
 class CircularState:
@@ -31,6 +35,7 @@ class CircularState:
     hbar: float = 1.0
 
     def __post_init__(self):
+        _require_bounded_m(self.m)
         _require_finite_positive(hbar=self.hbar)
 
 
@@ -57,6 +62,8 @@ class RotorSuperposition:
             raise ValueError("rotor superposition needs at least one coefficient")
         if len({m for m, _ in pairs}) != len(pairs):
             raise ValueError("duplicate m in rotor coefficients")
+        for m, _ in pairs:
+            _require_bounded_m(m)
         pairs = _normalized_pairs(pairs, normalize)
         object.__setattr__(self, "coefficients", tuple(pairs))
         object.__setattr__(self, "hbar", float(hbar))
@@ -147,6 +154,11 @@ _FAMILIES = {
     SphericalState: "spherical",
     PendulumState: "pendulum",
 }
+
+
+def _require_bounded_m(m):
+    if abs(m) > MAX_ABS_M:
+        raise ValueError(f"|m| must be at most 2**52, got m={m}")
 
 
 def _require_finite_positive(**values):

@@ -47,6 +47,9 @@ def fixture_states():
         PendulumState(n=1),
         PendulumState(n=3),
         PendulumState(n=10),
+        PendulumState(n=20),
+        PendulumState(n=30),
+        PendulumState(n=64),
         PendulumState(n=2, inertia=2.0, omega=0.5),
         PendulumState(n=1, hbar=2.0),
     ]

@@ -2,6 +2,7 @@ import collections
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -262,6 +263,18 @@ def test_spherical_reports_ignore_theta_nodes(l, tmp_path, capsys):
     assert outputs[1:] == outputs[:1] * 3
 
 
+def test_spherical_deficit_real_parts_print_zero(tmp_path, capsys):
+    """(c, T_a c) is real, so every spherical deficit_ab_re is an exact 0, never round-off or -0."""
+    rng = np.random.default_rng(41)
+    body = "".join(_spherical_line(rng, l, f"s{l}") for l in (1, 2, 5, 8, 17, 32, 64))
+    spec = write(tmp_path, "s.spec", "setting normalize true\n" + body + SPHERICAL_RELATIONS)
+    code, out, err = run_main(["eval", spec], capsys)
+    assert code in (0, 1, 2), err
+    printed = re.findall(r'"deficit_ab_re": ([^,}]*)', out)
+    assert len(printed) == 7 * 15
+    assert set(printed) == {"0"}
+
+
 class TestBatchedScan:
     """Every point of a batched sweep equals an evaluation of its state alone."""
 
@@ -451,6 +464,35 @@ class TestInputErrors:
         assert code == 3
         assert "[bad-value]" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            f"state circular m={10**20}",
+            f"state circular m={2**52 + 1}",
+            f"state rotor c={{{2**62}:(0.6,0),{-2**62}:(0,0.8)}}",
+            f"state rotor c={{0:(0.6,0),{-2**52 - 1}:(0,0.8)}}",
+        ],
+        ids=["circular-1e20", "circular-2^52+1", "rotor-2^62", "rotor-2^52+1"],
+    )
+    def test_huge_m_is_a_bad_value(self, tmp_path, capsys, line):
+        spec = write(tmp_path, "s.spec", "state circular m=0\n" + line + "\nrelations R5 R6\n")
+        code, out, err = run_main(["eval", spec], capsys)
+        assert code == 3
+        assert err.startswith("error: line 2, col 7: [bad-value]") and "2**52" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_largest_m_is_accepted(self, tmp_path, capsys):
+        top = 2**52
+        spec = write(
+            tmp_path,
+            "s.spec",
+            f"state circular m={-top}\nstate rotor c={{{top}:(0.6,0),{-top}:(0,0.8)}}\nrelations R5 R6\n",
+        )
+        code, out, err = run_main(["eval", spec], capsys)
+        assert code in (0, 1, 2), err
+        assert out.count('"relation"') == 4
 
     def test_overflowing_relation_is_an_input_error(self, tmp_path, capsys):
         """hbar^2*dphi^2 above 1e308 is refused, not printed as inf."""

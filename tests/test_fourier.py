@@ -77,7 +77,7 @@ class TestParseval:
 
     @pytest.mark.parametrize("nodes", [257, MAX_HERMITE_NODES])
     def test_pendulum_at_large_hermite_rules(self, nodes):
-        # the k rule takes 4 * nodes, capped at the largest Legendre rule
+        # the line-transform rules are sized from n; nodes reach only var_phi's grid
         settings = EngineSettings(hermite_nodes=nodes)
         for n in (0, 5, 16):
             state = PendulumState(n=n)
@@ -85,6 +85,13 @@ class TestParseval:
             assert width_product(state, method="quadrature", settings=settings) == pytest.approx(
                 (n + 0.5) ** 2, abs=1e-8
             )
+
+    @pytest.mark.parametrize("nodes", [2, 16, 128, MAX_HERMITE_NODES])
+    def test_pendulum_up_to_n_64_at_any_hermite_nodes(self, nodes):
+        settings = EngineSettings(hermite_nodes=nodes)
+        for n in range(65):
+            state = PendulumState(n=n, hbar=1.7, inertia=0.37, omega=2.9)
+            assert parseval_check(state, settings=settings) < 1e-10
 
 
 class TestLineTransform:
@@ -99,17 +106,32 @@ class TestLineTransform:
         with pytest.raises(ValueError):
             line_transform(CircularState(m=0), 1.0)
 
-    def test_matches_the_closed_form(self):
+    @staticmethod
+    def _closed_form_error(n):
         # Hermite functions are Fourier eigenfunctions:
         # psi~(k) = (A/s) * (-i)^n * exp(-q^2/2) * H_n(q) with q = k/s
+        state = PendulumState(n=n, hbar=1.7, inertia=0.37, omega=2.9)
+        s = state.scale
+        k = np.linspace(-1.0, 1.0, 201) * s * (math.sqrt(2 * n + 1) + 8.0)
+        q = k / s
+        h_n = np.polynomial.hermite.hermval(q, [0.0] * n + [1.0])
+        exact = state.amplitude / s * (-1j) ** n * np.exp(-q * q / 2) * h_n
+        return np.max(np.abs(line_transform(state, k) - exact))
+
+    def test_matches_the_closed_form(self):
         for n in range(13):
+            assert self._closed_form_error(n) < 1e-13
+
+    def test_matches_the_closed_form_up_to_n_64(self):
+        for n in range(65):
+            assert self._closed_form_error(n) < 1e-13, n
+
+    def test_parity_is_exact(self):
+        k = np.linspace(0.0, 30.0, 97)
+        for n in range(65):
             state = PendulumState(n=n, hbar=1.7, inertia=0.37, omega=2.9)
-            s = state.scale
-            k = np.linspace(-1.0, 1.0, 201) * s * (math.sqrt(2 * n + 1) + 8.0)
-            q = k / s
-            h_n = np.polynomial.hermite.hermval(q, [0.0] * n + [1.0])
-            exact = state.amplitude / s * (-1j) ** n * np.exp(-q * q / 2) * h_n
-            assert np.max(np.abs(line_transform(state, k) - exact)) < 1e-13
+            assert np.array_equal(line_transform(state, -k), (-1) ** n * line_transform(state, k))
+            assert line_transform(state, -2.5) == (-1) ** n * line_transform(state, 2.5)
 
     def test_self_reciprocal_density(self):
         # |psi~(k)|^2 of an eigenstate is the scaled position density
@@ -135,6 +157,14 @@ class TestWidthProduct:
         for n in (0, 1, 4):
             state = PendulumState(n=n)
             assert width_product(state, method="quadrature") == pytest.approx(
+                (n + 0.5) ** 2, abs=1e-8
+            )
+
+    @pytest.mark.parametrize("settings", [None, EngineSettings(hermite_nodes=MAX_HERMITE_NODES)])
+    def test_quadrature_oracle_up_to_n_64(self, settings):
+        for n in range(65):
+            state = PendulumState(n=n, hbar=1.7, inertia=0.37, omega=2.9)
+            assert width_product(state, method="quadrature", settings=settings) == pytest.approx(
                 (n + 0.5) ** 2, abs=1e-8
             )
 

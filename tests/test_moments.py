@@ -287,8 +287,8 @@ def _drawn_pendulum(n, seed):
     return PendulumState(n=n, inertia=float(rng.uniform(0.5, 2.0)), omega=float(rng.uniform(0.5, 2.0)))
 
 
-#: the oracle's own pendulum inputs up to the documented n = 64; the shared
-#: fixture_states stop at n = 10 because Parseval runs on them too
+#: the oracle's own pendulum inputs up to the documented n = 64, each at its
+#: own drawn width; fixture_states reach n = 64 at unit width
 EDGE_PENDULUMS = [_drawn_pendulum(n, seed) for seed, n in enumerate((20, 30, 64))]
 PENDULUM_KINDS = (LZ, PHI, PHI_SQUARED)
 

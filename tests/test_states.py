@@ -172,3 +172,22 @@ def test_wide_but_representable_parameters_accepted():
     state = PendulumState(n=2, inertia=1e100, omega=1e-90, hbar=1e-20)
     assert math.isfinite(std_dev(PHI, state)) and math.isfinite(std_dev(LZ, state))
     assert CircularState(m=1, hbar=1e150).hbar == 1e150
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CircularState(m=10**20),
+        lambda: CircularState(m=-(2**52) - 1),
+        lambda: RotorSuperposition({2**62: 0.6, -(2**62): 0.8}),
+        lambda: RotorSuperposition({0: 0.6, 2**52 + 1: 0.8}),
+    ],
+)
+def test_m_beyond_2_to_the_52_rejected(build):
+    with pytest.raises(ValueError, match=r"2\*\*52"):
+        build()
+
+
+def test_m_at_2_to_the_52_accepted():
+    assert CircularState(m=2**52).m == 2**52
+    assert RotorSuperposition({2**52: 0.6, -(2**52): 0.8}).coeff_map[-(2**52)] == 0.8
