@@ -183,7 +183,8 @@ def _parse_sweep(text: str):
         raise ValueError(f"unknown sweep parameter {name!r}; choose one of {_SWEEPABLE}")
     values = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
     if base in ("n", "N", "N1"):
-        values = np.rint(values).astype(int)
+        # Python ints, rounded half to even: a numpy int64 cast would wrap
+        values = [round(v) for v in values.tolist()]
     return name, values
 
 

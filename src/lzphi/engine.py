@@ -1,11 +1,12 @@
 """Engine settings and the quadrature grids behind every oracle path.
 
 Grids sample a state on the family's quadrature rule, and every grid has
-one interface: ``psi``, ``lz_pow(j)``, ``symbol_values(sym)`` and
-``inner(f, g)``. Operator applications never differentiate numerically:
-angular-momentum action uses the exact per-mode factor (periodic
-families) or the exact derivative of the Hermite series (pendulum family)
-before sampling.
+one interface: ``psi``, ``lz_pow(j, mu)``, ``symbol_values(sym)`` and
+``inner(f, g)``. Circular, rotor and spherical states share one grid,
+``AngularGrid``; the pendulum has ``PendulumGrid``. Operator applications
+never differentiate numerically: (Lz - mu)^j acts before sampling, by the
+exact per-mode factor (periodic families) or on the Hermite series
+(pendulum family), so a centered power is never expanded binomially.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from numpy.polynomial import hermite as H
 
 from . import numerics
 from . import states as st
-from ._kernels import fourier_sum
-from .numerics import TWO_PI
+# unused here: perfbench's tracer patches this name in engine, and its tests check it
+from ._kernels import fourier_sum  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -59,56 +60,58 @@ def resolve(settings: EngineSettings | None) -> EngineSettings:
     return DEFAULT_SETTINGS if settings is None else settings
 
 
-class PeriodicGrid:
-    """Circular / rotor states sampled on the [0, 2*pi] rule."""
+def polar_tables(ms, l, settings: EngineSettings):
+    """(polar factors, polar weights, theta column) of the basis on the polar rule.
+
+    ``polar[k]`` holds theta_lm(l, ms[k], theta) at the nodes of the theta
+    rule, whose weights carry sin(theta). A circle (``l`` None) is one
+    polar node of weight 1 and factor 1, with theta None.
+    """
+    if l is None:
+        return np.ones((len(ms), 1)), np.ones(1), None
+    rule = numerics.theta_rule(settings.theta_nodes)
+    polar, _ = numerics.basis_on_grid(ms, l, rule.nodes, None)
+    return polar, rule.weights * np.sin(rule.nodes), rule.nodes[:, None]
+
+
+class AngularGrid:
+    """Circular, rotor and fixed-l states on the theta x phi tensor rule.
+
+    Grid functions are (polar nodes) x (phi nodes) arrays; a circle has
+    one polar node (see ``polar_tables``), so one formula serves all three
+    families. The polar and azimuthal basis tables are built once per grid
+    and serve every sampling and every azimuthal projection.
+    """
 
     def __init__(self, state, settings: EngineSettings):
         rule = numerics.phi_rule(settings.phi_nodes)
+        ms = st.basis_ms(state)
+        l = state.l if st.family_of(state) == "spherical" else None
         self.phi = rule.nodes
-        self.weights = rule.weights
-        self.hbar = state.hbar
-        self.ms = np.array(st.basis_ms(state), dtype=np.int64)
-        self.coeffs = st.coeff_vector(state) / math.sqrt(TWO_PI)
-        self.psi = fourier_sum(self.ms, self.coeffs, self.phi)
+        self.phi_weights = rule.weights
+        self.polar, self.polar_weights, self.theta = polar_tables(ms, l, settings)
+        self.weights = np.outer(self.polar_weights, self.phi_weights)
+        _, self._waves = numerics.basis_on_grid(ms, None, None, self.phi)
+        self._lz = state.hbar * np.array(ms, dtype=np.float64)
+        self._coeffs = st.coeff_vector(state)
+        self.psi = self._sample(self._coeffs)
 
-    def lz_pow(self, j: int) -> np.ndarray:
-        """Values of Lz^j Psi via the exact per-mode factor (hbar*m)^j."""
-        scaled = (self.hbar * self.ms.astype(np.float64)) ** j * self.coeffs
-        return fourier_sum(self.ms, scaled, self.phi)
+    def _sample(self, coeffs) -> np.ndarray:
+        return (coeffs[:, None] * self.polar).T @ self._waves
 
-    def symbol_values(self, sym) -> np.ndarray:
-        return sym.evaluate(None, self.phi)
+    def lz_pow(self, j: int, mu: float = 0.0) -> np.ndarray:
+        """Values of (Lz - mu)^j Psi via the exact per-mode factor (hbar*m - mu)^j."""
+        return self._sample((self._lz - mu) ** j * self._coeffs)
 
-    def inner(self, f, g) -> complex:
-        return complex(np.dot(self.weights, np.conj(f) * g))
-
-
-class SphericalGrid:
-    """Fixed-l states sampled on the theta x phi tensor rule."""
-
-    def __init__(self, state, settings: EngineSettings):
-        prule = numerics.phi_rule(settings.phi_nodes)
-        trule = numerics.theta_rule(settings.theta_nodes)
-        self.phi = prule.nodes
-        self.theta = trule.nodes[:, None]
-        self.hbar = state.hbar
-        self.ms = np.arange(-state.l, state.l + 1)
-        self.coeffs = st.coeff_vector(state)
-        self._tl, self._ph = numerics.basis_on_grid(self.ms, state.l, trule.nodes, self.phi)
-        self.psi = (self.coeffs[:, None] * self._tl).T @ self._ph
-        self.weights2d = np.outer(
-            trule.weights * np.sin(trule.nodes), prule.weights
-        )
-
-    def lz_pow(self, j: int) -> np.ndarray:
-        scaled = (self.hbar * self.ms.astype(np.float64)) ** j * self.coeffs
-        return (scaled[:, None] * self._tl).T @ self._ph
+    def azimuthal_coefficients(self, f) -> np.ndarray:
+        """b_m at every polar node: the phi rule's sum of f * exp(-i*m*phi)/sqrt(2*pi)."""
+        return (f * self.phi_weights) @ np.conj(self._waves).T
 
     def symbol_values(self, sym) -> np.ndarray:
         return sym.evaluate(self.theta, self.phi[None, :])
 
     def inner(self, f, g) -> complex:
-        return complex(np.sum(self.weights2d * np.conj(f) * g))
+        return complex(np.sum(self.weights * np.conj(f) * g))
 
 
 class PendulumGrid:
@@ -131,10 +134,12 @@ class PendulumGrid:
         self._series[state.n] = state.amplitude
         self.psi = H.hermval(self.xi, self._series)
 
-    def lz_pow(self, j: int) -> np.ndarray:
-        series = self._series
+    def lz_pow(self, j: int, mu: float = 0.0) -> np.ndarray:
+        """Values of (Lz - mu)^j Psi, each factor applied to the Hermite series."""
+        series, step = self._series, -1j * self.hbar * self.scale
         for _ in range(j):
-            series = -1j * self.hbar * self.scale * H.hermsub(H.hermder(series), H.hermmulx(series))
+            lz_series = step * H.hermsub(H.hermder(series), H.hermmulx(series))
+            series = H.hermsub(lz_series, mu * series)
         return H.hermval(self.xi, series)
 
     def symbol_values(self, sym) -> np.ndarray:
@@ -146,9 +151,6 @@ class PendulumGrid:
 
 def state_grid(state, settings: EngineSettings | None = None):
     settings = resolve(settings)
-    fam = st.family_of(state)
-    if fam in ("circular", "rotor"):
-        return PeriodicGrid(state, settings)
-    if fam == "spherical":
-        return SphericalGrid(state, settings)
-    return PendulumGrid(state, settings)
+    if st.family_of(state) == "pendulum":
+        return PendulumGrid(state, settings)
+    return AngularGrid(state, settings)

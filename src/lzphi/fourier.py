@@ -57,57 +57,41 @@ def coefficients(state, *, method: str = "analytic", settings=None) -> FourierCo
     """Fourier coefficients b_m = (2*pi)**-0.5 int psi exp(-i*m*phi) dphi.
 
     The analytic path returns the stored expansion coefficients exactly;
-    the quadrature path integrates on the azimuthal rule over the same
-    index support and serves as the oracle. Pendulum states have a
-    continuous transform instead; see line_transform.
+    the quadrature path is the oracle: it integrates the sampled state on
+    its grid, along phi at each polar node and then against the polar
+    factor theta_lm (a circle's one polar node has factor 1), over the same
+    index support. Pendulum states have a continuous transform instead;
+    see line_transform.
     """
     fam = st.family_of(state)
     if fam == "pendulum":
         raise ValueError("pendulum states have a line transform, not Fourier coefficients")
-    ms = st.basis_ms(state)
-    if fam == "spherical":
-        return FourierCoefficients(ms, tuple(st.coeff_vector(state)), l=state.l)
+    l = state.l if fam == "spherical" else None
     if method == "analytic":
-        return FourierCoefficients(ms, tuple(st.coeff_vector(state)))
+        return FourierCoefficients(st.basis_ms(state), tuple(st.coeff_vector(state)), l=l)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    settings = engine.resolve(settings)
-    rule = numerics.phi_rule(settings.phi_nodes)
-    psi = st.wavefunction(state, rule.nodes)
-    _, ph = numerics.basis_on_grid(ms, None, None, rule.nodes)
-    vals = np.conj(ph) @ (rule.weights * psi)
-    return FourierCoefficients(ms, tuple(complex(v) for v in vals))
+    grid = engine.state_grid(state, settings)
+    bm = grid.azimuthal_coefficients(grid.psi)
+    vals = np.einsum("t,mt,tm->m", grid.polar_weights, grid.polar, bm)
+    return FourierCoefficients(st.basis_ms(state), tuple(complex(v) for v in vals), l=l)
 
 
 def parseval_check(state, *, settings=None) -> float:
     """|coefficient-side norm - position-side norm|, both sides independent.
 
-    Periodic: sum |b_m|^2 (quadrature coefficients) against the grid norm
-    of psi. Spherical: sum_m of the polar integrals of |b_m(theta)|^2,
-    with b_m(theta) from direct azimuthal integration at the polar nodes.
-    Pendulum: the k-integral of the numerically transformed |psi~|^2
-    against the Gauss-Hermite position norm, both on rules sized from n
-    alone, so this branch reads no settings.
+    Circular, rotor and spherical: the polar sum of sum_m |b_m(theta)|^2,
+    with b_m(theta) from direct azimuthal integration at each polar node of
+    the state's grid, against the grid norm of psi (a circle has one polar
+    node of weight 1). Pendulum: the k-integral of the numerically
+    transformed |psi~|^2 against the Gauss-Hermite position norm, both on
+    rules sized from n alone, so this branch reads no settings.
     """
-    settings = engine.resolve(settings)
-    fam = st.family_of(state)
-    if fam in ("circular", "rotor"):
-        rule = numerics.phi_rule(settings.phi_nodes)
-        psi = st.wavefunction(state, rule.nodes)
-        position = float(np.real(rule.integrate(np.abs(psi) ** 2)))
-        coeffs = coefficients(state, method="quadrature", settings=settings)
-        return abs(sum(abs(v) ** 2 for v in coeffs.values) - position)
-    if fam == "spherical":
-        trule = numerics.theta_rule(settings.theta_nodes)
-        prule = numerics.phi_rule(settings.phi_nodes)
-        tl, ph = numerics.basis_on_grid(st.basis_ms(state), state.l, trule.nodes, prule.nodes)
-        psi = (st.coeff_vector(state)[:, None] * tl).T @ ph
-        polar_weights = trule.weights * np.sin(trule.nodes)
-        position = float(polar_weights @ np.abs(psi) ** 2 @ prule.weights)
-        # b_m(theta) by direct azimuthal integration at each polar node
-        bm = psi @ (np.conj(ph) * prule.weights).T
-        side = float(np.sum(polar_weights @ np.abs(bm) ** 2))
-        return abs(side - position)
+    if st.family_of(state) != "pendulum":
+        grid = engine.state_grid(state, settings)
+        position = float(np.real(grid.inner(grid.psi, grid.psi)))
+        bm = grid.azimuthal_coefficients(grid.psi)
+        return abs(float(grid.polar_weights @ np.sum(np.abs(bm) ** 2, axis=1)) - position)
     # pendulum: int |psi|^2 dphi = (A^2/s) int exp(-xi^2) H_n(xi)^2 dxi, exact on the rule
     rule = numerics.hermite_rule(_rule_nodes(state.n))
     herm = numerics.hermite_poly(state.n, rule.nodes)

@@ -5,14 +5,16 @@ The analytic path is one algebra over each family's own basis
 circular/rotor states, polar-overlap-factorized tables for fixed-l
 spherical states, and the padded oscillator number basis of the
 pendulum's width. It lives in ``MomentStack``, which holds the moments of
-a stack of states that share one basis: every quantity is a binomial
-combination of quadratic forms (c, M c) over basis matrices M that do not
-depend on the state, so each M is built once per stack and each form is
-taken over all rows at once. The public analytic functions below are the
-one-row case, and no setting enters them. The quadrature path re-derives
-every number on the family's grid with the node counts of ``settings``
-as the oracle; each call samples the state on one grid and takes the
-means it centers by from that same grid.
+a stack of states that share one basis: every quantity is a quadratic
+form (c, M c) over basis matrices M that do not depend on the state, or a
+binomial combination of them, so each M is built once per stack and each
+form is taken over all rows at once. An Lz side, and every side on the
+oscillator basis, is centered before it is powered. The public analytic
+functions below are the one-row case, and no setting enters them. The
+quadrature path re-derives every number on the family's grid with the
+node counts of ``settings`` as the oracle; each call samples the state on
+one grid and takes the means it centers by from that same grid, and its
+Lz sides are centered before they are powered too.
 """
 
 from __future__ import annotations
@@ -184,14 +186,23 @@ class MomentStack:
         left = self._coeffs if left is None else left
         return np.einsum("pi,pi->p", np.conj(left), self._applied(sym))
 
-    def _lz_applied(self, mu, power) -> np.ndarray:
-        """Row p holds (Lz - mu_p)^power c_p."""
-        if isinstance(self._basis, obs.OscillatorBasis):
-            lz, rows = obs.lz_ladder(self._basis), self._coeffs
-            for _ in range(power):
-                rows = self.hbar[:, None] * obs.apply_to_rows(lz, rows) - mu[:, None] * rows
-            return rows
-        return (self._lz - mu[:, None]) ** power * self._coeffs
+    def _centered(self, kind, mu, power) -> np.ndarray:
+        """Row p holds (A - mu_p)^power c_p, each factor applied to the row.
+
+        A is Lz (a diagonal on rotor and spherical bases, hbar times
+        ``lz_ladder`` on the oscillator basis) or any kind on the oscillator
+        basis, whose padding keeps every power up to the highest order exact.
+        """
+        if kind.name != "Lz":
+            mat, scale = obs.symbol_matrix(obs.kind_symbol(kind), self._basis), 1.0
+        elif isinstance(self._basis, obs.OscillatorBasis):
+            mat, scale = obs.lz_ladder(self._basis), self.hbar[:, None]
+        else:
+            return (self._lz - mu[:, None]) ** power * self._coeffs
+        rows = self._coeffs
+        for _ in range(power):
+            rows = scale * obs.apply_to_rows(mat, rows) - mu[:, None] * rows
+        return rows
 
     @_memoized
     def mean(self, kind) -> np.ndarray:
@@ -214,10 +225,11 @@ class MomentStack:
     def pair(self, a, b, r: int, s: int) -> np.ndarray:
         """((A - <A>)^r Psi, (B - <B>)^s Psi) for every row.
 
-        Multiplicative sides expand binomially into the uncentered
-        products A^i B^k, whose matrices are shared by every row and every
-        mean; an Lz side is (Lz - <Lz>)^r c on the left, a diagonal on
-        rotor and spherical bases. Chi - <Chi> = Phi - <Phi>: a Chi side is a Phi side.
+        Sides that ``_centered`` applies directly (Lz, and every kind on the
+        oscillator basis) are centered before they are powered. Other
+        multiplicative sides expand binomially into the uncentered products
+        A^i B^k, whose matrices are shared by every row and every mean.
+        Chi - <Chi> = Phi - <Phi>: a Chi side is a Phi side.
         """
         if "Chi" in (a.name, b.name):
             self._check(a, b)
@@ -225,21 +237,18 @@ class MomentStack:
         mu_a, mu_b = self.mean(a), self.mean(b)
         if b.name == "Lz" and a.name != "Lz":
             return np.conj(self.pair(b, a, s, r))
+        if isinstance(self._basis, obs.OscillatorBasis) or b.name == "Lz":
+            # both sides centered directly: Lz with Lz, or any pair on the oscillator basis
+            right = self._centered(b, mu_b, s)
+            return np.einsum("pi,pi->p", np.conj(self._centered(a, mu_a, r)), right)
+        sym_b = obs.kind_symbol(b)
         if a.name == "Lz":
-            if b.name == "Lz":
-                if isinstance(self._basis, obs.OscillatorBasis):
-                    right = self._lz_applied(mu_b, s)
-                    return np.einsum("pi,pi->p", np.conj(self._lz_applied(mu_a, r)), right)
-                left = (self._lz - mu_a[:, None]) ** r
-                weights = np.abs(self._coeffs) ** 2 * left * (self._lz - mu_b[:, None]) ** s
-                return np.sum(weights, axis=1)
-            left = self._lz_applied(mu_a, r)
-            sym_b = obs.kind_symbol(b)
+            left = self._centered(a, mu_a, r)
             return sum(
                 math.comb(s, k) * (-mu_b) ** (s - k) * self._form(sym_b**k, left)
                 for k in range(s + 1)
             )
-        sym_a, sym_b = obs.kind_symbol(a), obs.kind_symbol(b)
+        sym_a = obs.kind_symbol(a)
         return sum(
             math.comb(r, i) * math.comb(s, k) * (-mu_a) ** (r - i) * (-mu_b) ** (s - k)
             * self._form(sym_a**i * sym_b**k)
@@ -324,12 +333,8 @@ def _grid_pair(grid, a, b, r, s):
 
 
 def _centered_grid_vector(grid, kind, power, mu):
-    """(A - mu)^power Psi: binomially over the exact Lz^k Psi, else pointwise."""
+    """(A - mu)^power Psi: the grid's exact centered Lz powers, else pointwise."""
     if kind.name == "Lz":
-        terms = [
-            math.comb(power, k) * (-mu) ** (power - k) * grid.lz_pow(k)
-            for k in range(power + 1)
-        ]
-        return sum(terms[1:], terms[0])
+        return grid.lz_pow(power, mu)
     vals = grid.symbol_values(obs.kind_symbol(kind))
     return (vals - mu) ** power * grid.psi

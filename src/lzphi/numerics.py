@@ -1,9 +1,11 @@
 """Quadrature rules and special functions behind every analytic cross-check.
 
-``basis_on_grid`` is the one evaluator of the basis
-theta_lm(theta) * exp(i*m*phi)/sqrt(2*pi) on a grid; every quadrature
-route (wave functions, engine grids, oracle tables, Fourier sides) builds
-its polar and azimuthal tables through it.
+``basis_on_grid`` tabulates the basis theta_lm(theta) * exp(i*m*phi)/sqrt(2*pi)
+on a grid. The wave functions, the polar overlaps, the engine's circle and
+sphere grid (both of its tables) and the polar tables of the oracle matrix
+tables are built from it. Two routes tabulate on their own: the oracle
+matrix tables sum their phi side over offsets m' - m, and the pendulum
+grid evaluates a Hermite series.
 """
 
 from __future__ import annotations

@@ -369,8 +369,8 @@ def matrix_table(
 def _quadrature_matrix(kind, basis, hbar, settings):
     """<basis_i| A |basis_j> as a sum-factorized quadrature of the sampled A.
 
-    A is sampled on the theta x phi tensor rule (spherical) or the phi rule
-    (rotor, taken as one polar node of weight 1 and factor 1). The phi sums
+    A is sampled on the polar tables of ``engine.polar_tables`` times the
+    phi rule, as on the oracle grid of the basis's states. The phi sums
     come first: F_k(theta) = (1/2*pi) sum_phi w * A * exp(i*k*phi) for every
     offset k = m_j - m_i. Element (i, j) is then the polar sum of
     theta_i * theta_j * F_{m_j - m_i} * w * sin(theta). Every number is still
@@ -378,13 +378,8 @@ def _quadrature_matrix(kind, basis, hbar, settings):
     """
     ms = basis.ms
     prule = numerics.phi_rule(settings.phi_nodes)
-    if isinstance(basis, SphericalBasis):
-        trule = numerics.theta_rule(settings.theta_nodes)
-        polar, _ = numerics.basis_on_grid(ms, basis.l, trule.nodes, None)
-        polar_weights = trule.weights * np.sin(trule.nodes)
-        theta = trule.nodes[:, None]
-    else:
-        polar, polar_weights, theta = np.ones((len(ms), 1)), np.ones(1), None
+    l = basis.l if isinstance(basis, SphericalBasis) else None
+    polar, polar_weights, theta = engine.polar_tables(ms, l, settings)
     # Lz: integrand 1, then column j scaled by the eigenvalue hbar*m_j
     sym = Symbol.constant(1.0) if kind.name == "Lz" else kind_symbol(kind)
     integrand = np.broadcast_to(

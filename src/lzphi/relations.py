@@ -339,7 +339,7 @@ def _relation_column(stack, relation, params, tol) -> _Column:
     elif relation == RelationId.R8:
         alpha = params.alpha
         lhs = stack.std(obs.LZ) ** 2 + (hbar * alpha / 2.0) ** 2 * stack.std(obs.PHI) ** 2
-        rhs = hbar**2 / 2.0 * (math.sqrt(9.0 / math.pi**2 + alpha**2) - 3.0 / math.pi**2)
+        rhs = hbar**2 / 2.0 * (math.hypot(3.0 / math.pi, alpha) - 3.0 / math.pi**2)
     elif relation in (RelationId.R10, RelationId.R11):
         trig = obs.SIN_PHI if relation == RelationId.R10 else obs.COS_PHI
         other = obs.COS_PHI if relation == RelationId.R10 else obs.SIN_PHI

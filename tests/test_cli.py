@@ -504,6 +504,35 @@ class TestInputErrors:
         assert "R14 is not finite" in err
         assert out == ""
 
+    def test_huge_alpha_is_an_input_error(self, tmp_path, capsys):
+        """alpha**2 above 1e308 is refused with exit 3, not an OverflowError."""
+        spec = write(tmp_path, "s.spec", "state circular m=1\nrelations R8(alpha=1e200)\n")
+        code, out, err = run_main(["eval", spec], capsys)
+        assert code == 3
+        assert "R8 is not finite" in err and "Traceback" not in err
+        assert out == ""
+
+    def test_huge_alpha_sweep_is_an_input_error(self, tmp_path, capsys):
+        spec = write(tmp_path, "s.spec", "state circular m=1\nrelations R8(alpha=1)\n")
+        code, out, err = run_main(["scan", spec, "--sweep", "alpha=1e200:1e300:2"], capsys)
+        assert code == 3
+        assert "R8 is not finite" in err
+        assert out == ""
+
+    def test_integer_sweeps_do_not_wrap(self, tmp_path, capsys):
+        """Sweep values beyond int64 stay exact Python ints: answered or refused, never wrapped."""
+        assert cli._parse_sweep("N=1:1e19:2")[1] == [1, 10**19]
+        assert cli._parse_sweep("n=0.5:2.5:3")[1] == [0, 2, 2]  # half to even, as before
+        spec = write(tmp_path, "s.spec", "state rotor c={0:(0.6,0),1:(0,0.8)}\nrelations R12(N=1,N1=0)\n")
+        code, out, err = run_main(["scan", spec, "--sweep", "N=1:1e19:2"], capsys)
+        assert code in (0, 1, 2), err
+        assert [row["sweep_value"] for row in json.loads(out)] == [1, 1e19]
+        code, out, err = run_main(["scan", spec, "--sweep", "N=1:1e300:2"], capsys)
+        assert code == 3 and "delta_chi" in err and out == ""
+        spec = write(tmp_path, "p.spec", "state pendulum n=0\nrelations R5\n")
+        code, out, err = run_main(["scan", spec, "--sweep", "n=0:1e19:2"], capsys)
+        assert code == 3 and "n must be in 0..64" in err and out == ""
+
     def test_extreme_pendulum_products_stay_finite(self, tmp_path, capsys):
         spec = write(
             tmp_path,

@@ -182,6 +182,15 @@ class TestFactoredSphericalCoefficients:
                 direct = np.sum(w * psi_row * np.exp(-1j * m * phi)) / math.sqrt(TWO_PI)
                 assert coeffs.at_theta(theta)[k] == pytest.approx(direct, abs=1e-9)
 
+    @pytest.mark.parametrize("l", [0, 2, 64])
+    def test_quadrature_factors_match_the_stored_ones(self, l):
+        """The c_m factors come back from the sampled state: phi sums, then the polar projection."""
+        state = random_spherical(np.random.default_rng(21), l)
+        quad = coefficients(state, method="quadrature")
+        assert quad.factored and quad.l == l
+        exact = coefficients(state).values
+        assert np.max(np.abs(np.array(exact) - np.array(quad.values))) < 1e-12
+
 
 class TestDerivationDiscriminants:
     """The lambda-quadratics behind the width bounds stay nonnegative."""

@@ -27,7 +27,7 @@ from lzphi import (
     std_dev,
     symmetry_deficit,
 )
-from lzphi import engine, moments
+from lzphi import engine, fourier, moments
 
 from .conftest import pendulums_of_two_widths, random_rotor, random_spherical
 from .oracles import SphericalOracle
@@ -354,6 +354,31 @@ def test_sixth_orders_at_the_top_of_the_number_basis(a, b):
     assert higher_correlation(a, b, 6, 6, state) == pytest.approx(quad, rel=1e-9)
 
 
+def test_centered_sixth_order_of_phi_squared_at_n_64():
+    """(X^2 - mu)^6 |n> is applied directly, not expanded in uncentered powers of phi^2."""
+    state = PendulumState(n=64)
+    cfg = EngineSettings(hermite_nodes=370)
+    quad = higher_correlation(PHI_SQUARED, PHI_SQUARED, 6, 6, state, method="quadrature", settings=cfg)
+    exact = higher_correlation(PHI_SQUARED, PHI_SQUARED, 6, 6, state)
+    assert abs(exact - quad) <= 1e-14 * abs(quad)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        RotorSuperposition({100: 0.6, 101: 0.8}),
+        RotorSuperposition({60: 0.6, 61: 0.8}),
+        SphericalState(64, {60: 0.6, 64: 0.8}),
+    ],
+    ids=["rotor-100-101", "rotor-60-61", "spherical-l64"],
+)
+def test_quadrature_lz_is_centered_before_it_is_powered(state):
+    """The oracle's (Lz - mu)^6 Psi takes (hbar*m - mu)^6 per mode, with no binomial in Lz^k."""
+    exact = higher_correlation(LZ, LZ, 6, 6, state)
+    quad = higher_correlation(LZ, LZ, 6, 6, state, method="quadrature")
+    assert abs(quad - exact) <= 1e-10 * abs(exact)
+
+
 class TestSphericalOracleIndependence:
     """The oracle's polar rule has the user's theta_nodes; the analytic rule is sized from l."""
 
@@ -407,8 +432,13 @@ def test_one_grid_per_quadrature_check(monkeypatch):
         random_spherical(np.random.default_rng(4), 2),
         PendulumState(n=5),
     )
+    fourier_checks = (
+        fourier.parseval_check,
+        lambda s: fourier.coefficients(s, **quad),
+    )
     for state in states:
-        for check in checks:
+        periodic = not isinstance(state, PendulumState)
+        for check in checks + fourier_checks * periodic:
             calls.clear()
             check(state)
             assert calls == [state]

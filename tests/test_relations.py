@@ -529,6 +529,14 @@ class TestRelationColumns:
         assert stacked == lone
         assert sum(text.startswith("[") for text in lone) > 200
 
+    def test_huge_alpha_raises(self):
+        """An lhs that overflows at |alpha| > 1.3e154 is refused; the rhs stays finite."""
+        for alpha in (1e200, -1e300):
+            with pytest.raises(ValueError, match="R8 is not finite"):
+                evaluate(RelationId.R8, CircularState(m=1), RelationParams(alpha=alpha))
+        report = evaluate(RelationId.R8, CircularState(m=1), RelationParams(alpha=1e150))
+        assert report.rhs == pytest.approx(0.5e150, rel=1e-15)
+
     def test_overflowing_pendulum_relations_raise(self):
         """n = 3 with inertia, omega and hbar in 1e-200..1e200: every report is finite or refused."""
         import itertools
