@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every verdict is Satisfied or SatisfiedWithEquality,
 1 when any verdict is Violated, 2 when any verdict is Indeterminate or
-NotApplicable (and none Violated), 3 on input errors.
+NotApplicable (and none Violated), 3 on input errors, usage errors included.
 """
 
 from __future__ import annotations
@@ -30,22 +30,25 @@ _SWEEPABLE = "alpha, n, N, N1, mix, cmag:<m>, cphase:<m>"
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except SpecParseError as exc:
+    except (SpecParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 3): argparse's exit 2 means Indeterminate here."""
+
+    def error(self, message):  # add_subparsers builds each subcommand with this class
+        raise ValueError(f"{self.prog}: {message}")
 
 
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lzphi",
         description="Evaluate angular-momentum/angle uncertainty relations on quantum rotational states.",
     )
@@ -75,7 +78,6 @@ def _build_parser():
 def _add_common_flags(cmd):
     cmd.add_argument("--format", choices=("json", "csv"), default="json")
     cmd.add_argument("--tolerance", type=float, default=None)
-    cmd.add_argument("--quad-nodes", type=int, default=None)
     cmd.add_argument("--normalize", action="store_true")
     cmd.add_argument("--output", default=None)
 
@@ -84,10 +86,6 @@ def _flag_overrides(args) -> dict:
     overrides = {}
     if args.tolerance is not None:
         overrides["tolerance"] = args.tolerance
-    if args.quad_nodes is not None:
-        overrides["phi_nodes"] = args.quad_nodes
-        overrides["theta_nodes"] = args.quad_nodes
-        overrides["hermite_nodes"] = args.quad_nodes
     if args.normalize:
         overrides["normalize"] = True
     return overrides

@@ -1,4 +1,4 @@
-"""Engine settings and the quadrature grids behind every oracle path.
+"""Engine settings, the oracle's rule sizes and the quadrature grids behind every oracle path.
 
 Grids sample a state on the family's quadrature rule, and every grid has
 one interface: ``psi``, ``lz_pow(j, mu)``, ``symbol_values(sym)`` and
@@ -7,6 +7,10 @@ one interface: ``psi``, ``lz_pow(j, mu)``, ``symbol_values(sym)`` and
 never differentiate numerically: (Lz - mu)^j acts before sampling, by the
 exact per-mode factor (periodic families) or on the Hermite series
 (pendulum family), so a centered power is never expanded binomially.
+Each rule is sized from what it samples, never from a setting: the phi
+rule from the basis span max m - min m (2l on a sphere, 0 on a circle),
+the polar rule from l, the Hermite rule from n. Counts round up to a
+multiple of 32 (Hermite: 16), which keeps the cached rules few.
 """
 
 from __future__ import annotations
@@ -22,33 +26,22 @@ from . import states as st
 # unused here: perfbench's tracer patches this name in engine, and its tests check it
 from ._kernels import fourier_sum  # noqa: F401
 
+#: the widest span the phi rule resolves: 2*span + 64 <= numerics.MAX_LEGENDRE_NODES
+MAX_ORACLE_SPAN = (numerics.MAX_LEGENDRE_NODES - 64) // 2
+
 
 @dataclass(frozen=True)
 class EngineSettings:
-    """Node counts and tolerances shared by oracles, parser and CLI.
+    """Parser and CLI settings; none reaches a moment or a grid.
 
-    Node counts govern only the sampled grids of ``method="quadrature"``
-    (the analytic route reads no settings; the pendulum's line transform
-    sizes its own rules from n, so ``hermite_nodes`` reaches only
-    ``PendulumGrid``) and must lie in 2..the largest count their rule
-    builds correctly; the tolerance must be finite and >= 0. Else: ValueError.
+    The tolerance must be finite and >= 0, else ValueError.
     """
 
-    phi_nodes: int = 256
-    theta_nodes: int = 128
-    hermite_nodes: int = 128
     tolerance: float = 1e-9
     hbar: float = 1.0
     normalize: bool = False
 
     def __post_init__(self):
-        for name, top in (
-            ("phi_nodes", numerics.MAX_LEGENDRE_NODES),
-            ("theta_nodes", numerics.MAX_LEGENDRE_NODES),
-            ("hermite_nodes", numerics.MAX_HERMITE_NODES),
-        ):
-            if not 2 <= getattr(self, name) <= top:
-                raise ValueError(f"{name} must be in 2..{top}, got {getattr(self, name)}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
 
@@ -56,12 +49,26 @@ class EngineSettings:
 DEFAULT_SETTINGS = EngineSettings()
 
 
-def resolve(settings: EngineSettings | None) -> EngineSettings:
-    return DEFAULT_SETTINGS if settings is None else settings
+def phi_rule_size(ms) -> int:
+    """2*span + 64 rounded up to 32 (64..1024); a span past MAX_ORACLE_SPAN is a ValueError."""
+    span = max(ms) - min(ms)
+    if span > MAX_ORACLE_SPAN:
+        raise ValueError(f"the oracle needs max m - min m <= {MAX_ORACLE_SPAN}, got {span}")
+    return -(-(2 * span + 64) // 32) * 32
 
 
-def polar_tables(ms, l, settings: EngineSettings):
-    """(polar factors, polar weights, theta column) of the basis on the polar rule.
+def theta_rule_size(l: int) -> int:
+    """2l + 48 rounded up to 32: always more nodes than the analytic overlap rule's 2l + 32."""
+    return -(-(2 * l + 48) // 32) * 32
+
+
+def hermite_rule_size(n: int) -> int:
+    """n + 16 rounded up to 16: exact for centered moments to order 6 (degree <= 2n + 24)."""
+    return -(-(n + 16) // 16) * 16
+
+
+def polar_tables(ms, l):
+    """(polar factors, polar weights, theta column) of the basis on the oracle's polar rule.
 
     ``polar[k]`` holds theta_lm(l, ms[k], theta) at the nodes of the theta
     rule, whose weights carry sin(theta). A circle (``l`` None) is one
@@ -69,7 +76,7 @@ def polar_tables(ms, l, settings: EngineSettings):
     """
     if l is None:
         return np.ones((len(ms), 1)), np.ones(1), None
-    rule = numerics.theta_rule(settings.theta_nodes)
+    rule = numerics.theta_rule(theta_rule_size(l))
     polar, _ = numerics.basis_on_grid(ms, l, rule.nodes, None)
     return polar, rule.weights * np.sin(rule.nodes), rule.nodes[:, None]
 
@@ -83,13 +90,13 @@ class AngularGrid:
     and serve every sampling and every azimuthal projection.
     """
 
-    def __init__(self, state, settings: EngineSettings):
-        rule = numerics.phi_rule(settings.phi_nodes)
+    def __init__(self, state):
         ms = st.basis_ms(state)
+        rule = numerics.phi_rule(phi_rule_size(ms))
         l = state.l if st.family_of(state) == "spherical" else None
         self.phi = rule.nodes
         self.phi_weights = rule.weights
-        self.polar, self.polar_weights, self.theta = polar_tables(ms, l, settings)
+        self.polar, self.polar_weights, self.theta = polar_tables(ms, l)
         self.weights = np.outer(self.polar_weights, self.phi_weights)
         _, self._waves = numerics.basis_on_grid(ms, None, None, self.phi)
         self._lz = state.hbar * np.array(ms, dtype=np.float64)
@@ -124,8 +131,8 @@ class PendulumGrid:
     Lz [exp(-xi^2/2) f] = -i*hbar*scale * exp(-xi^2/2) * (f' - xi*f).
     """
 
-    def __init__(self, state, settings: EngineSettings):
-        rule = numerics.hermite_rule(settings.hermite_nodes)
+    def __init__(self, state):
+        rule = numerics.hermite_rule(hermite_rule_size(state.n))
         self.xi = rule.nodes
         self.weights = rule.weights / state.scale
         self.scale = state.scale
@@ -146,11 +153,12 @@ class PendulumGrid:
         return sym.evaluate(None, self.xi / self.scale)
 
     def inner(self, f, g) -> complex:
-        return complex(np.dot(self.weights, np.conj(f) * g))
+        """Weighted sum over mirrored node pairs: an odd integrand (a parity zero) is exactly 0."""
+        h = np.conj(f) * g
+        return complex(np.dot(self.weights, h + h[::-1]) / 2)
 
 
-def state_grid(state, settings: EngineSettings | None = None):
-    settings = resolve(settings)
+def state_grid(state):
     if st.family_of(state) == "pendulum":
-        return PendulumGrid(state, settings)
-    return AngularGrid(state, settings)
+        return PendulumGrid(state)
+    return AngularGrid(state)

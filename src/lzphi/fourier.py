@@ -53,7 +53,7 @@ class FourierCoefficients:
         return np.tensordot(np.array(self.values), ph, axes=1)
 
 
-def coefficients(state, *, method: str = "analytic", settings=None) -> FourierCoefficients:
+def coefficients(state, *, method: str = "analytic") -> FourierCoefficients:
     """Fourier coefficients b_m = (2*pi)**-0.5 int psi exp(-i*m*phi) dphi.
 
     The analytic path returns the stored expansion coefficients exactly;
@@ -71,13 +71,13 @@ def coefficients(state, *, method: str = "analytic", settings=None) -> FourierCo
         return FourierCoefficients(st.basis_ms(state), tuple(st.coeff_vector(state)), l=l)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    grid = engine.state_grid(state, settings)
+    grid = engine.state_grid(state)
     bm = grid.azimuthal_coefficients(grid.psi)
     vals = np.einsum("t,mt,tm->m", grid.polar_weights, grid.polar, bm)
     return FourierCoefficients(st.basis_ms(state), tuple(complex(v) for v in vals), l=l)
 
 
-def parseval_check(state, *, settings=None) -> float:
+def parseval_check(state) -> float:
     """|coefficient-side norm - position-side norm|, both sides independent.
 
     Circular, rotor and spherical: the polar sum of sum_m |b_m(theta)|^2,
@@ -85,10 +85,10 @@ def parseval_check(state, *, settings=None) -> float:
     the state's grid, against the grid norm of psi (a circle has one polar
     node of weight 1). Pendulum: the k-integral of the numerically
     transformed |psi~|^2 against the Gauss-Hermite position norm, both on
-    rules sized from n alone, so this branch reads no settings.
+    rules sized from n alone.
     """
     if st.family_of(state) != "pendulum":
-        grid = engine.state_grid(state, settings)
+        grid = engine.state_grid(state)
         position = float(np.real(grid.inner(grid.psi, grid.psi)))
         bm = grid.azimuthal_coefficients(grid.psi)
         return abs(float(grid.polar_weights @ np.sum(np.abs(bm) ** 2, axis=1)) - position)
@@ -154,23 +154,22 @@ def line_transform(state, k):
     return complex(vals[0]) if k_arr.ndim == 0 else vals.reshape(k_arr.shape)
 
 
-def width_product(state, *, method: str = "analytic", settings=None) -> float:
+def width_product(state, *, method: str = "analytic") -> float:
     """Variance product <(k - <k>)^2> * <(phi - <phi>)^2> for the pendulum.
 
     Analytic path uses the ladder-relation moments (equals (n + 1/2)^2);
     the quadrature path integrates |psi~|^2 on the k rule of _k_rule and
-    |psi|^2 on the oracle grid of the settings.
+    |psi|^2 on the state's oracle grid.
     """
     if st.family_of(state) != "pendulum":
         raise ValueError("width_product is defined for pendulum states")
-    settings = engine.resolve(settings)
     if method == "analytic":
-        var_phi = mo.std_dev(obs.PHI, state, settings=settings) ** 2
-        var_k = (mo.std_dev(obs.LZ, state, settings=settings) / state.hbar) ** 2
+        var_phi = mo.std_dev(obs.PHI, state) ** 2
+        var_k = (mo.std_dev(obs.LZ, state) / state.hbar) ** 2
         return var_k * var_phi
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    var_phi = mo.std_dev(obs.PHI, state, method="quadrature", settings=settings) ** 2
+    var_phi = mo.std_dev(obs.PHI, state, method="quadrature") ** 2
     krule = _k_rule(state)
     density = np.abs(line_transform(state, krule.nodes)) ** 2
     # the density is even in k, so <k> = 0 and no mean is subtracted

@@ -11,10 +11,10 @@ binomial combination of them, so each M is built once per stack and each
 form is taken over all rows at once. An Lz side, and every side on the
 oscillator basis, is centered before it is powered. The public analytic
 functions below are the one-row case, and no setting enters them. The
-quadrature path re-derives every number on the family's grid with the
-node counts of ``settings`` as the oracle; each call samples the state on
-one grid and takes the means it centers by from that same grid, and its
-Lz sides are centered before they are powered too.
+quadrature path re-derives every number on the family's grid as the
+oracle, with rules sized from the state (see ``engine``); each call
+samples the state on one grid and takes the means it centers by from that
+same grid, and its Lz sides are centered before they are powered too.
 """
 
 from __future__ import annotations
@@ -54,38 +54,38 @@ class Correlation:
     hermitized: float
 
 
-def mean(kind, state, *, method: str = "analytic", settings=None) -> float:
+def mean(kind, state, *, method: str = "analytic") -> float:
     """<A> = (Psi, A Psi)."""
     obs.check_applicable(kind, state)
     if method == "analytic":
         return float(MomentStack((state,)).mean(kind)[0])
-    return _grid_mean(_quadrature_grid(state, method, settings), kind)
+    return _grid_mean(_quadrature_grid(state, method), kind)
 
 
-def std_dev(kind, state, *, method: str = "analytic", settings=None) -> float:
+def std_dev(kind, state, *, method: str = "analytic") -> float:
     """Standard deviation (C(A, A))^(1/2) of the observable in the state."""
     obs.check_applicable(kind, state)
     if method == "analytic":
         return float(MomentStack((state,)).std(kind)[0])
-    var = _grid_pair(_quadrature_grid(state, method, settings), kind, kind, 1, 1)
+    var = _grid_pair(_quadrature_grid(state, method), kind, kind, 1, 1)
     return math.sqrt(max(float(np.real(var)), 0.0))
 
 
-def moment_set(kind, state, *, method: str = "analytic", settings=None) -> MomentSet:
+def moment_set(kind, state, *, method: str = "analytic") -> MomentSet:
     return MomentSet(
-        mean=mean(kind, state, method=method, settings=settings),
-        std_dev=std_dev(kind, state, method=method, settings=settings),
+        mean=mean(kind, state, method=method),
+        std_dev=std_dev(kind, state, method=method),
         provenance=method,
     )
 
 
-def correlation(a, b, state, *, method: str = "analytic", settings=None) -> Correlation:
+def correlation(a, b, state, *, method: str = "analytic") -> Correlation:
     """C(A, B) = (dA Psi, dB Psi) with dA = A - <A>."""
-    value = higher_correlation(a, b, 1, 1, state, method=method, settings=settings)
+    value = higher_correlation(a, b, 1, 1, state, method=method)
     return Correlation(value=value, hermitized=float(np.real(value)))
 
 
-def higher_correlation(a, b, r: int, s: int, state, *, method: str = "analytic", settings=None) -> complex:
+def higher_correlation(a, b, r: int, s: int, state, *, method: str = "analytic") -> complex:
     """((dA)^r Psi, (dB)^s Psi) for orders up to MAX_CORRELATION_ORDER."""
     if not (1 <= r <= MAX_CORRELATION_ORDER and 1 <= s <= MAX_CORRELATION_ORDER):
         raise ValueError(f"orders must be in 1..{MAX_CORRELATION_ORDER}, got r={r}, s={s}")
@@ -93,7 +93,7 @@ def higher_correlation(a, b, r: int, s: int, state, *, method: str = "analytic",
         return complex(MomentStack((state,)).pair(a, b, r, s)[0])
     obs.check_applicable(a, state)
     obs.check_applicable(b, state)
-    return complex(_grid_pair(_quadrature_grid(state, method, settings), a, b, r, s))
+    return complex(_grid_pair(_quadrature_grid(state, method), a, b, r, s))
 
 
 def commutator_mean(a, b, state) -> complex:
@@ -314,10 +314,10 @@ def _pendulum_closed_std(kind, state) -> float:
 # ---------------------------------------------------------------------------
 # quadrature path: centered operator applications on the family grid
 
-def _quadrature_grid(state, method, settings):
+def _quadrature_grid(state, method):
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    return engine.state_grid(state, engine.resolve(settings))
+    return engine.state_grid(state)
 
 
 def _grid_mean(grid, kind) -> float:
@@ -325,9 +325,14 @@ def _grid_mean(grid, kind) -> float:
 
 
 def _grid_pair(grid, a, b, r, s):
-    """((dA)^r Psi, (dB)^s Psi) on one grid, centered by that grid's own means."""
+    """((dA)^r Psi, (dB)^s Psi) on one grid, centered by that grid's own means.
+
+    A variance, (a, r) == (b, s), builds its one centered vector once.
+    """
     a, b = _unwound(a), _unwound(b)
     va = _centered_grid_vector(grid, a, r, _grid_mean(grid, a))
+    if (a, r) == (b, s):
+        return grid.inner(va, va)
     vb = _centered_grid_vector(grid, b, s, _grid_mean(grid, b))
     return grid.inner(va, vb)
 

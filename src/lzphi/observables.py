@@ -339,14 +339,12 @@ def matrix_table(
     *,
     hbar: float = 1.0,
     method: str = "analytic",
-    settings: engine.EngineSettings | None = None,
 ) -> MatrixElementTable:
     """Build the full table for one kind; ``method='quadrature'`` is the oracle.
 
     Analytic provenance means closed-form azimuthal elements; spherical
     tables other than Lz fold in the 1-D polar overlap integrals and are
-    flagged as quadrature-backed. Only the quadrature route reads
-    ``settings``.
+    flagged as quadrature-backed.
     """
     if isinstance(basis, OscillatorBasis):
         raise ValueError("pendulum moments come from MomentStack, not matrix tables")
@@ -362,24 +360,25 @@ def matrix_table(
         return MatrixElementTable(basis, kind, mat, prov)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    matrix = _quadrature_matrix(kind, basis, hbar, engine.resolve(settings))
+    matrix = _quadrature_matrix(kind, basis, hbar)
     return MatrixElementTable(basis, kind, matrix, "quadrature")
 
 
-def _quadrature_matrix(kind, basis, hbar, settings):
+def _quadrature_matrix(kind, basis, hbar):
     """<basis_i| A |basis_j> as a sum-factorized quadrature of the sampled A.
 
     A is sampled on the polar tables of ``engine.polar_tables`` times the
-    phi rule, as on the oracle grid of the basis's states. The phi sums
+    phi rule of ``engine.phi_rule_size``, as on the oracle grid of the
+    basis's states. The phi sums
     come first: F_k(theta) = (1/2*pi) sum_phi w * A * exp(i*k*phi) for every
     offset k = m_j - m_i. Element (i, j) is then the polar sum of
     theta_i * theta_j * F_{m_j - m_i} * w * sin(theta). Every number is still
     a weighted sum of sampled values, independent of the closed-form moments.
     """
     ms = basis.ms
-    prule = numerics.phi_rule(settings.phi_nodes)
+    prule = numerics.phi_rule(engine.phi_rule_size(ms))
     l = basis.l if isinstance(basis, SphericalBasis) else None
-    polar, polar_weights, theta = engine.polar_tables(ms, l, settings)
+    polar, polar_weights, theta = engine.polar_tables(ms, l)
     # Lz: integrand 1, then column j scaled by the eigenvalue hbar*m_j
     sym = Symbol.constant(1.0) if kind.name == "Lz" else kind_symbol(kind)
     integrand = np.broadcast_to(
@@ -403,19 +402,13 @@ def matrix_element(
     *,
     hbar: float = 1.0,
     method: str = "analytic",
-    settings: engine.EngineSettings | None = None,
 ) -> complex:
     """<basis_i| A |basis_j> with i, j given as m values of the basis."""
-    table = matrix_table(kind, basis, hbar=hbar, method=method, settings=settings)
+    table = matrix_table(kind, basis, hbar=hbar, method=method)
     return table.element(i, j)
 
 
-def lz_phi_symmetry_deficit(
-    state,
-    *,
-    method: str = "analytic",
-    settings: engine.EngineSettings | None = None,
-) -> complex:
+def lz_phi_symmetry_deficit(state, *, method: str = "analytic") -> complex:
     """(Lz Psi, phi Psi) - (Psi, Lz phi Psi), the condition gate for the pair.
 
     Closed forms per family: i*hbar for a single circular mode,
@@ -424,7 +417,7 @@ def lz_phi_symmetry_deficit(
     pendulum (nothing survives at the line's infinities).
     """
     if method == "quadrature":
-        return _deficit_quadrature(LZ, PHI, state, engine.resolve(settings))
+        return _deficit_quadrature(LZ, PHI, state)
     if method != "analytic":
         raise ValueError(f"unknown method {method!r}")
     fam = st.family_of(state)
@@ -445,12 +438,7 @@ def lz_phi_symmetry_deficit(
 
 
 def symmetry_deficit(
-    a: ObservableKind,
-    b: ObservableKind,
-    state,
-    *,
-    method: str = "analytic",
-    settings: engine.EngineSettings | None = None,
+    a: ObservableKind, b: ObservableKind, state, *, method: str = "analytic"
 ) -> complex:
     """(A Psi, B Psi) - (Psi, A B Psi) for any applicable ordered pair.
 
@@ -461,7 +449,7 @@ def symmetry_deficit(
     check_applicable(a, state)
     check_applicable(b, state)
     if method == "quadrature":
-        return _deficit_quadrature(a, b, state, engine.resolve(settings))
+        return _deficit_quadrature(a, b, state)
     if method != "analytic":
         raise ValueError(f"unknown method {method!r}")
     c = st.coeff_vector(state)[None, :]
@@ -502,7 +490,7 @@ def symmetry_deficits(a, b, basis, coeffs, hbar) -> np.ndarray:
     return out
 
 
-def _deficit_quadrature(a, b, state, settings) -> complex:
+def _deficit_quadrature(a, b, state) -> complex:
     """Oracle twin of symmetry_deficit: both inner products on the grid.
 
     Lz acts through the grid's exact derivative (per-mode factors on the
@@ -510,7 +498,7 @@ def _deficit_quadrature(a, b, state, settings) -> complex:
     through the product rule; the only numerics is the final weighted sum,
     so no integration by parts is ever performed.
     """
-    grid = engine.state_grid(state, settings)
+    grid = engine.state_grid(state)
     hbar = state.hbar
     psi = grid.psi
     lz_psi = grid.lz_pow(1)

@@ -65,9 +65,6 @@ _KIND_NAMES = {
 _SETTING_KEYS = {
     "hbar": float,
     "tolerance": float,
-    "phi_nodes": int,
-    "theta_nodes": int,
-    "hermite_nodes": int,
     "normalize": bool,
 }
 
@@ -137,8 +134,6 @@ def _collect_settings(lines) -> EngineSettings:
             if value not in ("true", "false"):
                 raise SpecParseError("bad-value", lineno, vcol, "normalize takes true or false")
             parsed = value == "true"
-        elif want is int:
-            parsed = _parse_int(value, lineno, vcol)
         else:
             parsed = _parse_float(value, lineno, vcol)
         settings = _with_settings(settings, {key: parsed}, lineno, vcol)
@@ -375,10 +370,7 @@ def canonical_text(doc: SpecDocument) -> str:
     out = []
     s = doc.settings
     out.append(f"setting hbar {s.hbar!r}")
-    out.append(f"setting hermite_nodes {s.hermite_nodes}")
     out.append(f"setting normalize {'true' if s.normalize else 'false'}")
-    out.append(f"setting phi_nodes {s.phi_nodes}")
-    out.append(f"setting theta_nodes {s.theta_nodes}")
     out.append(f"setting tolerance {s.tolerance!r}")
     for name, state in doc.states:
         out.append(_state_line(name, state))

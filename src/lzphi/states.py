@@ -251,11 +251,11 @@ def wavefunction(state: State, point):
     return complex(out) if phi.ndim == 0 else out
 
 
-def norm(state: State, *, settings=None) -> float:
-    """(Psi, Psi)^(1/2) computed by the family's quadrature rule."""
+def norm(state: State) -> float:
+    """(Psi, Psi)^(1/2) computed on the family's oracle grid."""
     from . import engine
 
-    grid = engine.state_grid(state, settings)
+    grid = engine.state_grid(state)
     return math.sqrt(abs(grid.inner(grid.psi, grid.psi)))
 
 

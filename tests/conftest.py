@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings as hyp_settings
 
+from lzphi import engine
 from lzphi.states import CircularState, PendulumState, RotorSuperposition, SphericalState
 
 hyp_settings.register_profile("suite", deadline=None, derandomize=True)
@@ -25,6 +26,21 @@ def pendulums_of_two_widths():
     """An n = 0..64 sweep at one (I, omega, hbar), then one pendulum of another width."""
     sweep = [PendulumState(n=n, inertia=1.3, omega=0.7, hbar=1.1) for n in range(65)]
     return sweep + [PendulumState(n=7, inertia=0.4, omega=0.7, hbar=1.1)]
+
+
+@pytest.fixture
+def oracle_rule(monkeypatch):
+    """``fix(helper, nodes)`` pins one oracle rule size of ``engine`` at ``nodes``.
+
+    ``helper`` names ``phi_rule_size``, ``theta_rule_size`` or
+    ``hermite_rule_size``; ``nodes`` None keeps the rule sized from the state.
+    """
+
+    def fix(helper, nodes):
+        if nodes is not None:
+            monkeypatch.setattr(engine, helper, lambda *_: nodes)
+
+    return fix
 
 
 @pytest.fixture(scope="session")

@@ -244,18 +244,20 @@ ALL_FAMILY_RELATIONS = "relations R5 R6 R7 R8(alpha=1) R12(N=1,N1=-1) R14 R30 R3
 
 
 @pytest.mark.parametrize("l", [0, 1, 8, 32, 64])
-def test_spherical_reports_ignore_theta_nodes(l, tmp_path, capsys):
-    """Node counts govern only the oracle: every spherical report is the same at any count."""
+def test_spherical_reports_ignore_theta_nodes(l, tmp_path, capsys, oracle_rule):
+    """The oracle's polar rule never reaches a report: every spherical report is the same at any size."""
     rng = np.random.default_rng(300 + l)
-    body = (
+    spec = write(
+        tmp_path,
+        "s.spec",
         "setting normalize true\n"
         + _spherical_line(rng, l, "a")
         + f"state spherical name=zonal l={l} c={{0:(1,0)}}\n"
-        + SPHERICAL_RELATIONS
+        + SPHERICAL_RELATIONS,
     )
     outputs = []
     for nodes in (2, 64, 128, 1024):
-        spec = write(tmp_path, "s.spec", f"setting theta_nodes {nodes}\n" + body)
+        oracle_rule("theta_rule_size", nodes)
         code, out, err = run_main(["eval", spec], capsys)
         assert code in (0, 1, 2), err
         outputs.append((code, out))
@@ -418,9 +420,9 @@ class TestInputErrors:
             ["--tolerance", "nan"],
             ["--tolerance", "inf"],
             ["--tolerance=-1e-9"],
-            ["--quad-nodes", "1"],
-            ["--quad-nodes", "371"],
-            ["--quad-nodes", "100000"],
+            ["--tolerance=-inf"],
+            ["--tolerance", "1e400"],
+            ["--tolerance", "-1"],
         ],
     )
     def test_bad_flag_values(self, tmp_path, capsys, flags):
@@ -431,22 +433,60 @@ class TestInputErrors:
         assert out == ""
 
     @pytest.mark.parametrize(
-        "line",
+        "line, where",
         [
-            "setting tolerance -1e-9",
-            "setting phi_nodes 1",
-            "setting phi_nodes 1025",
-            "setting theta_nodes 1",
-            "setting theta_nodes 1025",
-            "setting hermite_nodes 0",
-            "setting hermite_nodes 371",
+            pytest.param("setting tolerance -1e-9", "col 19: [bad-value]", id="setting tolerance -1e-9"),
+            # the oracle sizes its own rules: a node count is no setting at all
+            *(
+                pytest.param(line, "col 9: [unknown-setting]", id=line)
+                for line in (
+                    "setting phi_nodes 1",
+                    "setting phi_nodes 1025",
+                    "setting theta_nodes 1",
+                    "setting theta_nodes 1025",
+                    "setting hermite_nodes 0",
+                    "setting hermite_nodes 371",
+                )
+            ),
         ],
     )
-    def test_bad_setting_lines(self, tmp_path, capsys, line):
+    def test_bad_setting_lines(self, tmp_path, capsys, line, where):
         spec = write(tmp_path, "s.spec", line + "\n" + self.SPEC)
-        code, _, err = run_main(["eval", spec], capsys)
+        code, out, err = run_main(["eval", spec], capsys)
         assert code == 3
-        assert "line 1, col" in err and "[bad-value]" in err
+        assert f"line 1, {where}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval", "{spec}", "--format", "xml"],
+            ["eval"],
+            ["eval", "{spec}", "--tolerance", "x"],
+            ["eval", "{spec}", "--quad-nodes", "abc"],
+            ["eval", "{spec}", "--quad-nodes", "64"],
+            ["eval", "{spec}", "--bogus"],
+            ["scan", "{spec}"],
+            ["frobnicate", "{spec}"],
+            [],
+        ],
+        ids=["format-xml", "no-specfile", "tolerance-x", "quad-nodes-abc", "quad-nodes-64",
+             "bogus-flag", "scan-without-sweep", "unknown-subcommand", "no-subcommand"],
+    )
+    def test_usage_errors_exit_three(self, tmp_path, capsys, args):
+        """argparse's usage errors are input errors (exit 3), not its own exit 2."""
+        spec = write(tmp_path, "s.spec", self.SPEC)
+        code, out, err = run_main([a.format(spec=spec) for a in args], capsys)
+        assert code == 3
+        assert err.startswith("error: lzphi") and "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("args", [["--help"], ["eval", "--help"], ["scan", "--help"]])
+    def test_help_exits_zero(self, capsys, args):
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 0
+        assert "usage: lzphi" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "text",
@@ -542,16 +582,6 @@ class TestInputErrors:
         code, out, err = run_main(["eval", spec], capsys)
         assert code == 0, err
         assert [row["lhs"] for row in json.loads(out)] == [3.5e150] * 3
-
-    def test_largest_node_counts_are_accepted(self, tmp_path, capsys):
-        spec = write(
-            tmp_path,
-            "s.spec",
-            "setting phi_nodes 1024\nsetting theta_nodes 1024\nsetting hermite_nodes 370\n"
-            + self.SPEC,
-        )
-        code, _, err = run_main(["eval", spec], capsys)
-        assert code in (0, 1, 2), err
 
     @pytest.mark.parametrize(
         "sweep", ["mix=nan:1:3", "mix=0:inf:3", "cphase:1=-inf:0:2", "cmag:0=0:nan:2"]

@@ -14,7 +14,6 @@ from lzphi import (
     width_product,
 )
 
-from lzphi.engine import EngineSettings
 from lzphi.numerics import MAX_HERMITE_NODES
 
 from .conftest import random_rotor, random_spherical
@@ -76,22 +75,23 @@ class TestParseval:
             assert parseval_check(state) < 1e-10
 
     @pytest.mark.parametrize("nodes", [257, MAX_HERMITE_NODES])
-    def test_pendulum_at_large_hermite_rules(self, nodes):
-        # the line-transform rules are sized from n; nodes reach only var_phi's grid
-        settings = EngineSettings(hermite_nodes=nodes)
+    def test_pendulum_at_large_hermite_rules(self, nodes, oracle_rule):
+        # the line-transform rules are sized from n; the grid's rule reaches only var_phi
+        oracle_rule("hermite_rule_size", nodes)
         for n in (0, 5, 16):
             state = PendulumState(n=n)
-            assert parseval_check(state, settings=settings) < 1e-10
-            assert width_product(state, method="quadrature", settings=settings) == pytest.approx(
+            assert parseval_check(state) < 1e-10
+            assert width_product(state, method="quadrature") == pytest.approx(
                 (n + 0.5) ** 2, abs=1e-8
             )
 
     @pytest.mark.parametrize("nodes", [2, 16, 128, MAX_HERMITE_NODES])
-    def test_pendulum_up_to_n_64_at_any_hermite_nodes(self, nodes):
-        settings = EngineSettings(hermite_nodes=nodes)
+    def test_pendulum_up_to_n_64_at_any_hermite_nodes(self, nodes, oracle_rule):
+        """Parseval reads its own rules: the pendulum grid's Hermite rule never reaches it."""
+        oracle_rule("hermite_rule_size", nodes)
         for n in range(65):
             state = PendulumState(n=n, hbar=1.7, inertia=0.37, omega=2.9)
-            assert parseval_check(state, settings=settings) < 1e-10
+            assert parseval_check(state) < 1e-10
 
 
 class TestLineTransform:
@@ -160,11 +160,12 @@ class TestWidthProduct:
                 (n + 0.5) ** 2, abs=1e-8
             )
 
-    @pytest.mark.parametrize("settings", [None, EngineSettings(hermite_nodes=MAX_HERMITE_NODES)])
-    def test_quadrature_oracle_up_to_n_64(self, settings):
+    @pytest.mark.parametrize("nodes", [None, MAX_HERMITE_NODES])
+    def test_quadrature_oracle_up_to_n_64(self, nodes, oracle_rule):
+        oracle_rule("hermite_rule_size", nodes)
         for n in range(65):
             state = PendulumState(n=n, hbar=1.7, inertia=0.37, omega=2.9)
-            assert width_product(state, method="quadrature", settings=settings) == pytest.approx(
+            assert width_product(state, method="quadrature") == pytest.approx(
                 (n + 0.5) ** 2, abs=1e-8
             )
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as hst
 
 from lzphi import (
     LZ,
-    EngineSettings,
     PHI,
     COS_PHI,
     PHI_SQUARED,
@@ -293,46 +292,51 @@ EDGE_PENDULUMS = [_drawn_pendulum(n, seed) for seed, n in enumerate((20, 30, 64)
 PENDULUM_KINDS = (LZ, PHI, PHI_SQUARED)
 
 
-@pytest.mark.parametrize("nodes", [128, 370])
+#: the Hermite rule of the pendulum oracle: None is the rule sized from n,
+#: 128 and 370 pin it above that size
+HERMITE_RULES = [None, 128, 370]
+
+
+@pytest.mark.parametrize("nodes", HERMITE_RULES)
 @pytest.mark.parametrize("state", EDGE_PENDULUMS, ids=lambda s: f"n{s.n}")
 class TestPendulumOracleEdges:
-    def test_std_dev(self, state, nodes):
-        cfg = EngineSettings(hermite_nodes=nodes)
+    @pytest.fixture(autouse=True)
+    def _rule(self, nodes, oracle_rule):
+        oracle_rule("hermite_rule_size", nodes)
+
+    def test_std_dev(self, state):
         for kind in PENDULUM_KINDS:
-            quad = std_dev(kind, state, method="quadrature", settings=cfg)
+            quad = std_dev(kind, state, method="quadrature")
             assert quad == pytest.approx(std_dev(kind, state), abs=1e-9)
 
-    def test_correlation(self, state, nodes):
-        cfg = EngineSettings(hermite_nodes=nodes)
+    def test_correlation(self, state):
         for a, b in ((LZ, PHI), (LZ, PHI_SQUARED), (PHI, PHI_SQUARED), (PHI_SQUARED, LZ)):
-            quad = correlation(a, b, state, method="quadrature", settings=cfg).value
+            quad = correlation(a, b, state, method="quadrature").value
             assert quad == pytest.approx(correlation(a, b, state).value, abs=1e-9)
 
-    def test_mixed_order_higher_correlation(self, state, nodes):
-        cfg = EngineSettings(hermite_nodes=nodes)
+    def test_mixed_order_higher_correlation(self, state):
         for a, b, r, s in ((PHI, LZ, 1, 2), (LZ, PHI, 1, 3), (LZ, PHI, 2, 3), (PHI_SQUARED, PHI, 2, 1)):
-            quad = higher_correlation(a, b, r, s, state, method="quadrature", settings=cfg)
+            quad = higher_correlation(a, b, r, s, state, method="quadrature")
             assert quad == pytest.approx(higher_correlation(a, b, r, s, state), rel=1e-9)
 
-    def test_symmetry_deficit(self, state, nodes):
-        cfg = EngineSettings(hermite_nodes=nodes)
+    def test_symmetry_deficit(self, state):
         for a, b in ((LZ, PHI), (LZ, PHI_SQUARED), (PHI, PHI_SQUARED)):
             assert symmetry_deficit(a, b, state) == 0
-            assert abs(symmetry_deficit(a, b, state, method="quadrature", settings=cfg)) < 1e-10
+            assert abs(symmetry_deficit(a, b, state, method="quadrature")) < 1e-10
 
 
-@pytest.mark.parametrize("nodes", [128, 370])
-def test_pendulum_oracle_over_the_whole_range(nodes):
-    cfg = EngineSettings(hermite_nodes=nodes)
+@pytest.mark.parametrize("nodes", HERMITE_RULES)
+def test_pendulum_oracle_over_the_whole_range(nodes, oracle_rule):
+    oracle_rule("hermite_rule_size", nodes)
     for n in range(65):
         state = _drawn_pendulum(n, 100 + n)
         for kind in (LZ, PHI):
-            quad = std_dev(kind, state, method="quadrature", settings=cfg)
+            quad = std_dev(kind, state, method="quadrature")
             assert quad == pytest.approx(std_dev(kind, state), rel=1e-9), (n, kind)
-        quad = correlation(LZ, PHI, state, method="quadrature", settings=cfg).value
+        quad = correlation(LZ, PHI, state, method="quadrature").value
         assert quad == pytest.approx(correlation(LZ, PHI, state).value, abs=1e-9), n
-        deficit = symmetry_deficit(LZ, PHI, state, method="quadrature", settings=cfg)
-        assert abs(deficit) <= cfg.tolerance, n
+        deficit = symmetry_deficit(LZ, PHI, state, method="quadrature")
+        assert abs(deficit) <= 1e-9, n
 
 
 @pytest.mark.parametrize("n", [0, 20, 64])
@@ -349,16 +353,14 @@ def test_mixed_orders_on_the_pendulum(n, a, b, r, s):
 def test_sixth_orders_at_the_top_of_the_number_basis(a, b):
     """n = 64 at order 6 on both sides: (PhiSquared, PhiSquared) reaches phi^24, 12 levels above n."""
     state = PendulumState(n=64)
-    cfg = EngineSettings(hermite_nodes=370)
-    quad = higher_correlation(a, b, 6, 6, state, method="quadrature", settings=cfg)
+    quad = higher_correlation(a, b, 6, 6, state, method="quadrature")
     assert higher_correlation(a, b, 6, 6, state) == pytest.approx(quad, rel=1e-9)
 
 
 def test_centered_sixth_order_of_phi_squared_at_n_64():
     """(X^2 - mu)^6 |n> is applied directly, not expanded in uncentered powers of phi^2."""
     state = PendulumState(n=64)
-    cfg = EngineSettings(hermite_nodes=370)
-    quad = higher_correlation(PHI_SQUARED, PHI_SQUARED, 6, 6, state, method="quadrature", settings=cfg)
+    quad = higher_correlation(PHI_SQUARED, PHI_SQUARED, 6, 6, state, method="quadrature")
     exact = higher_correlation(PHI_SQUARED, PHI_SQUARED, 6, 6, state)
     assert abs(exact - quad) <= 1e-14 * abs(quad)
 
@@ -380,25 +382,60 @@ def test_quadrature_lz_is_centered_before_it_is_powered(state):
 
 
 class TestSphericalOracleIndependence:
-    """The oracle's polar rule has the user's theta_nodes; the analytic rule is sized from l."""
+    """The oracle's polar rule (2l + 48 up to 32) never is the analytic rule's 2l + 32."""
 
-    def test_too_few_nodes_show_in_the_oracle(self):
+    def test_polar_rules_differ_at_every_l(self):
+        for l in range(65):
+            assert engine.theta_rule_size(l) != 2 * l + 32, l
+
+    def test_too_few_nodes_show_in_the_oracle(self, oracle_rule):
+        """A coarse polar rule of l + 2 nodes shows in the oracle, not in the analytic route."""
         state = SphericalState(l=64, coefficients={0: 1.0})
-        coarse = EngineSettings(theta_nodes=64 + 2)
-        quad = std_dev(THETA, state, method="quadrature", settings=coarse)
-        assert abs(quad - std_dev(THETA, state, settings=coarse)) > 1e-3
+        exact = std_dev(THETA, state)
+        oracle_rule("theta_rule_size", 64 + 2)
+        assert abs(std_dev(THETA, state, method="quadrature") - exact) > 1e-3
+        assert std_dev(THETA, state) == exact
 
     @pytest.mark.parametrize("l", [8, 32, 64])
     def test_enough_nodes_agree(self, l):
         state = random_spherical(np.random.default_rng(l), l)
-        cfg = EngineSettings(theta_nodes=2 * l + 16)
         for kind in (THETA, THETA_PHI, PHI, PHI_SQUARED, COS_PHI, LZ):
-            quad = std_dev(kind, state, method="quadrature", settings=cfg)
-            assert abs(quad - std_dev(kind, state, settings=cfg)) < 1e-12, kind
-        quad = correlation(THETA, PHI, state, method="quadrature", settings=cfg).value
-        assert abs(quad - correlation(THETA, PHI, state, settings=cfg).value) < 1e-12
-        quad = symmetry_deficit(LZ, THETA_PHI, state, method="quadrature", settings=cfg)
-        assert abs(quad - symmetry_deficit(LZ, THETA_PHI, state, settings=cfg)) < 1e-12
+            quad = std_dev(kind, state, method="quadrature")
+            assert abs(quad - std_dev(kind, state)) < 1e-12, kind
+        quad = correlation(THETA, PHI, state, method="quadrature").value
+        assert abs(quad - correlation(THETA, PHI, state).value) < 1e-12
+        # relative: the deficit is the difference of two inner products up to 20x its size
+        exact = symmetry_deficit(LZ, THETA_PHI, state)
+        quad = symmetry_deficit(LZ, THETA_PHI, state, method="quadrature")
+        assert abs(quad - exact) < 1e-12 * abs(exact)
+
+
+def _span_480_rotors():
+    rng = np.random.default_rng(480)
+    ms = sorted({0, 480, *(int(m) for m in rng.integers(1, 480, size=6))})
+    c = rng.normal(size=len(ms)) + 1j * rng.normal(size=len(ms))
+    return [
+        RotorSuperposition({0: 0.6, 480: 0.8}),
+        RotorSuperposition(dict(zip(ms, c / np.linalg.norm(c)))),
+    ]
+
+
+class TestRotorOracleEdges:
+    """The azimuthal rule is sized from the span max m - min m, up to 480 (1024 nodes)."""
+
+    @pytest.mark.parametrize("state", _span_480_rotors(), ids=["two-modes", "random"])
+    def test_span_480_agrees_with_the_analytic_route(self, state):
+        for kind in (PHI, PHI_SQUARED, SIN_PHI, COS_PHI):
+            exact = std_dev(kind, state)
+            assert abs(std_dev(kind, state, method="quadrature") - exact) <= 1e-12 * exact, kind
+
+    def test_span_481_is_out_of_the_oracle_domain(self):
+        state = RotorSuperposition({0: 0.6, 481: 0.8})
+        with pytest.raises(ValueError, match="480"):
+            std_dev(PHI, state, method="quadrature")
+
+    def test_the_rule_grows_with_the_span(self):
+        assert [engine.phi_rule_size((0, span)) for span in (0, 1, 16, 17, 200)] == [64, 96, 96, 128, 480]
 
 
 def test_pendulums_stack_by_width():
@@ -442,3 +479,19 @@ def test_one_grid_per_quadrature_check(monkeypatch):
             calls.clear()
             check(state)
             assert calls == [state]
+
+
+def test_one_centered_vector_per_quadrature_variance(monkeypatch):
+    """A quadrature std_dev takes its side's grid mean once, not once per side."""
+    calls = []
+    grid_mean = moments._grid_mean
+
+    def counted(grid, kind):
+        calls.append(kind)
+        return grid_mean(grid, kind)
+
+    monkeypatch.setattr(moments, "_grid_mean", counted)
+    states = [random_spherical(np.random.default_rng(5), 3), PendulumState(n=4)]
+    for k in range(20):
+        std_dev(PHI if k % 2 else LZ, states[k % 2], method="quadrature")
+    assert len(calls) == 20

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as hst
 
 from lzphi.engine import EngineSettings
 from lzphi.numerics import (
+    MAX_HERMITE_DEGREE,
     MAX_HERMITE_NODES,
     MAX_LEGENDRE_NODES,
     MAX_ORBITAL_L,
@@ -138,12 +140,6 @@ class TestRuleLimits:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("phi_nodes", 1),
-            ("phi_nodes", MAX_LEGENDRE_NODES + 1),
-            ("theta_nodes", 0),
-            ("theta_nodes", MAX_LEGENDRE_NODES + 1),
-            ("hermite_nodes", 1),
-            ("hermite_nodes", MAX_HERMITE_NODES + 1),
             ("tolerance", float("nan")),
             ("tolerance", float("inf")),
             ("tolerance", -1e-12),
@@ -154,8 +150,20 @@ class TestRuleLimits:
             EngineSettings(**{field: value})
 
     def test_settings_accept_the_bounds(self):
-        EngineSettings(phi_nodes=2, theta_nodes=MAX_LEGENDRE_NODES, hermite_nodes=MAX_HERMITE_NODES)
         EngineSettings(tolerance=0.0)
+
+    def test_settings_hold_no_node_counts(self):
+        """The oracle sizes its rules from the state; no node count is a setting."""
+        assert [f.name for f in dataclasses.fields(EngineSettings)] == [
+            "tolerance", "hbar", "normalize"
+        ]
+
+    def test_oracle_rules_stay_within_the_rule_limits(self):
+        from lzphi import engine
+
+        assert engine.phi_rule_size((0, engine.MAX_ORACLE_SPAN)) == MAX_LEGENDRE_NODES
+        assert max(engine.theta_rule_size(l) for l in range(MAX_ORBITAL_L + 1)) <= MAX_LEGENDRE_NODES
+        assert max(engine.hermite_rule_size(n) for n in range(MAX_HERMITE_DEGREE + 1)) <= MAX_HERMITE_NODES
 
 
 class TestHermitePoly:
@@ -246,13 +254,14 @@ class TestThetaOverlapRule:
             assert error <= 2e-13 * np.max(np.abs(fine)), power
 
 
-def test_quadrature_convergence_on_moments(fixture_states):
-    """Doubling node counts moves no moment integral by more than 1e-10."""
-    from lzphi import PHI, EngineSettings, mean
+def test_quadrature_convergence_on_moments(fixture_states, monkeypatch):
+    """Doubling the oracle's sized node counts moves no moment integral by more than 1e-10."""
+    from lzphi import PHI, engine, mean
 
-    base = EngineSettings()
-    fine = EngineSettings(phi_nodes=512, theta_nodes=256, hermite_nodes=256)
-    for state in fixture_states:
-        coarse = mean(PHI, state, method="quadrature", settings=base)
-        refined = mean(PHI, state, method="quadrature", settings=fine)
-        assert abs(coarse - refined) <= 1e-10 * max(1.0, abs(refined))
+    coarse = [mean(PHI, state, method="quadrature") for state in fixture_states]
+    for helper in ("phi_rule_size", "theta_rule_size", "hermite_rule_size"):
+        sized = getattr(engine, helper)
+        monkeypatch.setattr(engine, helper, lambda arg, sized=sized: 2 * sized(arg))
+    for state, value in zip(fixture_states, coarse):
+        refined = mean(PHI, state, method="quadrature")
+        assert abs(value - refined) <= 1e-10 * max(1.0, abs(refined))

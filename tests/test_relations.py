@@ -435,28 +435,26 @@ class TestMomentTable:
         ]
         assert interleaved == fresh
 
-    def test_analytic_moments_ignore_the_settings(self, tmp_path, capsys):
-        """Node counts govern only the oracle: the analytic moments and R36 report match."""
-        from lzphi import EngineSettings, cli, correlation, std_dev
+    def test_analytic_moments_ignore_the_settings(self, tmp_path, capsys, oracle_rule):
+        """The oracle's rule sizes reach neither the analytic moments nor the R36 report."""
+        from lzphi import cli, correlation, std_dev
 
         state = _state_a()
-        default, coarse = EngineSettings(), EngineSettings(theta_nodes=6)
-        for kind in (THETA, PHI):
-            assert std_dev(kind, state, settings=coarse) == std_dev(kind, state, settings=default)
-        assert (
-            correlation(THETA, PHI, state, settings=coarse).value
-            == correlation(THETA, PHI, state, settings=default).value
-        )
         coefficients = ",".join(f"({c.real!r},{c.imag!r})" for c in state.coefficients)
-        body = f"state spherical name=a l=2 c=[{coefficients}]\nrelations R36\n"
-        outputs = []
-        for head in ("", "setting theta_nodes 6\n"):
-            spec = tmp_path / "r36.spec"
-            spec.write_text(head + body, encoding="utf-8")
+        spec = tmp_path / "r36.spec"
+        spec.write_text(f"state spherical name=a l=2 c=[{coefficients}]\nrelations R36\n", encoding="utf-8")
+
+        def observed():
+            moments = [std_dev(kind, state) for kind in (THETA, PHI)]
+            moments.append(correlation(THETA, PHI, state).value)
             assert cli.main(["eval", str(spec)]) in (0, 1, 2)
-            outputs.append(capsys.readouterr().out)
-        assert '"relation": "R36"' in outputs[0]
-        assert outputs[0] == outputs[1]
+            return moments, capsys.readouterr().out
+
+        sized = observed()
+        oracle_rule("theta_rule_size", 6)
+        oracle_rule("phi_rule_size", 6)
+        assert '"relation": "R36"' in sized[1]
+        assert observed() == sized
 
 
 class TestRelationColumns:

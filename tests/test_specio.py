@@ -47,9 +47,9 @@ relations R5
 
     def test_settings_apply_document_wide(self):
         doc = parse(
-            "state rotor c={0:(1,0),1:(1,0)}\nrelations R5\nsetting normalize true\nsetting phi_nodes 128\n"
+            "state rotor c={0:(1,0),1:(1,0)}\nrelations R5\nsetting normalize true\nsetting tolerance 1e-7\n"
         )
-        assert doc.settings.phi_nodes == 128
+        assert doc.settings.tolerance == 1e-7
         total = sum(abs(c) ** 2 for _, c in doc.states[0][1].coefficients)
         assert total == pytest.approx(1.0)
 
@@ -130,16 +130,21 @@ class TestParseErrors:
     def test_malformed_coefficient_list(self):
         self.assert_code("state spherical l=1 c=[(1,0),(0,0)]\nrelations R5\n", "bad-value")
 
-    @pytest.mark.parametrize(
-        "line",
-        ["setting tolerance -1e-9", "setting theta_nodes 1", "setting hermite_nodes 371"],
-    )
+    @pytest.mark.parametrize("line", ["setting tolerance -1e-9"])
     def test_out_of_range_settings_are_bad_values(self, line):
         self.assert_code(line + "\nstate circular m=0\nrelations R5\n", "bad-value")
 
+    @pytest.mark.parametrize("key", ["phi_nodes", "theta_nodes", "hermite_nodes"])
+    def test_node_counts_are_unknown_settings(self, key):
+        """The oracle sizes its own rules: no node count is a setting."""
+        with pytest.raises(SpecParseError) as excinfo:
+            parse(f"state circular m=0\nsetting {key} 128\nrelations R5\n")
+        assert excinfo.value.code == "unknown-setting"
+        assert (excinfo.value.line, excinfo.value.col) == (2, 9)
+
     @pytest.mark.parametrize(
         "overrides",
-        [{"tolerance": float("nan")}, {"tolerance": -1.0}, {"phi_nodes": 100000}],
+        [{"tolerance": float("nan")}, {"tolerance": -1.0}, {"tolerance": float("inf")}],
     )
     def test_out_of_range_overrides_are_bad_values(self, overrides):
         with pytest.raises(SpecParseError) as excinfo:
@@ -212,9 +217,6 @@ class TestSerialization:
 
 def _random_document(rng) -> SpecDocument:
     settings = EngineSettings(
-        phi_nodes=int(rng.choice([128, 256])),
-        theta_nodes=int(rng.choice([64, 128])),
-        hermite_nodes=int(rng.choice([64, 128])),
         tolerance=float(rng.choice([1e-9, 1e-8])),
         hbar=float(rng.choice([1.0, 2.0])),
         normalize=bool(rng.integers(0, 2)),
