@@ -1,8 +1,9 @@
 """Engine settings, the oracle's rule sizes and the quadrature grids behind every oracle path.
 
 Grids sample a state on the family's quadrature rule, and every grid has
-one interface: ``psi``, ``lz_pow(j, mu)``, ``symbol_values(sym)`` and
-``inner(f, g)``. Circular, rotor and spherical states share one grid,
+one interface: ``psi``, ``lz_origin``, ``lz_pow(j, mu)``,
+``symbol_values(sym)`` and ``inner(f, g)``; ``lz_pow`` measures Lz from
+``lz_origin``. Circular, rotor and spherical states share one grid,
 ``AngularGrid``; the pendulum has ``PendulumGrid``. Operator applications
 never differentiate numerically: (Lz - mu)^j acts before sampling, by the
 exact per-mode factor (periodic families) or on the Hermite series
@@ -96,8 +97,12 @@ class AngularGrid:
         self.phi_weights = rule.weights
         self.polar, self.polar_weights, self.theta = polar_tables(ms, l)
         self.weights = np.outer(self.polar_weights, self.phi_weights)
-        _, self._waves = numerics.basis_on_grid(ms, None, None, self.phi)
-        self._lz = state.hbar * np.array(ms, dtype=np.float64)
+        # the waves are exp(i*(m - m0)*phi): the common phase cancels in every inner product
+        m0 = st.middle_m(ms)
+        offsets = [m - m0 for m in ms]
+        _, self._waves = numerics.basis_on_grid(offsets, None, None, self.phi)
+        self.lz_origin = state.hbar * m0
+        self._lz = state.hbar * np.array(offsets, dtype=np.float64)
         self._coeffs = st.coeff_vector(state)
         self.psi = self._sample(self._coeffs)
 
@@ -105,11 +110,14 @@ class AngularGrid:
         return (coeffs[:, None] * self.polar).T @ self._waves
 
     def lz_pow(self, j: int, mu: float = 0.0) -> np.ndarray:
-        """Values of (Lz - mu)^j Psi via the exact per-mode factor (hbar*m - mu)^j."""
+        """Values of (Lz - mu)^j Psi via the exact per-mode factor (hbar*(m - m0) - mu)^j.
+
+        Lz is measured from ``lz_origin`` = hbar*m0, so ``mu`` is too.
+        """
         return self._sample((self._lz - mu) ** j * self._coeffs)
 
     def azimuthal_coefficients(self, f) -> np.ndarray:
-        """b_m at every polar node: the phi rule's sum of f * exp(-i*m*phi)/sqrt(2*pi)."""
+        """b_m at every polar node: the phi rule's sum of f against the waves exp(i*(m - m0)*phi)/sqrt(2*pi)."""
         return (f * self.phi_weights) @ np.conj(self._waves).T
 
     def symbol_values(self, sym) -> np.ndarray:
@@ -128,6 +136,8 @@ class PendulumGrid:
     exactly on the Hermite series f of the state before sampling,
     Lz [exp(-xi^2/2) f] = -i*hbar*scale * exp(-xi^2/2) * (f' - xi*f).
     """
+
+    lz_origin = 0.0
 
     def __init__(self, state):
         rule = numerics.hermite_rule(hermite_rule_size(state.n))

@@ -59,7 +59,8 @@ def mean(kind, state, *, method: str = "analytic") -> float:
     obs.check_applicable(kind, state)
     if method == "analytic":
         return float(MomentStack((state,)).mean(kind)[0])
-    return _grid_mean(_quadrature_grid(state, method), kind)
+    grid = _quadrature_grid(state, method)
+    return (grid.lz_origin if kind.name == "Lz" else 0.0) + _grid_mean(grid, kind)
 
 
 def std_dev(kind, state, *, method: str = "analytic") -> float:
@@ -163,8 +164,12 @@ class MomentStack:
             self._coeffs = np.array([np.pad(c, (0, basis.size - c.size)) for c in coeffs])
         else:
             self._coeffs = np.array(coeffs)
-            ms = np.array(basis.ms, dtype=np.float64)
-            self._lz = np.multiply.outer(self.hbar, ms)
+            m0 = st.middle_m(basis.ms)
+            offsets = np.array([m - m0 for m in basis.ms], dtype=np.float64)
+            # Lz = hbar*m0 + hbar*(m - m0); the rows center the offsets by their own mean
+            self._lz_origin = self.hbar * m0
+            self._lz = np.multiply.outer(self.hbar, offsets)
+            self._lz_mean = np.sum(np.abs(self._coeffs) ** 2 * self._lz, axis=1)
         self._memo = {}
         self._applied_rows = {}
 
@@ -192,13 +197,15 @@ class MomentStack:
         A is Lz (a diagonal on rotor and spherical bases, hbar times
         ``lz_ladder`` on the oscillator basis) or any kind on the oscillator
         basis, whose padding keeps every power up to the highest order exact.
+        The Lz diagonal centers its offsets hbar*(m - m0) by their mean,
+        which is mu_p - hbar*m0 with no cancellation.
         """
         if kind.name != "Lz":
             mat, scale = obs.symbol_matrix(obs.kind_symbol(kind), self._basis), 1.0
         elif isinstance(self._basis, obs.OscillatorBasis):
             mat, scale = obs.lz_ladder(self._basis), self.hbar[:, None]
         else:
-            return (self._lz - mu[:, None]) ** power * self._coeffs
+            return (self._lz - self._lz_mean[:, None]) ** power * self._coeffs
         rows = self._coeffs
         for _ in range(power):
             rows = scale * obs.apply_to_rows(mat, rows) - mu[:, None] * rows
@@ -211,7 +218,7 @@ class MomentStack:
         if isinstance(self._basis, obs.OscillatorBasis):
             return np.array([_pendulum_mean(kind, s) for s in self.states])
         if kind.name == "Lz":
-            return np.sum(np.abs(self._coeffs) ** 2 * self._lz, axis=1)
+            return self._lz_origin + self._lz_mean
         return np.real(self._form(obs.kind_symbol(kind)))
 
     @_memoized

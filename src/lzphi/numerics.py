@@ -6,6 +6,10 @@ sphere grid (both of its tables) and the polar tables of the oracle matrix
 tables are built from it. Two routes tabulate on their own: the oracle
 matrix tables sum their phi side over offsets m' - m, and the pendulum
 grid evaluates a Hermite series.
+
+Every Gauss-Legendre rule in the package, analytic or oracle, is an affine
+map of ``_leggauss(n)``: Newton's method on the Legendre three-term
+recurrence, started from asymptotic nodes.
 """
 
 from __future__ import annotations
@@ -24,10 +28,8 @@ TWO_PI = 2.0 * math.pi
 MAX_HERMITE_DEGREE = 64
 MAX_ORBITAL_L = 64
 
-#: the largest node counts whose rules build correctly. numpy's leggauss
-#: builds an n x n companion matrix (0.27 s at 1024 nodes, 7.8 s and 128 MB
-#: at 4096, 80 GB at 100000) and integrates every polynomial of degree
-#: <= 2n - 1 within 3.1e-14 at 1024 nodes, drifting to 1e-13..6e-13 above;
+#: the largest node counts. The Legendre bound is the oracle's widest phi
+#: rule, 2*480 + 64 nodes (tens of ms to build; the cost grows as n^2);
 #: hermgauss overflows its normalized Hermite values from 371 nodes on,
 #: which zeroes the outermost weights.
 MAX_LEGENDRE_NODES = 1024
@@ -84,10 +86,23 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
 def _leggauss(n: int) -> tuple:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per n.
 
-    Every interval's rule is an affine map of this one, so the companion
-    matrix eigensolve runs once per node count, not once per interval.
+    Three Newton steps on P_n from Tricomi's first-order nodes, with P_n and
+    P_n' from the three-term recurrence; the weights are 2 / ((1 - x^2) P_n'^2).
+    Mirrored pairs are then averaged as numpy does, so the rule is exactly
+    symmetric (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652).
     """
-    x, w = np.polynomial.legendre.leggauss(n)
+    k = np.arange(n, 0, -1)
+    x = np.cos(math.pi * (4 * k - 1) / (4 * n + 2)) * (1.0 - (n - 1) / (8.0 * n**3))
+    for step in range(4):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+        if step < 3:  # three Newton steps; the last pass gives P_n' at the nodes
+            x = x - p1 / dp
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    x = (x - x[::-1]) / 2
+    w = (w + w[::-1]) / 2
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -104,32 +119,16 @@ def gauss_hermite(n: int) -> QuadratureRule:
     return QuadratureRule(x, w, "hermite")
 
 
-def _polished_legendre(n: int, a: float, b: float) -> QuadratureRule:
-    """gauss_legendre(n, a, b) after one Newton step on P_n, weights 2 / ((1 - x^2) P_n'(x)^2).
-
-    numpy's weights are off by up to 2e-10 at counts that are not powers of two.
-    """
-    rule = gauss_legendre(n, a, b)
-    x, _ = _leggauss(n)
-    p0, p1 = np.ones_like(x), x
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
-    x = x - p1 / dp
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    return QuadratureRule(0.5 * (b - a) * x + 0.5 * (b + a), 0.5 * (b - a) * w, rule.domain)
-
-
 @lru_cache(maxsize=64)
 def phi_rule(n: int) -> QuadratureRule:
-    """The oracle's cached azimuthal rule on [0, 2*pi], polished."""
-    return _polished_legendre(n, 0.0, TWO_PI)
+    """The oracle's cached azimuthal rule on [0, 2*pi]."""
+    return gauss_legendre(n, 0.0, TWO_PI)
 
 
 @lru_cache(maxsize=64)
 def theta_rule(n: int) -> QuadratureRule:
-    """The oracle's cached polar rule on [0, pi], polished; sin(theta) stays in integrands."""
-    return _polished_legendre(n, 0.0, math.pi)
+    """The oracle's cached polar rule on [0, pi]; sin(theta) stays in integrands."""
+    return gauss_legendre(n, 0.0, math.pi)
 
 
 @lru_cache(maxsize=64)

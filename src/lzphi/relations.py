@@ -31,7 +31,6 @@ from . import moments as mo
 from . import numerics
 from . import observables as obs
 from . import states as st
-from .numerics import TWO_PI
 
 
 class RelationId(str, enum.Enum):
@@ -158,12 +157,15 @@ def delta_chi(N: int, N1: int) -> float:
 
 
 def fourier_boundary_term(state) -> float:
-    """|1 - 2*pi*|psi(2*pi)|^2| for periodic-in-phi states."""
+    """|1 - 2*pi*|psi(2*pi)|^2| for periodic-in-phi states.
+
+    exp(i*m*2*pi) = 1 for every integer m, so 2*pi*|psi(2*pi)|^2 is exactly
+    |sum_m c_m|^2, with no phase formed in floating point.
+    """
     fam = st.family_of(state)
     if fam not in _PERIODIC:
         raise ValueError(f"fourier_boundary_term needs a periodic family, got {fam}")
-    psi_edge = st.wavefunction(state, TWO_PI)
-    return abs(1.0 - TWO_PI * abs(psi_edge) ** 2)
+    return abs(1.0 - abs(st.coeff_vector(state).sum()) ** 2)
 
 
 def gamma_weighted_sum(state) -> float:

@@ -208,6 +208,15 @@ def basis_ms(state: State) -> tuple:
     raise ValueError("pendulum states have no azimuthal Fourier basis")
 
 
+def middle_m(ms) -> int:
+    """The basis's middle m, m0 = (min + max) // 2; 0 on a sphere.
+
+    Both routes hold Lz as hbar*(m - m0) and sample exp(i*(m - m0)*phi), so
+    an m near the parser's bound 2^52 costs no digits.
+    """
+    return (min(ms) + max(ms)) // 2
+
+
 def coeff_vector(state: State) -> np.ndarray:
     """Complex amplitudes aligned with basis_ms(state), or over the number states |0>..|n> of a pendulum."""
     fam = family_of(state)

@@ -2,6 +2,7 @@ import collections
 import csv
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -524,15 +525,30 @@ class TestInputErrors:
         assert out == ""
 
     def test_largest_m_is_accepted(self, tmp_path, capsys):
+        """The numbers at |m| = 2^52 are those of the same state near m = 0."""
         top = 2**52
         spec = write(
             tmp_path,
             "s.spec",
-            f"state circular m={-top}\nstate rotor c={{{top}:(0.6,0),{-top}:(0,0.8)}}\nrelations R5 R6\n",
+            f"state circular m={-top}\n"
+            f"state rotor c={{{top}:(0.6,0),{-top}:(0,0.8)}}\n"
+            f"state rotor name=edge c={{{top - 1}:(0.6,0),{top}:(0.8,0)}}\n"
+            "state rotor name=low c={0:(0.6,0),1:(0.8,0)}\n"
+            "relations R5 R6 R15\n",
         )
         code, out, err = run_main(["eval", spec], capsys)
         assert code in (0, 1, 2), err
-        assert out.count('"relation"') == 4
+        reports = {(r["state_name"], r["relation"]): r for r in json.loads(out)}
+        assert len(reports) == 12
+        assert reports["s1", "R5"]["lhs"] == 0
+        wide = 0.96 * top * math.pi / math.sqrt(3.0)  # dLz = 0.96 * 2^52, dphi of the uniform density
+        assert reports["s2", "R5"]["lhs"] == pytest.approx(wide, rel=1e-10)
+        for relation in ("R5", "R6", "R15"):
+            edge, low = reports["edge", relation], reports["low", relation]
+            assert edge["lhs"] == pytest.approx(low["lhs"], rel=1e-12), relation
+            assert edge["rhs"] == pytest.approx(low["rhs"], rel=1e-12), relation
+            assert edge["verdict"] == low["verdict"], relation
+        assert reports["edge", "R15"]["diagnostics"]["boundary_term"] == pytest.approx(0.96, abs=1e-15)
 
     def test_overflowing_relation_is_an_input_error(self, tmp_path, capsys):
         """hbar^2*dphi^2 above 1e308 is refused, not printed as inf."""

@@ -436,6 +436,23 @@ class TestRotorOracleEdges:
         assert [engine.phi_rule_size((0, span)) for span in (0, 1, 16, 17, 200)] == [64, 96, 96, 128, 480]
 
 
+class TestLargeM:
+    """Lz is held about the basis's middle m, so every m the parser accepts keeps its digits."""
+
+    @pytest.mark.parametrize("m0", [0, 10**6, 2**30, 2**40, 2**52 - 1])
+    def test_both_routes_agree_on_an_adjacent_pair(self, m0):
+        state = RotorSuperposition({m0: 0.6, m0 + 1: 0.8j})
+        assert std_dev(LZ, state) == pytest.approx(0.48, rel=1e-14)
+        assert mean(LZ, state) == pytest.approx(m0 + 0.64, rel=1e-15, abs=1e-15)
+        for kind in (LZ, PHI, PHI_SQUARED, SIN_PHI, COS_PHI):
+            for moment in (mean, std_dev):
+                exact = moment(kind, state)
+                quad = moment(kind, state, method="quadrature")
+                assert abs(quad - exact) <= 1e-12 * max(abs(exact), 1.0), (kind, moment.__name__)
+        low = RotorSuperposition({0: 0.6, 1: 0.8j})
+        assert std_dev(PHI, state) == pytest.approx(std_dev(PHI, low), rel=1e-14)
+
+
 def test_pendulums_stack_by_width():
     """An n sweep at one width is one stack; a pendulum of another width gets its own."""
     states = pendulums_of_two_widths()

@@ -60,15 +60,20 @@ class TestGaussLegendre:
 
 
 class TestRuleCache:
-    """Every gauss_legendre rule maps the one cached [-1, 1] rule of its node count."""
+    """Every Legendre rule, the oracle's included, maps the one cached [-1, 1] rule of its node count."""
 
     @pytest.mark.parametrize("n", [2, 3, 64, 512, MAX_LEGENDRE_NODES])
     def test_bit_identical_to_a_direct_build(self, n):
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _leggauss(n)
+        assert _leggauss(n) is _leggauss(n)
         for a, b in ((-3.7, 3.7), (0.0, TWO_PI), (0.0, math.pi)):
             rule = gauss_legendre(n, a, b)
             assert rule.nodes.tobytes() == (0.5 * (b - a) * x + 0.5 * (b + a)).tobytes()
             assert rule.weights.tobytes() == (0.5 * (b - a) * w).tobytes()
+        for cached, b in ((phi_rule(n), TWO_PI), (theta_rule(n), math.pi)):
+            direct = gauss_legendre(n, 0.0, b)
+            assert cached.nodes.tobytes() == direct.nodes.tobytes()
+            assert cached.weights.tobytes() == direct.weights.tobytes()
 
     def test_reference_arrays_are_read_only(self):
         for arr in _leggauss(16):
@@ -85,8 +90,20 @@ class TestRuleCache:
         assert np.array_equal(second.weights, fresh[1])
 
 
+def _sized_legendre_counts():
+    """Every node count a Legendre rule of the package is built with."""
+    from lzphi import engine, fourier
+
+    return sorted(
+        {engine.phi_rule_size((0, span)) for span in range(engine.MAX_ORACLE_SPAN + 1)}
+        | {engine.theta_rule_size(l) for l in range(MAX_ORBITAL_L + 1)}
+        | {2 * l + 32 for l in range(MAX_ORBITAL_L + 1)}
+        | {fourier._rule_nodes(n) for n in range(MAX_HERMITE_DEGREE + 1)}
+    )
+
+
 class TestPolishedOracleRules:
-    """The oracle's rules keep round-off accuracy at counts that are not powers of two."""
+    """The Newton-built rules keep round-off accuracy at counts that are not powers of two."""
 
     @pytest.mark.parametrize("n", [320, 448, 512, 992])
     def test_fourier_modes_integrate_to_zero(self, n):
@@ -99,7 +116,32 @@ class TestPolishedOracleRules:
 
     def test_nodes_stay_numpys_to_round_off(self):
         for n in (2, 3, 320, MAX_LEGENDRE_NODES):
-            assert np.max(np.abs(phi_rule(n).nodes - gauss_legendre(n, 0.0, TWO_PI).nodes)) < 1e-15
+            reference, _ = np.polynomial.legendre.leggauss(n)
+            assert np.max(np.abs(_leggauss(n)[0] - reference)) < 2e-16
+
+    def test_cos_modes_vanish_at_every_overlap_count(self):
+        # theta_overlap_matrix integrates on 2l + 32 nodes; numpy's weights leave 4.2e-14
+        for l in range(MAX_ORBITAL_L + 1):
+            rule = gauss_legendre(2 * l + 32, 0.0, math.pi)
+            ks = np.arange(1, rule.nodes.size // 4)
+            assert np.max(np.abs(np.cos(np.outer(ks, rule.nodes)) @ rule.weights)) < 1e-14, l
+
+    def test_fourier_modes_vanish_at_every_line_transform_count(self):
+        # the pendulum k rule has fourier._rule_nodes(n) nodes; numpy's weights leave 2.7e-13
+        from lzphi import fourier
+
+        for n in sorted({fourier._rule_nodes(n) for n in range(MAX_HERMITE_DEGREE + 1)}):
+            rule = gauss_legendre(n, 0.0, TWO_PI)
+            ks = np.arange(1, n // 4)
+            assert np.max(np.abs(np.exp(1j * np.outer(ks, rule.nodes)) @ rule.weights)) < 5e-14, n
+
+    def test_rules_are_mirror_symmetric_bit_for_bit(self):
+        """_k_rule's halving needs x[i] == -x[n-1-i], equal mirrored weights and an exact 0.0 middle."""
+        for n in sorted(set(range(2, 201)) | set(_sized_legendre_counts())):
+            x, w = _leggauss(n)
+            assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), n
+            if n % 2:
+                assert x[n // 2] == 0.0 and not np.signbit(x[n // 2]), n
 
 
 class TestGaussHermite:
@@ -153,7 +195,7 @@ class TestRuleLimits:
         with pytest.raises(ValueError, match=str(top)):
             build(top + 1)
         with pytest.raises(ValueError, match=str(top)):
-            build(100000)  # a Legendre rule this size needs an 80 GB companion matrix
+            build(100000)  # refused before any node is computed
 
     @pytest.mark.parametrize(
         "field, value",
@@ -260,7 +302,7 @@ class TestThetaOverlapRule:
     def test_diagonal_is_one_at_every_l(self):
         for l in range(MAX_ORBITAL_L + 1):
             diagonal = np.diag(theta_overlap_matrix(l, 0))
-            assert np.max(np.abs(diagonal - 1.0)) < 2e-14, l
+            assert np.max(np.abs(diagonal - 1.0)) < 1e-14, l
 
     @pytest.mark.parametrize("l", [0, 1, 8, 16, 32, 48, 64])
     def test_matches_the_finest_rule(self, l):

@@ -135,6 +135,13 @@ class TestBoundaryRelation:
         single = RotorSuperposition({0: 1.0})
         assert fourier_boundary_term(single) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("top", [10**12, 2**52])
+    def test_boundary_term_is_exact_at_large_m(self, top):
+        """2*pi*|psi(2*pi)|^2 = |sum_m c_m|^2 for integer m; no phase m*2*pi is formed."""
+        state = RotorSuperposition({0: 0.6, top: 0.8})
+        assert abs(fourier_boundary_term(state) - 0.96) <= 1e-15
+        assert evaluate(RelationId.R15, state).rhs == pytest.approx(0.48, abs=1e-15)
+
     def test_r15_matches_r52(self):
         state = RotorSuperposition({0: 0.6, 1: 0.8})
         a = evaluate(RelationId.R15, state)
