@@ -97,15 +97,6 @@ def _load_document(args) -> specio.SpecDocument:
     return specio.parse(text, overrides=_flag_overrides(args))
 
 
-def _evaluate_document(doc) -> list:
-    tol = doc.settings.tolerance
-    return [
-        relations.evaluate(rid, state, params, tol, state_name=name)
-        for name, state in doc.states
-        for rid, params in doc.selections
-    ]
-
-
 def _emit(args, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
@@ -125,9 +116,15 @@ def exit_code_for(verdicts) -> int:
 
 def _run_eval(args) -> int:
     doc = _load_document(args)
-    reports = _evaluate_document(doc)
-    _emit(args, specio.serialize_report(reports, args.format))
-    return exit_code_for(r.verdict for r in reports)
+    return _report(args, [(doc.states, doc.selections)], doc.settings.tolerance)
+
+
+def _report(args, points, tol, sweep=None) -> int:
+    """Emit the reports of ``points``, (states, selections) pairs; return the exit code."""
+    relations.share_moments(state for states, _ in points for _, state in states)
+    rows = list(relations.report_rows(points, tol))
+    _emit(args, specio.serialize_report(rows, args.format, sweep=sweep))
+    return exit_code_for(column.verdicts[index] for column, index, _, _ in rows)
 
 
 def _run_catalog(args) -> int:
@@ -152,16 +149,9 @@ def _run_scan(args) -> int:
         if not any(_carries(state, index) for _, state in doc.states):
             raise ValueError(f"sweep {args.sweep!r}: no state carries coefficient m={index}")
     points = [_apply_sweep(doc, param, value) for value in values]
-    # the points of a sweep share their bases, so each basis is one stacked table
-    relations.share_moments(s for point in points for _, s in point.states)
-    reports = []
-    for value, point_doc in zip(values, points):
-        for report in _evaluate_document(point_doc):
-            report.diagnostics["sweep_value"] = float(value)
-            report.diagnostics["sweep_param_name"] = param
-            reports.append(report)
-    _emit(args, specio.serialize_report(reports, args.format))
-    return exit_code_for(r.verdict for r in reports)
+    per_point = len(doc.states) * len(doc.selections)
+    sweep = (param, [float(value) for value in values for _ in range(per_point)])
+    return _report(args, points, doc.settings.tolerance, sweep)
 
 
 def _parse_sweep(text: str):
@@ -187,6 +177,7 @@ def _parse_sweep(text: str):
 
 
 def _apply_sweep(doc, param: str, value):
+    """The (states, selections) of the sweep point ``param`` = ``value``."""
     base = param.split(":", 1)[0]
     states = doc.states
     selections = doc.selections
@@ -207,7 +198,7 @@ def _apply_sweep(doc, param: str, value):
     else:
         index = _sweep_index(param)
         states = tuple((name, _retuned(s, index, base, float(value))) for name, s in states)
-    return replace(doc, states=states, selections=selections)
+    return states, selections
 
 
 def _wind_selection(rid, params, which, value):

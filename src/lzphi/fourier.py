@@ -49,8 +49,7 @@ class FourierCoefficients:
         """Sum b_m exp(i*m*phi)/sqrt(2*pi) back on the circle (periodic only)."""
         if self.factored:
             raise ValueError("reconstruct applies to plain periodic coefficients")
-        _, ph = numerics.basis_on_grid(self.ms, None, None, phi)
-        return np.tensordot(np.array(self.values), ph, axes=1)
+        return st.periodic_values(self.ms, np.array(self.values), phi)
 
 
 def coefficients(state, *, method: str = "analytic") -> FourierCoefficients:

@@ -13,10 +13,11 @@ of its rows. A relation is evaluated the same way: for each
 ``(relation, params, tol)`` its lhs, rhs, verdict, condition31 and
 diagnostics are one column over all rows of a stack, computed on first
 use and kept beside the stack. ``share_moments`` stacks a set of states,
-one stack per basis, and ``evaluate`` reads a state's row while the state
-is the same object; for any other state it stacks that state alone. No
-setting enters these moments and states are immutable, so an identical
-state always has the same moments.
+one stack per basis. ``report_rows`` walks the columns in report order
+(point, state, selection) and yields each report as a row of its column;
+a state outside the shared stacks is stacked alone. ``evaluate`` is the
+one-report case of that walk. No setting enters these moments and states
+are immutable, so an identical state always has the same moments.
 """
 
 from __future__ import annotations
@@ -174,15 +175,51 @@ def gamma_weighted_sum(state) -> float:
 
 
 def share_moments(states) -> None:
-    """Have ``evaluate`` read the moments of ``states`` from shared stacks.
+    """Have ``evaluate`` and ``report_rows`` read the moments of ``states`` from shared stacks.
 
     States that share a basis become the rows of one ``moments.MomentStack``,
     so each quantity, and each relation's verdict, is computed once for all
-    of them. The stacks are kept until the next call, or until ``evaluate``
+    of them. The stacks are kept until the next call, or until a report
     meets a state outside them.
     """
     global _shared
     _shared = _stacked(states)
+
+
+def report_rows(points, tol: float):
+    """Yield the rows of ``points``, (states, selections) pairs, in report order: point, state, selection.
+
+    A row is (column, index, constants, state_name): the relation's column
+    over the state's moment stack, the state's row in it, and the
+    diagnostics of the params alone. A ``(relation, params)`` is checked
+    once per family, when it first appears; a row that is not finite is
+    refused when it is reached, so the first error in report order raises.
+    """
+    checked = {}
+    # (stack rows, id(selections)) -> (selections, [(column, constants)]), filled in report order
+    resolved = {}
+    for states, selections in points:
+        for name, state in states:
+            rows, index = _moment_row(state)
+            known = resolved.get((rows, id(selections)))
+            if known is None or known[0] is not selections:
+                known = resolved[rows, id(selections)] = (selections, [])
+            columns = known[1]
+            for k, (relation, params) in enumerate(selections):
+                if k == len(columns):
+                    key = (relation, params, st.family_of(state))
+                    constants = checked.get(key)
+                    if constants is None:
+                        constants = checked[key] = _checked_constants(relation, params, state)
+                    columns.append((rows.column(relation, params, tol), constants))
+                column, constants = columns[k]
+                if not column.finite[index]:
+                    raise ValueError(
+                        f"relation {relation.value} is not finite on this state "
+                        f"(lhs={column.lhs[index]!r}, rhs={column.rhs[index]!r}); "
+                        "its moments overflow"
+                    )
+                yield column, index, constants, name
 
 
 def evaluate(
@@ -198,22 +235,19 @@ def evaluate(
     Raises ValueError on family mismatch, invalid parameters, or a left
     side, right side or diagnostic that is not finite; every other numeric
     outcome (including trivial 0 >= 0 degenerations and gate failures)
-    comes back as a report. The numbers are the state's row of a column
-    computed once for every row of its moment stack.
+    comes back as a report. This is the one-row case of ``report_rows``.
     """
-    relation = RelationId(relation)
-    params = params or NO_PARAMS
+    point = (((state_name, state),), ((RelationId(relation), params or NO_PARAMS),))
+    ((column, index, constants, name),) = report_rows((point,), tol)
+    return column.report(index, constants, name)
+
+
+def _checked_constants(relation, params, state) -> dict:
+    """The diagnostics that depend on ``params`` alone; raises on a family or params it does not take."""
     fam = st.family_of(state)
     families, _, _ = CATALOG[relation]
     if fam not in families:
         raise ValueError(f"relation {relation.value} is not defined on the {fam} family")
-    constants = _checked_constants(relation, params, state)
-    rows, index = _moment_row(state)
-    return rows.column(relation, params, tol).report(index, constants, state_name)
-
-
-def _checked_constants(relation, params, state) -> dict:
-    """The diagnostics that depend on ``params`` alone; raises on invalid params."""
     if relation == RelationId.R8:
         if params.alpha is None or not math.isfinite(params.alpha):
             raise ValueError("R8 requires a finite real parameter alpha")
@@ -258,12 +292,7 @@ class _Column:
         self.diagnostics = [(name, values.tolist()) for name, values in diagnostics.items()]
 
     def report(self, index, constants, state_name) -> RelationReport:
-        """The report of row ``index``; a row with a non-finite number is a ValueError."""
-        if not self.finite[index]:
-            raise ValueError(
-                f"relation {self.relation.value} is not finite on this state "
-                f"(lhs={self.lhs[index]!r}, rhs={self.rhs[index]!r}); its moments overflow"
-            )
+        """The report of row ``index``, with the params' ``constants`` among its diagnostics."""
         diag = {name: values[index] for name, values in self.diagnostics}
         diag.update(constants)
         if self.trivial[index]:

@@ -17,9 +17,8 @@ carry a decimal point; floats accept decimal and scientific notation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-import functools
-import operator
 import re
+from types import SimpleNamespace
 
 from . import observables as obs
 from .engine import DEFAULT_SETTINGS, EngineSettings
@@ -412,131 +411,93 @@ def _selection_text(sel) -> str:
 # ---------------------------------------------------------------------------
 # deterministic report serialization
 
-def _fmt(x: float) -> str:
-    return "%.12g" % float(x)
-
-
 def _quoted(text: str) -> str:
     escaped = text.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
 
 
-def serialize_report(reports, format: str = "json") -> str:
+def serialize_report(reports, format: str = "json", *, sweep=None) -> str:
     """Render reports deterministically: sorted keys, 12 significant digits.
 
+    ``reports`` holds the rows of ``relations.report_rows`` or
+    ``RelationReport`` objects, each formatted as a one-row column.
+    ``sweep`` is (parameter name, one value per report) for a scan.
     CSV columns: state_name, relation, lhs, rhs, verdict, condition31,
-    deficit_abs (plus sweep_param/sweep_value when a report carries them
-    in its diagnostics under those names).
+    deficit_abs (plus sweep_param, sweep_value when ``sweep`` is given).
     """
-    reports = list(reports)
-    if not reports:
+    rows = [_report_row(r) if isinstance(r, RelationReport) else r for r in reports]
+    if not rows:
         raise ValueError("serialize_report needs at least one report")
-    if format == "json":
-        return _to_json(reports)
-    if format == "csv":
-        return _to_csv(reports)
-    raise ValueError(f"unknown report format {format!r}")
-
-
-def _report_fields(report: RelationReport) -> dict:
-    fields = {
-        "condition31": report.condition31,
-        "deficit_abs": report.diagnostics.get("deficit_abs", 0.0),
-        "lhs": report.lhs,
-        "relation": report.relation.value,
-        "rhs": report.rhs,
-        "state_name": report.state_name,
-        "verdict": report.verdict.value,
-    }
-    if "sweep_value" in report.diagnostics:
-        fields["sweep_value"] = report.diagnostics["sweep_value"]
-        fields["sweep_param"] = report.diagnostics.get("sweep_param_name", "")
-    return fields
-
-
-#: diagnostics printed as report fields, not inside "diagnostics"
-_LIFTED = ("deficit_abs", "sweep_value", "sweep_param_name")
-
-#: each JSON report field: its index in the row ``_to_json`` builds, and its
-#: format; the row quotes the free-text names, the template the enum values
-_JSON_FIELDS = {
-    "condition31": (0, "%s"),
-    "deficit_abs": (1, "%.12g"),
-    "lhs": (2, "%.12g"),
-    "relation": (3, '"%s"'),
-    "rhs": (4, "%.12g"),
-    "state_name": (5, "%s"),
-    "verdict": (6, '"%s"'),
-}
-_SWEEP_FIELDS = {"sweep_param": (7, "%s"), "sweep_value": (8, "%.12g")}
-_ROW_FIXED = 9
-
-
-@functools.lru_cache(maxsize=256)
-def _json_layout(diag_keys: tuple):
-    """The %-template of one JSON report and the picker of its values.
-
-    ``diag_keys`` are a report's diagnostics keys in insertion order; the
-    row the picker reads holds the report fields at their
-    ``_JSON_FIELDS`` indices, then the diagnostics values in that order.
-    Every key, of the report and of its diagnostics, is printed sorted.
-    """
-    fields = dict(_JSON_FIELDS)
-    if "sweep_value" in diag_keys:
-        fields.update(_SWEEP_FIELDS)
-    printed = sorted(
-        (key, _ROW_FIXED + pos) for pos, key in enumerate(diag_keys) if key not in _LIFTED
-    )
-    inner = ", ".join(f'"{key.replace("%", "%%")}": %.12g' for key, _ in printed)
-    fields["diagnostics"] = (None, "{" + inner + "}")
-    parts, picks = [], []
-    for name in sorted(fields):
-        index, fmt = fields[name]
-        parts.append(f'"{name}": {fmt}')
-        picks.extend([index] if index is not None else [i for _, i in printed])
-    return "  {" + ", ".join(parts) + "}", operator.itemgetter(*picks)
-
-
-def _to_json(reports) -> str:
-    blocks = []
-    for report in reports:
-        diag = report.diagnostics
-        template, pick = _json_layout(tuple(diag))
-        row = (
-            "true" if report.condition31 else "false",
-            diag.get("deficit_abs", 0.0),
-            report.lhs,
-            report.relation.value,
-            report.rhs,
-            _quoted(report.state_name),
-            report.verdict.value,
-            _quoted(diag.get("sweep_param_name", "")),
-            diag.get("sweep_value", 0.0),
-            *diag.values(),
-        )
-        blocks.append(template % pick(row))
-    return "[\n" + ",\n".join(blocks) + "\n]\n"
-
-
-def _to_csv(reports) -> str:
-    sweeping = any("sweep_value" in r.diagnostics for r in reports)
+    if format not in ("json", "csv"):
+        raise ValueError(f"unknown report format {format!r}")
+    param, values = sweep if sweep is not None else (None, None)
+    json = format == "json"
+    columns, layouts, lines = {}, {}, []
+    for k, (column, index, constants, name) in enumerate(rows):
+        # one template per (column, state name, trivial); ``rows`` keeps each column alive
+        key = (id(column), name, column.trivial[index])
+        layout = layouts.get(key)
+        if layout is None:
+            if id(column) not in columns:
+                columns[id(column)] = _printed(column)
+            template = (_json_template if json else _csv_template)(column, constants, name, key[2], param)
+            layout = layouts[key] = (template, *columns[id(column)])
+        template, numbers, verdicts = layout
+        values_k = (*numbers[index], *(() if param is None else (values[k],)), verdicts[index])
+        lines.append(template % values_k if json else template.format(*values_k))
+    if json:
+        return "[\n" + ",\n".join(lines) + "\n]\n"
     header = "state_name,relation,lhs,rhs,verdict,condition31,deficit_abs"
-    if sweeping:
-        header += ",sweep_param,sweep_value"
-    lines = [header]
-    for report in reports:
-        fields = _report_fields(report)
-        row = [
-            fields["state_name"],
-            fields["relation"],
-            _fmt(fields["lhs"]),
-            _fmt(fields["rhs"]),
-            fields["verdict"],
-            "true" if fields["condition31"] else "false",
-            _fmt(fields["deficit_abs"]),
-        ]
-        if sweeping:
-            row.append(fields.get("sweep_param", ""))
-            row.append(_fmt(fields["sweep_value"]) if "sweep_value" in fields else "")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([header + ("" if param is None else ",sweep_param,sweep_value"), *lines]) + "\n"
+
+
+def _report_row(report: RelationReport) -> tuple:
+    """A report as row 0 of a one-row column, its diagnostics all printed as they are."""
+    diagnostics = [(key, [value]) for key, value in report.diagnostics.items()]
+    column = SimpleNamespace(relation=report.relation, lhs=[report.lhs], rhs=[report.rhs],
+                             verdicts=[report.verdict], condition31=[report.condition31],
+                             trivial=[False], diagnostics=diagnostics)
+    return column, 0, {}, report.state_name
+
+
+def _printed(column):
+    """Per row, the values a template takes before the sweep value, and the verdict it takes last.
+
+    The values are condition31, deficit_abs (0 when the column has none),
+    the other diagnostics by sorted key, lhs and rhs.
+    """
+    diag = dict(column.diagnostics)
+    deficit = diag.pop("deficit_abs", None) or [0.0] * len(column.lhs)
+    truth = ["true" if c else "false" for c in column.condition31]
+    numbers = zip(truth, deficit, *(diag[key] for key in sorted(diag)), column.lhs, column.rhs)
+    return list(numbers), [v.value for v in column.verdicts]
+
+
+def _json_template(column, constants, name, trivial, param) -> str:
+    """The %-template of a column's reports for one state name, every key sorted; constants written in."""
+    inner = {key: "%.12g" for key, _ in column.diagnostics if key != "deficit_abs"}
+    inner.update((key, "%.12g" % value) for key, value in constants.items())
+    if trivial:
+        inner["trivial_zero"] = "1"
+    printed = ", ".join(f'"{key.replace("%", "%%")}": {inner[key]}' for key in sorted(inner))
+    fields = ['"condition31": %s', '"deficit_abs": %.12g', '"diagnostics": {' + printed + "}",
+              '"lhs": %.12g', f'"relation": "{column.relation.value}"', '"rhs": %.12g',
+              '"state_name": ' + _quoted(name).replace("%", "%%")]
+    if param is not None:
+        fields += ['"sweep_param": ' + _quoted(param).replace("%", "%%"), '"sweep_value": %.12g']
+    return "  {" + ", ".join(fields + ['"verdict": "%s"']) + "}"
+
+
+def _csv_template(column, constants, name, trivial, param) -> str:
+    """The str.format template of a column's CSV lines for one state name.
+
+    It picks lhs, rhs, the verdict, condition31, deficit_abs and the sweep
+    value out of the values ``_printed`` gives.
+    """
+    lhs = 2 + sum(key != "deficit_abs" for key, _ in column.diagnostics)
+    name, param_text = (t.replace("{", "{{").replace("}", "}}") for t in (name, param or ""))
+    fields = [name, column.relation.value, f"{{{lhs}:.12g}}", f"{{{lhs + 1}:.12g}}",
+              f"{{{lhs + 2 + (param is not None)}}}", "{0}", "{1:.12g}"]
+    if param is not None:
+        fields += [param_text, f"{{{lhs + 2}:.12g}}"]
+    return ",".join(fields)

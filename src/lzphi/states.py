@@ -9,10 +9,11 @@ positive, and every coefficient must be finite.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 import cmath
 import math
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -64,8 +65,8 @@ class RotorSuperposition:
             raise ValueError("duplicate m in rotor coefficients")
         for m, _ in pairs:
             _require_bounded_m(m)
-        pairs = _normalized_pairs(pairs, normalize)
-        object.__setattr__(self, "coefficients", tuple(pairs))
+        values = _normalized([c for _, c in pairs], normalize)
+        object.__setattr__(self, "coefficients", tuple(zip([m for m, _ in pairs], values)))
         object.__setattr__(self, "hbar", float(hbar))
         object.__setattr__(self, "normalize", bool(normalize))
         _require_finite_positive(hbar=self.hbar)
@@ -98,9 +99,9 @@ class SphericalState:
             vec = [complex(c) for c in coefficients]
             if len(vec) != 2 * l + 1:
                 raise ValueError(f"spherical state needs 2l+1={2 * l + 1} coefficients, got {len(vec)}")
-        pairs = _normalized_pairs(list(zip(range(-l, l + 1), vec)), normalize)
+        vec = _normalized(vec, normalize)
         object.__setattr__(self, "l", l)
-        object.__setattr__(self, "coefficients", tuple(c for _, c in pairs))
+        object.__setattr__(self, "coefficients", tuple(vec))
         object.__setattr__(self, "hbar", float(hbar))
         object.__setattr__(self, "inertia", float(inertia))
         object.__setattr__(self, "normalize", bool(normalize))
@@ -170,22 +171,30 @@ def _require_finite_positive(**values):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _normalized_pairs(pairs, normalize):
-    if not all(cmath.isfinite(c) for _, c in pairs):
+def _normalized(coeffs: list, normalize: bool) -> list:
+    """The complex ``coeffs``, checked finite and of unit norm, or rescaled to it if ``normalize``."""
+    if not all(map(cmath.isfinite, coeffs)):
         raise ValueError("coefficients must be finite")
-    total = sum(abs(c) ** 2 for _, c in pairs)
+    try:
+        total = sum([abs(c) ** 2 for c in coeffs])
+    except OverflowError:  # abs or ** of a finite amplitude above about 1.3e154
+        total = math.inf
     if normalize:
+        if not math.isfinite(total) or (total == 0 and any(coeffs)):
+            # |c|^2 overflows or underflows: divide by the largest component first
+            scale = max(max(abs(c.real), abs(c.imag)) for c in coeffs)
+            return _normalized([c / scale for c in coeffs], True)
         if total == 0:
             raise ValueError("cannot normalize an all-zero coefficient vector")
         if abs(total - 1.0) <= 1e-12:  # already normalized; keep rescaling idempotent
-            return pairs
+            return coeffs
         root = math.sqrt(total)
-        return [(m, c / root) for m, c in pairs]
+        return [c / root for c in coeffs]
     if abs(total - 1.0) > NORM_INPUT_TOL:
         raise ValueError(
             f"squared amplitudes sum to {total!r}, not 1; pass normalize=True to rescale"
         )
-    return pairs
+    return coeffs
 
 
 def family_of(state: State) -> str:
@@ -255,9 +264,18 @@ def wavefunction(state: State, point):
         out = np.asarray(vals, dtype=np.complex128)
     else:
         _check_range(phi, 0.0, TWO_PI, "phi")
-        _, ph = numerics.basis_on_grid(basis_ms(state), None, None, phi)
-        out = np.tensordot(coeff_vector(state), ph, axes=1)
+        out = periodic_values(basis_ms(state), coeff_vector(state), phi)
     return complex(out) if phi.ndim == 0 else out
+
+
+def periodic_values(ms, coeffs, phi) -> np.ndarray:
+    """sum_k coeffs[k] exp(i*ms[k]*phi)/sqrt(2*pi), as waves about the middle m0 times exp(i*m0*phi).
+
+    The common phase comes last, as on the oracle grids, so an m near 2^52 costs |psi| no digits.
+    """
+    m0 = middle_m(ms)
+    _, ph = numerics.basis_on_grid([m - m0 for m in ms], None, None, phi)
+    return np.tensordot(coeffs, ph, axes=1) * np.exp(1j * (float(m0) * np.asarray(phi)))
 
 
 def norm(state: State) -> float:

@@ -14,7 +14,7 @@ from hypothesis import strategies as hst
 import numpy as np
 import pytest
 
-from lzphi import cli, specio
+from lzphi import cli, relations, specio
 from lzphi.cli import exit_code_for, main
 from lzphi.relations import Verdict
 
@@ -173,18 +173,26 @@ class TestScan:
         assert '"sweep_value": 2' in out
 
 
-def _fresh_scan(text, sweep, fmt):
-    """Exit code and report text of a scan whose point states are each evaluated alone."""
+def _fresh_scan(text, sweep, fmt, shared=False):
+    """Exit code and report text of a scan evaluated one report at a time.
+
+    Each point's states are evaluated alone, or, if ``shared``, from the
+    moment stacks of all the points, as the scan shares them.
+    """
     doc = specio.parse(text)
     param, values = cli._parse_sweep(sweep)
-    reports = []
-    for value in values:
-        for report in cli._evaluate_document(cli._apply_sweep(doc, param, value)):
-            report.diagnostics["sweep_value"] = float(value)
-            report.diagnostics["sweep_param_name"] = param
-            reports.append(report)
+    tol = doc.settings.tolerance
+    points = [cli._apply_sweep(doc, param, value) for value in values]
+    if shared:
+        relations.share_moments(s for states, _ in points for _, s in states)
+    reports, point_values = [], []
+    for value, (states, selections) in zip(values, points):
+        for name, state in states:
+            for rid, params in selections:
+                reports.append(relations.evaluate(rid, state, params, tol, state_name=name))
+                point_values.append(float(value))
     code = exit_code_for(r.verdict for r in reports)
-    return code, specio.serialize_report(reports, fmt)
+    return code, specio.serialize_report(reports, fmt, sweep=(param, point_values))
 
 
 def _rows(text, fmt):
@@ -222,6 +230,51 @@ def assert_scan_matches_fresh(text, sweep, fmt="json"):
     for k, (got_row, want_row) in enumerate(zip(got_rows, want_rows)):
         _assert_close(got_row, want_row, f"report {k}")
     return got_rows
+
+
+#: one state of each family and the relations each sweep kind changes on it
+FAMILY_STATES = {
+    "circular": "state circular name=circ m=3\n",
+    "rotor": "state rotor name=rot c={-1:(0.6,0),2:(0,0.8)}\n",
+    "spherical": "state spherical name=sph l=2 c={-1:(0.6,0),0:(0,0.3),2:(0.2,-0.7)}\n",
+    "pendulum": "state pendulum name=pend n=2 inertia=2 omega=0.5\n",
+}
+_COMMON = "relations R5 R8(alpha=1) R12(N=3,N1=0) R14 R30 R33"
+FAMILY_RELATIONS = {
+    "circular": _COMMON + " R15 R52 R60(a=Lz,b=Chi,N=2)\n",
+    "rotor": _COMMON + " R15 R52 R60(a=Lz,b=Chi,N=2)\n",
+    "spherical": _COMMON + " R36 R58 R60(a=Lz,b=Chi,N=2) R60(a=Theta,b=ThetaPhi)\n",
+    "pendulum": _COMMON + " R60(a=Lz,b=PhiSquared)\n",
+}
+#: every sweep kind with the families it applies to
+SWEEP_FAMILIES = [
+    ("alpha=-2:3:4", ("circular", "rotor", "spherical", "pendulum")),
+    ("n=0:6:4", ("pendulum",)),
+    ("N=1:4:4", ("circular", "rotor", "spherical", "pendulum")),
+    ("N1=-2:0:3", ("circular", "rotor", "spherical", "pendulum")),
+    ("mix=0:3:4", ("spherical",)),
+    ("cmag:2=0.1:2:3", ("rotor", "spherical")),
+    ("cphase:-1=0:6:4", ("rotor", "spherical")),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "sweep,family",
+    [(sweep, family) for sweep, families in SWEEP_FAMILIES for family in families],
+)
+def test_scan_bytes_are_those_of_per_report_evaluation(sweep, family, fmt):
+    """The columnar scan prints the bytes of evaluate + serialize_report on the same shared points."""
+    text = "setting normalize true\n" + FAMILY_STATES[family] + FAMILY_RELATIONS[family]
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = Path(tmp) / "s.spec", Path(tmp) / "out"
+        spec.write_text(text)
+        code = main(["scan", str(spec), "--sweep", sweep, "--format", fmt, "--output", str(out)])
+        got = out.read_text()
+    want_code, want = _fresh_scan(text, sweep, fmt, shared=True)
+    assert code == want_code
+    assert got == want
+    assert len(_rows(got, fmt)) == int(sweep.rsplit(":", 1)[1]) * (len(FAMILY_RELATIONS[family].split()) - 1)
 
 
 def _cpx_list(values):
@@ -598,6 +651,56 @@ class TestInputErrors:
         code, out, err = run_main(["eval", spec], capsys)
         assert code == 0, err
         assert [row["lhs"] for row in json.loads(out)] == [3.5e150] * 3
+
+    @pytest.mark.parametrize(
+        "selection,message",
+        [
+            ("R12(N=1,N1=0)", "delta_chi requires N != N1"),
+            (
+                "R12(N=1,N1=0) R8(alpha=1e200)",
+                "relation R8 is not finite on this state (lhs=inf, rhs=5e+199); its moments overflow",
+            ),
+        ],
+        ids=["params", "row-first"],
+    )
+    def test_first_error_in_report_order(self, tmp_path, capsys, selection, message):
+        """Point N = -1 is evaluated before N = 0 meets N == N1; its own rows come first."""
+        spec = write(tmp_path, "s.spec", f"state circular m=1\nrelations {selection}\n")
+        code, out, err = run_main(["scan", spec, "--sweep", "N=-1:1:3"], capsys)
+        assert code == 3
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "state,reports",
+        [
+            ("setting normalize true\nstate rotor c={0:(1e200,0),1:(0,1e200)}", True),
+            ("setting normalize true\nstate rotor c={0:(1e-320,0),1:(0,1e-320)}", True),
+            ("setting normalize true\nstate rotor c={0:(1.7e308,-1.7e308),5:(0,1e308)}", True),
+            ("setting normalize true\nstate spherical l=1 c=[(1e300,0),(0,0),(0,-1e300)]", True),
+            ("setting normalize true\nstate spherical l=2 c={-2:(5e-324,0),2:(0,5e-324)}", True),
+            ("state rotor c={0:(1e200,0),1:(0,1e200)}", False),
+            ("setting normalize true\nstate rotor c={0:(0,0),1:(0,0)}", False),
+        ],
+        ids=["rotor-1e200", "rotor-1e-320", "rotor-1.7e308", "spherical-1e300",
+             "spherical-5e-324", "unnormalized-1e200", "all-zero"],
+    )
+    @pytest.mark.parametrize("sweep", [None, "cmag:0=1e-320:1e300:3"])
+    def test_huge_and_tiny_coefficients(self, tmp_path, capsys, state, reports, sweep):
+        """A finite amplitude normalizes to finite reports; the rest is a coded input error, never a traceback."""
+        spec = write(tmp_path, "s.spec", state + "\nrelations R5 R14 R30 R33\n")
+        args = ["eval", spec] if sweep is None else ["scan", spec, "--sweep", sweep]
+        code, out, err = run_main(args, capsys)
+        assert "Traceback" not in err
+        if not reports:
+            assert code == 3
+            assert re.match(r"error: line \d+, col \d+: \[not-normalized\] ", err), err
+            assert out == ""
+            return
+        assert code in (0, 1, 2), err
+        for row in json.loads(out, parse_constant=pytest.fail):
+            assert all(math.isfinite(row[key]) for key in ("lhs", "rhs", "deficit_abs"))
+            assert all(math.isfinite(value) for value in row["diagnostics"].values())
 
     @pytest.mark.parametrize(
         "sweep", ["mix=nan:1:3", "mix=0:inf:3", "cphase:1=-inf:0:2", "cmag:0=0:nan:2"]

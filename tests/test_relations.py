@@ -332,7 +332,7 @@ class TestMomentTable:
     """evaluate computes a state's moments once and reuses them per state object."""
 
     def test_std_dev_once_per_kind_per_state(self, monkeypatch):
-        from lzphi import cli, specio
+        from lzphi import relations, specio
         from lzphi import moments as mo
 
         doc = specio.parse(
@@ -351,7 +351,12 @@ class TestMomentTable:
 
         # count the computations behind the stack's memo, one per row and kind
         monkeypatch.setattr(mo.MomentStack, "std", mo._memoized(std))
-        reports = cli._evaluate_document(doc)
+        tol = doc.settings.tolerance
+        reports = [
+            relations.evaluate(rid, state, params, tol)
+            for _, state in doc.states
+            for rid, params in doc.selections
+        ]
         assert len(reports) == 3 * 10
         # Lz, Phi, SinPhi and CosPhi on each of the three states
         assert len(calls) == 3 * 4

@@ -10,6 +10,7 @@ from lzphi import (
     PendulumState,
     RotorSuperposition,
     SphericalState,
+    coefficients,
     energy,
     mean,
     norm,
@@ -55,6 +56,16 @@ class TestWavefunction:
 
     def test_pendulum_domain_is_the_line(self):
         assert abs(wavefunction(PendulumState(n=0), -9.0)) < 1e-15
+
+    @pytest.mark.parametrize("m0", [10**6, 2**30, 2**52 - 1])
+    def test_density_at_large_m_is_that_at_m_zero(self, m0):
+        """The waves are taken about the middle m, so |psi|^2 keeps its digits near m = 2^52."""
+        phi = np.append(np.linspace(0.0, TWO_PI, 17), 1.625)
+        want = TWO_PI * np.abs(wavefunction(RotorSuperposition({0: 0.6, 1: 0.8}), phi)) ** 2
+        state = RotorSuperposition({m0: 0.6, m0 + 1: 0.8})
+        assert want[-1] == pytest.approx(0.9480, abs=1e-4)
+        for psi in (wavefunction(state, phi), coefficients(state).reconstruct(phi)):
+            assert np.max(np.abs(TWO_PI * np.abs(psi) ** 2 - want)) < 1e-12
 
 
 class TestEnergy:
