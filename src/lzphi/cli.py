@@ -124,7 +124,7 @@ def _report(args, points, tol, sweep=None) -> int:
     relations.share_moments(state for states, _ in points for _, state in states)
     rows = list(relations.report_rows(points, tol))
     _emit(args, specio.serialize_report(rows, args.format, sweep=sweep))
-    return exit_code_for(column.verdicts[index] for column, index, _, _ in rows)
+    return exit_code_for(report.verdict for _, report in rows)
 
 
 def _run_catalog(args) -> int:
@@ -149,9 +149,7 @@ def _run_scan(args) -> int:
         if not any(_carries(state, index) for _, state in doc.states):
             raise ValueError(f"sweep {args.sweep!r}: no state carries coefficient m={index}")
     points = [_apply_sweep(doc, param, value) for value in values]
-    per_point = len(doc.states) * len(doc.selections)
-    sweep = (param, [float(value) for value in values for _ in range(per_point)])
-    return _report(args, points, doc.settings.tolerance, sweep)
+    return _report(args, points, doc.settings.tolerance, (param, [float(v) for v in values]))
 
 
 def _parse_sweep(text: str):

@@ -11,18 +11,18 @@ commutator means, the gamma-weighted sum and the pair deficits) comes
 from a ``moments.MomentStack``, which computes each quantity once for all
 of its rows. A relation is evaluated the same way: for each
 ``(relation, params, tol)`` its lhs, rhs, verdict, condition31 and
-diagnostics are one column over all rows of a stack, computed on first
-use and kept beside the stack. ``share_moments`` stacks a set of states,
-one stack per basis. ``report_rows`` walks the columns in report order
-(point, state, selection) and yields each report as a row of its column;
-a state outside the shared stacks is stacked alone. ``evaluate`` is the
-one-report case of that walk. No setting enters these moments and states
-are immutable, so an identical state always has the same moments.
+diagnostics are one column over all rows of a stack, computed (and the
+params checked) on first use and kept beside the stack. A report is a
+row of its column. ``share_moments`` stacks a set of states, one stack
+per basis; ``report_rows`` walks a document in report order (point,
+state, selection), one ``evaluate`` per report, and a state outside the
+shared stacks is stacked alone. No setting enters these moments and
+states are immutable, so an identical state always has the same moments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import enum
 import math
 
@@ -73,15 +73,41 @@ class RelationParams:
 NO_PARAMS = RelationParams()
 
 
-@dataclass(frozen=True)
 class RelationReport:
-    relation: RelationId
-    lhs: float
-    rhs: float
-    verdict: Verdict
-    diagnostics: dict = field(compare=False)
-    condition31: bool = True
-    state_name: str = ""
+    """One report: row ``index`` of a relation's column, for the state named ``state_name``.
+
+    ``relation``, ``lhs``, ``rhs``, ``verdict``, ``condition31`` and
+    ``diagnostics`` read through to the column; ``constants`` are the
+    diagnostics of the params alone (alpha, delta_chi). Reports come from
+    ``evaluate``.
+    """
+
+    __slots__ = ("column", "index", "constants", "state_name")
+
+    def __init__(self, column, index, constants, state_name):
+        self.column = column
+        self.index = index
+        self.constants = constants
+        self.state_name = state_name
+
+    relation = property(lambda self: self.column.relation)
+    lhs = property(lambda self: self.column.lhs[self.index])
+    rhs = property(lambda self: self.column.rhs[self.index])
+    verdict = property(lambda self: self.column.verdicts[self.index])
+    condition31 = property(lambda self: self.column.condition31[self.index])
+
+    @property
+    def diagnostics(self) -> dict:
+        """The row's diagnostics, then the constants, then trivial_zero = 1 on a trivial 0 >= 0 row."""
+        diag = {name: values[self.index] for name, values in self.column.diagnostics}
+        diag.update(self.constants)
+        if self.column.trivial[self.index]:
+            diag["trivial_zero"] = 1.0
+        return diag
+
+    def __repr__(self):
+        return (f"RelationReport({self.relation.value}, lhs={self.lhs!r}, rhs={self.rhs!r}, "
+                f"verdict={self.verdict.value}, state_name={self.state_name!r})")
 
 
 _ALL = ("circular", "rotor", "spherical", "pendulum")
@@ -187,39 +213,16 @@ def share_moments(states) -> None:
 
 
 def report_rows(points, tol: float):
-    """Yield the rows of ``points``, (states, selections) pairs, in report order: point, state, selection.
+    """Yield (point index, report) over ``points``, (states, selections) pairs, in report order.
 
-    A row is (column, index, constants, state_name): the relation's column
-    over the state's moment stack, the state's row in it, and the
-    diagnostics of the params alone. A ``(relation, params)`` is checked
-    once per family, when it first appears; a row that is not finite is
-    refused when it is reached, so the first error in report order raises.
+    The order is point, then state, then selection; a report that cannot be
+    made raises when it is reached, so the first error in report order is
+    the one raised.
     """
-    checked = {}
-    # (stack rows, id(selections)) -> (selections, [(column, constants)]), filled in report order
-    resolved = {}
-    for states, selections in points:
+    for point, (states, selections) in enumerate(points):
         for name, state in states:
-            rows, index = _moment_row(state)
-            known = resolved.get((rows, id(selections)))
-            if known is None or known[0] is not selections:
-                known = resolved[rows, id(selections)] = (selections, [])
-            columns = known[1]
-            for k, (relation, params) in enumerate(selections):
-                if k == len(columns):
-                    key = (relation, params, st.family_of(state))
-                    constants = checked.get(key)
-                    if constants is None:
-                        constants = checked[key] = _checked_constants(relation, params, state)
-                    columns.append((rows.column(relation, params, tol), constants))
-                column, constants = columns[k]
-                if not column.finite[index]:
-                    raise ValueError(
-                        f"relation {relation.value} is not finite on this state "
-                        f"(lhs={column.lhs[index]!r}, rhs={column.rhs[index]!r}); "
-                        "its moments overflow"
-                    )
-                yield column, index, constants, name
+            for relation, params in selections:
+                yield point, evaluate(relation, state, params, tol, state_name=name)
 
 
 def evaluate(
@@ -235,11 +238,16 @@ def evaluate(
     Raises ValueError on family mismatch, invalid parameters, or a left
     side, right side or diagnostic that is not finite; every other numeric
     outcome (including trivial 0 >= 0 degenerations and gate failures)
-    comes back as a report. This is the one-row case of ``report_rows``.
+    comes back as a report.
     """
-    point = (((state_name, state),), ((RelationId(relation), params or NO_PARAMS),))
-    ((column, index, constants, name),) = report_rows((point,), tol)
-    return column.report(index, constants, name)
+    rows, index = _moment_row(state)
+    column, constants = rows.column(relation, params or NO_PARAMS, tol)
+    if not column.finite[index]:
+        raise ValueError(
+            f"relation {column.relation.value} is not finite on this state "
+            f"(lhs={column.lhs[index]!r}, rhs={column.rhs[index]!r}); its moments overflow"
+        )
+    return RelationReport(column, index, constants, state_name)
 
 
 def _checked_constants(relation, params, state) -> dict:
@@ -291,22 +299,6 @@ class _Column:
         self.finite = finite.tolist()
         self.diagnostics = [(name, values.tolist()) for name, values in diagnostics.items()]
 
-    def report(self, index, constants, state_name) -> RelationReport:
-        """The report of row ``index``, with the params' ``constants`` among its diagnostics."""
-        diag = {name: values[index] for name, values in self.diagnostics}
-        diag.update(constants)
-        if self.trivial[index]:
-            diag["trivial_zero"] = 1.0
-        return RelationReport(
-            relation=self.relation,
-            lhs=self.lhs[index],
-            rhs=self.rhs[index],
-            verdict=self.verdicts[index],
-            diagnostics=diag,
-            condition31=self.condition31[index],
-            state_name=state_name,
-        )
-
 
 class _StackRows:
     """A moment stack and its relation columns, each computed on first use."""
@@ -317,16 +309,20 @@ class _StackRows:
         self.moments = moments
         self.columns = {}
 
-    def column(self, relation, params, tol) -> _Column:
+    def column(self, relation, params, tol):
+        """(column, constants) of ``(relation, params, tol)``; the params are checked on first use."""
+        # a str names its RelationId here: the two hash and compare alike
         key = (relation, params, tol)
         try:
             return self.columns[key]
         except KeyError:
+            relation = RelationId(relation)
+            constants = _checked_constants(relation, params, self.moments.states[0])
             # a row whose numbers overflow is refused when it is read
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 column = _relation_column(self.moments, relation, params, tol)
-            self.columns[key] = column
-            return column
+            self.columns[key] = column, constants
+            return column, constants
 
 
 def _relation_column(stack, relation, params, tol) -> _Column:

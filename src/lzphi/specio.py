@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import re
-from types import SimpleNamespace
 
 from . import observables as obs
 from .engine import DEFAULT_SETTINGS, EngineSettings
-from .relations import CATALOG, RelationId, RelationParams, RelationReport
+from .relations import CATALOG, RelationId, RelationParams
 from .states import CircularState, PendulumState, RotorSuperposition, SphericalState
 
 
@@ -419,45 +418,40 @@ def _quoted(text: str) -> str:
 def serialize_report(reports, format: str = "json", *, sweep=None) -> str:
     """Render reports deterministically: sorted keys, 12 significant digits.
 
-    ``reports`` holds the rows of ``relations.report_rows`` or
-    ``RelationReport`` objects, each formatted as a one-row column.
-    ``sweep`` is (parameter name, one value per report) for a scan.
+    ``reports`` holds ``RelationReport`` objects or the (point index,
+    report) pairs of ``relations.report_rows``; ``sweep``, for a scan, is
+    (parameter name, one value per point). The reports of one column and
+    state name share a template, and each report fills in its numbers.
     CSV columns: state_name, relation, lhs, rhs, verdict, condition31,
-    deficit_abs (plus sweep_param, sweep_value when ``sweep`` is given).
+    deficit_abs (plus sweep_param, sweep_value for a scan).
     """
-    rows = [_report_row(r) if isinstance(r, RelationReport) else r for r in reports]
-    if not rows:
+    reports = list(reports)
+    if not reports:
         raise ValueError("serialize_report needs at least one report")
     if format not in ("json", "csv"):
         raise ValueError(f"unknown report format {format!r}")
-    param, values = sweep if sweep is not None else (None, None)
+    param, values = sweep if sweep is not None else (None, ())
     json = format == "json"
     columns, layouts, lines = {}, {}, []
-    for k, (column, index, constants, name) in enumerate(rows):
-        # one template per (column, state name, trivial); ``rows`` keeps each column alive
-        key = (id(column), name, column.trivial[index])
+    for item in reports:
+        point, report = item if isinstance(item, tuple) else (0, item)
+        column, index = report.column, report.index
+        # one template per (column, state name, trivial); ``reports`` keeps each column alive
+        key = (id(column), report.state_name, column.trivial[index])
         layout = layouts.get(key)
         if layout is None:
             if id(column) not in columns:
                 columns[id(column)] = _printed(column)
-            template = (_json_template if json else _csv_template)(column, constants, name, key[2], param)
+            template = (_json_template if json else _csv_template)(
+                column, report.constants, report.state_name, key[2], param)
             layout = layouts[key] = (template, *columns[id(column)])
         template, numbers, verdicts = layout
-        values_k = (*numbers[index], *(() if param is None else (values[k],)), verdicts[index])
-        lines.append(template % values_k if json else template.format(*values_k))
+        row = (*numbers[index], *(() if sweep is None else (values[point],)), verdicts[index])
+        lines.append(template % row if json else template.format(*row))
     if json:
         return "[\n" + ",\n".join(lines) + "\n]\n"
     header = "state_name,relation,lhs,rhs,verdict,condition31,deficit_abs"
     return "\n".join([header + ("" if param is None else ",sweep_param,sweep_value"), *lines]) + "\n"
-
-
-def _report_row(report: RelationReport) -> tuple:
-    """A report as row 0 of a one-row column, its diagnostics all printed as they are."""
-    diagnostics = [(key, [value]) for key, value in report.diagnostics.items()]
-    column = SimpleNamespace(relation=report.relation, lhs=[report.lhs], rhs=[report.rhs],
-                             verdicts=[report.verdict], condition31=[report.condition31],
-                             trivial=[False], diagnostics=diagnostics)
-    return column, 0, {}, report.state_name
 
 
 def _printed(column):

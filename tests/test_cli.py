@@ -185,14 +185,13 @@ def _fresh_scan(text, sweep, fmt, shared=False):
     points = [cli._apply_sweep(doc, param, value) for value in values]
     if shared:
         relations.share_moments(s for states, _ in points for _, s in states)
-    reports, point_values = [], []
-    for value, (states, selections) in zip(values, points):
+    reports = []
+    for point, (states, selections) in enumerate(points):
         for name, state in states:
             for rid, params in selections:
-                reports.append(relations.evaluate(rid, state, params, tol, state_name=name))
-                point_values.append(float(value))
-    code = exit_code_for(r.verdict for r in reports)
-    return code, specio.serialize_report(reports, fmt, sweep=(param, point_values))
+                reports.append((point, relations.evaluate(rid, state, params, tol, state_name=name)))
+    code = exit_code_for(r.verdict for _, r in reports)
+    return code, specio.serialize_report(reports, fmt, sweep=(param, [float(v) for v in values]))
 
 
 def _rows(text, fmt):
@@ -275,6 +274,49 @@ def test_scan_bytes_are_those_of_per_report_evaluation(sweep, family, fmt):
     assert code == want_code
     assert got == want
     assert len(_rows(got, fmt)) == int(sweep.rsplit(":", 1)[1]) * (len(FAMILY_RELATIONS[family].split()) - 1)
+
+
+#: report text as the per-report formatter printed it before the column walk, byte for byte:
+#: a trivial row (trivial_zero), params constants (alpha, delta_chi) and a swept integer
+PINNED_SPECS = {
+    "eval": ("state circular name=c m=3\nrelations R30 R8(alpha=1.5) R12(N=2,N1=0)\n", None),
+    "scan": ("state rotor name=r c={0:(0.6,0),1:(0,0.8)}\nrelations R8(alpha=1) R12(N=1,N1=0)\n",
+             "N=2:3:2"),
+}
+PINNED_OUTPUT = {
+    ("eval", "json"): (1, """[
+  {"condition31": false, "deficit_abs": 1, "diagnostics": {"corr_im": 0, "corr_re": 0, "deficit_ab_im": 1, "deficit_ab_re": 0, "trivial_zero": 1}, "lhs": 0, "relation": "R30", "rhs": 0, "state_name": "c", "verdict": "SatisfiedWithEquality"},
+  {"condition31": false, "deficit_abs": 1, "diagnostics": {"alpha": 1.5, "deficit_ab_im": 1, "deficit_ab_re": 0}, "lhs": 1.8505508252, "relation": "R8", "rhs": 0.737103520329, "state_name": "c", "verdict": "Satisfied"},
+  {"condition31": false, "deficit_abs": 1, "diagnostics": {"deficit_ab_im": 1, "deficit_ab_re": 0, "delta_chi": 10.9581105525}, "lhs": 0, "relation": "R12", "rhs": 0.5, "state_name": "c", "verdict": "Violated"}
+]
+"""),
+    ("eval", "csv"): (1, """state_name,relation,lhs,rhs,verdict,condition31,deficit_abs
+c,R30,0,0,SatisfiedWithEquality,false,1
+c,R8,1.8505508252,0.737103520329,Satisfied,false,1
+c,R12,0,0.5,Violated,false,1
+"""),
+    ("scan", "json"): (0, """[
+  {"condition31": false, "deficit_abs": 1, "diagnostics": {"alpha": 1, "deficit_ab_im": 1, "deficit_ab_re": 0}, "lhs": 0.822467033424, "relation": "R8", "rhs": 0.539373895082, "state_name": "r", "sweep_param": "N", "sweep_value": 2, "verdict": "Satisfied"},
+  {"condition31": false, "deficit_abs": 1, "diagnostics": {"deficit_ab_im": 1, "deficit_ab_re": 0, "delta_chi": 10.9581105525}, "lhs": 5.25989306518, "relation": "R12", "rhs": 0.5, "state_name": "r", "sweep_param": "N", "sweep_value": 2, "verdict": "Satisfied"},
+  {"condition31": false, "deficit_abs": 1, "diagnostics": {"alpha": 1, "deficit_ab_im": 1, "deficit_ab_re": 0}, "lhs": 0.822467033424, "relation": "R8", "rhs": 0.539373895082, "state_name": "r", "sweep_param": "N", "sweep_value": 3, "verdict": "Satisfied"},
+  {"condition31": false, "deficit_abs": 1, "diagnostics": {"deficit_ab_im": 1, "deficit_ab_re": 0, "delta_chi": 15.4439450819}, "lhs": 7.41309363932, "relation": "R12", "rhs": 0.5, "state_name": "r", "sweep_param": "N", "sweep_value": 3, "verdict": "Satisfied"}
+]
+"""),
+    ("scan", "csv"): (0, """state_name,relation,lhs,rhs,verdict,condition31,deficit_abs,sweep_param,sweep_value
+r,R8,0.822467033424,0.539373895082,Satisfied,false,1,N,2
+r,R12,5.25989306518,0.5,Satisfied,false,1,N,2
+r,R8,0.822467033424,0.539373895082,Satisfied,false,1,N,3
+r,R12,7.41309363932,0.5,Satisfied,false,1,N,3
+"""),
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(PINNED_OUTPUT))
+def test_report_bytes_are_pinned(command, fmt, tmp_path, capsys):
+    text, sweep = PINNED_SPECS[command]
+    spec = write(tmp_path, "p.spec", text)
+    argv = [command, spec, "--format", fmt] + (["--sweep", sweep] if sweep else [])
+    assert run_main(argv, capsys)[:2] == PINNED_OUTPUT[command, fmt]
 
 
 def _cpx_list(values):

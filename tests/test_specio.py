@@ -209,6 +209,20 @@ class TestSerialization:
         text = serialize_report([report], "json")
         assert '"lhs": 3.2898681337' in text  # pi^2/3 rendered at 12 significant digits
 
+    def test_escaped_state_name_bytes(self):
+        """A library state name with quotes, % and braces prints as the per-report formatter printed it."""
+        report = evaluate(RelationId.R5, PendulumState(n=1), state_name='q"%{x}\\')
+        line = (
+            '  {"condition31": true, "deficit_abs": 0, "diagnostics": {"deficit_ab_im": 0, '
+            '"deficit_ab_re": 0}, "lhs": 1.5, "relation": "R5", "rhs": 0.5, '
+            '"state_name": "q\\"%{x}\\\\", "verdict": "Satisfied"}'
+        )
+        assert serialize_report([report, report], "json") == f"[\n{line},\n{line}\n]\n"
+        row = 'q"%{x}\\,R5,1.5,0.5,Satisfied,true,0'
+        assert serialize_report([report, report], "csv") == (
+            f"state_name,relation,lhs,rhs,verdict,condition31,deficit_abs\n{row}\n{row}\n"
+        )
+
     def test_unknown_format(self):
         report = evaluate(RelationId.R5, PendulumState(n=0))
         with pytest.raises(ValueError):
