@@ -8,7 +8,9 @@ pendulum's width. It lives in ``MomentStack``, which holds the moments of
 a stack of states that share one basis: every quantity is a quadratic
 form (c, M c) over basis matrices M that do not depend on the state, or a
 binomial combination of them, so each M is built once per stack and each
-form is taken over all rows at once. An Lz side, and every side on the
+form is taken over all rows at once; the seam density of
+``observables.seam_densities``, which the boundary terms of R15, R52 and
+R58 read, is one such form. An Lz side, and every side on the
 oscillator basis, is centered before it is powered. The public analytic
 functions below are the one-row case, and no setting enters them. The
 quadrature path re-derives every number on the family's grid as the
@@ -25,7 +27,7 @@ import math
 
 import numpy as np
 
-from . import engine, numerics
+from . import engine
 from . import observables as obs
 from . import states as st
 
@@ -281,13 +283,9 @@ class MomentStack:
         return obs.symmetry_deficits(a, b, self._basis, self._coeffs, self.hbar)
 
     @_memoized
-    def gamma_sum(self) -> np.ndarray:
-        """sum_mm' conj(c_m) c_m' gamma(l, m, m') for every row of a spherical stack."""
-        if not isinstance(self._basis, obs.SphericalBasis):
-            raise ValueError("the gamma-weighted sum needs spherical states")
-        table = numerics.theta_overlap_matrix(self._basis.l, 0)
-        rows = obs.apply_to_rows(table, self._coeffs)
-        return np.real(np.einsum("pi,pi->p", np.conj(self._coeffs), rows))
+    def seam(self) -> np.ndarray:
+        """The seam density of every row: |sum_m c_m|^2, or the gamma sum (c, Gamma c) on a sphere."""
+        return obs.seam_densities(self._basis, self._coeffs)
 
 
 def _unwound(kind):

@@ -10,6 +10,12 @@ distinct offset's moment is computed once and indexed out. On the fixed-l
 spherical basis each term factorizes into a polar overlap integral times
 the rotor element, so no 2-D quadrature enters the analytic path. On the
 pendulum's oscillator basis phi and Lz/hbar are ladder matrices.
+
+Every boundary term is one number per state, its seam density
+2*pi*|psi|^2 along phi = 0 = 2*pi (``seam_densities``): the symmetry
+deficits are i*hbar/(2*pi) times a boundary jump weighted by it, and the
+R15/R52 boundary term and R58's gamma sum read it through
+``moments.MomentStack.seam``.
 """
 
 from __future__ import annotations
@@ -213,12 +219,6 @@ def _offset_index(ms):
     return offsets.ravel().tolist(), np.arange(offsets.size).reshape(offsets.shape)
 
 
-def _offset_moments(ms, j: int, p: int) -> np.ndarray:
-    """Matrix of phi_fourier_moment(m' - m + j, p) over (m, m') in ms x ms."""
-    ks, index = _offset_index(ms)
-    return np.array([phi_fourier_moment(k + j, p) for k in ks])[index]
-
-
 @dataclass(frozen=True)
 class RotorBasis:
     """Fourier basis exp(i*m*phi)/sqrt(2*pi) over an explicit index tuple."""
@@ -296,15 +296,16 @@ def symbol_matrix(sym: Symbol, basis) -> np.ndarray:
         for (_, _, p), v in sym.terms.items():
             out = out + v * np.linalg.matrix_power(x, p)
         return out
-    ms = basis.ms
-    n = len(ms)
-    out = np.zeros((n, n), dtype=np.complex128)
+    ks, index = _offset_index(basis.ms)
+    out = np.zeros(index.shape, dtype=np.complex128)
     spherical = isinstance(basis, SphericalBasis)
     if not spherical and not all(a == 0 for (a, _, _) in sym.terms):
         raise ValueError("theta-dependent symbol on a non-spherical basis")
     for (a, j, p), v in sym.terms.items():
+        # element (m, m') of the phi factor is phi_fourier_moment(m' - m + j, p)
+        phi_fac = np.array([phi_fourier_moment(k + j, p) for k in ks])[index]
         theta_fac = numerics.theta_overlap_matrix(basis.l, a) if spherical else 1.0
-        out = out + v * theta_fac * _offset_moments(ms, j, p)
+        out = out + v * theta_fac * phi_fac
     return out
 
 
@@ -411,30 +412,13 @@ def matrix_element(
 def lz_phi_symmetry_deficit(state, *, method: str = "analytic") -> complex:
     """(Lz Psi, phi Psi) - (Psi, Lz phi Psi), the condition gate for the pair.
 
-    Closed forms per family: i*hbar for a single circular mode,
-    i*hbar*|sum_m c_m|^2 for rotor superpositions, the double-sum closed
-    form over polar overlaps for spherical states, and exactly 0 for the
-    pendulum (nothing survives at the line's infinities).
+    It is i*hbar times the state's seam density (``seam_densities``): i*hbar
+    for a single circular mode, i*hbar*|sum_m c_m|^2 for rotor
+    superpositions, i*hbar*(c, Gamma c) over the polar overlaps for
+    spherical states, and exactly 0 for the pendulum (nothing survives at
+    the line's infinities).
     """
-    if method == "quadrature":
-        return _deficit_quadrature(LZ, PHI, state)
-    if method != "analytic":
-        raise ValueError(f"unknown method {method!r}")
-    fam = st.family_of(state)
-    if fam == "circular":
-        return 1j * state.hbar
-    if fam == "rotor":
-        total = sum(c for _, c in state.coefficients)
-        return 1j * state.hbar * abs(total) ** 2
-    if fam == "pendulum":
-        return 0.0 + 0.0j
-    basis = SphericalBasis(state.l)
-    c = st.coeff_vector(state)
-    gam = numerics.theta_overlap_matrix(state.l, 0)
-    phi_el = _offset_moments(basis.ms, 0, 1)
-    ms = np.array(basis.ms, dtype=np.float64)
-    double_sum = np.einsum("i,j,i,ij,ij->", np.conj(c), c, ms, gam, phi_el)
-    return 1j * state.hbar * (1.0 + 2.0 * float(np.imag(double_sum)))
+    return symmetry_deficit(LZ, PHI, state, method=method)
 
 
 def symmetry_deficit(
@@ -456,17 +440,32 @@ def symmetry_deficit(
     return complex(symmetry_deficits(a, b, basis_of(state), c, state.hbar)[0])
 
 
+def seam_densities(basis, coeffs, theta_power: int = 0) -> np.ndarray:
+    """The density 2*pi*|psi|^2 along the seam phi = 0 = 2*pi for each row of ``coeffs``.
+
+    exp(i*m*2*pi) = 1 for every integer m, so on a rotor basis it is
+    exactly |sum_m c_m|^2, with no phase formed in floating point. On a
+    spherical basis it is the polar-overlap form Re (c, T_a c), T_a the
+    overlap of theta^``theta_power`` (``numerics.theta_overlap_matrix``);
+    T_0 is R58's gamma table. The pendulum's line has no seam.
+    """
+    if isinstance(basis, OscillatorBasis):
+        raise ValueError("the pendulum's line has no seam")
+    if isinstance(basis, SphericalBasis):
+        table = numerics.theta_overlap_matrix(basis.l, theta_power)
+        return np.einsum("pi,pi->p", np.conj(coeffs), apply_to_rows(table, coeffs)).real
+    return np.abs(coeffs.sum(axis=1)) ** 2
+
+
 def symmetry_deficits(a, b, basis, coeffs, hbar) -> np.ndarray:
     """``symmetry_deficit(a, b)`` for each row of a P x n coefficient matrix.
 
     The rows are states on one basis; ``hbar`` is a scalar or one value
-    per row. The deficit is i*hbar/(2*pi) times the boundary jump of B
-    weighted by the state's density along phi = 0: |sum_m c_m|^2 on a rotor
-    basis, and the polar-overlap form (c, T_a c) per theta power a of the
-    jump on a spherical basis. B is real and each T_a is real and symmetric,
-    so the jump and each form are real, and every deficit's real part is an
-    exact +0.0. The pendulum's line has no boundary, so on the oscillator
-    basis every deficit is zero.
+    per row. The deficit is i*hbar/(2*pi) times the boundary jump of B,
+    each theta power a of the jump weighted by ``seam_densities(basis,
+    coeffs, a)``. B is real and each density is real, so every deficit's
+    real part is an exact +0.0. The pendulum's line has no boundary, so on
+    the oscillator basis every deficit is zero.
     """
     out = np.zeros(len(coeffs), dtype=np.complex128)
     if a.name != "Lz" or b.name == "Lz" or isinstance(basis, OscillatorBasis):
@@ -474,17 +473,9 @@ def symmetry_deficits(a, b, basis, coeffs, hbar) -> np.ndarray:
     jump = kind_symbol(b).boundary_jump()
     if not jump:
         return out
-    if isinstance(basis, SphericalBasis):
-        total = sum(
-            coeff.real * np.einsum(
-                "pi,pi->p",
-                np.conj(coeffs),
-                apply_to_rows(numerics.theta_overlap_matrix(basis.l, a_pow), coeffs),
-            ).real
-            for a_pow, coeff in jump.items()
-        )
-    else:
-        total = jump[0].real * np.abs(coeffs.sum(axis=1)) ** 2
+    total = sum(
+        coeff.real * seam_densities(basis, coeffs, a_pow) for a_pow, coeff in jump.items()
+    )
     # set the imaginary part alone: 1j * x would give the real part -0.0 for x < 0
     out.imag = hbar * total / TWO_PI
     return out

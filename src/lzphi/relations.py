@@ -7,17 +7,20 @@ when the symmetry deficit of the operative pair is nonzero the verdict
 is NotApplicable rather than a numeric comparison.
 
 Every moment a relation reads (standard deviations, means, correlations,
-commutator means, the gamma-weighted sum and the pair deficits) comes
-from a ``moments.MomentStack``, which computes each quantity once for all
-of its rows. A relation is evaluated the same way: for each
-``(relation, params, tol)`` its lhs, rhs, verdict, condition31 and
-diagnostics are one column over all rows of a stack, computed (and the
-params checked) on first use and kept beside the stack. A report is a
-row of its column. ``share_moments`` stacks a set of states, one stack
-per basis; ``report_rows`` walks a document in report order (point,
-state, selection), one ``evaluate`` per report, and a state outside the
-shared stacks is stacked alone. No setting enters these moments and
-states are immutable, so an identical state always has the same moments.
+commutator means, the seam density and the pair deficits) comes from a
+``moments.MomentStack``, which computes each quantity once for all of its
+rows. The seam density 2*pi*|psi(2*pi)|^2 is the one boundary quantity:
+the gate's Lz-phi deficit is i*hbar times it, and R15, R52 and R58 all
+read rhs = (hbar/2)*|1 - seam density|. A relation is evaluated the same
+way: for each ``(relation, params, tol)`` its lhs, rhs, verdict,
+condition31 and diagnostics are one column over all rows of a stack,
+computed (and the params checked) on first use and kept beside the
+stack. A report is a row of its column. ``share_moments`` stacks a set of
+states, one stack per basis; ``report_rows`` walks a document in report
+order (point, state, selection), one ``evaluate`` per report, and a state
+outside the shared stacks is stacked alone. No setting enters these
+moments and states are immutable, so an identical state always has the
+same moments.
 """
 
 from __future__ import annotations
@@ -184,20 +187,18 @@ def delta_chi(N: int, N1: int) -> float:
 
 
 def fourier_boundary_term(state) -> float:
-    """|1 - 2*pi*|psi(2*pi)|^2| for periodic-in-phi states.
-
-    exp(i*m*2*pi) = 1 for every integer m, so 2*pi*|psi(2*pi)|^2 is exactly
-    |sum_m c_m|^2, with no phase formed in floating point.
-    """
+    """|1 - 2*pi*|psi(2*pi)|^2| for periodic-in-phi states; 2*pi*|psi(2*pi)|^2 is the seam density."""
     fam = st.family_of(state)
     if fam not in _PERIODIC:
         raise ValueError(f"fourier_boundary_term needs a periodic family, got {fam}")
-    return abs(1.0 - abs(st.coeff_vector(state).sum()) ** 2)
+    return float(np.abs(1.0 - mo.MomentStack((state,)).seam()[0]))
 
 
 def gamma_weighted_sum(state) -> float:
-    """sum_mm' conj(c_m) c_m' gamma(l, m, m') for a spherical state."""
-    return float(mo.MomentStack((state,)).gamma_sum()[0])
+    """sum_mm' conj(c_m) c_m' gamma(l, m, m'), the seam density of a spherical state."""
+    if st.family_of(state) != "spherical":
+        raise ValueError("the gamma-weighted sum needs spherical states")
+    return float(mo.MomentStack((state,)).seam()[0])
 
 
 def share_moments(states) -> None:
@@ -331,16 +332,11 @@ def _relation_column(stack, relation, params, tol) -> _Column:
     Each expression is the scalar formula of the catalog applied to whole
     rows.
     """
-    fam = st.family_of(stack.states[0])
     pair = _operative_pair(relation, params)
-    deficits = _pair_deficits(pair, stack, fam)
-    deficit_abs = np.maximum.reduce([_cabs(d) for d in deficits.values()])
+    ab, ba = _pair_deficits(pair, stack)
+    deficit_abs = np.maximum(_cabs(ab), _cabs(ba))
     condition31 = deficit_abs <= tol
-    diag = {
-        "deficit_ab_re": deficits["ab"].real,
-        "deficit_ab_im": deficits["ab"].imag,
-        "deficit_abs": deficit_abs,
-    }
+    diag = {"deficit_ab_re": ab.real, "deficit_ab_im": ab.imag, "deficit_abs": deficit_abs}
 
     hbar = stack.hbar
     gated = relation in (RelationId.R33, RelationId.R60)
@@ -380,9 +376,14 @@ def _relation_column(stack, relation, params, tol) -> _Column:
     elif relation == RelationId.R14:
         lhs = stack.std(obs.LZ) ** 2 + hbar**2 * stack.std(obs.PHI) ** 2
         rhs = hbar**2
-    elif relation in (RelationId.R15, RelationId.R52):
-        boundary = np.array([fourier_boundary_term(state) for state in stack.states])
-        diag["boundary_term"] = boundary
+    elif relation in (RelationId.R15, RelationId.R52, RelationId.R58):
+        # |1 - seam density|: |1 - 2*pi*|psi(2*pi)|^2| on the circle, |1 - gamma sum| on a sphere
+        seam = stack.seam()
+        boundary = np.abs(1.0 - seam)
+        if relation == RelationId.R58:
+            diag["gamma_sum"] = seam
+        else:
+            diag["boundary_term"] = boundary
         lhs = stack.std(obs.LZ) * stack.std(obs.PHI)
         rhs = hbar / 2.0 * boundary
     elif relation in (RelationId.R30, RelationId.R36):
@@ -392,11 +393,6 @@ def _relation_column(stack, relation, params, tol) -> _Column:
         diag["corr_im"] = corr.imag
         lhs = stack.std(a) * stack.std(obs.PHI)
         rhs = _cabs(corr)
-    elif relation == RelationId.R58:
-        gsum = stack.gamma_sum()
-        diag["gamma_sum"] = gsum
-        lhs = stack.std(obs.LZ) * stack.std(obs.PHI)
-        rhs = hbar / 2.0 * np.abs(1.0 - gsum)
     elif relation == RelationId.R60:
         a, b = pair
         comm = stack.commutator(a, b)
@@ -462,13 +458,7 @@ def _operative_pair(relation, params):
     return (obs.LZ, obs.PHI)
 
 
-def _pair_deficits(pair, stack, fam):
-    """The aa, ab, ba and bb symmetry deficits of every row; zero where a side is undefined."""
+def _pair_deficits(pair, stack):
+    """The ab and ba symmetry deficits of every row; the aa and bb deficits are 0 by structure."""
     a, b = pair
-    out = {}
-    for key, (x, y) in (("aa", (a, a)), ("ab", (a, b)), ("ba", (b, a)), ("bb", (b, b))):
-        if obs.applicable(x, fam) and obs.applicable(y, fam):
-            out[key] = stack.deficit(x, y)
-        else:
-            out[key] = np.zeros(len(stack.states), dtype=np.complex128)
-    return out
+    return stack.deficit(a, b), stack.deficit(b, a)

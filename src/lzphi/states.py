@@ -91,10 +91,13 @@ class SphericalState:
         if l < 0 or l > numerics.MAX_ORBITAL_L:
             raise ValueError(f"l must be in 0..{numerics.MAX_ORBITAL_L}")
         if isinstance(coefficients, Mapping):
-            for m in coefficients:
-                if abs(int(m)) > l:
-                    raise ValueError(f"coefficient index |m|={abs(int(m))} exceeds l={l}")
-            vec = [complex(coefficients.get(m, 0.0)) for m in range(-l, l + 1)]
+            by_m = {int(m): c for m, c in coefficients.items()}
+            if len(by_m) != len(coefficients):
+                raise ValueError("duplicate m in spherical coefficients")
+            for m in by_m:
+                if abs(m) > l:
+                    raise ValueError(f"coefficient index |m|={abs(m)} exceeds l={l}")
+            vec = [complex(by_m.get(m, 0.0)) for m in range(-l, l + 1)]
         else:
             vec = [complex(c) for c in coefficients]
             if len(vec) != 2 * l + 1:

@@ -79,6 +79,35 @@ class SphericalOracle:
         return first - second
 
 
+def lz_phi_deficit(state):
+    """(Lz Psi, phi Psi) - (Psi, Lz phi Psi) by the closed form of the state's family.
+
+    i*hbar on a circular mode, i*hbar*|sum_m c_m|^2 on a rotor and 0 on the
+    pendulum. A spherical state's is i*hbar*(1 + 2*Im S), with the double sum
+    S = sum_mm' conj(c_m) c_m' m gamma_mm' phi_mm' over the polar overlaps
+    gamma_mm' (on this module's own rule) and the azimuthal elements
+    phi_mm' = (1/2pi) int phi exp(i(m' - m)phi) dphi: pi on the diagonal and
+    -i/(m' - m) off it.
+    """
+    family = type(state).__name__
+    if family == "CircularState":
+        return 1j * state.hbar
+    if family == "PendulumState":
+        return 0j
+    if family == "RotorSuperposition":
+        return 1j * state.hbar * abs(sum(c for _, c in state.coefficients)) ** 2
+    l = state.l
+    ms = np.arange(-l, l + 1)
+    c = np.asarray(state.coefficients, dtype=complex)
+    theta, w = legendre_nodes(2 * l + 64, 0.0, math.pi)
+    polar = np.array([theta_part(l, m, theta) for m in ms])
+    gamma = (polar * (w * np.sin(theta))) @ polar.T
+    offsets = np.subtract.outer(ms, ms).T  # m' - m
+    phi = np.where(offsets == 0, math.pi, -1j / np.where(offsets == 0, 1, offsets))
+    double_sum = np.einsum("i,j,i,ij,ij->", np.conj(c), c, ms, gamma, phi)
+    return 1j * state.hbar * (1.0 + 2.0 * double_sum.imag)
+
+
 def periodic_mean(state_fn, pointwise_fn, n=2048):
     """int f(phi) |psi(phi)|^2 dphi on a dense [0, 2*pi] rule."""
     phi, w = legendre_nodes(n, 0.0, TWO_PI)

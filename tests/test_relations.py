@@ -20,7 +20,11 @@ from lzphi import (
     evaluate,
     fourier_boundary_term,
     gamma,
+    lz_phi_symmetry_deficit,
+    symmetry_deficit,
 )
+from lzphi.relations import gamma_weighted_sum
+from lzphi.states import family_of
 
 from .conftest import pendulums_of_two_widths, random_rotor, random_spherical
 
@@ -159,6 +163,61 @@ class TestBoundaryRelation:
             assert report.verdict != Verdict.VIOLATED
 
 
+def _seam_states():
+    """Seeded rotors (span up to 480, 1-11 modes) and spherical states (l up to 64),
+    three states on each basis, so that a shared stack has several rows."""
+    rng = np.random.default_rng(1552)
+    states = []
+    for span in (1, 7, 60, 480):
+        k = int(rng.integers(1, min(span + 1, 11) + 1))
+        ms = rng.choice(np.arange(-(span // 2), span - span // 2 + 1), size=k, replace=False)
+        for _ in range(3):
+            c = rng.normal(size=k) + 1j * rng.normal(size=k)
+            c /= np.linalg.norm(c)
+            states.append(RotorSuperposition({int(m): x for m, x in zip(ms, c)}))
+    for l in (0, 1, 4, 17, 64):
+        states += [random_spherical(rng, l) for _ in range(3)]
+    return states
+
+
+#: the relations that read the seam density, and R33, which the deficit gates
+_SEAM_RELATIONS = {
+    "circular": (RelationId.R15, RelationId.R52, RelationId.R33),
+    "rotor": (RelationId.R15, RelationId.R52, RelationId.R33),
+    "spherical": (RelationId.R58, RelationId.R33),
+    "pendulum": (RelationId.R33,),
+}
+
+
+class TestSeamDensity:
+    """The gate deficit, the R15/R52 boundary term and R58's gamma sum read one seam density."""
+
+    def test_every_reader_takes_the_same_seam(self, fixture_states):
+        from lzphi import relations
+
+        states = list(fixture_states) + _seam_states()
+
+        def reports(state):
+            return [_report_values(evaluate(rid, state)) for rid in _SEAM_RELATIONS[family_of(state)]]
+
+        relations.share_moments(())  # nothing shared: each state is its own one-row stack
+        lone = [reports(state) for state in states]
+        for state, rows in zip(states, lone):
+            assert lz_phi_symmetry_deficit(state) == symmetry_deficit(LZ, PHI, state)
+            for relation, *_, diagnostics in rows:
+                if relation in (RelationId.R15, RelationId.R52):
+                    assert diagnostics["boundary_term"] == fourier_boundary_term(state)
+                elif relation == RelationId.R58:
+                    assert diagnostics["gamma_sum"] == gamma_weighted_sum(state)
+        relations.share_moments(states)
+        assert [reports(state) for state in states] == lone
+
+    def test_gamma_sum_needs_a_sphere(self):
+        for state in (CircularState(m=1), RotorSuperposition({0: 0.6, 1: 0.8}), PendulumState(n=1)):
+            with pytest.raises(ValueError, match="needs spherical states"):
+                gamma_weighted_sum(state)
+
+
 class TestGamma:
     def test_normalization(self):
         assert gamma(2, 1, 1) == pytest.approx(1.0, abs=1e-10)
@@ -279,6 +338,22 @@ class TestGenericPair:
     def test_requires_pair(self):
         with pytest.raises(ValueError):
             evaluate(RelationId.R60, CircularState(m=1))
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            CircularState(m=3),
+            RotorSuperposition({-1: 0.6, 2: 0.8j}),
+            SphericalState(l=2, coefficients=(0.1, 0.3j, 0.5, -0.4, 0.2 + 0.3j), normalize=True),
+        ],
+    )
+    def test_deficit_orderings(self, state):
+        """R60 gates on both orderings: with Lz second the ab deficit is 0 and the ba one counts."""
+        lz_second = evaluate(RelationId.R60, state, RelationParams(pair=(PHI, LZ))).diagnostics
+        assert (lz_second["deficit_ab_re"], lz_second["deficit_ab_im"]) == (0.0, 0.0)
+        assert lz_second["deficit_abs"] == abs(symmetry_deficit(LZ, PHI, state)) > 0
+        lz_lz = evaluate(RelationId.R60, state, RelationParams(pair=(LZ, LZ))).diagnostics
+        assert lz_lz["deficit_abs"] == 0.0
 
 
 class TestScaleCovariance:

@@ -137,6 +137,14 @@ def test_spherical_coefficient_count_enforced():
         SphericalState(l=1, coefficients={2: 1.0})
 
 
+def test_spherical_mapping_keys_are_converted_before_use():
+    """A key that int() accepts names that m; a key repeated after conversion is refused."""
+    state = SphericalState(l=1, coefficients={"1": 0.6, 0: 0.8})
+    assert state.coefficients == (0, 0.8, 0.6)
+    with pytest.raises(ValueError, match="duplicate m"):
+        SphericalState(l=1, coefficients={1: 0.6, "1": 0.8}, normalize=True)
+
+
 def test_wavefunction_array_broadcast():
     state = CircularState(m=1)
     phi = np.linspace(0.0, TWO_PI, 7)
