@@ -121,7 +121,6 @@ def _run_eval(args) -> int:
 
 def _report(args, points, tol, sweep=None) -> int:
     """Emit the reports of ``points``, (states, selections) pairs; return the exit code."""
-    relations.share_moments(state for states, _ in points for _, state in states)
     rows = list(relations.report_rows(points, tol))
     _emit(args, specio.serialize_report(rows, args.format, sweep=sweep))
     return exit_code_for(report.verdict for _, report in rows)
@@ -204,7 +203,7 @@ def _wind_selection(rid, params, which, value):
         return (rid, replace(params, **{which: value}))
     if rid == RelationId.R60 and which == "N" and params.pair:
         pair = tuple(chi_kind(value) if k.name == "Chi" else k for k in params.pair)
-        return (rid, replace(params, pair=pair, N=value))
+        return (rid, replace(params, pair=pair))
     return (rid, params)
 
 

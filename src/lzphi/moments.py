@@ -11,12 +11,14 @@ binomial combination of them, so each M is built once per stack and each
 form is taken over all rows at once; the seam density of
 ``observables.seam_densities``, which the boundary terms of R15, R52 and
 R58 read, is one such form. An Lz side, and every side on the
-oscillator basis, is centered before it is powered. The public analytic
-functions below are the one-row case, and no setting enters them. The
-quadrature path re-derives every number on the family's grid as the
-oracle, with rules sized from the state (see ``engine``); each call
-samples the state on one grid and takes the means it centers by from that
-same grid, and its Lz sides are centered before they are powered too.
+oscillator basis, is centered before it is powered. All a stack computes,
+the relation columns of ``relations`` included, is kept in its one memo.
+The public analytic functions below are the one-row case, and no setting
+enters them. The quadrature path re-derives every number on the family's
+grid as the oracle, with rules sized from the state (see ``engine``);
+each call samples the state on one grid and takes the means it centers
+by from that same grid, and its Lz sides are centered before they are
+powered too.
 """
 
 from __future__ import annotations
@@ -125,12 +127,7 @@ def _memoized(method):
 
     @functools.wraps(method)
     def once(self, *args):
-        key = (method.__name__, *args)
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = method(self, *args)
-            return value
+        return self.once((method.__name__, *args), method, self, *args)
 
     return once
 
@@ -173,7 +170,14 @@ class MomentStack:
             self._lz = np.multiply.outer(self.hbar, offsets)
             self._lz_mean = np.sum(np.abs(self._coeffs) ** 2 * self._lz, axis=1)
         self._memo = {}
-        self._applied_rows = {}
+
+    def once(self, key, compute, *args):
+        """``compute(*args)`` on first use of ``key``, then kept in the stack's one memo."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute(*args)
+            return value
 
     def _check(self, *kinds):
         for kind in kinds:
@@ -181,12 +185,9 @@ class MomentStack:
 
     def _applied(self, sym) -> np.ndarray:
         """Row p holds M c_p for the symbol's basis matrix M."""
-        key = tuple(sorted(sym.terms.items()))
-        rows = self._applied_rows.get(key)
-        if rows is None:
-            mat = obs.symbol_matrix(sym, self._basis)
-            rows = self._applied_rows[key] = obs.apply_to_rows(mat, self._coeffs)
-        return rows
+        key = ("applied", *sorted(sym.terms.items()))
+        return self.once(key, lambda: obs.apply_to_rows(obs.symbol_matrix(sym, self._basis),
+                                                        self._coeffs))
 
     def _form(self, sym, left=None) -> np.ndarray:
         """(left_p, M c_p) for every row p; ``left`` defaults to C."""

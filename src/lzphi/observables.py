@@ -152,11 +152,11 @@ class Symbol:
         return Symbol(out)
 
     def boundary_jump(self) -> dict:
-        """Per theta-power totals of term(2*pi) - term(0) along phi."""
+        """Per theta-power totals of term(2*pi) - term(0) along phi, in units of 2*pi."""
         out = {}
         for (a, j, p), v in self.terms.items():
             if p:
-                out[a] = out.get(a, 0.0) + v * TWO_PI**p
+                out[a] = out.get(a, 0.0) + v * TWO_PI ** (p - 1)
         return out
 
     def evaluate(self, theta, phi):
@@ -461,9 +461,10 @@ def symmetry_deficits(a, b, basis, coeffs, hbar) -> np.ndarray:
     """``symmetry_deficit(a, b)`` for each row of a P x n coefficient matrix.
 
     The rows are states on one basis; ``hbar`` is a scalar or one value
-    per row. The deficit is i*hbar/(2*pi) times the boundary jump of B,
-    each theta power a of the jump weighted by ``seam_densities(basis,
-    coeffs, a)``. B is real and each density is real, so every deficit's
+    per row. The deficit is i*hbar times the boundary jump of B in units of
+    2*pi, each theta power a of the jump weighted by ``seam_densities(basis,
+    coeffs, a)``; the Phi jump is exactly 1, so a circular mode reads
+    exactly i*hbar. B is real and each density is real, so every deficit's
     real part is an exact +0.0. The pendulum's line has no boundary, so on
     the oscillator basis every deficit is zero.
     """
@@ -477,7 +478,7 @@ def symmetry_deficits(a, b, basis, coeffs, hbar) -> np.ndarray:
         coeff.real * seam_densities(basis, coeffs, a_pow) for a_pow, coeff in jump.items()
     )
     # set the imaginary part alone: 1j * x would give the real part -0.0 for x < 0
-    out.imag = hbar * total / TWO_PI
+    out.imag = hbar * total
     return out
 
 

@@ -14,13 +14,13 @@ the gate's Lz-phi deficit is i*hbar times it, and R15, R52 and R58 all
 read rhs = (hbar/2)*|1 - seam density|. A relation is evaluated the same
 way: for each ``(relation, params, tol)`` its lhs, rhs, verdict,
 condition31 and diagnostics are one column over all rows of a stack,
-computed (and the params checked) on first use and kept beside the
-stack. A report is a row of its column. ``share_moments`` stacks a set of
-states, one stack per basis; ``report_rows`` walks a document in report
-order (point, state, selection), one ``evaluate`` per report, and a state
-outside the shared stacks is stacked alone. No setting enters these
-moments and states are immutable, so an identical state always has the
-same moments.
+computed (and the params checked) on first use and kept in the stack's
+one memo, beside its moments. A report is a row of its column.
+``report_rows`` stacks every state it walks, one stack per basis, then
+walks a document in report order (point, state, selection), one
+``evaluate`` per report; a lone ``evaluate`` on any other state is a
+one-row stack. No setting enters these moments and states are immutable,
+so an identical state always has the same moments.
 """
 
 from __future__ import annotations
@@ -65,7 +65,10 @@ class Verdict(str, enum.Enum):
 
 @dataclass(frozen=True)
 class RelationParams:
-    """Optional knobs: alpha for R8, the winding pair for R12, a pair for R60."""
+    """Optional knobs: alpha for R8, the winding pair for R12, a pair for R60.
+
+    N is R12's alone: a Chi side of R60 carries its own winding (``observables.chi``).
+    """
 
     alpha: float | None = None
     N: int | None = None
@@ -80,17 +83,15 @@ class RelationReport:
     """One report: row ``index`` of a relation's column, for the state named ``state_name``.
 
     ``relation``, ``lhs``, ``rhs``, ``verdict``, ``condition31`` and
-    ``diagnostics`` read through to the column; ``constants`` are the
-    diagnostics of the params alone (alpha, delta_chi). Reports come from
+    ``diagnostics`` read through to the column. Reports come from
     ``evaluate``.
     """
 
-    __slots__ = ("column", "index", "constants", "state_name")
+    __slots__ = ("column", "index", "state_name")
 
-    def __init__(self, column, index, constants, state_name):
+    def __init__(self, column, index, state_name):
         self.column = column
         self.index = index
-        self.constants = constants
         self.state_name = state_name
 
     relation = property(lambda self: self.column.relation)
@@ -103,7 +104,7 @@ class RelationReport:
     def diagnostics(self) -> dict:
         """The row's diagnostics, then the constants, then trivial_zero = 1 on a trivial 0 >= 0 row."""
         diag = {name: values[self.index] for name, values in self.column.diagnostics}
-        diag.update(self.constants)
+        diag.update(self.column.constants)
         if self.column.trivial[self.index]:
             diag["trivial_zero"] = 1.0
         return diag
@@ -201,25 +202,18 @@ def gamma_weighted_sum(state) -> float:
     return float(mo.MomentStack((state,)).seam()[0])
 
 
-def share_moments(states) -> None:
-    """Have ``evaluate`` and ``report_rows`` read the moments of ``states`` from shared stacks.
-
-    States that share a basis become the rows of one ``moments.MomentStack``,
-    so each quantity, and each relation's verdict, is computed once for all
-    of them. The stacks are kept until the next call, or until a report
-    meets a state outside them.
-    """
-    global _shared
-    _shared = _stacked(states)
-
-
 def report_rows(points, tol: float):
     """Yield (point index, report) over ``points``, (states, selections) pairs, in report order.
 
+    The states of all points are stacked first, one ``moments.MomentStack``
+    per basis, so each quantity and verdict is computed once for all rows.
     The order is point, then state, then selection; a report that cannot be
     made raises when it is reached, so the first error in report order is
     the one raised.
     """
+    global _shared
+    points = list(points)
+    _shared = _stacked(state for states, _ in points for _, state in states)
     for point, (states, selections) in enumerate(points):
         for name, state in states:
             for relation, params in selections:
@@ -241,14 +235,16 @@ def evaluate(
     outcome (including trivial 0 >= 0 degenerations and gate failures)
     comes back as a report.
     """
-    rows, index = _moment_row(state)
-    column, constants = rows.column(relation, params or NO_PARAMS, tol)
+    params = params or NO_PARAMS
+    stack, index = _moment_row(state)
+    # a str names its RelationId in the key: the two hash and compare alike
+    column = stack.once((relation, params, tol), _column, stack, relation, params, tol)
     if not column.finite[index]:
         raise ValueError(
             f"relation {column.relation.value} is not finite on this state "
             f"(lhs={column.lhs[index]!r}, rhs={column.rhs[index]!r}); its moments overflow"
         )
-    return RelationReport(column, index, constants, state_name)
+    return RelationReport(column, index, state_name)
 
 
 def _checked_constants(relation, params, state) -> dict:
@@ -282,10 +278,11 @@ _VERDICTS = (
 
 
 class _Column:
-    """One relation's numbers for every row of a moment stack, as Python lists."""
+    """One relation's numbers for every row of a moment stack, as Python lists, and
+    ``constants``, the diagnostics of the params alone (alpha, delta_chi)."""
 
     __slots__ = ("relation", "lhs", "rhs", "verdicts", "condition31", "trivial", "finite",
-                 "diagnostics")
+                 "diagnostics", "constants")
 
     def __init__(self, relation, lhs, rhs, codes, condition31, trivial, diagnostics):
         finite = np.isfinite(lhs) & np.isfinite(rhs)
@@ -301,29 +298,15 @@ class _Column:
         self.diagnostics = [(name, values.tolist()) for name, values in diagnostics.items()]
 
 
-class _StackRows:
-    """A moment stack and its relation columns, each computed on first use."""
-
-    __slots__ = ("moments", "columns")
-
-    def __init__(self, moments):
-        self.moments = moments
-        self.columns = {}
-
-    def column(self, relation, params, tol):
-        """(column, constants) of ``(relation, params, tol)``; the params are checked on first use."""
-        # a str names its RelationId here: the two hash and compare alike
-        key = (relation, params, tol)
-        try:
-            return self.columns[key]
-        except KeyError:
-            relation = RelationId(relation)
-            constants = _checked_constants(relation, params, self.moments.states[0])
-            # a row whose numbers overflow is refused when it is read
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                column = _relation_column(self.moments, relation, params, tol)
-            self.columns[key] = column, constants
-            return column, constants
+def _column(stack, relation, params, tol) -> _Column:
+    """The column of ``(relation, params, tol)`` on ``stack``; the params are checked first."""
+    relation = RelationId(relation)
+    constants = _checked_constants(relation, params, stack.states[0])
+    # a row whose numbers overflow is refused when it is read
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        column = _relation_column(stack, relation, params, tol)
+    column.constants = constants
+    return column
 
 
 def _relation_column(stack, relation, params, tol) -> _Column:
@@ -421,25 +404,21 @@ def _cabs(z: np.ndarray) -> np.ndarray:
 
 
 def _stacked(states):
-    """{id(state): (stack rows, index)} over the stacks of ``states``.
+    """{id(state): (stack, index)} over the stacks of ``states``.
 
     Each stack holds its states, so an id found here names that state.
     """
-    rows = {}
-    for stack in mo.stacks(states):
-        stack_rows = _StackRows(stack)
-        for index, state in enumerate(stack.states):
-            rows[id(state)] = (stack_rows, index)
-    return rows
+    return {id(state): (stack, index)
+            for stack in mo.stacks(states) for index, state in enumerate(stack.states)}
 
 
-#: the shared rows of the last ``share_moments``; replaced in one assignment,
+#: the rows of the last walk or lone state; replaced in one assignment,
 #: so a thread race costs a recomputation, not a wrong number
 _shared = {}
 
 
 def _moment_row(state):
-    """(stack rows, index) of ``state`` in the shared stacks, or of a fresh one-row stack."""
+    """(stack, index) of ``state`` in the shared stacks, or of a fresh one-row stack."""
     global _shared
     row = _shared.get(id(state))
     if row is None:

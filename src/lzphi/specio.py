@@ -343,7 +343,7 @@ def _build_params(rid, kv, lineno, col) -> RelationParams:
             raise SpecParseError("param-constraint", lineno, col, "R60 requires a=<kind> and b=<kind>")
         winding = _parse_int(kv["N"], lineno, col) if "N" in kv else 0
         pair = tuple(_parse_kind(kv[key], winding, lineno, col) for key in ("a", "b"))
-        return RelationParams(pair=pair, N=winding if "N" in kv else None)
+        return RelationParams(pair=pair)
     return RelationParams()
 
 
@@ -402,7 +402,8 @@ def _selection_text(sel) -> str:
         return f"{rid.value}(N={params.N},N1={params.N1})"
     if rid == RelationId.R60:
         a, b = params.pair
-        extra = f",N={params.N}" if params.N is not None else ""
+        windings = [k.winding for k in params.pair if k.name == "Chi"]
+        extra = f",N={windings[0]}" if windings else ""
         return f"{rid.value}(a={a.name},b={b.name}{extra})"
     return rid.value
 
@@ -443,7 +444,7 @@ def serialize_report(reports, format: str = "json", *, sweep=None) -> str:
             if id(column) not in columns:
                 columns[id(column)] = _printed(column)
             template = (_json_template if json else _csv_template)(
-                column, report.constants, report.state_name, key[2], param)
+                column, report.state_name, key[2], param)
             layout = layouts[key] = (template, *columns[id(column)])
         template, numbers, verdicts = layout
         row = (*numbers[index], *(() if sweep is None else (values[point],)), verdicts[index])
@@ -467,10 +468,10 @@ def _printed(column):
     return list(numbers), [v.value for v in column.verdicts]
 
 
-def _json_template(column, constants, name, trivial, param) -> str:
+def _json_template(column, name, trivial, param) -> str:
     """The %-template of a column's reports for one state name, every key sorted; constants written in."""
     inner = {key: "%.12g" for key, _ in column.diagnostics if key != "deficit_abs"}
-    inner.update((key, "%.12g" % value) for key, value in constants.items())
+    inner.update((key, "%.12g" % value) for key, value in column.constants.items())
     if trivial:
         inner["trivial_zero"] = "1"
     printed = ", ".join(f'"{key.replace("%", "%%")}": {inner[key]}' for key in sorted(inner))
@@ -482,7 +483,7 @@ def _json_template(column, constants, name, trivial, param) -> str:
     return "  {" + ", ".join(fields + ['"verdict": "%s"']) + "}"
 
 
-def _csv_template(column, constants, name, trivial, param) -> str:
+def _csv_template(column, name, trivial, param) -> str:
     """The str.format template of a column's CSV lines for one state name.
 
     It picks lhs, rhs, the verdict, condition31, deficit_abs and the sweep

@@ -63,6 +63,31 @@ class TestEval:
         code, _, err = run_main(["eval", write(tmp_path, "readme.spec", block)], capsys)
         assert code != 3, err
 
+    def test_readme_python_tour_evaluates_to_its_comments(self):
+        """Each line of the README's Python block evaluates to the value its comment names."""
+        from lzphi.moments import Correlation
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+        imports, lines = block.split("\n\n", 1)
+        names = {}
+        exec(imports, names)
+        comment_names = {"pi": math.pi, "sqrt": math.sqrt, "Correlation": Correlation,
+                         **{verdict.value: verdict for verdict in Verdict}}
+        checked = 0
+        for line in lines.splitlines():
+            expr, comment = line.split("#", 1)
+            got, want = eval(expr, names), eval(comment, comment_names)
+            if isinstance(want, Correlation):
+                assert got.value == pytest.approx(want.value, abs=1e-15), line
+                assert got.hermitized == want.hermitized, line
+            elif isinstance(want, float):
+                assert got == pytest.approx(want, rel=1e-15), line
+            else:
+                assert got == want, line
+            checked += 1
+        assert checked == 4
+
     def test_missing_file_exits_three(self, tmp_path, capsys):
         code, _, err = run_main(["eval", str(tmp_path / "absent.spec")], capsys)
         assert code == 3
@@ -177,14 +202,15 @@ def _fresh_scan(text, sweep, fmt, shared=False):
     """Exit code and report text of a scan evaluated one report at a time.
 
     Each point's states are evaluated alone, or, if ``shared``, from the
-    moment stacks of all the points, as the scan shares them.
+    moment stacks of all the points, which a walk of ``report_rows`` builds
+    as the scan does.
     """
     doc = specio.parse(text)
     param, values = cli._parse_sweep(sweep)
     tol = doc.settings.tolerance
     points = [cli._apply_sweep(doc, param, value) for value in values]
     if shared:
-        relations.share_moments(s for states, _ in points for _, s in states)
+        list(relations.report_rows(points, tol))
     reports = []
     for point, (states, selections) in enumerate(points):
         for name, state in states:

@@ -14,6 +14,7 @@ from lzphi import (
     CircularState,
     PendulumState,
     RotorBasis,
+    RotorSuperposition,
     SphericalBasis,
     SphericalState,
     chi,
@@ -130,6 +131,10 @@ class TestSymmetryDeficit:
         for m in range(-5, 6):
             assert lz_phi_symmetry_deficit(CircularState(m=m)) == pytest.approx(1j)
         assert lz_phi_symmetry_deficit(CircularState(m=2, hbar=3.0)) == pytest.approx(3j)
+        # exactly i*hbar: the Phi jump is 1 in units of 2*pi, so no 2*pi is divided out
+        for k in range(1, 200):
+            hbar = k / 10
+            assert lz_phi_symmetry_deficit(CircularState(m=1, hbar=hbar)) == complex(0, hbar)
 
     def test_pendulum_is_zero(self):
         assert lz_phi_symmetry_deficit(PendulumState(n=0)) == 0
@@ -179,6 +184,29 @@ class TestSymmetryDeficit:
         closed = symmetry_deficit(LZ, PHI_SQUARED, state)
         quad = symmetry_deficit(LZ, PHI_SQUARED, state, method="quadrature")
         assert closed == pytest.approx(quad, abs=1e-8)
+
+    def test_oracle_deficit_with_lz_second_is_zero(self, fixture_states):
+        """(A Psi, Lz Psi) - (Psi, A Lz Psi) is exactly 0 analytically; the oracle agrees.
+
+        The bound is 1e-13 relative to max(1, dA*dLz): the pendulum at n = 64
+        reads 1.4e-13 for (Lz, Lz), with dLz^2 = 64.5.
+        """
+        from lzphi import std_dev
+        from lzphi.states import family_of
+
+        states = list(fixture_states) + [RotorSuperposition({10**12: 0.6, 10**12 + 1: 0.8j})]
+        checked = 0
+        for state in states:
+            for a in (LZ, PHI, COS_PHI, PHI_SQUARED, THETA):
+                if not applicable(a, family_of(state)):
+                    continue
+                assert symmetry_deficit(a, LZ, state) == 0
+                quad = symmetry_deficit(a, LZ, state, method="quadrature")
+                scale = max(1.0, std_dev(a, state) * std_dev(LZ, state))
+                assert abs(quad) <= 1e-13 * scale, (state, a)
+                checked += 1
+        # circular 4 x 4 kinds, rotor 4 x 4, spherical 4 x 5, pendulum 9 x 3
+        assert checked == 79
 
     def test_deficit_linearity_on_random_states(self):
         """Closed form against direct quadrature for 100 seeded states."""

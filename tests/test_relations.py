@@ -192,16 +192,16 @@ _SEAM_RELATIONS = {
 class TestSeamDensity:
     """The gate deficit, the R15/R52 boundary term and R58's gamma sum read one seam density."""
 
-    def test_every_reader_takes_the_same_seam(self, fixture_states):
+    def test_every_reader_takes_the_same_seam(self, fixture_states, monkeypatch):
         from lzphi import relations
 
         states = list(fixture_states) + _seam_states()
+        selections = [[(rid, None) for rid in _SEAM_RELATIONS[family_of(state)]] for state in states]
 
-        def reports(state):
-            return [_report_values(evaluate(rid, state)) for rid in _SEAM_RELATIONS[family_of(state)]]
-
-        relations.share_moments(())  # nothing shared: each state is its own one-row stack
-        lone = [reports(state) for state in states]
+        # nothing shared: each state is its own one-row stack
+        monkeypatch.setattr(relations, "_shared", {})
+        lone = [[_report_values(evaluate(rid, state)) for rid, _ in sel]
+                for state, sel in zip(states, selections)]
         for state, rows in zip(states, lone):
             assert lz_phi_symmetry_deficit(state) == symmetry_deficit(LZ, PHI, state)
             for relation, *_, diagnostics in rows:
@@ -209,8 +209,12 @@ class TestSeamDensity:
                     assert diagnostics["boundary_term"] == fourier_boundary_term(state)
                 elif relation == RelationId.R58:
                     assert diagnostics["gamma_sum"] == gamma_weighted_sum(state)
-        relations.share_moments(states)
-        assert [reports(state) for state in states] == lone
+        # one point per state; the walk stacks the states of every point
+        points = [((("s", state),), sel) for state, sel in zip(states, selections)]
+        stacked = [[] for _ in states]
+        for point, report in relations.report_rows(points, 1e-9):
+            stacked[point].append(_report_values(report))
+        assert stacked == lone
 
     def test_gamma_sum_needs_a_sphere(self):
         for state in (CircularState(m=1), RotorSuperposition({0: 0.6, 1: 0.8}), PendulumState(n=1)):
@@ -451,8 +455,8 @@ class TestMomentTable:
             return real(stack, kind)
 
         monkeypatch.setattr(mo.MomentStack, "std", mo._memoized(std))
-        relations.share_moments(states)
-        got = [_report_values(evaluate(rid, s, p)) for s in states for rid, p in _SPHERICAL_SELECTION]
+        points = [(tuple((f"s{k}", s) for k, s in enumerate(states)), _SPHERICAL_SELECTION)]
+        got = [_report_values(report) for _, report in relations.report_rows(points, 1e-9)]
         # one computation per kind, each covering all six states
         assert computed == {(6, kind): 1 for kind in (LZ, PHI, SIN_PHI, COS_PHI, THETA)}
         fresh = [
@@ -488,10 +492,12 @@ class TestMomentTable:
         wrong = []
 
         def work(own):
+            points = [(tuple(("s", state) for state in own), _SPHERICAL_SELECTION)]
+            own_want = [values for state in own for values in want[id(state)]]
             try:
                 for _ in range(15):
-                    relations.share_moments(own)
-                    wrong.extend(state for state in own if reports(state) != want[id(state)])
+                    got = [_report_values(report) for _, report in relations.report_rows(points, 1e-9)]
+                    wrong.extend(k for k, values in enumerate(got) if values != own_want[k])
             except Exception as exc:  # recorded, so the assertion below reports it
                 wrong.append(exc)
 
@@ -560,13 +566,14 @@ class TestRelationColumns:
             return real(stack, relation, params, tol)
 
         monkeypatch.setattr(relations, "_relation_column", column)
-        relations.share_moments(states)
+        named = tuple((f"s{k}", state) for k, state in enumerate(states))
+        selection = _SPHERICAL_SELECTION + ((RelationId.R8, RelationParams(alpha=-0.5)),)
+        # two points of the same states: the walk stacks them once
+        assert len(list(relations.report_rows([(named, selection)] * 2, 1e-9))) == 2 * 5 * 9
+        # a lone evaluate after the walk reads the walk's stacks
         for _ in range(2):
             for state in states:
-                for rid, params in _SPHERICAL_SELECTION:
-                    evaluate(rid, state, params)
                 evaluate(RelationId.R5, state, tol=1e-6)
-                evaluate(RelationId.R8, state, RelationParams(alpha=-0.5))
         want = {
             (5, rid, params or relations.NO_PARAMS, 1e-9): 1 for rid, params in _SPHERICAL_SELECTION
         }
@@ -574,7 +581,7 @@ class TestRelationColumns:
         want[(5, RelationId.R8, RelationParams(alpha=-0.5), 1e-9)] = 1
         assert computed == want
 
-    def test_lone_and_stacked_rows_serialize_the_same(self, fixture_states):
+    def test_lone_and_stacked_rows_serialize_the_same(self, fixture_states, monkeypatch):
         """Every relation on every fixture state: a one-row stack and a shared stack agree byte for byte."""
         from lzphi import PHI_SQUARED, relations, specio
 
@@ -605,11 +612,13 @@ class TestRelationColumns:
                         out.append(specio.serialize_report([report]))
             return out
 
-        relations.share_moments(())  # nothing shared: each state gets its own one-row stack
+        # nothing shared: each state gets its own one-row stack
+        monkeypatch.setattr(relations, "_shared", {})
         lone = outcomes()
-        relations.share_moments(states)
-        rows = relations._shared
-        assert max(len(stack_rows.moments.states) for stack_rows, _ in rows.values()) == 65
+        # a walk of R5, defined on every family, stacks every state; evaluate then reads its stacks
+        walked = relations.report_rows([(tuple(("s", s) for s in states), ((RelationId.R5, None),))],
+                                       1e-9)
+        assert max(len(report.column.lhs) for _, report in walked) == 65
         stacked = outcomes()
         assert stacked == lone
         assert sum(text.startswith("[") for text in lone) > 200

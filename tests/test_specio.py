@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from lzphi import (
+    LZ,
+    PHI,
+    SIN_PHI,
     CircularState,
     PendulumState,
     RelationId,
@@ -9,6 +12,7 @@ from lzphi import (
     RotorSuperposition,
     SphericalState,
     canonical_text,
+    chi,
     evaluate,
     parse,
     serialize_report,
@@ -65,6 +69,37 @@ relations R5
         assert doc.states[0][0] == "ring"
 
 
+_S, _R = "state circular m=0\n", "relations R5\n"
+#: (spec text, error code) for the raise sites of each code that ``parse`` documents
+_ERROR_CODES = [
+    (_S + "relations\n", "syntax"),
+    ("setting tolerance\n" + _S + _R, "syntax"),
+    ("state\n" + _R, "syntax"),
+    ("state circular m\n" + _R, "syntax"),
+    (_S + "relations r5\n", "syntax"),
+    (_S + "relations R8(alpha)\n", "syntax"),
+    ("state circular name=a m=0\nstate circular name=a m=1\n" + _R, "bad-value"),
+    ("setting normalize yes\n" + _S + _R, "bad-value"),
+    ("state rotor c={0:1}\n" + _R, "bad-value"),
+    ("state circular m=0 m=1\n" + _R, "bad-value"),
+    ("state circular name=1a m=0\n" + _R, "bad-value"),
+    ("state rotor c=[(1,0)]\n" + _R, "bad-value"),
+    ("state rotor c={}\n" + _R, "bad-value"),
+    ("state spherical l=0 c=(1,0)\n" + _R, "bad-value"),
+    ("state circular\n" + _R, "missing-field"),
+    ("state rotor\n" + _R, "missing-field"),
+    ("state spherical c=[(1,0)]\n" + _R, "missing-field"),
+    ("state spherical l=0\n" + _R, "missing-field"),
+    ("state pendulum omega=2\n" + _R, "missing-field"),
+    ("state circular m=0 q=1\n" + _R, "unknown-key"),
+    (_S + "relations R5(x=1)\n", "unknown-key"),
+    (_S + "relations R60(a=Lz,b=Psi)\n", "unknown-key"),
+    (_S + "relations R8\n", "param-constraint"),
+    (_S + "relations R12(N=1)\n", "param-constraint"),
+    (_S + "relations R60(a=Lz)\n", "param-constraint"),
+]
+
+
 class TestParseErrors:
     def assert_code(self, text, code):
         with pytest.raises(SpecParseError) as excinfo:
@@ -72,6 +107,10 @@ class TestParseErrors:
         assert excinfo.value.code == code
         assert excinfo.value.line >= 1
         assert excinfo.value.col >= 1
+
+    @pytest.mark.parametrize("text,code", _ERROR_CODES)
+    def test_error_code_table(self, text, code):
+        self.assert_code(text, code)
 
     def test_unknown_relation(self):
         self.assert_code("state circular m=0\nrelations R99\n", "unknown-relation")
@@ -173,6 +212,22 @@ class TestRoundTrip:
     def test_round_trip_keeps_settings(self):
         doc = parse("setting tolerance 1e-7\nstate circular m=1\nrelations R5\n")
         assert parse(canonical_text(doc)) == doc
+
+    def test_r60_windings_round_trip(self):
+        """The winding lives in the Chi side, whether a library or the parser built it."""
+        state = (("s", CircularState(m=1)),)
+        pairs = [(LZ, chi(3)), (chi(-2), SIN_PHI), (chi(0), LZ), (LZ, PHI)]
+        built = SpecDocument(EngineSettings(), state,
+                             tuple((RelationId.R60, RelationParams(pair=pair)) for pair in pairs))
+        assert parse(canonical_text(built)) == built
+        parsed = parse("state circular name=s m=1\n"
+                       "relations R60(a=Lz,b=Chi,N=3) R60(a=Chi,b=Lz,N=-2) R60(a=Lz,b=Chi)\n")
+        assert [params.pair for _, params in parsed.selections] == [
+            (LZ, chi(3)), (chi(-2), LZ), (LZ, chi(0))]
+        assert parse(canonical_text(parsed)) == parsed
+        # an N with no Chi side is accepted and changes nothing
+        bare = "state circular m=1\nrelations R60(a=Lz,b=Phi)\n"
+        assert parse(bare.replace("Phi)", "Phi,N=4)")) == parse(bare)
 
 
 class TestSerialization:
