@@ -9,12 +9,16 @@ never differentiate numerically: (Lz - mu)^j acts before sampling, by the
 exact per-mode factor (periodic families) or on the Hermite series
 (pendulum family), so a centered power is never expanded binomially.
 Each rule is sized from what it samples, never from a setting: see
-``phi_rule_size``, ``theta_rule_size`` and ``hermite_rule_size``.
+``phi_rule_size``, ``theta_rule_size`` and ``hermite_rule_size``. The
+pendulum's psi is A*H_n on its Hermite rule, and the H_n samples depend on
+n and the rule size alone, so ``_hermite_on_rule`` builds them once per
+(n, size).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -80,6 +84,14 @@ def polar_tables(ms, l):
     return polar, rule.weights * np.sin(rule.nodes), rule.nodes[:, None]
 
 
+@lru_cache(maxsize=numerics.MAX_HERMITE_DEGREE + 1)
+def _hermite_on_rule(n: int, size: int) -> np.ndarray:
+    """Read-only H_n at the nodes of the Hermite rule of ``size`` nodes."""
+    out = numerics.hermite_poly(n, numerics.hermite_rule(size).nodes)
+    out.flags.writeable = False
+    return out
+
+
 class AngularGrid:
     """Circular, rotor and fixed-l states on the theta x phi tensor rule.
 
@@ -140,14 +152,15 @@ class PendulumGrid:
     lz_origin = 0.0
 
     def __init__(self, state):
-        rule = numerics.hermite_rule(hermite_rule_size(state.n))
+        size = hermite_rule_size(state.n)
+        rule = numerics.hermite_rule(size)
         self.xi = rule.nodes
         self.weights = rule.weights / state.scale
         self.scale = state.scale
         self.hbar = state.hbar
         self._series = np.zeros(state.n + 1, dtype=np.complex128)
         self._series[state.n] = state.amplitude
-        self.psi = H.hermval(self.xi, self._series)
+        self.psi = state.amplitude * _hermite_on_rule(state.n, size)
 
     def lz_pow(self, j: int, mu: float = 0.0) -> np.ndarray:
         """Values of (Lz - mu)^j Psi, each factor applied to the Hermite series."""

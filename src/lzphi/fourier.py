@@ -4,11 +4,20 @@ Periodic families expand over exp(i*m*phi)/sqrt(2*pi); spherical states
 keep theta-dependent coefficients that factor as c_m times the polar
 part; the pendulum uses the full line transform against its Gaussian
 envelope.
+
+The pendulum's momentum rule is held in units of the state's scale,
+k = scale*t, so the angle k*u/scale = t*u carries no scale. Its nodes and
+weights, the folded Hermite sum F_n(t) on them and Parseval's position
+norm therefore depend on n alone: ``_k_table(n)`` builds them once per n
+(read-only, like the cached rules of ``numerics``), and a state only
+scales them. They are still quadratures of sampled values, never a
+closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -83,20 +92,20 @@ def parseval_check(state) -> float:
     with b_m(theta) from direct azimuthal integration at each polar node of
     the state's grid, against the grid norm of psi (a circle has one polar
     node of weight 1). Pendulum: the k-integral of the numerically
-    transformed |psi~|^2 against the Gauss-Hermite position norm, both on
-    rules sized from n alone.
+    transformed |psi~|^2 against the Gauss-Hermite position norm, both from
+    the table of n (see _k_table).
     """
     if st.family_of(state) != "pendulum":
         grid = engine.state_grid(state)
         position = float(np.real(grid.inner(grid.psi, grid.psi)))
         bm = grid.azimuthal_coefficients(grid.psi)
         return abs(float(grid.polar_weights @ np.sum(np.abs(bm) ** 2, axis=1)) - position)
-    # pendulum: int |psi|^2 dphi = (A^2/s) int exp(-xi^2) H_n(xi)^2 dxi, exact on the rule
-    rule = numerics.hermite_rule(_rule_nodes(state.n))
-    herm = numerics.hermite_poly(state.n, rule.nodes)
-    position = state.amplitude**2 / state.scale * float(rule.weights @ (herm * herm))
-    krule = _k_rule(state)
-    momentum = float(krule.integrate(np.abs(line_transform(state, krule.nodes)) ** 2))
+    # pendulum: int |psi|^2 dphi = (A^2/s) int exp(-xi^2) H_n(xi)^2 dxi, exact on the rule;
+    # int |psi~(k)|^2 dk = s * prefactor^2 * int F_n(t)^2 dt with k = s*t
+    _, w, folded, norm = _k_table(state.n)
+    s = state.scale
+    position = state.amplitude**2 / s * norm
+    momentum = s * _prefactor(state) ** 2 * float(w @ (folded * folded))
     return abs(momentum - position)
 
 
@@ -111,19 +120,53 @@ def _rule_nodes(n: int) -> int:
     return -(-(96 + 4 * n) // 32) * 32
 
 
-def _k_rule(state) -> numerics.QuadratureRule:
-    """Nonnegative half of a Legendre rule over k in +-scale*(sqrt(2n+1) + 8).
+def _reach(n: int) -> float:
+    """sqrt(2n + 1) + 8: the momentum rule's half-width in units of the state's scale."""
+    return math.sqrt(2.0 * n + 1.0) + 8.0
 
-    The full rule is symmetric with _rule_nodes(n) nodes; the half keeps
-    its k > 0 nodes with doubled weights, so it integrates a function even
-    in k, such as |psi~(k)|^2, exactly as the full rule does.
+
+def _folded(n: int, t) -> np.ndarray:
+    """F_n(t) = sum_j w_j H_n(u_j) cos(t*u_j) (sin for odd n), u_j = sqrt(2)*xi_j.
+
+    The sum runs over the positive nodes xi_j of the Hermite rule of
+    _rule_nodes(n) nodes: the rule is symmetric and H_n has the parity of
+    n, so the full sum is twice this one. ``t`` is k/scale, so F_n depends
+    on n alone.
     """
-    spread = state.scale * (math.sqrt(2.0 * state.n + 1.0) + 8.0)
-    full = numerics.gauss_legendre(_rule_nodes(state.n), -spread, spread)
-    half = full.nodes.size // 2
-    return numerics.QuadratureRule(
-        full.nodes[half:], 2.0 * full.weights[half:], f"legendre[0,{spread!r}] doubled"
-    )
+    rule = numerics.hermite_rule(_rule_nodes(n))
+    half = rule.nodes.size // 2
+    u = math.sqrt(2.0) * rule.nodes[half:]
+    weighted = rule.weights[half:] * numerics.hermite_poly(n, u)
+    angles = np.multiply.outer(t, u)
+    return (np.cos(angles) if n % 2 == 0 else np.sin(angles)) @ weighted
+
+
+@lru_cache(maxsize=numerics.MAX_HERMITE_DEGREE + 1)
+def _k_table(n: int) -> tuple:
+    """Read-only (t, w, F_n(t), position norm) of the pendulum with number n, built once per n.
+
+    (t, w) is the nonnegative half of the symmetric Legendre rule of
+    _rule_nodes(n) nodes over t in +-_reach(n), with doubled weights, so it
+    integrates a function even in t, such as F_n(t)^2, exactly as the full
+    rule does. The momentum rule of a state is k = scale*t with weights
+    scale*w, so the scale cancels from every angle k*u/scale = t*u. The
+    position norm is sum w H_n(xi)^2 on the Hermite rule of _folded.
+    """
+    size, reach = _rule_nodes(n), _reach(n)
+    full = numerics.gauss_legendre(size, -reach, reach)
+    half = size // 2
+    t, w = full.nodes[half:], 2.0 * full.weights[half:]
+    folded = _folded(n, t)
+    rule = numerics.hermite_rule(size)
+    herm = numerics.hermite_poly(n, rule.nodes)
+    for arr in (t, w, folded):
+        arr.flags.writeable = False
+    return t, w, folded, float(rule.weights @ (herm * herm))
+
+
+def _prefactor(state) -> float:
+    """psi~(k) = prefactor * F_n(k/scale), times -i for odd n."""
+    return 2.0 * state.amplitude * math.sqrt(2.0) / (state.scale * math.sqrt(TWO_PI))
 
 
 def line_transform(state, k):
@@ -133,23 +176,22 @@ def line_transform(state, k):
     Gaussian envelope fully absorbed into the weight, so the remaining
     factor is entire and the sum converges spectrally in the node count.
     The rule is symmetric and H_n has the parity of n, so the sum folds onto
-    the positive nodes: 2 * sum w h cos(...) for even n and -2i * sum w h
-    sin(...) for odd n. Hence psi~(-k) = (-1)**n * psi~(k) exactly.
+    the positive nodes (see _folded): 2 * sum w h cos(...) for even n and
+    -2i * sum w h sin(...) for odd n. Hence psi~(-k) = (-1)**n * psi~(k)
+    exactly. The rule resolves |k| <= scale*(sqrt(2n + 1) + 8), the reach
+    of the momentum rule; a k past it, or not finite, is a ValueError.
     """
     if st.family_of(state) != "pendulum":
         raise ValueError("line_transform is defined for pendulum states")
-    rule = numerics.hermite_rule(_rule_nodes(state.n))
-    half = rule.nodes.size // 2
-    u = math.sqrt(2.0) * rule.nodes[half:]
     s = state.scale
-    weighted = rule.weights[half:] * numerics.hermite_poly(state.n, u)
+    reach = s * _reach(state.n)
     k_arr = np.asarray(k, dtype=np.float64)
-    angles = np.multiply.outer(np.atleast_1d(k_arr), u / s)
-    prefactor = 2.0 * state.amplitude * math.sqrt(2.0) / (s * math.sqrt(TWO_PI))
-    if state.n % 2 == 0:
-        vals = (prefactor * (np.cos(angles) @ weighted)).astype(np.complex128)
-    else:
-        vals = -1j * (prefactor * (np.sin(angles) @ weighted))
+    if not np.all(np.abs(k_arr) <= reach):
+        raise ValueError(
+            f"line_transform needs finite |k| <= scale*(sqrt(2n+1) + 8) = {reach!r} for n={state.n}"
+        )
+    vals = _prefactor(state) * _folded(state.n, np.atleast_1d(k_arr) / s)
+    vals = vals.astype(np.complex128) if state.n % 2 == 0 else -1j * vals
     return complex(vals[0]) if k_arr.ndim == 0 else vals.reshape(k_arr.shape)
 
 
@@ -157,8 +199,8 @@ def width_product(state, *, method: str = "analytic") -> float:
     """Variance product <(k - <k>)^2> * <(phi - <phi>)^2> for the pendulum.
 
     Analytic path uses the ladder-relation moments (equals (n + 1/2)^2);
-    the quadrature path integrates |psi~|^2 on the k rule of _k_rule and
-    |psi|^2 on the state's oracle grid.
+    the quadrature path integrates |psi~|^2 on the momentum rule of _k_table
+    and |psi|^2 on the state's oracle grid.
     """
     if st.family_of(state) != "pendulum":
         raise ValueError("width_product is defined for pendulum states")
@@ -169,8 +211,8 @@ def width_product(state, *, method: str = "analytic") -> float:
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     var_phi = mo.std_dev(obs.PHI, state, method="quadrature") ** 2
-    krule = _k_rule(state)
-    density = np.abs(line_transform(state, krule.nodes)) ** 2
-    # the density is even in k, so <k> = 0 and no mean is subtracted
-    var_k = float(krule.integrate(krule.nodes**2 * density)) / float(krule.integrate(density))
+    t, w, folded, _ = _k_table(state.n)
+    density = folded * folded
+    # the density is even in k, so <k> = 0 and no mean is subtracted; k = scale*t
+    var_k = state.scale**2 * float(w @ (t * t * density)) / float(w @ density)
     return var_k * var_phi

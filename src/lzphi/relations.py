@@ -262,6 +262,8 @@ def _checked_constants(relation, params, state) -> dict:
             raise ValueError("R12 requires integer parameters N and N1")
         return {"delta_chi": delta_chi(params.N, params.N1)}
     if relation == RelationId.R60:
+        if params.N is not None:
+            raise ValueError("R60 takes no N: a Chi side carries its own winding (observables.chi)")
         for kind in _operative_pair(relation, params):
             obs.check_applicable(kind, state)
     return {}

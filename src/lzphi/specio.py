@@ -359,7 +359,11 @@ def _parse_kind(text, winding, lineno, col):
 # canonical printing (round-trip partner of parse)
 
 def canonical_text(doc: SpecDocument) -> str:
-    """Render a document so that parse(canonical_text(doc)) == doc."""
+    """Render a document so that parse(canonical_text(doc)) == doc.
+
+    A document the text cannot hold is a ValueError: an R60 pair of two Chi
+    sides with unequal windings, or an R60 with ``params.N`` set.
+    """
     out = []
     s = doc.settings
     out.append(f"setting hbar {s.hbar!r}")
@@ -403,6 +407,11 @@ def _selection_text(sel) -> str:
     if rid == RelationId.R60:
         a, b = params.pair
         windings = [k.winding for k in params.pair if k.name == "Chi"]
+        if len(set(windings)) > 1 or params.N is not None:
+            raise ValueError(
+                "R60 prints as R60(a=..,b=..,N=..): its Chi sides need one winding and params.N "
+                f"must be unset, got windings {windings} and N={params.N!r}"
+            )
         extra = f",N={windings[0]}" if windings else ""
         return f"{rid.value}(a={a.name},b={b.name}{extra})"
     return rid.value

@@ -14,6 +14,7 @@ from lzphi import (
     width_product,
 )
 
+from lzphi import engine, fourier
 from lzphi.numerics import MAX_HERMITE_NODES
 
 from .conftest import random_rotor, random_spherical
@@ -126,12 +127,31 @@ class TestLineTransform:
         for n in range(65):
             assert self._closed_form_error(n) < 1e-13, n
 
+    @staticmethod
+    def _reach(state):
+        return state.scale * (math.sqrt(2 * state.n + 1) + 8.0)
+
     def test_parity_is_exact(self):
-        k = np.linspace(0.0, 30.0, 97)
+        grid = np.linspace(0.0, 30.0, 97)
         for n in range(65):
             state = PendulumState(n=n, hbar=1.7, inertia=0.37, omega=2.9)
+            k = grid[grid <= self._reach(state)]
             assert np.array_equal(line_transform(state, -k), (-1) ** n * line_transform(state, k))
             assert line_transform(state, -2.5) == (-1) ** n * line_transform(state, 2.5)
+            with pytest.raises(ValueError, match="line_transform needs finite"):
+                line_transform(state, grid)
+
+    @pytest.mark.parametrize("n", [0, 2, 5, 64])
+    def test_refuses_k_past_the_reach(self, n):
+        """Past scale*(sqrt(2n+1) + 8) the rule is unresolved, so no value comes back."""
+        state = PendulumState(n=n, hbar=1.7, inertia=0.37, omega=2.9)
+        reach = self._reach(state)
+        assert np.isfinite(line_transform(state, np.array([-reach, reach]))).all()
+        for k in (np.nextafter(reach, math.inf), -1.5 * reach, 1e300, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=repr(reach)):
+                line_transform(state, k)
+        with pytest.raises(ValueError):
+            line_transform(state, np.array([0.0, 1.0, math.nan]))
 
     def test_self_reciprocal_density(self):
         # |psi~(k)|^2 of an eigenstate is the scaled position density
@@ -168,6 +188,51 @@ class TestWidthProduct:
             assert width_product(state, method="quadrature") == pytest.approx(
                 (n + 0.5) ** 2, abs=1e-8
             )
+
+
+class TestPendulumTables:
+    """The momentum rule, its folded Hermite sum, the position norm and the grid's H_n depend on n alone."""
+
+    @staticmethod
+    def _far_apart(n):
+        # scale = sqrt(I*omega/hbar) = 1e-2 and 1e2
+        return (PendulumState(n=n, inertia=1e-2, omega=1.0, hbar=1e2),
+                PendulumState(n=n, inertia=1.0, omega=1e2, hbar=1e-2))
+
+    def test_one_table_per_n_serves_every_scale(self):
+        fourier._k_table.cache_clear()
+        for n in range(65):
+            before = fourier._k_table.cache_info().misses
+            for state in self._far_apart(n):
+                assert parseval_check(state) < 1e-10, n
+                assert width_product(state, method="quadrature") == pytest.approx(
+                    (n + 0.5) ** 2, abs=1e-8
+                ), n
+            assert fourier._k_table.cache_info().misses - before == 1, n
+
+    def test_line_transform_reads_the_tabulated_sum(self):
+        """One folded kernel: where k = scale*t gives t back exactly, the values are the table's."""
+        for n in range(65):
+            t, _, folded, _ = fourier._k_table(n)
+            # scales 2**-7 and 2**7: k/scale is exact, so line_transform sums at the table's t
+            for inertia in (2.0**-14, 2.0**14):
+                state = PendulumState(n=n, inertia=inertia, omega=1.0, hbar=1.0)
+                want = fourier._prefactor(state) * folded * (-1j) ** (n % 2)
+                assert np.array_equal(line_transform(state, state.scale * t), want), n
+            # elsewhere t moves by an ulp, and the angle t*u (up to ~300) with it
+            state = PendulumState(n=n, hbar=1.7, inertia=0.37, omega=2.9)
+            want = fourier._prefactor(state) * folded * (-1j) ** (n % 2)
+            got = line_transform(state, state.scale * t)
+            assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want)), n
+
+    def test_tables_are_read_only(self):
+        for n in (0, 33, 64):
+            t, w, folded, _ = fourier._k_table(n)
+            size = engine.hermite_rule_size(n)
+            for arr in (t, w, folded, engine._hermite_on_rule(n, size)):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
 
 
 class TestFactoredSphericalCoefficients:

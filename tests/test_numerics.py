@@ -136,7 +136,7 @@ class TestPolishedOracleRules:
             assert np.max(np.abs(np.exp(1j * np.outer(ks, rule.nodes)) @ rule.weights)) < 5e-14, n
 
     def test_rules_are_mirror_symmetric_bit_for_bit(self):
-        """_k_rule's halving needs x[i] == -x[n-1-i], equal mirrored weights and an exact 0.0 middle."""
+        """_k_table's halving needs x[i] == -x[n-1-i], equal mirrored weights and an exact 0.0 middle."""
         for n in sorted(set(range(2, 201)) | set(_sized_legendre_counts())):
             x, w = _leggauss(n)
             assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), n

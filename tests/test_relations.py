@@ -343,6 +343,11 @@ class TestGenericPair:
         with pytest.raises(ValueError):
             evaluate(RelationId.R60, CircularState(m=1))
 
+    def test_refuses_an_n(self):
+        """R60's winding lives in its Chi side; an N it would ignore is refused."""
+        with pytest.raises(ValueError, match="R60 takes no N"):
+            evaluate(RelationId.R60, PendulumState(n=2), RelationParams(pair=(LZ, PHI), N=5))
+
     @pytest.mark.parametrize(
         "state",
         [

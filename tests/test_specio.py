@@ -229,6 +229,17 @@ class TestRoundTrip:
         bare = "state circular m=1\nrelations R60(a=Lz,b=Phi)\n"
         assert parse(bare.replace("Phi)", "Phi,N=4)")) == parse(bare)
 
+    def test_r60_pairs_the_text_cannot_hold_are_refused(self):
+        """One N prints both Chi windings, and R60 reads no params.N: neither may be lost."""
+        state = (("s", CircularState(m=1)),)
+        same = SpecDocument(EngineSettings(), state,
+                            ((RelationId.R60, RelationParams(pair=(chi(2), chi(2)))),))
+        assert parse(canonical_text(same)) == same
+        for params in (RelationParams(pair=(chi(1), chi(2))), RelationParams(pair=(LZ, PHI), N=5)):
+            doc = SpecDocument(EngineSettings(), state, ((RelationId.R60, params),))
+            with pytest.raises(ValueError, match="R60 prints as"):
+                canonical_text(doc)
+
 
 class TestSerialization:
     def test_pendulum_equality_report_json(self):
