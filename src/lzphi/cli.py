@@ -143,10 +143,9 @@ def _run_catalog(args) -> int:
 def _run_scan(args) -> int:
     doc = _load_document(args)
     param, values = _parse_sweep(args.sweep)
-    if param.split(":", 1)[0] in ("cmag", "cphase"):
-        index = _sweep_index(param)
-        if not any(_carries(state, index) for _, state in doc.states):
-            raise ValueError(f"sweep {args.sweep!r}: no state carries coefficient m={index}")
+    idle = _idle_sweep(doc, param)
+    if idle:
+        raise ValueError(f"sweep {args.sweep!r}: {idle}")
     points = [_apply_sweep(doc, param, value) for value in values]
     return _report(args, points, doc.settings.tolerance, (param, [float(v) for v in values]))
 
@@ -171,6 +170,31 @@ def _parse_sweep(text: str):
         # Python ints, rounded half to even: a numpy int64 cast would wrap
         values = [round(v) for v in values.tolist()]
     return name, values
+
+
+def _idle_sweep(doc, param: str):
+    """Why sweeping ``param`` would change no state and no relation of ``doc``, else None."""
+    base = param.split(":", 1)[0]
+    states = [state for _, state in doc.states]
+    rids = {rid for rid, _ in doc.selections}
+    if base in ("cmag", "cphase"):
+        index = _sweep_index(param)
+        if not any(_carries(state, index) for state in states):
+            return f"no state carries coefficient m={index}"
+    elif base == "n" and not any(isinstance(s, PendulumState) for s in states):
+        return "no pendulum state"
+    elif base == "mix" and not any(isinstance(s, SphericalState) for s in states):
+        return "no spherical state"
+    elif base == "alpha" and RelationId.R8 not in rids:
+        return "no R8 relation"
+    elif base == "N1" and RelationId.R12 not in rids:
+        return "no R12 relation"
+    elif base == "N" and RelationId.R12 not in rids and not any(
+        rid == RelationId.R60 and p.pair and any(k.name == "Chi" for k in p.pair)
+        for rid, p in doc.selections
+    ):
+        return "no R12 relation and no R60 Chi side"
+    return None
 
 
 def _apply_sweep(doc, param: str, value):

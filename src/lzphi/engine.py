@@ -9,10 +9,15 @@ never differentiate numerically: (Lz - mu)^j acts before sampling, by the
 exact per-mode factor (periodic families) or on the Hermite series
 (pendulum family), so a centered power is never expanded binomially.
 Each rule is sized from what it samples, never from a setting: see
-``phi_rule_size``, ``theta_rule_size`` and ``hermite_rule_size``. The
-pendulum's psi is A*H_n on its Hermite rule, and the H_n samples depend on
-n and the rule size alone, so ``_hermite_on_rule`` builds them once per
-(n, size).
+``phi_rule_size``, ``theta_rule_size`` and ``hermite_rule_size``.
+
+The pendulum grid reads one read-only table per rule size,
+``_hermite_table(size)``: rows H_0..H_K at the rule's nodes, with
+K = MAX_HERMITE_DEGREE + MAX_CORRELATION_ORDER. Its psi is A*H_n, row n
+times the amplitude. Lz acts on the coefficient vector of the Hermite
+series by an exact two-term ladder (see ``PendulumGrid``), and ``lz_pow``
+reads the result out through the table's rows: the oracle stays a
+quadrature of sampled values.
 """
 
 from __future__ import annotations
@@ -22,12 +27,17 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from numpy.polynomial import hermite as H
 
 from . import numerics
 from . import states as st
 # unused here: perfbench's tracer patches this name in engine, and its tests check it
 from ._kernels import fourier_sum  # noqa: F401
+
+#: highest order r, s of a centered moment ((A - <A>)^r Psi, (B - <B>)^s Psi)
+MAX_CORRELATION_ORDER = 6
+
+#: the top degree of the pendulum grid's Hermite table: H_n raised by that many Lz steps
+HERMITE_TABLE_DEGREE = numerics.MAX_HERMITE_DEGREE + MAX_CORRELATION_ORDER
 
 #: the widest span the phi rule resolves: 2*span + 64 <= numerics.MAX_LEGENDRE_NODES
 MAX_ORACLE_SPAN = (numerics.MAX_LEGENDRE_NODES - 64) // 2
@@ -84,10 +94,19 @@ def polar_tables(ms, l):
     return polar, rule.weights * np.sin(rule.nodes), rule.nodes[:, None]
 
 
-@lru_cache(maxsize=numerics.MAX_HERMITE_DEGREE + 1)
-def _hermite_on_rule(n: int, size: int) -> np.ndarray:
-    """Read-only H_n at the nodes of the Hermite rule of ``size`` nodes."""
-    out = numerics.hermite_poly(n, numerics.hermite_rule(size).nodes)
+@lru_cache(maxsize=16)
+def _hermite_table(size: int) -> np.ndarray:
+    """Read-only rows H_0..H_HERMITE_TABLE_DEGREE at the nodes of the Hermite rule of ``size`` nodes.
+
+    The three-term recurrence runs in the order of ``_kernels.hermite_grid``,
+    so row n is bit-identical to ``numerics.hermite_poly(n, nodes)``.
+    """
+    xi = numerics.hermite_rule(size).nodes
+    out = np.empty((HERMITE_TABLE_DEGREE + 1, size))
+    out[0] = 1.0
+    out[1] = 2.0 * xi
+    for k in range(1, HERMITE_TABLE_DEGREE):
+        out[k + 1] = 2.0 * xi * out[k] - 2.0 * k * out[k - 1]
     out.flags.writeable = False
     return out
 
@@ -147,6 +166,8 @@ class PendulumGrid:
     so inner products are weighted sums as on the other grids. Lz acts
     exactly on the Hermite series f of the state before sampling,
     Lz [exp(-xi^2/2) f] = -i*hbar*scale * exp(-xi^2/2) * (f' - xi*f).
+    By H_k' = 2k H_(k-1) and xi H_k = H_(k+1)/2 + k H_(k-1), f' - xi*f maps
+    c_k H_k to k c_k H_(k-1) - c_k/2 H_(k+1).
     """
 
     lz_origin = 0.0
@@ -158,17 +179,31 @@ class PendulumGrid:
         self.weights = rule.weights / state.scale
         self.scale = state.scale
         self.hbar = state.hbar
-        self._series = np.zeros(state.n + 1, dtype=np.complex128)
-        self._series[state.n] = state.amplitude
-        self.psi = state.amplitude * _hermite_on_rule(state.n, size)
+        self._n = state.n
+        self._amplitude = state.amplitude
+        self._table = _hermite_table(size)
+        self.psi = state.amplitude * self._table[state.n]
 
     def lz_pow(self, j: int, mu: float = 0.0) -> np.ndarray:
-        """Values of (Lz - mu)^j Psi, each factor applied to the Hermite series."""
-        series, step = self._series, -1j * self.hbar * self.scale
+        """Values of (Lz - mu)^j Psi: j ladder steps on the Hermite coefficients, read out by the table.
+
+        A power of degree n + j past HERMITE_TABLE_DEGREE is a ValueError.
+        """
+        top = self._n + j
+        if top > HERMITE_TABLE_DEGREE:
+            raise ValueError(
+                f"lz_pow needs n + j <= {HERMITE_TABLE_DEGREE}, got n={self._n}, j={j}"
+            )
+        series = np.zeros(top + 1, dtype=np.complex128)
+        series[self._n] = self._amplitude
+        lowered = np.arange(1, top + 1)  # k at index k - 1: the factor of c_k H_k -> H_(k-1)
+        step = -1j * self.hbar * self.scale
         for _ in range(j):
-            lz_series = step * H.hermsub(H.hermder(series), H.hermmulx(series))
-            series = H.hermsub(lz_series, mu * series)
-        return H.hermval(self.xi, series)
+            new = -mu * series
+            new[:-1] += step * (lowered * series[1:])
+            new[1:] -= (0.5 * step) * series[:-1]
+            series = new
+        return series @ self._table[: top + 1]
 
     def symbol_values(self, sym) -> np.ndarray:
         return sym.evaluate(None, self.xi / self.scale)

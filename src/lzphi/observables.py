@@ -31,8 +31,7 @@ from . import engine, numerics
 from . import states as st
 from .numerics import TWO_PI
 
-#: highest order r, s of a centered moment ((A - <A>)^r Psi, (B - <B>)^s Psi)
-MAX_CORRELATION_ORDER = 6
+MAX_CORRELATION_ORDER = engine.MAX_CORRELATION_ORDER
 
 _KIND_NAMES = ("Lz", "Phi", "PhiSquared", "SinPhi", "CosPhi", "Theta", "ThetaPhi", "Chi")
 

@@ -79,6 +79,22 @@ class SphericalOracle:
         return first - second
 
 
+def pendulum_lz_pow(state, j, mu, xi):
+    """(Lz - mu)^j Psi of a pendulum state at the points xi = scale * phi, times exp(xi^2/2).
+
+    Lz acts j times on the Hermite series through numpy.polynomial.hermite's
+    series algebra, Lz f = -i*hbar*scale*(f' - xi*f), and the series is
+    summed by Clenshaw's recurrence (``hermval``).
+    """
+    herm = np.polynomial.hermite
+    series = np.zeros(state.n + 1, dtype=complex)
+    series[state.n] = state.amplitude
+    step = -1j * state.hbar * state.scale
+    for _ in range(j):
+        series = herm.hermsub(step * herm.hermsub(herm.hermder(series), herm.hermmulx(series)), mu * series)
+    return herm.hermval(xi, series)
+
+
 def lz_phi_deficit(state):
     """(Lz Psi, phi Psi) - (Psi, Lz phi Psi) by the closed form of the state's family.
 

@@ -792,6 +792,46 @@ class TestInputErrors:
         assert sweep.split("=")[0] in err
         assert out == ""
 
+    IDLE_SPEC = (
+        "state circular m=2\nstate spherical l=2 c=[(0,0),(0.6,0),(0,0),(0,0.8),(0,0)]\n"
+        "relations R5 R30\n"
+    )
+
+    @pytest.mark.parametrize(
+        "sweep, spec, reason",
+        [
+            ("n=0:3:4", IDLE_SPEC, "no pendulum state"),
+            ("alpha=0:2:3", IDLE_SPEC, "no R8 relation"),
+            ("N=0:2:3", IDLE_SPEC, "no R12 relation and no R60 Chi side"),
+            ("N=0:2:3", "state circular m=2\nrelations R60(a=Lz,b=Phi)\n", "no R60 Chi side"),
+            ("N1=0:2:3", IDLE_SPEC, "no R12 relation"),
+            ("N1=0:2:3", "state circular m=2\nrelations R60(a=Chi,b=Lz,N=1)\n", "no R12"),
+            ("mix=0:3:4", "state circular m=2\nstate pendulum n=1\nrelations R5\n", "no spherical"),
+        ],
+    )
+    def test_a_sweep_that_changes_nothing_is_refused(self, tmp_path, capsys, sweep, spec, reason):
+        path = write(tmp_path, "s.spec", spec)
+        code, out, err = run_main(["scan", path, "--sweep", sweep], capsys)
+        assert code == 3
+        assert err.startswith(f"error: sweep {sweep!r}") and reason in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "sweep, spec",
+        [
+            ("n=0:3:4", "state circular m=2\nstate pendulum n=1\nrelations R5\n"),
+            ("alpha=0:2:3", "state circular m=2\nrelations R8(alpha=1)\n"),
+            ("N=0:2:3", "state circular m=2\nrelations R60(a=Chi,b=Lz,N=1)\n"),
+            ("N1=0:2:3", "state circular m=2\nrelations R12(N=5,N1=0)\n"),
+            ("mix=0:3:4", "state spherical l=0 c=[(1,0)]\nrelations R5\n"),
+        ],
+    )
+    def test_a_sweep_with_a_target_runs(self, tmp_path, capsys, sweep, spec):
+        path = write(tmp_path, "s.spec", spec)
+        code, out, err = run_main(["scan", path, "--sweep", sweep], capsys)
+        assert code in (0, 1, 2), err
+        assert out
+
     def test_state_without_the_coefficient_is_left_as_is(self, tmp_path, capsys):
         spec = write(
             tmp_path,
@@ -840,3 +880,20 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    """Only the oracle's first Hermite rule loads numpy.polynomial; an eval never builds one."""
+    probe = (
+        "import sys, numpy; before = 'numpy.polynomial' in sys.modules; import lzphi.cli; "
+        "print(before, 'numpy.polynomial' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    before, after = result.stdout.split()
+    assert after == "False" or before == "True"

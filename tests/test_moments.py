@@ -26,10 +26,10 @@ from lzphi import (
     std_dev,
     symmetry_deficit,
 )
-from lzphi import engine, fourier, moments
+from lzphi import _kernels, engine, fourier, moments, numerics
 
 from .conftest import pendulums_of_two_widths, random_rotor, random_spherical
-from .oracles import SphericalOracle
+from .oracles import SphericalOracle, pendulum_lz_pow
 
 TWO_PI = 2.0 * math.pi
 
@@ -337,6 +337,41 @@ def test_pendulum_oracle_over_the_whole_range(nodes, oracle_rule):
         assert quad == pytest.approx(correlation(LZ, PHI, state).value, abs=1e-9), n
         deficit = symmetry_deficit(LZ, PHI, state, method="quadrature")
         assert abs(deficit) <= 1e-9, n
+
+
+class TestPendulumLadder:
+    """Lz on the pendulum grid: a ladder on the Hermite coefficients, read out through one table."""
+
+    def test_lz_pow_matches_the_series_algebra(self):
+        for n in range(65):
+            state = PendulumState(n=n, inertia=1.3, omega=0.7, hbar=1.1)
+            grid = engine.PendulumGrid(state)
+            for j in range(engine.MAX_CORRELATION_ORDER + 1):
+                for mu in (0.0, 0.37, -2.5):
+                    want = pendulum_lz_pow(state, j, mu, grid.xi)
+                    got = grid.lz_pow(j, mu)
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n, j, mu)
+
+    def test_psi_is_the_tabulated_hermite_row(self):
+        for n in range(65):
+            state = PendulumState(n=n, inertia=0.4, omega=2.1, hbar=0.9)
+            grid = engine.PendulumGrid(state)
+            assert np.array_equal(grid.psi, state.amplitude * numerics.hermite_poly(n, grid.xi)), n
+
+    @pytest.mark.parametrize("size", [16, 80, numerics.MAX_HERMITE_NODES])
+    def test_table_rows_are_the_recurrence_bit_for_bit(self, size):
+        table = engine._hermite_table(size)
+        nodes = numerics.hermite_rule(size).nodes
+        assert table.shape == (engine.HERMITE_TABLE_DEGREE + 1, size)
+        for k in range(engine.HERMITE_TABLE_DEGREE + 1):
+            assert np.array_equal(table[k], _kernels.hermite_grid(k, nodes)), k
+
+    @pytest.mark.parametrize("n, j", [(64, 7), (60, 11), (0, 71)])
+    def test_a_degree_past_the_table_is_refused(self, n, j):
+        grid = engine.PendulumGrid(PendulumState(n=n))
+        with pytest.raises(ValueError, match=str(engine.HERMITE_TABLE_DEGREE)):
+            grid.lz_pow(j)
+        assert grid.lz_pow(engine.HERMITE_TABLE_DEGREE - n).shape == grid.xi.shape
 
 
 @pytest.mark.parametrize("n", [0, 20, 64])
