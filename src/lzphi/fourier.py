@@ -205,8 +205,9 @@ def width_product(state, *, method: str = "analytic") -> float:
     if st.family_of(state) != "pendulum":
         raise ValueError("width_product is defined for pendulum states")
     if method == "analytic":
-        var_phi = mo.std_dev(obs.PHI, state) ** 2
-        var_k = (mo.std_dev(obs.LZ, state) / state.hbar) ** 2
+        stack = mo.MomentStack((state,))
+        var_phi = float(stack.std(obs.PHI)[0]) ** 2
+        var_k = (float(stack.std(obs.LZ)[0]) / state.hbar) ** 2
         return var_k * var_phi
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")

@@ -10,9 +10,11 @@ form (c, M c) over basis matrices M that do not depend on the state, or a
 binomial combination of them, so each M is built once per stack and each
 form is taken over all rows at once; the seam density of
 ``observables.seam_densities``, which the boundary terms of R15, R52 and
-R58 read, is one such form. An Lz side, and every side on the
-oscillator basis, is centered before it is powered. All a stack computes,
-the relation columns of ``relations`` included, is kept in its one memo.
+R58 read, is one such form. On the oscillator basis no matrix is
+built: phi and Lz act on the number-state rows as ladder steps. An Lz
+side, and every side on the oscillator basis, is centered before it is
+powered. All a stack computes, the relation columns of ``relations``
+included, is kept in its one memo.
 The public analytic functions below are the one-row case, and no setting
 enters them. The quadrature path re-derives every number on the family's
 grid as the oracle, with rules sized from the state (see ``engine``);
@@ -135,17 +137,19 @@ def _memoized(method):
 class MomentStack:
     """Analytic moments of a stack of states, each quantity computed once for all rows.
 
-    The rows share one basis; their coefficient vectors (a pendulum's is
-    |n>, padded) are the rows of a P x n matrix C. A basis matrix M (the
-    ``symbol_matrix`` of a product of observable symbols, or of a phi
-    derivative) enters only through the products M c_p of every row,
-    built on first use, so the stack holds O(P*n) numbers per matrix and
-    never a P x n x n array. Lz scales each row by its own hbar: the
-    diagonal hbar*m, or hbar times ``lz_ladder`` on the oscillator basis,
-    where means and standard deviations are closed forms in n. Every
-    method returns one value per row, in the order of ``states``. No
-    setting enters: the stack keeps its states alive, and a state's
-    moments depend only on the state, so a stack never goes stale.
+    The rows share one basis; their coefficient vectors are the rows of a
+    P x n matrix C. A basis matrix M (the ``symbol_matrix`` of a product of
+    observable symbols, or of a phi derivative) enters only through the
+    products M c_p of every row, built on first use, so the stack holds
+    O(P*n) numbers per matrix and never a P x n x n array. Lz scales each
+    row by its own hbar through the diagonal hbar*m. A pendulum row is its
+    number n, the 1 of |n> scattered into the padded number basis; there
+    means and standard deviations are closed forms in n, and phi and Lz act
+    on the block as two-term ladder steps (``observables.x_steps``,
+    ``observables.lz_step``), with no matrix built. Every method returns
+    one value per row, in the order of ``states``. No setting enters: the
+    stack keeps its states alive, and a state's moments depend only on the
+    state, so a stack never goes stale.
     """
 
     def __init__(self, states):
@@ -158,11 +162,11 @@ class MomentStack:
         self._basis = basis
         #: hbar of every row
         self.hbar = np.array([s.hbar for s in self.states])
-        coeffs = [st.coeff_vector(s) for s in self.states]
         if isinstance(basis, obs.OscillatorBasis):
-            self._coeffs = np.array([np.pad(c, (0, basis.size - c.size)) for c in coeffs])
+            self._coeffs = np.zeros((len(self.states), basis.size), dtype=np.complex128)
+            self._coeffs[np.arange(len(self.states)), [s.n for s in self.states]] = 1.0
         else:
-            self._coeffs = np.array(coeffs)
+            self._coeffs = np.array([st.coeff_vector(s) for s in self.states])
             m0 = st.middle_m(basis.ms)
             offsets = np.array([m - m0 for m in basis.ms], dtype=np.float64)
             # Lz = hbar*m0 + hbar*(m - m0); the rows center the offsets by their own mean
@@ -184,8 +188,10 @@ class MomentStack:
             obs.check_applicable(kind, self.states[0])
 
     def _applied(self, sym) -> np.ndarray:
-        """Row p holds M c_p for the symbol's basis matrix M."""
+        """Row p holds M c_p for the symbol's basis matrix M, or S(X) c_p by ladder steps."""
         key = ("applied", *sorted(sym.terms.items()))
+        if isinstance(self._basis, obs.OscillatorBasis):
+            return self.once(key, obs.polynomial_rows, sym, self._basis, self._coeffs)
         return self.once(key, lambda: obs.apply_to_rows(obs.symbol_matrix(sym, self._basis),
                                                         self._coeffs))
 
@@ -197,21 +203,22 @@ class MomentStack:
     def _centered(self, kind, mu, power) -> np.ndarray:
         """Row p holds (A - mu_p)^power c_p, each factor applied to the row.
 
-        A is Lz (a diagonal on rotor and spherical bases, hbar times
-        ``lz_ladder`` on the oscillator basis) or any kind on the oscillator
-        basis, whose padding keeps every power up to the highest order exact.
-        The Lz diagonal centers its offsets hbar*(m - m0) by their mean,
-        which is mu_p - hbar*m0 with no cancellation.
+        A is Lz, a diagonal on rotor and spherical bases, or any kind on
+        the oscillator basis, whose padding keeps every power up to the
+        highest order exact: there each factor is ladder steps, hbar times
+        ``lz_step`` for Lz, one ``x_steps`` step for Phi and two for
+        PhiSquared. The Lz diagonal centers its offsets hbar*(m - m0) by
+        their mean, which is mu_p - hbar*m0 with no cancellation.
         """
-        if kind.name != "Lz":
-            mat, scale = obs.symbol_matrix(obs.kind_symbol(kind), self._basis), 1.0
-        elif isinstance(self._basis, obs.OscillatorBasis):
-            mat, scale = obs.lz_ladder(self._basis), self.hbar[:, None]
-        else:
+        if not isinstance(self._basis, obs.OscillatorBasis):
             return (self._lz - self._lz_mean[:, None]) ** power * self._coeffs
         rows = self._coeffs
         for _ in range(power):
-            rows = scale * obs.apply_to_rows(mat, rows) - mu[:, None] * rows
+            if kind.name == "Lz":
+                applied = self.hbar[:, None] * obs.lz_step(self._basis, rows)
+            else:
+                applied = obs.x_steps(self._basis, rows, 1 if kind.name == "Phi" else 2)
+            rows = applied - mu[:, None] * rows
         return rows
 
     @_memoized

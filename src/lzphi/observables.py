@@ -9,7 +9,10 @@ only on the offset m' - m, so each term's matrix is Toeplitz: every
 distinct offset's moment is computed once and indexed out. On the fixed-l
 spherical basis each term factorizes into a polar overlap integral times
 the rotor element, so no 2-D quadrature enters the analytic path. On the
-pendulum's oscillator basis phi and Lz/hbar are ladder matrices.
+pendulum's oscillator basis there are no matrices: phi and Lz/hbar act
+on each number-state row as two-term ladder steps, level k of the result
+reading levels k - 1 and k + 1 with weights sqrt(k) (``x_steps``,
+``lz_step``).
 
 Every boundary term is one number per state, its seam density
 2*pi*|psi|^2 along phi = 0 = 2*pi (``seam_densities``): the symmetry
@@ -282,19 +285,13 @@ def basis_of(state) -> RotorBasis | SphericalBasis | OscillatorBasis:
 
 
 def symbol_matrix(sym: Symbol, basis) -> np.ndarray:
-    """Exact-in-phi matrix of a multiplicative symbol on a basis.
+    """Exact-in-phi matrix of a multiplicative symbol on a rotor or spherical basis.
 
-    On the oscillator basis phi^p is X^p, X = (a + a^dagger)/(sqrt(2)*scale).
+    The oscillator basis has no symbol matrices: its phi acts as ladder
+    steps (``x_steps``).
     """
     if isinstance(basis, OscillatorBasis):
-        if any(a or j for (a, j, _) in sym.terms):
-            raise ValueError("only polynomials in phi act on the oscillator basis")
-        lower = _lowering(basis)
-        x = (lower + lower.T) / (math.sqrt(2.0) * basis.scale)
-        out = np.zeros((basis.size, basis.size), dtype=np.complex128)
-        for (_, _, p), v in sym.terms.items():
-            out = out + v * np.linalg.matrix_power(x, p)
-        return out
+        raise ValueError("pendulum moments come from ladder steps, not symbol matrices")
     ks, index = _offset_index(basis.ms)
     out = np.zeros(index.shape, dtype=np.complex128)
     spherical = isinstance(basis, SphericalBasis)
@@ -322,15 +319,45 @@ def lz_diagonal(basis, hbar: float) -> np.ndarray:
     return hbar * np.array(basis.ms, dtype=np.float64)
 
 
-def lz_ladder(basis: OscillatorBasis) -> np.ndarray:
-    """Lz/hbar on the oscillator basis: scale*i*(a^dagger - a)/sqrt(2)."""
-    lower = _lowering(basis)
-    return 1j * (basis.scale / math.sqrt(2.0)) * (lower.T - lower)
+#: sqrt(k) for the levels k = 1..size - 1 of the oscillator basis
+_SQRT_LEVELS = np.sqrt(np.arange(1.0, OscillatorBasis.size))
 
 
-def _lowering(basis: OscillatorBasis) -> np.ndarray:
-    """The lowering operator a on the oscillator basis."""
-    return np.diag(np.sqrt(np.arange(1.0, basis.size)), 1)
+def _ladder(rows: np.ndarray, weights: np.ndarray, lower_sign: float) -> np.ndarray:
+    """w_k c_(k-1) + lower_sign * w_(k+1) c_(k+1) at every level k of every row.
+
+    These are the only two nonzero terms of row k of a dense ladder
+    matrix, so each level is the sum a matrix product would form.
+    """
+    out = np.zeros_like(rows)
+    out[:, 1:] = weights * rows[:, :-1]
+    out[:, :-1] += lower_sign * weights * rows[:, 1:]
+    return out
+
+
+def x_steps(basis: OscillatorBasis, rows: np.ndarray, power: int) -> np.ndarray:
+    """phi^power applied to every row of a P x size block, as ``power`` ladder steps.
+
+    Each step is X = (a + a^dagger)/(sqrt(2)*scale), whose weights are
+    sqrt(k)/(sqrt(2)*scale).
+    """
+    weights = _SQRT_LEVELS / (math.sqrt(2.0) * basis.scale)
+    for _ in range(power):
+        rows = _ladder(rows, weights, 1.0)
+    return rows
+
+
+def lz_step(basis: OscillatorBasis, rows: np.ndarray) -> np.ndarray:
+    """Lz/hbar = i*scale*(a^dagger - a)/sqrt(2) applied to every row of a P x size block."""
+    return 1j * _ladder(rows, (basis.scale / math.sqrt(2.0)) * _SQRT_LEVELS, -1.0)
+
+
+def polynomial_rows(sym: Symbol, basis: OscillatorBasis, rows: np.ndarray) -> np.ndarray:
+    """Row p holds S(X) c_p for a polynomial symbol S in phi, each phi^q as ``x_steps``."""
+    if any(a or j for (a, j, _) in sym.terms):
+        raise ValueError("only polynomials in phi act on the oscillator basis")
+    return sum((v * x_steps(basis, rows, q) for (_, _, q), v in sym.terms.items()),
+               np.zeros_like(rows))
 
 
 def matrix_table(

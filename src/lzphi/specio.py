@@ -50,6 +50,8 @@ class SpecDocument:
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
+#: the characters ``_split_top`` acts on: brackets and the comma
+_SPLIT_RE = re.compile(r"[][(){},]")
 _KIND_NAMES = {
     "Lz": obs.LZ,
     "Phi": obs.PHI,
@@ -170,17 +172,18 @@ def _parse_complex(text: str, lineno: int, col: int) -> complex:
     return complex(_parse_float(re_part, lineno, col), _parse_float(im_part, lineno, col))
 
 
-def _split_top(text: str, sep: str):
-    """Split on sep at bracket depth zero."""
+def _split_top(text: str):
+    """Split on commas at bracket depth zero, visiting only brackets and commas."""
     parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
+    for match in _SPLIT_RE.finditer(text):
+        ch = match.group()
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
+        elif depth == 0:
+            parts.append(text[start:match.start()])
+            start = match.end()
     parts.append(text[start:])
     return parts
 
@@ -265,7 +268,7 @@ def _coeff_map(fields, cols, lineno, fcol):
 def _parse_coeff_entries(text, lineno, col):
     """The {m:(re,im),...} map of a ``c=`` value; an m given twice is a bad value."""
     out = {}
-    for item in _split_top(text[1:-1], ","):
+    for item in _split_top(text[1:-1]):
         if not item:
             continue
         if ":" not in item:
@@ -292,7 +295,7 @@ def _spherical_coeffs(l, fields, cols, lineno, fcol):
         raise SpecParseError("bad-value", lineno, col, "spherical coefficients read c=[(re,im),...]")
     vec = [
         _parse_complex(item, lineno, col)
-        for item in _split_top(text[1:-1], ",")
+        for item in _split_top(text[1:-1])
         if item
     ]
     if len(vec) != 2 * l + 1:
@@ -313,7 +316,7 @@ def _parse_selection(token: str, lineno: int, col: int):
         ) from None
     kv = {}
     if inner:
-        for item in _split_top(inner, ","):
+        for item in _split_top(inner):
             if "=" not in item:
                 raise SpecParseError("syntax", lineno, col, f"relation params read k=v, got {item!r}")
             key, value = item.split("=", 1)

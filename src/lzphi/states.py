@@ -238,7 +238,9 @@ def coeff_vector(state: State) -> np.ndarray:
         return np.array([c for _, c in state.coefficients])
     if fam == "spherical":
         return np.array(state.coefficients)
-    return np.eye(state.n + 1, dtype=np.complex128)[state.n]
+    out = np.zeros(state.n + 1, dtype=np.complex128)
+    out[state.n] = 1.0
+    return out
 
 
 def wavefunction(state: State, point):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,21 +16,29 @@ from lzphi import (
     THETA_PHI,
     CircularState,
     PendulumState,
+    RelationId,
+    RelationParams,
     RotorSuperposition,
     SphericalState,
     chi,
     commutator_mean,
     correlation,
+    evaluate,
     higher_correlation,
     mean,
     moment_set,
     std_dev,
     symmetry_deficit,
 )
-from lzphi import _kernels, engine, fourier, moments, numerics
+from lzphi import _kernels, engine, fourier, moments, numerics, observables
 
 from .conftest import pendulums_of_two_widths, random_rotor, random_spherical
-from .oracles import SphericalOracle, pendulum_lz_pow
+from .oracles import (
+    SphericalOracle,
+    pendulum_dense_commutator,
+    pendulum_dense_pair,
+    pendulum_lz_pow,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -372,6 +381,109 @@ class TestPendulumLadder:
         with pytest.raises(ValueError, match=str(engine.HERMITE_TABLE_DEGREE)):
             grid.lz_pow(j)
         assert grid.lz_pow(engine.HERMITE_TABLE_DEGREE - n).shape == grid.xi.shape
+
+
+#: three seeded (inertia, omega, hbar) and the orders of the oscillator-ladder checks
+LADDER_WIDTHS = [tuple(np.random.default_rng(seed).uniform(0.3, 3.0, 3)) for seed in range(3)]
+LADDER_ORDERS = list(itertools.product((1, 2, 3, 6), repeat=2))
+PENDULUM_PAIRS = list(itertools.product(PENDULUM_KINDS, repeat=2))
+
+
+def _ladder_sweep(width):
+    inertia, omega, hbar = width
+    return [PendulumState(n=n, inertia=inertia, omega=omega, hbar=hbar) for n in range(65)]
+
+
+@pytest.mark.parametrize("width", LADDER_WIDTHS, ids=["w0", "w1", "w2"])
+class TestOscillatorLadder:
+    """Pendulum moments as ladder steps, against the dense matrices of ``tests/oracles.py``.
+
+    A step sums the same two products a dense matrix row does, so every
+    value without PhiSquared is the dense one bit for bit; two X steps
+    round differently from the product X @ X.
+    """
+
+    def test_pairs_without_phi_squared_are_the_dense_products(self, width):
+        got, want = [], []
+        for state in _ladder_sweep(width):
+            for a, b in itertools.product((LZ, PHI), repeat=2):
+                for r, s in LADDER_ORDERS:
+                    got.append(higher_correlation(a, b, r, s, state))
+                    want.append(pendulum_dense_pair(a.name, b.name, r, s, state))
+        assert np.array_equal(got, want)
+
+    def test_commutators_are_the_dense_products(self, width):
+        got, want = [], []
+        for state in _ladder_sweep(width):
+            for a, b in PENDULUM_PAIRS:
+                got.append(commutator_mean(a, b, state))
+                want.append(pendulum_dense_commutator(a.name, b.name, state))
+        assert np.array_equal(got, want)
+
+    def test_phi_squared_pairs_within_the_schwarz_scale(self, width):
+        for state in _ladder_sweep(width):
+            own = {(kind, r): abs(pendulum_dense_pair(kind.name, kind.name, r, r, state))
+                   for kind in PENDULUM_KINDS for r in (1, 2, 3, 6)}
+            for a, b in PENDULUM_PAIRS:
+                if PHI_SQUARED not in (a, b):
+                    continue
+                for r, s in LADDER_ORDERS:
+                    want = pendulum_dense_pair(a.name, b.name, r, s, state)
+                    scale = math.sqrt(own[a, r] * own[b, s])
+                    got = higher_correlation(a, b, r, s, state)
+                    assert abs(got - want) <= 1e-14 * scale, (state.n, a, b, r, s)
+
+    def test_phi_squared_variance_is_the_closed_form(self, width):
+        for state in _ladder_sweep(width):
+            n = state.n
+            want = (state.hbar / (state.inertia * state.omega)) ** 2 * (n * n + n + 1) / 2
+            got = higher_correlation(PHI_SQUARED, PHI_SQUARED, 1, 1, state)
+            assert abs(got - want) <= 1e-15 * want, n
+
+    def test_a_lone_row_is_its_row_of_an_n_sweep(self, width):
+        states = _ladder_sweep(width)
+        sweep = moments.MomentStack(states)
+        lone = [moments.MomentStack((state,)) for state in states]
+        for a, b in PENDULUM_PAIRS:
+            assert np.array_equal(sweep.commutator(a, b), [row.commutator(a, b)[0] for row in lone])
+            for r, s in LADDER_ORDERS:
+                column = sweep.pair(a, b, r, s)
+                assert np.array_equal(column, [row.pair(a, b, r, s)[0] for row in lone]), (a, b, r, s)
+
+
+#: every relation that applies to the pendulum, R60 with each of its pendulum pairs
+PENDULUM_SELECTIONS = (
+    [(RelationId(rid), RelationParams()) for rid in ("R5", "R6", "R7", "R14", "R30", "R33")]
+    + [(RelationId.R8, RelationParams(alpha=1.0)), (RelationId.R12, RelationParams(N=1, N1=0))]
+    + [(RelationId.R60, RelationParams(pair=pair))
+       for pair in ((LZ, PHI), (LZ, PHI_SQUARED), (PHI, PHI_SQUARED))]
+)
+
+
+def test_pendulum_moments_build_no_symbol_matrix(monkeypatch):
+    """Correlations, commutators and relation columns of a pendulum are ladder steps, not matrices."""
+    calls = []
+    build = observables.symbol_matrix
+
+    def counted(sym, basis):
+        calls.append(basis)
+        return build(sym, basis)
+
+    monkeypatch.setattr(observables, "symbol_matrix", counted)
+    state = PendulumState(n=9, inertia=1.3, omega=0.7, hbar=1.1)
+    for a, b in PENDULUM_PAIRS:
+        commutator_mean(a, b, state)
+        for r, s in LADDER_ORDERS:
+            higher_correlation(a, b, r, s, state)
+    for relation, params in PENDULUM_SELECTIONS:
+        evaluate(relation, state, params)
+    assert calls == []
+
+
+def test_symbol_matrices_are_refused_on_the_oscillator_basis():
+    basis = observables.basis_of(PendulumState(n=3))
+    with pytest.raises(ValueError, match="ladder"):
+        observables.symbol_matrix(observables.kind_symbol(PHI), basis)
 
 
 @pytest.mark.parametrize("n", [0, 20, 64])

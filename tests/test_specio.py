@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from lzphi import (
     LZ,
@@ -18,7 +20,9 @@ from lzphi import (
     serialize_report,
 )
 from lzphi.engine import EngineSettings
-from lzphi.specio import SpecDocument, SpecParseError
+from lzphi.specio import SpecDocument, SpecParseError, _split_top
+
+from .oracles import split_top
 
 
 class TestParse:
@@ -331,3 +335,9 @@ def _random_document(rng) -> SpecDocument:
     picks = rng.choice(len(pool), size=count, replace=False)
     selections = tuple(pool[i] for i in sorted(picks))
     return SpecDocument(settings=settings, states=tuple(states), selections=selections)
+
+
+@given(hst.text(alphabet="()[]{},:0123456789.-+eE ", max_size=80))
+def test_split_top_matches_the_character_walk(text):
+    """Only brackets and commas are visited, with the same parts, unbalanced brackets included."""
+    assert _split_top(text) == split_top(text, ",")
