@@ -28,6 +28,10 @@ EXIT_INPUT_ERROR = 3
 
 _SWEEPABLE = "alpha, n, N, N1, mix, cmag:<m>, cphase:<m>"
 
+#: the most points one scan visits, refused before any is built: about 50 times the
+#: longest benchmark sweep; 10**4 rows of an l = 64 stack hold 20 MB of coefficients
+MAX_SWEEP_STEPS = 10_000
+
 
 def main(argv=None) -> int:
     try:
@@ -157,11 +161,18 @@ def _parse_sweep(text: str):
     pieces = spec.split(":")
     if len(pieces) != 3:
         raise ValueError("sweep reads NAME=START:STOP:STEPS")
-    start, stop, steps = float(pieces[0]), float(pieces[1]), int(pieces[2])
+    start, stop = float(pieces[0]), float(pieces[1])
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"sweep {text!r} needs a finite START and STOP")
-    if steps < 1:
-        raise ValueError("sweep needs at least one step")
+    try:
+        steps = int(pieces[2])
+    except ValueError:
+        steps = 0
+    if not 1 <= steps <= MAX_SWEEP_STEPS:
+        raise ValueError(
+            f"sweep {text!r}: STEPS must be a whole number from 1 to {MAX_SWEEP_STEPS}, "
+            f"got {pieces[2]!r}"
+        )
     base = name.split(":", 1)[0]
     if base not in ("alpha", "n", "N", "N1", "mix", "cmag", "cphase"):
         raise ValueError(f"unknown sweep parameter {name!r}; choose one of {_SWEEPABLE}")

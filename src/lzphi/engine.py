@@ -11,6 +11,10 @@ exact per-mode factor (periodic families) or on the Hermite series
 Each rule is sized from what it samples, never from a setting: see
 ``phi_rule_size``, ``theta_rule_size`` and ``hermite_rule_size``.
 
+Every spherical grid and every oracle matrix table of degree l reads its
+polar factors from one read-only table, ``numerics.polar_table(l,
+theta_rule_size(l))`` (see ``polar_tables``), built at the first use of l.
+
 The pendulum grid reads one read-only table per rule size,
 ``_hermite_table(size)``: rows H_0..H_K at the rule's nodes, with
 K = MAX_HERMITE_DEGREE + MAX_CORRELATION_ORDER. Its psi is A*H_n, row n
@@ -90,7 +94,7 @@ def polar_tables(ms, l):
     if l is None:
         return np.ones((len(ms), 1)), np.ones(1), None
     rule = numerics.theta_rule(theta_rule_size(l))
-    polar, _ = numerics.basis_on_grid(ms, l, rule.nodes, None)
+    polar = numerics.polar_rows(numerics.polar_table(l, rule.nodes.size), ms)
     return polar, rule.weights * np.sin(rule.nodes), rule.nodes[:, None]
 
 

@@ -1,15 +1,20 @@
 """Quadrature rules and special functions behind every analytic cross-check.
 
 ``basis_on_grid`` tabulates the basis theta_lm(theta) * exp(i*m*phi)/sqrt(2*pi)
-on a grid. The wave functions, the polar overlaps, the engine's circle and
-sphere grid (both of its tables) and the polar tables of the oracle matrix
-tables are built from it. Two routes tabulate on their own: the oracle
-matrix tables sum their phi side over offsets m' - m, and the pendulum
-grid evaluates a Hermite series.
+on a grid of any shape; the wave functions and the engine's azimuthal
+waves are built from it. On a polar rule the polar factors come from
+``polar_table(l, n)``: rows theta_l,|m| at the nodes of the n-node rule on
+[0, pi], built once per (l, n). The analytic polar overlaps read it on
+their 2l + 32 nodes, the oracle's grids and matrix tables on
+``engine.theta_rule_size(l)`` nodes. Two routes tabulate on their own: the
+oracle matrix tables sum their phi side over offsets m' - m, and the
+pendulum grid evaluates a Hermite series.
 
 Every Gauss-Legendre rule in the package, analytic or oracle, is an affine
 map of ``_leggauss(n)``: Newton's method on the Legendre three-term
-recurrence, started from asymptotic nodes.
+recurrence, started from asymptotic nodes. Gauss-Hermite rules solve the
+half-size Laguerre eigenproblem that the symmetric weight reduces to
+(Golub & Welsch, Math. Comp. 23 (1969) 221), polished by one Newton step.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ MAX_HERMITE_DEGREE = 64
 MAX_ORBITAL_L = 64
 
 #: the largest node counts. The Legendre bound is the oracle's widest phi
-#: rule, 2*480 + 64 nodes (tens of ms to build; the cost grows as n^2);
-#: hermgauss overflows its normalized Hermite values from 371 nodes on,
-#: which zeroes the outermost weights.
+#: rule, 2*480 + 64 nodes (tens of ms to build; the cost grows as n^2).
+#: The Hermite rule's outermost weight is 2.4e-308 at 370 nodes; from 371
+#: on it underflows below the smallest normal double.
 MAX_LEGENDRE_NODES = 1024
 MAX_HERMITE_NODES = 370
 
@@ -112,11 +117,39 @@ def gauss_hermite(n: int) -> QuadratureRule:
     """Gauss-Hermite rule: sum w_i f(xi_i) ~ int f(xi) exp(-xi^2) dxi.
 
     Exact for polynomial f of degree <= 2n-1; n is 2..MAX_HERMITE_NODES.
+    The squared positive nodes are the zeros of L_(n/2)^(-1/2), or for odd
+    n those of L_((n-1)/2)^(1/2) besides the node 0: the eigenvalues of a
+    Jacobi matrix of n // 2 rows. One Newton step on the orthonormal
+    Hermite functions psi_k (psi_0 = pi^(-1/4) exp(-xi^2/2)) polishes them,
+    and the weights are exp(-xi^2) / (n psi_(n-1)^2). The positive half is
+    mirrored, so the nodes ascend and the rule is exactly symmetric, with a
+    middle node of exactly 0 for odd n.
     """
     if not 2 <= n <= MAX_HERMITE_NODES:
         raise ValueError(f"gauss_hermite needs 2 <= n <= {MAX_HERMITE_NODES}, got {n}")
-    x, w = np.polynomial.hermite.hermgauss(n)
-    return QuadratureRule(x, w, "hermite")
+    alpha = 0.5 if n % 2 else -0.5
+    k = np.arange(n // 2, dtype=np.float64)
+    jacobi = np.diag(2.0 * k + alpha + 1.0) + np.diag(np.sqrt(k[1:] * (k[1:] + alpha)), -1)
+    x = np.sqrt(np.linalg.eigvalsh(jacobi, UPLO="L"))
+    if n % 2:
+        x = np.concatenate(([0.0], x))
+    prev, psi = _hermite_functions(n, x)
+    x = x - psi / (math.sqrt(2.0 * n) * prev)  # Newton: psi_n' = sqrt(2n) psi_(n-1) at a zero
+    prev, _ = _hermite_functions(n, x)
+    w = np.exp(-x * x) / (n * prev * prev)
+    mirrored = slice(n % 2, None)  # the node 0 of an odd rule is not mirrored
+    nodes = np.concatenate((-x[mirrored][::-1], x))
+    weights = np.concatenate((w[mirrored][::-1], w))
+    return QuadratureRule(nodes, weights, "hermite")
+
+
+def _hermite_functions(n: int, x: np.ndarray) -> tuple:
+    """(psi_(n-1), psi_n) at x: the orthonormal Hermite functions by their three-term recurrence."""
+    prev = math.pi**-0.25 * np.exp(-0.5 * x * x)
+    cur = math.sqrt(2.0) * x * prev
+    for j in range(1, n):
+        prev, cur = cur, math.sqrt(2.0 / (j + 1)) * x * cur - math.sqrt(j / (j + 1)) * prev
+    return prev, cur
 
 
 @lru_cache(maxsize=64)
@@ -179,22 +212,52 @@ def basis_on_grid(ms, l, theta, phi):
     Returns ``(polar, azimuthal)`` with ``polar[k] = theta_lm(l, ms[k], theta)``
     and ``azimuthal[k] = exp(i*ms[k]*phi)/sqrt(2*pi)``. ``polar`` is None when
     ``l`` is None (the circle-only families) and ``azimuthal`` is None when
-    ``phi`` is None.
+    ``phi`` is None. Both are computed once per order |m|: a negative
+    order's wave is the conjugate of its positive one.
     """
+    orders = sorted({abs(m) for m in ms})
+    position = {order: row for row, order in enumerate(orders)}
+    rows = [position[abs(m)] for m in ms]
     polar = None
     if l is not None:
-        # one recurrence for every |m|; theta_l,-m = (-1)**m * theta_lm
-        orders = sorted({abs(m) for m in ms})
         table = _kernels.legendre_grid(l, orders, np.cos(np.asarray(theta, dtype=np.float64)))
-        polar = table[[orders.index(abs(m)) for m in ms]]
-        odd_negative = [m < 0 and m % 2 == 1 for m in ms]
-        polar[odd_negative] = -polar[odd_negative]
+        polar = polar_rows(table, ms, rows)
     azimuthal = None
     if phi is not None:
-        ms_f = np.asarray(ms, dtype=np.float64)
-        angles = np.multiply.outer(ms_f, np.asarray(phi, dtype=np.float64))
-        azimuthal = np.exp(1j * angles) / math.sqrt(TWO_PI)
+        orders_f = np.array(orders, dtype=np.float64)
+        angles = np.multiply.outer(orders_f, np.asarray(phi, dtype=np.float64))
+        azimuthal = (np.exp(1j * angles) / math.sqrt(TWO_PI))[rows]
+        negative = [m < 0 for m in ms]
+        azimuthal[negative] = np.conj(azimuthal[negative])
     return polar, azimuthal
+
+
+def polar_rows(table, ms, rows=None) -> np.ndarray:
+    """Rows theta_lm, one per m of ``ms``, from a table of rows theta_l,|m|.
+
+    Row ``rows[k]`` of the table holds order |ms[k]|; by default the table
+    has a row for every order 0..l, so that row is |ms[k]|. Negative orders
+    follow theta_l,-m = (-1)**m * theta_lm. The result is a fresh array.
+    """
+    out = table[[abs(m) for m in ms] if rows is None else rows]
+    odd_negative = [m < 0 and m % 2 == 1 for m in ms]
+    out[odd_negative] = -out[odd_negative]
+    return out
+
+
+@lru_cache(maxsize=2 * (MAX_ORBITAL_L + 1))
+def polar_table(l: int, n: int) -> np.ndarray:
+    """Read-only rows theta_l,|m|, |m| = 0..l, at the nodes of ``gauss_legendre(n, 0, pi)``.
+
+    That is the rule ``theta_rule(n)`` caches. One recurrence serves every
+    order, and each row holds the same bits as that order's recurrence
+    alone. The cache holds one table per (l, rule): every l <= 64 on both
+    the analytic and the oracle polar rule is about 4.6 MB.
+    """
+    nodes = gauss_legendre(n, 0.0, math.pi).nodes
+    out = _kernels.legendre_grid(l, range(l + 1), np.cos(nodes))
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=512)
@@ -205,13 +268,15 @@ def theta_overlap_matrix(l: int, power: int) -> np.ndarray:
     overlap of polar factors. The integrand, sin(theta) explicit, is a
     trigonometric polynomial of degree 2l + 1 times theta^power, so a rule of
     2l + 32 nodes sized from l alone gives every entry to round-off: no
-    setting enters the analytic route. The result is read-only.
+    setting enters the analytic route. Every power reads the same
+    ``polar_table``. The result is read-only.
     """
     if l < 0 or l > MAX_ORBITAL_L:
         raise ValueError(f"theta_overlap_matrix supports 0 <= l <= {MAX_ORBITAL_L}, got {l}")
-    rule = gauss_legendre(2 * l + 32, 0.0, math.pi)
+    size = 2 * l + 32
+    rule = gauss_legendre(size, 0.0, math.pi)
     th = rule.nodes
-    big, _ = basis_on_grid(range(-l, l + 1), l, th, None)
+    big = polar_rows(polar_table(l, size), range(-l, l + 1))
     weighted = big * (rule.weights * np.sin(th) * th**power)
     out = weighted @ big.T
     out.flags.writeable = False

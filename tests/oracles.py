@@ -212,3 +212,28 @@ def split_top(text, sep):
             start = i + 1
     parts.append(text[start:])
     return parts
+
+
+def hermite_rule(n):
+    """numpy's Gauss-Hermite nodes and weights: the full-size companion eigensolve."""
+    return np.polynomial.hermite.hermgauss(n)
+
+
+def theta_overlap_per_power(l, power):
+    """The polar overlap matrix built as before polar tables were shared.
+
+    One Legendre table per call, on the package's own 2l + 32 node rule and
+    recurrence, so that the shared-table matrices can be compared bit for bit.
+    """
+    from lzphi import _kernels, numerics
+
+    rule = numerics.gauss_legendre(2 * l + 32, 0.0, math.pi)
+    th = rule.nodes
+    orders = list(range(l + 1))
+    table = _kernels.legendre_grid(l, orders, np.cos(th))
+    ms = range(-l, l + 1)
+    big = table[[orders.index(abs(m)) for m in ms]]
+    odd_negative = [m < 0 and m % 2 == 1 for m in ms]
+    big[odd_negative] = -big[odd_negative]
+    weighted = big * (rule.weights * np.sin(th) * th**power)
+    return weighted @ big.T

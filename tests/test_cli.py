@@ -792,6 +792,24 @@ class TestInputErrors:
         assert sweep.split("=")[0] in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "steps", ["100000000000", "10001", "1e3", "2.5", "0", "-3", "many"]
+    )
+    def test_sweep_steps_must_be_a_whole_number_within_the_bound(self, tmp_path, capsys, steps):
+        """STEPS is checked before any point is allocated: no MemoryError, no raw int() message."""
+        spec = write(tmp_path, "s.spec", self.SPEC)
+        sweep = f"mix=0:1:{steps}"
+        code, out, err = run_main(["scan", spec, "--sweep", sweep], capsys)
+        assert code == 3
+        assert err.startswith(f"error: sweep {sweep!r}: STEPS must be a whole number from 1 to 10000")
+        assert "Traceback" not in err and out == ""
+
+    def test_sweep_steps_at_the_bound_run(self, tmp_path, capsys):
+        spec = write(tmp_path, "s.spec", "state circular m=2\nrelations R8(alpha=1)\n")
+        code, out, err = run_main(["scan", spec, "--sweep", "alpha=0:1:10000", "--format", "csv"], capsys)
+        assert code in (0, 1, 2), err
+        assert len(out.strip().split("\n")) == 1 + 10000
+
     IDLE_SPEC = (
         "state circular m=2\nstate spherical l=2 c=[(0,0),(0.6,0),(0,0),(0,0.8),(0,0)]\n"
         "relations R5 R30\n"
@@ -883,10 +901,13 @@ def test_console_entry_point_runs(tmp_path):
 
 
 def test_cli_import_leaves_numpy_polynomial_unloaded():
-    """Only the oracle's first Hermite rule loads numpy.polynomial; an eval never builds one."""
+    """Nothing in lzphi loads numpy.polynomial: not the CLI, not the oracle's Hermite rules."""
     probe = (
         "import sys, numpy; before = 'numpy.polynomial' in sys.modules; import lzphi.cli; "
-        "print(before, 'numpy.polynomial' in sys.modules)"
+        "loaded = 'numpy.polynomial' in sys.modules; "
+        "from lzphi import LZ, PendulumState, gauss_hermite, std_dev; gauss_hermite(64); "
+        "std_dev(LZ, PendulumState(n=3), method='quadrature'); "
+        "print(before, loaded, 'numpy.polynomial' in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
@@ -895,5 +916,5 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
     )
     assert result.returncode == 0, result.stderr
-    before, after = result.stdout.split()
-    assert after == "False" or before == "True"
+    before, after_import, after_oracle = result.stdout.split()
+    assert (after_import, after_oracle) == ("False", "False") or before == "True"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from lzphi import engine
 from lzphi.engine import EngineSettings
 from lzphi.numerics import (
     MAX_HERMITE_DEGREE,
@@ -18,10 +19,14 @@ from lzphi.numerics import (
     gauss_legendre,
     hermite_poly,
     phi_rule,
+    polar_rows,
+    polar_table,
     theta_lm,
     theta_overlap_matrix,
     theta_rule,
 )
+
+from . import oracles
 
 TWO_PI = 2.0 * math.pi
 
@@ -162,6 +167,37 @@ class TestGaussHermite:
             gauss_hermite(1)
 
 
+@pytest.fixture(scope="module")
+def hermite_rules():
+    return {n: gauss_hermite(n) for n in range(2, MAX_HERMITE_NODES + 1)}
+
+
+class TestHermiteRuleConstruction:
+    """The half-size Laguerre eigenproblem gives the full Gauss-Hermite rule at every count."""
+
+    def test_rules_are_exactly_symmetric_and_ascending(self, hermite_rules):
+        for n, rule in hermite_rules.items():
+            x, w = rule.nodes, rule.weights
+            assert x.size == n and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), n
+            assert np.all(np.diff(x) > 0) and np.all(w > 0), n
+            if n % 2:
+                assert x[n // 2] == 0.0 and not np.signbit(x[n // 2]), n
+
+    def test_even_moments_are_gamma_values(self, hermite_rules):
+        # int xi^(2k) exp(-xi^2) dxi = Gamma(k + 1/2), exact for 2k <= 2n - 1
+        for n, rule in hermite_rules.items():
+            squares = rule.nodes * rule.nodes
+            for k in range(min(n, 30)):
+                got = rule.weights @ squares**k
+                assert abs(got - math.gamma(k + 0.5)) <= 1e-14 * math.gamma(k + 0.5), (n, k)
+
+    def test_matches_numpys_rule(self, hermite_rules):
+        for n, rule in hermite_rules.items():
+            x, w = oracles.hermite_rule(n)
+            assert np.max(np.abs(rule.nodes - x)) <= 1e-12 * np.max(np.abs(x)), n
+            assert np.max(np.abs(rule.weights - w) / w) <= 1e-12, n
+
+
 class TestRuleLimits:
     """The node-count bounds are the largest counts whose rules build correctly."""
 
@@ -284,6 +320,59 @@ class TestThetaLm:
             theta_lm(1, 2, 0.5)
         with pytest.raises(ValueError):
             theta_lm(1, 0, 3.5)
+
+
+def _polar_rule_sizes(l):
+    """The analytic overlap rule and the oracle's polar rule of degree l."""
+    return 2 * l + 32, engine.theta_rule_size(l)
+
+
+class TestPolarTable:
+    """One table per (l, rule) holds the bits each basis tabulation gave on its own."""
+
+    def test_rows_are_the_basis_on_the_rule(self):
+        for l in range(MAX_ORBITAL_L + 1):
+            for n in _polar_rule_sizes(l):
+                table = polar_table(l, n)
+                assert table.shape == (l + 1, n) and not table.flags.writeable, (l, n)
+                nodes = theta_rule(n).nodes
+                polar, _ = basis_on_grid(range(-l, l + 1), l, nodes, None)
+                assert np.array_equal(polar_rows(table, range(-l, l + 1)), polar), (l, n)
+                # a row is the bits of its order's recurrence alone
+                for m in {0, l // 2, l, -l, -((l + 1) // 2)}:
+                    alone, _ = basis_on_grid((m,), l, nodes, None)
+                    assert np.array_equal(polar_rows(table, (m,)), alone), (l, n, m)
+
+    def test_tables_are_read_only(self):
+        table = polar_table(8, 48)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        rows = polar_rows(table, range(-8, 9))
+        assert rows.flags.writeable and not np.shares_memory(rows, table)
+
+    def test_oracle_grids_read_the_table(self):
+        l, n = 16, engine.theta_rule_size(16)
+        polar, weights, theta = engine.polar_tables(range(-l, l + 1), l)
+        assert np.array_equal(polar, polar_rows(polar_table(l, n), range(-l, l + 1)))
+        assert np.array_equal(theta[:, 0], theta_rule(n).nodes)
+
+    def test_overlaps_match_the_per_power_construction(self):
+        for l in range(MAX_ORBITAL_L + 1):
+            for power in range(13):
+                want = oracles.theta_overlap_per_power(l, power)
+                assert np.array_equal(theta_overlap_matrix(l, power), want), (l, power)
+
+
+class TestWaves:
+    def test_waves_are_the_exp_of_every_phi_rule(self):
+        """One exp per |m|, conjugated for negative m, is np.exp(1j*m*phi)/sqrt(2*pi) bit for bit."""
+        for n in range(64, MAX_LEGENDRE_NODES + 1, 32):
+            phi = phi_rule(n).nodes
+            span = (n - 64) // 2  # the widest span phi_rule_size puts on n nodes
+            for ms in (range(-(span // 2), span - span // 2 + 1), range(-span, 1), (3, -3, 0, 1, -7)):
+                _, waves = basis_on_grid(ms, None, None, phi)
+                want = np.exp(1j * np.multiply.outer(np.asarray(ms, dtype=np.float64), phi))
+                assert np.array_equal(waves, want / math.sqrt(TWO_PI)), (n, ms)
 
 
 class TestThetaOverlapBounds:
