@@ -918,3 +918,30 @@ def test_cli_import_leaves_numpy_polynomial_unloaded():
     assert result.returncode == 0, result.stderr
     before, after_import, after_oracle = result.stdout.split()
     assert (after_import, after_oracle) == ("False", "False") or before == "True"
+
+
+def test_the_benchmark_tracer_installs_on_the_package(tmp_path, capsys):
+    """The benchmark's gate installs its tracer on every run, so every name it patches must resolve.
+
+    A traced eval prints the untraced bytes, and uninstalling restores every
+    name of the package.
+    """
+    import lzphi
+    from perfbench import trace as tr
+
+    pkg, modules = tr._modules()
+    for module, attr in tr.CACHES:
+        assert callable(getattr(modules[module], attr).cache_info), (module, attr)
+    spec = tmp_path / "t.spec"
+    spec.write_text("state pendulum n=2\nstate rotor c={0:(0.6,0),1:(0,0.8)}\nrelations R5 R30\n")
+    main(["eval", str(spec)])
+    plain = capsys.readouterr().out
+    before = dict(vars(lzphi))
+    tracer = tr.Tracer().install()
+    try:
+        cli.main(["eval", str(spec)])
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == plain
+    assert {span[2] for span in tracer.spans} >= {"cli.main", "specio.parse", "relations.evaluate"}
+    assert dict(vars(lzphi)) == before and pkg is lzphi
