@@ -1,4 +1,4 @@
-"""Engine settings, the oracle's rule sizes and the quadrature grids behind every oracle path.
+"""The oracle: its rule sizes and the quadrature grids behind every oracle path.
 
 Grids sample a state on the family's quadrature rule, and every grid has
 one interface: ``psi``, ``lz_origin``, ``lz_pow(j, mu)``,
@@ -26,9 +26,7 @@ quadrature of sampled values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-import math
 
 import numpy as np
 
@@ -45,25 +43,6 @@ HERMITE_TABLE_DEGREE = numerics.MAX_HERMITE_DEGREE + MAX_CORRELATION_ORDER
 
 #: the widest span the phi rule resolves: 2*span + 64 <= numerics.MAX_LEGENDRE_NODES
 MAX_ORACLE_SPAN = (numerics.MAX_LEGENDRE_NODES - 64) // 2
-
-
-@dataclass(frozen=True)
-class EngineSettings:
-    """Parser and CLI settings; none reaches a moment or a grid.
-
-    The tolerance must be finite and >= 0, else ValueError.
-    """
-
-    tolerance: float = 1e-9
-    hbar: float = 1.0
-    normalize: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
-
-
-DEFAULT_SETTINGS = EngineSettings()
 
 
 def phi_rule_size(ms) -> int:

@@ -31,34 +31,17 @@ from .numerics import TWO_PI
 
 @dataclass(frozen=True)
 class FourierCoefficients:
-    """m-indexed coefficients; spherical states carry the factored form.
+    """m-indexed coefficients; for a spherical state, the c_m factors.
 
-    For periodic families ``values[k]`` is b_m for m = ms[k]. For
-    spherical states the coefficients are theta-dependent,
-    b_m(theta) = c_m * theta_lm(l, m, theta); ``values`` then holds the
-    c_m factors and ``at_theta`` evaluates the full functions.
+    For periodic families ``values[k]`` is b_m for m = ms[k], and ``l`` is
+    None. For a spherical state the coefficients depend on theta,
+    b_m(theta) = c_m * theta_lm(l, m, theta): ``l`` is set, and ``values``
+    holds the c_m factors.
     """
 
     ms: tuple
     values: tuple
     l: int | None = None
-
-    @property
-    def factored(self) -> bool:
-        return self.l is not None
-
-    def at_theta(self, theta) -> np.ndarray:
-        if not self.factored:
-            raise ValueError("only spherical coefficients are theta-dependent")
-        return np.array(
-            [c * numerics.theta_lm(self.l, m, theta) for m, c in zip(self.ms, self.values)]
-        )
-
-    def reconstruct(self, phi) -> np.ndarray:
-        """Sum b_m exp(i*m*phi)/sqrt(2*pi) back on the circle (periodic only)."""
-        if self.factored:
-            raise ValueError("reconstruct applies to plain periodic coefficients")
-        return st.periodic_values(self.ms, np.array(self.values), phi)
 
 
 def coefficients(state, *, method: str = "analytic") -> FourierCoefficients:

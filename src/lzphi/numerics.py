@@ -43,15 +43,10 @@ MAX_HERMITE_NODES = 370
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights for a fixed integration domain.
-
-    ``domain`` is a label: ``legendre[a,b]`` for a finite interval or
-    ``hermite`` for the real line against the weight exp(-xi^2).
-    """
+    """Nodes and positive weights: a finite interval's, or the real line's against exp(-xi^2)."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: str
 
     def __post_init__(self):
         if self.nodes.shape != self.weights.shape or self.nodes.size < 2:
@@ -84,7 +79,7 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     x, w = _leggauss(n)
     nodes = 0.5 * (b - a) * x + 0.5 * (b + a)
     weights = 0.5 * (b - a) * w
-    return QuadratureRule(nodes, weights, f"legendre[{a!r},{b!r}]")
+    return QuadratureRule(nodes, weights)
 
 
 @lru_cache(maxsize=64)
@@ -140,7 +135,7 @@ def gauss_hermite(n: int) -> QuadratureRule:
     mirrored = slice(n % 2, None)  # the node 0 of an odd rule is not mirrored
     nodes = np.concatenate((-x[mirrored][::-1], x))
     weights = np.concatenate((w[mirrored][::-1], w))
-    return QuadratureRule(nodes, weights, "hermite")
+    return QuadratureRule(nodes, weights)
 
 
 def _hermite_functions(n: int, x: np.ndarray) -> tuple:

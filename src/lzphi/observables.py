@@ -111,19 +111,6 @@ class Symbol:
     def constant(cls, value) -> "Symbol":
         return cls({(0, 0, 0): value})
 
-    def __add__(self, other):
-        if not isinstance(other, Symbol):
-            other = Symbol.constant(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0.0) + v
-        return Symbol(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, Symbol):
-            other = Symbol.constant(other)
-        return self + (other * -1.0)
-
     def __mul__(self, other):
         if not isinstance(other, Symbol):
             return Symbol({k: v * other for k, v in self.terms.items()})
@@ -315,10 +302,6 @@ def apply_to_rows(mat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,pj->pi", mat, coeffs)
 
 
-def lz_diagonal(basis, hbar: float) -> np.ndarray:
-    return hbar * np.array(basis.ms, dtype=np.float64)
-
-
 #: sqrt(k) for the levels k = 1..size - 1 of the oscillator basis
 _SQRT_LEVELS = np.sqrt(np.arange(1.0, OscillatorBasis.size))
 
@@ -379,7 +362,7 @@ def matrix_table(
         raise ValueError(f"observable {kind} is not defined on the {basis.family} basis")
     if method == "analytic":
         if kind.name == "Lz":
-            mat = np.diag(lz_diagonal(basis, hbar)).astype(np.complex128)
+            mat = np.diag(hbar * np.array(basis.ms, dtype=np.float64)).astype(np.complex128)
             prov = "analytic"
         else:
             mat = symbol_matrix(kind_symbol(kind), basis)

@@ -317,8 +317,9 @@ def _relation_column(stack, relation, params, tol) -> _Column:
     Each expression is the scalar formula of the catalog applied to whole
     rows.
     """
-    pair = _operative_pair(relation, params)
-    ab, ba = _pair_deficits(pair, stack)
+    # the ab and ba symmetry deficits; the aa and bb deficits are 0 by structure
+    a, b = _operative_pair(relation, params)
+    ab, ba = stack.deficit(a, b), stack.deficit(b, a)
     deficit_abs = np.maximum(_cabs(ab), _cabs(ba))
     condition31 = deficit_abs <= tol
     diag = {"deficit_ab_re": ab.real, "deficit_ab_im": ab.imag, "deficit_abs": deficit_abs}
@@ -372,14 +373,13 @@ def _relation_column(stack, relation, params, tol) -> _Column:
         lhs = stack.std(obs.LZ) * stack.std(obs.PHI)
         rhs = hbar / 2.0 * boundary
     elif relation in (RelationId.R30, RelationId.R36):
-        a = obs.LZ if relation == RelationId.R30 else obs.THETA
+        # a is the operative pair's Lz (R30) or Theta (R36)
         corr = stack.pair(a, obs.PHI, 1, 1)
         diag["corr_re"] = corr.real
         diag["corr_im"] = corr.imag
         lhs = stack.std(a) * stack.std(obs.PHI)
         rhs = _cabs(corr)
     elif relation == RelationId.R60:
-        a, b = pair
         comm = stack.commutator(a, b)
         diag["commutator_re"] = comm.real
         diag["commutator_im"] = comm.imag
@@ -438,8 +438,3 @@ def _operative_pair(relation, params):
         return params.pair
     return (obs.LZ, obs.PHI)
 
-
-def _pair_deficits(pair, stack):
-    """The ab and ba symmetry deficits of every row; the aa and bb deficits are 0 by structure."""
-    a, b = pair
-    return stack.deficit(a, b), stack.deficit(b, a)

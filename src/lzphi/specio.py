@@ -12,17 +12,41 @@ written ``(re,im)``; spherical coefficients as ``c=[(re,im),...]`` (or a
 ``{m:(re,im),...}`` map), rotor coefficients as ``c={m:(re,im),...}``.
 Settings apply document-wide regardless of position. Integers must not
 carry a decimal point; floats accept decimal and scientific notation.
+
+The settings (``hbar``, ``tolerance``, ``normalize``) are an
+``EngineSettings``, owned here: the parser and the CLI read them, and no
+moment or grid does. Observable names are those of
+``observables.ObservableKind``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+import math
 import re
 
 from . import observables as obs
-from .engine import DEFAULT_SETTINGS, EngineSettings
 from .relations import CATALOG, RelationId, RelationParams
 from .states import CircularState, PendulumState, RotorSuperposition, SphericalState
+
+
+@dataclass(frozen=True)
+class EngineSettings:
+    """The document settings of the parser and the CLI; none reaches a moment or a grid.
+
+    The tolerance must be finite and >= 0, else ValueError.
+    """
+
+    tolerance: float = 1e-9
+    hbar: float = 1.0
+    normalize: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
+
+
+DEFAULT_SETTINGS = EngineSettings()
 
 
 class SpecParseError(Exception):
@@ -52,15 +76,6 @@ _INT_RE = re.compile(r"[+-]?\d+\Z")
 _FLOAT_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\Z")
 #: the characters ``_split_top`` acts on: brackets and the comma
 _SPLIT_RE = re.compile(r"[][(){},]")
-_KIND_NAMES = {
-    "Lz": obs.LZ,
-    "Phi": obs.PHI,
-    "PhiSquared": obs.PHI_SQUARED,
-    "SinPhi": obs.SIN_PHI,
-    "CosPhi": obs.COS_PHI,
-    "Theta": obs.THETA,
-    "ThetaPhi": obs.THETA_PHI,
-}
 
 _SETTING_KEYS = ("hbar", "tolerance", "normalize")
 
@@ -353,9 +368,12 @@ def _build_params(rid, kv, lineno, col) -> RelationParams:
 def _parse_kind(text, winding, lineno, col):
     if text == "Chi":
         return obs.chi(winding)
-    if text not in _KIND_NAMES:
-        raise SpecParseError("unknown-key", lineno, col, f"unknown observable kind {text!r}")
-    return _KIND_NAMES[text]
+    try:
+        return obs.ObservableKind(text)
+    except ValueError:
+        raise SpecParseError(
+            "unknown-key", lineno, col, f"unknown observable kind {text!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

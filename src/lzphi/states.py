@@ -269,18 +269,13 @@ def wavefunction(state: State, point):
         out = np.asarray(vals, dtype=np.complex128)
     else:
         _check_range(phi, 0.0, TWO_PI, "phi")
-        out = periodic_values(basis_ms(state), coeff_vector(state), phi)
+        # waves about the middle m0, times the common phase exp(i*m0*phi) last, as on the
+        # oracle grids, so an m near 2^52 costs |psi| no digits
+        ms = basis_ms(state)
+        m0 = middle_m(ms)
+        _, ph = numerics.basis_on_grid([m - m0 for m in ms], None, None, phi)
+        out = np.tensordot(coeff_vector(state), ph, axes=1) * np.exp(1j * (float(m0) * phi))
     return complex(out) if phi.ndim == 0 else out
-
-
-def periodic_values(ms, coeffs, phi) -> np.ndarray:
-    """sum_k coeffs[k] exp(i*ms[k]*phi)/sqrt(2*pi), as waves about the middle m0 times exp(i*m0*phi).
-
-    The common phase comes last, as on the oracle grids, so an m near 2^52 costs |psi| no digits.
-    """
-    m0 = middle_m(ms)
-    _, ph = numerics.basis_on_grid([m - m0 for m in ms], None, None, phi)
-    return np.tensordot(coeffs, ph, axes=1) * np.exp(1j * (float(m0) * np.asarray(phi)))
 
 
 def norm(state: State) -> float:

@@ -237,3 +237,10 @@ def theta_overlap_per_power(l, power):
     big[odd_negative] = -big[odd_negative]
     weighted = big * (rule.weights * np.sin(th) * th**power)
     return weighted @ big.T
+
+
+def symbol_sum(symbol, constant):
+    """``symbol`` plus a constant term, as a new Symbol of the package's algebra."""
+    terms = dict(symbol.terms)
+    terms[(0, 0, 0)] = terms.get((0, 0, 0), 0.0) + constant
+    return type(symbol)(terms)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from lzphi import engine
-from lzphi.engine import EngineSettings
+from lzphi.specio import EngineSettings
 from lzphi.numerics import (
     MAX_HERMITE_DEGREE,
     MAX_HERMITE_NODES,

@@ -33,7 +33,7 @@ from lzphi.observables import (
 )
 
 from .conftest import random_spherical
-from .oracles import SphericalOracle, lz_phi_deficit
+from .oracles import SphericalOracle, lz_phi_deficit, symbol_sum
 
 ROTOR_7 = RotorBasis(tuple(range(-3, 4)))
 
@@ -257,12 +257,12 @@ class TestToeplitzSymbolMatrix:
     def test_equals_double_sum_exactly(self, basis):
         symbols = [kind_symbol(k) for k in _MULTIPLICATIVE_KINDS if applicable(k, basis.family)]
         symbols += [
-            (kind_symbol(SIN_PHI) - 0.3) ** 2,
-            (kind_symbol(PHI_SQUARED) - 2.3) ** 2,
+            symbol_sum(kind_symbol(SIN_PHI), -0.3) ** 2,
+            symbol_sum(kind_symbol(PHI_SQUARED), -2.3) ** 2,
             kind_symbol(COS_PHI).phi_derivative(),
         ]
         if basis.family == "spherical":
-            symbols.append((kind_symbol(THETA_PHI) - 1.1) ** 2)
+            symbols.append(symbol_sum(kind_symbol(THETA_PHI), -1.1) ** 2)
         for sym in symbols:
             assert np.array_equal(symbol_matrix(sym, basis), _double_sum_matrix(sym, basis))
 

@@ -19,7 +19,7 @@ from lzphi import (
     parse,
     serialize_report,
 )
-from lzphi.engine import EngineSettings
+from lzphi.specio import EngineSettings
 from lzphi.specio import SpecDocument, SpecParseError, _split_top
 
 from .oracles import split_top
