@@ -161,7 +161,10 @@ def _parse_sweep(text: str):
     pieces = spec.split(":")
     if len(pieces) != 3:
         raise ValueError("sweep reads NAME=START:STOP:STEPS")
-    start, stop = float(pieces[0]), float(pieces[1])
+    try:
+        start, stop = float(pieces[0]), float(pieces[1])
+    except ValueError:
+        start = stop = math.nan
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"sweep {text!r} needs a finite START and STOP")
     try:

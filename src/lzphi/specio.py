@@ -27,14 +27,21 @@ import re
 
 from . import observables as obs
 from .relations import CATALOG, RelationId, RelationParams
-from .states import CircularState, PendulumState, RotorSuperposition, SphericalState
+from .states import (
+    CircularState,
+    PendulumState,
+    RotorSuperposition,
+    SphericalState,
+    _require_finite_positive,
+)
 
 
 @dataclass(frozen=True)
 class EngineSettings:
     """The document settings of the parser and the CLI; none reaches a moment or a grid.
 
-    The tolerance must be finite and >= 0, else ValueError.
+    The tolerance must be finite and >= 0, and hbar passes the states' own
+    check (hbar and hbar**2 finite and > 0), else ValueError.
     """
 
     tolerance: float = 1e-9
@@ -44,6 +51,7 @@ class EngineSettings:
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
+        _require_finite_positive(hbar=self.hbar)
 
 
 DEFAULT_SETTINGS = EngineSettings()
@@ -177,7 +185,10 @@ def _parse_int(text: str, lineno: int, col: int) -> int:
 def _parse_float(text: str, lineno: int, col: int) -> float:
     if not _FLOAT_RE.match(text):
         raise SpecParseError("bad-value", lineno, col, f"expected a number, got {text!r}")
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise SpecParseError("bad-value", lineno, col, f"{text!r} is too large for a float")
+    return value
 
 
 def _parse_complex(text: str, lineno: int, col: int) -> complex:
@@ -367,7 +378,10 @@ def _build_params(rid, kv, lineno, col) -> RelationParams:
 
 def _parse_kind(text, winding, lineno, col):
     if text == "Chi":
-        return obs.chi(winding)
+        try:
+            return obs.chi(winding)
+        except ValueError as exc:
+            raise SpecParseError("bad-value", lineno, col, str(exc)) from None
     try:
         return obs.ObservableKind(text)
     except ValueError:

@@ -865,6 +865,51 @@ class TestInputErrors:
         assert len(rotor_rows) == 2
 
 
+    @pytest.mark.parametrize(
+        "text, where, message",
+        [
+            ("setting hbar 0\nstate circular m=1\n", "line 1, col 14", "hbar must be finite"),
+            ("state circular m=1 hbar=2\nsetting hbar -1\n", "line 2, col 14", "hbar must be finite"),
+            ("setting hbar 0\nstate circular m=1 hbar=1\n", "line 1, col 14", "hbar must be finite"),
+            ("setting hbar -1\nstate rotor c={0:(1,0)} hbar=2\n", "line 1, col 14", "hbar must be finite"),
+            ("setting hbar 1e-170\nstate circular m=1 hbar=1\n", "line 1, col 14", "hbar**2 must be"),
+            ("setting hbar 1e400\nstate circular m=1 hbar=1\n", "line 1, col 14", "too large for a float"),
+        ],
+        ids=["zero", "negative-after-state", "zero-shadowed", "negative-shadowed", "square-underflows",
+             "overflows-shadowed"],
+    )
+    def test_a_bad_hbar_setting_is_blamed_on_its_own_line(self, tmp_path, capsys, text, where, message):
+        """The setting is checked as the states check hbar, whether or not a state reads it."""
+        spec = write(tmp_path, "h.spec", text + "relations R5\n")
+        code, out, err = run_main(["eval", spec], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {where}: [bad-value] ") and message in err, err
+
+    @pytest.mark.parametrize(
+        "text, args, expected",
+        [
+            ("state circular m=1\nrelations R8(alpha=1e400)\n", [],
+             "line 2, col 11: [bad-value] '1e400' is too large for a float"),
+            ("state pendulum n=1 inertia=1e400\nrelations R5\n", [],
+             "line 1, col 20: [bad-value] '1e400' is too large for a float"),
+            ("state rotor c={0:(1e400,0)}\nrelations R5\n", [],
+             "line 1, col 13: [bad-value] '1e400' is too large for a float"),
+            (f"state rotor c={{0:(1,0)}}\nrelations R60(a=Lz,b=Chi,N={10**400})\n", [],
+             "line 2, col 11: [bad-value] Chi's winding N is too large"),
+            ("state spherical l=1 c=[(0,0),(1,0),(0,0)]\nrelations R5\n", ["--sweep", "mix=a:1:3"],
+             "sweep 'mix=a:1:3' needs a finite START and STOP"),
+            ("state circular m=1\nrelations R8(alpha=1)\n", ["--sweep", "alpha=0:1e400x:3"],
+             "sweep 'alpha=0:1e400x:3' needs a finite START and STOP"),
+        ],
+        ids=["alpha", "inertia", "coefficient", "chi-winding", "sweep-start", "sweep-stop"],
+    )
+    def test_values_past_a_float_are_coded_at_their_token(self, tmp_path, capsys, text, args, expected):
+        spec = write(tmp_path, "o.spec", text)
+        code, out, err = run_main(["scan" if args else "eval", spec, *args], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {expected}"), err
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "verdicts, code",

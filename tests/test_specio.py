@@ -19,8 +19,7 @@ from lzphi import (
     parse,
     serialize_report,
 )
-from lzphi.specio import EngineSettings
-from lzphi.specio import SpecDocument, SpecParseError, _split_top
+from lzphi.specio import EngineSettings, SpecDocument, SpecParseError, _split_top
 
 from .oracles import split_top
 
@@ -176,6 +175,12 @@ class TestParseErrors:
     @pytest.mark.parametrize("line", ["setting tolerance -1e-9"])
     def test_out_of_range_settings_are_bad_values(self, line):
         self.assert_code(line + "\nstate circular m=0\nrelations R5\n", "bad-value")
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, float("inf"), float("nan"), 1e-170, 1e160])
+    def test_settings_refuse_an_hbar_the_states_refuse(self, hbar):
+        """No document holds an hbar setting its states would refuse, so canonical_text never prints one."""
+        with pytest.raises(ValueError, match="hbar"):
+            EngineSettings(hbar=hbar)
 
     @pytest.mark.parametrize("key", ["phi_nodes", "theta_nodes", "hermite_nodes"])
     def test_node_counts_are_unknown_settings(self, key):
