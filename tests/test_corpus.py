@@ -21,8 +21,10 @@ def corpus():
 
 
 def test_replayed_outputs_match_the_committed_digests(corpus):
-    committed, replayed = corpus.load(), corpus.replay()
-    differ = corpus.mismatches(committed, replayed)
+    """Every byte on the platform of the record; exit codes, error lines and verdicts elsewhere."""
+    record = corpus.load()
+    committed, replayed = record["outputs"], corpus.replay()
+    differ = corpus.mismatches(committed, replayed, exact=record["platform"] == corpus.platform())
     assert not differ, "\n".join(
         f"{key}: {committed.get(key, ['missing'])[:3]} -> {replayed.get(key, ['missing'])[:3]}"
         for key in differ[:20]
@@ -32,7 +34,7 @@ def test_replayed_outputs_match_the_committed_digests(corpus):
 def test_every_spec_file_is_replayed_in_both_formats(corpus):
     keys = {key for key, _ in corpus.documents()}
     specs = sorted(corpus.CORPUS.rglob("*.spec"))
-    assert len(specs) > 400 and keys == set(corpus.load())
+    assert len(specs) > 400 and keys == set(corpus.load()["outputs"])
     assert len(keys) == 2 * len(specs) + 1
 
 
@@ -42,3 +44,12 @@ def test_changes_count_outputs_reports_and_verdicts(corpus):
            "b json": [3, "error", "e", ""]}
     assert corpus.changes(old, new) == {"outputs": 4, "added": 1, "removed": 0,
                                         "reports": 3, "verdicts": 2}
+
+
+def test_other_platforms_compare_exit_codes_error_lines_and_verdicts(corpus):
+    old = {"a json": [1, "", "x", "S0000V1111"], "a csv": [1, "", "y"], "b csv": [3, "error: e", "z"]}
+    rounded = {"a json": [1, "", "w", "S0001V1112"], "a csv": [1, "", "v"], "b csv": [3, "error: e", "z"]}
+    assert corpus.mismatches(old, rounded) == ["a csv", "a json"]
+    assert corpus.mismatches(old, rounded, exact=False) == []
+    flipped = dict(rounded, **{"a json": [1, "", "w", "S0001S1112"], "b csv": [3, "error: f", "z"]})
+    assert corpus.mismatches(old, flipped, exact=False) == ["a json", "b csv"]
