@@ -30,11 +30,14 @@ import contextlib
 import hashlib
 import io
 import json
+import platform as host
 import re
 import shlex
 import sys
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "corpus"
@@ -81,7 +84,7 @@ def run(argv) -> list:
     lines += stderr.getvalue().splitlines()
     text = stdout.getvalue()
     entry = [code, lines[0] if lines else "", hashlib.sha256(text.encode()).hexdigest()]
-    if "--format" in argv and argv[argv.index("--format") + 1] == "json":
+    if argv[-2:] == ["--format", "json"]:
         entry.append("".join(_report_token(line) for line in text.splitlines()[1:-1]))
     return entry
 
@@ -104,10 +107,6 @@ def platform() -> str:
     so a report that prints round-off, such as a correlation's imaginary
     part near 1e-17, differs in its last digits between such platforms.
     """
-    import platform as host
-
-    import numpy as np
-
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy 1.x

@@ -385,9 +385,7 @@ def _parse_kind(text, winding, lineno, col):
     try:
         return obs.ObservableKind(text)
     except ValueError:
-        raise SpecParseError(
-            "unknown-key", lineno, col, f"unknown observable kind {text!r}"
-        ) from None
+        raise SpecParseError("unknown-key", lineno, col, f"unknown observable kind {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
