@@ -27,6 +27,16 @@ EXIT_INDETERMINATE = 2
 EXIT_INPUT_ERROR = 3
 
 _SWEEPABLE = "alpha, n, N, N1, mix, cmag:<m>, cphase:<m>"
+#: per sweep parameter, why a sweep whose first point is the document itself changes nothing
+_IDLE_REASONS = {
+    "alpha": "no R8 relation",
+    "n": "no pendulum state",
+    "N": "no R12 relation and no R60 Chi side",
+    "N1": "no R12 relation",
+    "mix": "no spherical state",
+    "cmag": "no state carries coefficient m={m}",
+    "cphase": "no state carries coefficient m={m}",
+}
 
 #: the most points one scan visits, refused before any is built: about 50 times the
 #: longest benchmark sweep; 10**4 rows of an l = 64 stack hold 20 MB of coefficients
@@ -147,38 +157,38 @@ def _run_catalog(args) -> int:
 def _run_scan(args) -> int:
     doc = _load_document(args)
     param, values = _parse_sweep(args.sweep)
-    idle = _idle_sweep(doc, param)
-    if idle:
-        raise ValueError(f"sweep {args.sweep!r}: {idle}")
     points = [_apply_sweep(doc, param, value) for value in values]
+    states, selections = points[0]
+    if all(new[1] is old[1] for new, old in zip(states + selections, doc.states + doc.selections)):
+        base, _, index = param.partition(":")
+        raise ValueError(f"sweep {args.sweep!r}: " + _IDLE_REASONS[base].format(m=_spec_int(index)))
     return _report(args, points, doc.settings.tolerance, (param, [float(v) for v in values]))
 
 
 def _parse_sweep(text: str):
+    """(name, values) of ``NAME=START:STOP:STEPS``; the numbers follow the spec's grammar."""
     if "=" not in text:
         raise ValueError("sweep reads NAME=START:STOP:STEPS")
     name, spec = text.split("=", 1)
     pieces = spec.split(":")
     if len(pieces) != 3:
         raise ValueError("sweep reads NAME=START:STOP:STEPS")
-    try:
+    start = stop = math.nan
+    if specio._FLOAT_RE.match(pieces[0]) and specio._FLOAT_RE.match(pieces[1]):
         start, stop = float(pieces[0]), float(pieces[1])
-    except ValueError:
-        start = stop = math.nan
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"sweep {text!r} needs a finite START and STOP")
-    try:
-        steps = int(pieces[2])
-    except ValueError:
-        steps = 0
+    steps = _spec_int(pieces[2]) or 0
     if not 1 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(
             f"sweep {text!r}: STEPS must be a whole number from 1 to {MAX_SWEEP_STEPS}, "
             f"got {pieces[2]!r}"
         )
-    base = name.split(":", 1)[0]
-    if base not in ("alpha", "n", "N", "N1", "mix", "cmag", "cphase"):
+    base, colon, index = name.partition(":")
+    if base not in _IDLE_REASONS or (colon and base not in ("cmag", "cphase")):
         raise ValueError(f"unknown sweep parameter {name!r}; choose one of {_SWEEPABLE}")
+    if base in ("cmag", "cphase") and _spec_int(index) is None:
+        raise ValueError(f"sweep {name!r} reads {base}:<m>=START:STOP:STEPS")
     values = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
     if base in ("n", "N", "N1"):
         # Python ints, rounded half to even: a numpy int64 cast would wrap
@@ -186,43 +196,17 @@ def _parse_sweep(text: str):
     return name, values
 
 
-def _idle_sweep(doc, param: str):
-    """Why sweeping ``param`` would change no state and no relation of ``doc``, else None."""
-    base = param.split(":", 1)[0]
-    states = [state for _, state in doc.states]
-    rids = {rid for rid, _ in doc.selections}
-    if base in ("cmag", "cphase"):
-        index = _sweep_index(param)
-        if not any(_carries(state, index) for state in states):
-            return f"no state carries coefficient m={index}"
-    elif base == "n" and not any(isinstance(s, PendulumState) for s in states):
-        return "no pendulum state"
-    elif base == "mix" and not any(isinstance(s, SphericalState) for s in states):
-        return "no spherical state"
-    elif base == "alpha" and RelationId.R8 not in rids:
-        return "no R8 relation"
-    elif base == "N1" and RelationId.R12 not in rids:
-        return "no R12 relation"
-    elif base == "N" and RelationId.R12 not in rids and not any(
-        rid == RelationId.R60 and p.pair and any(k.name == "Chi" for k in p.pair)
-        for rid, p in doc.selections
-    ):
-        return "no R12 relation and no R60 Chi side"
-    return None
-
-
 def _apply_sweep(doc, param: str, value):
-    """The (states, selections) of the sweep point ``param`` = ``value``."""
+    """The (states, selections) of the sweep point ``param`` = ``value``.
+
+    Each state and params object the sweep does not reach is the
+    document's own, so a point that is the document itself changes nothing.
+    """
     base = param.split(":", 1)[0]
     states = doc.states
     selections = doc.selections
-    if base == "alpha":
-        selections = tuple(
-            (rid, replace(p, alpha=float(value)) if rid == RelationId.R8 else p)
-            for rid, p in selections
-        )
-    elif base in ("N", "N1"):
-        selections = tuple(_wind_selection(rid, p, base, int(value)) for rid, p in selections)
+    if base in ("alpha", "N", "N1"):
+        selections = tuple((rid, _swept(rid, p, base, value)) for rid, p in selections)
     elif base == "n":
         states = tuple(
             (name, replace(s, n=int(value)) if isinstance(s, PendulumState) else s)
@@ -231,18 +215,19 @@ def _apply_sweep(doc, param: str, value):
     elif base == "mix":
         states = tuple((name, _mixed(s, float(value))) for name, s in states)
     else:
-        index = _sweep_index(param)
+        index = int(param.partition(":")[2])
         states = tuple((name, _retuned(s, index, base, float(value))) for name, s in states)
     return states, selections
 
 
-def _wind_selection(rid, params, which, value):
-    if rid == RelationId.R12:
-        return (rid, replace(params, **{which: value}))
-    if rid == RelationId.R60 and which == "N" and params.pair:
-        pair = tuple(chi_kind(value) if k.name == "Chi" else k for k in params.pair)
-        return (rid, replace(params, pair=pair))
-    return (rid, params)
+def _swept(rid, params, name: str, value):
+    """``params`` of ``rid`` with ``name`` set (an R60's Chi sides for ``N``), else ``params`` itself."""
+    if name in relations.CATALOG[rid][1]:
+        return replace(params, **{name: float(value) if name == "alpha" else int(value)})
+    if name == "N" and rid == RelationId.R60 and any(k.name == "Chi" for k in params.pair or ()):
+        pair = tuple(chi_kind(int(value)) if k.name == "Chi" else k for k in params.pair)
+        return replace(params, pair=pair)
+    return params
 
 
 def _mixed(state, angle: float):
@@ -262,35 +247,28 @@ def _mixed(state, angle: float):
     )
 
 
-def _sweep_index(param: str) -> int:
-    """The m of a ``cmag:<m>`` or ``cphase:<m>`` sweep."""
-    base, _, index = param.partition(":")
+def _spec_int(text: str):
+    """``text`` as an integer of the spec grammar, else None."""
     try:
-        return int(index)
-    except ValueError:
-        raise ValueError(f"sweep {param!r} reads {base}:<m>=START:STOP:STEPS") from None
-
-
-def _carries(state, index: int) -> bool:
-    """Whether the state has a coefficient c_m with m = index."""
-    if isinstance(state, RotorSuperposition):
-        return index in state.coeff_map
-    return isinstance(state, SphericalState) and abs(index) <= state.l
+        return int(text) if specio._INT_RE.match(text) else None
+    except ValueError:  # more digits than int() reads
+        return None
 
 
 def _retuned(state, index: int, base: str, value: float):
-    """Set the magnitude or phase of one coefficient, then renormalize."""
-    if not _carries(state, index):
-        return state
+    """Set the magnitude or phase of coefficient m = index, then renormalize; else ``state`` itself."""
     if isinstance(state, RotorSuperposition):
         cmap = state.coeff_map
-        cmap[index] = _adjust(cmap[index], base, value)
-        return RotorSuperposition(cmap, hbar=state.hbar, normalize=True)
-    vec = list(state.coefficients)
-    vec[index + state.l] = _adjust(vec[index + state.l], base, value)
-    return SphericalState(
-        l=state.l, coefficients=vec, hbar=state.hbar, inertia=state.inertia, normalize=True
-    )
+        if index in cmap:
+            cmap[index] = _adjust(cmap[index], base, value)
+            return RotorSuperposition(cmap, hbar=state.hbar, normalize=True)
+    elif isinstance(state, SphericalState) and abs(index) <= state.l:
+        vec = list(state.coefficients)
+        vec[index + state.l] = _adjust(vec[index + state.l], base, value)
+        return SphericalState(
+            l=state.l, coefficients=vec, hbar=state.hbar, inertia=state.inertia, normalize=True
+        )
+    return state
 
 
 def _adjust(coeff: complex, base: str, value: float) -> complex:

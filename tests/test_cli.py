@@ -793,7 +793,8 @@ class TestInputErrors:
         assert out == ""
 
     @pytest.mark.parametrize(
-        "steps", ["100000000000", "10001", "1e3", "2.5", "0", "-3", "many"]
+        "steps", ["100000000000", "10001", "1e3", "2.5", "0", "-3", "many", "1_0", " 2",
+         pytest.param("2" * 5000, id="5000-digits")]
     )
     def test_sweep_steps_must_be_a_whole_number_within_the_bound(self, tmp_path, capsys, steps):
         """STEPS is checked before any point is allocated: no MemoryError, no raw int() message."""
@@ -842,6 +843,8 @@ class TestInputErrors:
             ("N=0:2:3", "state circular m=2\nrelations R60(a=Chi,b=Lz,N=1)\n"),
             ("N1=0:2:3", "state circular m=2\nrelations R12(N=5,N1=0)\n"),
             ("mix=0:3:4", "state spherical l=0 c=[(1,0)]\nrelations R5\n"),
+            ("cmag:1=0.5:1:3", "state circular m=2\nstate rotor c={0:(0.6,0),1:(0,0.8)}\nrelations R5\n"),
+            ("cphase:-2=0:1:3", "state pendulum n=1\n" + IDLE_SPEC),
         ],
     )
     def test_a_sweep_with_a_target_runs(self, tmp_path, capsys, sweep, spec):
@@ -849,6 +852,55 @@ class TestInputErrors:
         code, out, err = run_main(["scan", path, "--sweep", sweep], capsys)
         assert code in (0, 1, 2), err
         assert out
+
+    EVERY_TARGET = (
+        "state circular m=2\nstate rotor c={0:(0.6,0),1:(0,0.8)}\n"
+        "state spherical l=2 c=[(0,0),(0.6,0),(0,0),(0,0.8),(0,0)]\nstate pendulum n=1\n"
+        "relations R5 R8(alpha=1) R12(N=2,N1=0) R60(a=Lz,b=Phi) R60(a=Chi,b=Lz,N=1)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "sweep, reached",
+        [
+            ("alpha=0:2:3", ["R8"]),
+            ("n=0:3:4", ["pendulum"]),
+            ("N=0:2:3", ["R12", "R60 Chi"]),
+            ("N1=0:2:3", ["R12"]),
+            ("mix=0:3:4", ["spherical"]),
+            ("cmag:1=0.5:1:3", ["rotor", "spherical"]),
+            ("cphase:-2=0:1:3", ["spherical"]),
+        ],
+    )
+    def test_a_sweep_point_keeps_the_objects_it_does_not_reach(self, sweep, reached):
+        """Whatever a sweep does not reach is the document's own object: that is how a scan tells an idle sweep."""
+        labels = ["circular", "rotor", "spherical", "pendulum", "R5", "R8", "R12", "R60", "R60 Chi"]
+        doc = specio.parse(self.EVERY_TARGET)
+        param, values = cli._parse_sweep(sweep)
+        states, selections = cli._apply_sweep(doc, param, values[0])
+        pairs = zip(labels, states + selections, doc.states + doc.selections)
+        assert [label for label, new, old in pairs if new[1] is not old[1]] == reached
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ("alpha:junk=0:1:2", "unknown sweep parameter 'alpha:junk'; choose one of alpha, n,"),
+            ("n:1=0:2:3", "unknown sweep parameter 'n:1'; choose one of alpha, n,"),
+            ("mix:=0:1:2", "unknown sweep parameter 'mix:'; choose one of alpha, n,"),
+            ("cmag:1_0=0:1:2", "sweep 'cmag:1_0' reads cmag:<m>=START:STOP:STEPS"),
+            ("cphase: 1=0:1:2", "sweep 'cphase: 1' reads cphase:<m>=START:STOP:STEPS"),
+        ],
+        ids=["alpha-suffix", "n-suffix", "mix-empty-suffix", "cmag-underscore", "cphase-space"],
+    )
+    def test_only_coefficient_sweeps_take_an_integer_index(self, tmp_path, capsys, sweep, message):
+        spec = write(
+            tmp_path,
+            "s.spec",
+            "state pendulum n=1\nstate spherical l=1 c=[(0,0),(1,0),(0,0)]\n"
+            "state rotor c={0:(0.6,0),1:(0,0.8)}\nrelations R5 R8(alpha=1)\n",
+        )
+        code, out, err = run_main(["scan", spec, "--sweep", sweep], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {message}"), err
 
     def test_state_without_the_coefficient_is_left_as_is(self, tmp_path, capsys):
         spec = write(
@@ -900,8 +952,14 @@ class TestInputErrors:
              "sweep 'mix=a:1:3' needs a finite START and STOP"),
             ("state circular m=1\nrelations R8(alpha=1)\n", ["--sweep", "alpha=0:1e400x:3"],
              "sweep 'alpha=0:1e400x:3' needs a finite START and STOP"),
+            # the spec grammar has no digit separators and no spaces, which float() accepts
+            ("state circular m=1\nrelations R8(alpha=1)\n", ["--sweep", "alpha=1_0:2_0:2"],
+             "sweep 'alpha=1_0:2_0:2' needs a finite START and STOP"),
+            ("state circular m=1\nrelations R8(alpha=1)\n", ["--sweep", "alpha= 0:1:2"],
+             "sweep 'alpha= 0:1:2' needs a finite START and STOP"),
         ],
-        ids=["alpha", "inertia", "coefficient", "chi-winding", "sweep-start", "sweep-stop"],
+        ids=["alpha", "inertia", "coefficient", "chi-winding", "sweep-start", "sweep-stop",
+             "sweep-underscore", "sweep-space"],
     )
     def test_values_past_a_float_are_coded_at_their_token(self, tmp_path, capsys, text, args, expected):
         spec = write(tmp_path, "o.spec", text)
