@@ -157,7 +157,10 @@ def _run_catalog(args) -> int:
 def _run_scan(args) -> int:
     doc = _load_document(args)
     param, values = _parse_sweep(args.sweep)
-    points = [_apply_sweep(doc, param, value) for value in values]
+    try:
+        points = [_apply_sweep(doc, param, value) for value in values]
+    except ValueError as exc:
+        raise ValueError(f"sweep {args.sweep!r}: {exc}") from None
     states, selections = points[0]
     if all(new[1] is old[1] for new, old in zip(states + selections, doc.states + doc.selections)):
         base, _, index = param.partition(":")

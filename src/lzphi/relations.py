@@ -247,12 +247,19 @@ def evaluate(
     return RelationReport(column, index, state_name)
 
 
+def _check_family(relation, params, state) -> None:
+    """Raise ValueError if ``relation``, or a side of its R60 pair, is not defined on the state's family."""
+    fam = st.family_of(state)
+    if fam not in CATALOG[relation][0]:
+        raise ValueError(f"relation {relation.value} is not defined on the {fam} family")
+    if relation == RelationId.R60:
+        for kind in params.pair or ():
+            obs.check_applicable(kind, state)
+
+
 def _checked_constants(relation, params, state) -> dict:
     """The diagnostics that depend on ``params`` alone; raises on a family or params it does not take."""
-    fam = st.family_of(state)
-    families, _, _ = CATALOG[relation]
-    if fam not in families:
-        raise ValueError(f"relation {relation.value} is not defined on the {fam} family")
+    _check_family(relation, params, state)
     if relation == RelationId.R8:
         if params.alpha is None or not math.isfinite(params.alpha):
             raise ValueError("R8 requires a finite real parameter alpha")
@@ -261,11 +268,8 @@ def _checked_constants(relation, params, state) -> dict:
         if params.N is None or params.N1 is None:
             raise ValueError("R12 requires integer parameters N and N1")
         return {"delta_chi": delta_chi(params.N, params.N1)}
-    if relation == RelationId.R60:
-        if params.N is not None:
-            raise ValueError("R60 takes no N: a Chi side carries its own winding (observables.chi)")
-        for kind in _operative_pair(relation, params):
-            obs.check_applicable(kind, state)
+    if relation == RelationId.R60 and params.N is not None:
+        raise ValueError("R60 takes no N: a Chi side carries its own winding (observables.chi)")
     return {}
 
 

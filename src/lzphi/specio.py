@@ -26,6 +26,7 @@ import math
 import re
 
 from . import observables as obs
+from . import relations
 from .relations import CATALOG, RelationId, RelationParams
 from .states import (
     CircularState,
@@ -97,7 +98,10 @@ def parse(text: str, overrides: dict | None = None) -> SpecDocument:
     ``syntax``, ``bad-value``, ``unknown-directive``, ``unknown-family``,
     ``unknown-setting``, ``unknown-key``, ``unknown-relation``,
     ``missing-field``, ``m-out-of-range``, ``not-normalized``,
-    ``param-constraint``, ``empty-document``.
+    ``param-constraint``, ``empty-document``, ``wrong-family`` (a relation,
+    or a side of an R60 pair, that a state's family does not take; raised
+    at the selection, naming the state, for the first such pair in report
+    order).
     """
     lines = text.splitlines()
     settings = _collect_settings(lines)
@@ -105,6 +109,7 @@ def parse(text: str, overrides: dict | None = None) -> SpecDocument:
         settings = _with_settings(settings, overrides, 0, 0)
     states: list = []
     selections: list = []
+    where: list = []  # (line, col) of each selection
     auto = 0
     for lineno, raw in enumerate(lines, start=1):
         tokens = _tokens(raw)
@@ -121,6 +126,7 @@ def parse(text: str, overrides: dict | None = None) -> SpecDocument:
                 raise SpecParseError("syntax", lineno, col, "relations line lists no IDs")
             for tok, tcol in tokens[1:]:
                 selections.append(_parse_selection(tok, lineno, tcol))
+                where.append((lineno, tcol))
         else:
             raise SpecParseError(
                 "unknown-directive", lineno, col, f"unknown directive {word!r}"
@@ -132,6 +138,12 @@ def parse(text: str, overrides: dict | None = None) -> SpecDocument:
     names = [n for n, _ in states]
     if len(set(names)) != len(names):
         raise SpecParseError("bad-value", len(lines) + 1, 1, "duplicate state names")
+    for name, state in states:
+        for (rid, params), (lineno, col) in zip(selections, where):
+            try:
+                relations._check_family(rid, params, state)
+            except ValueError as exc:
+                raise SpecParseError("wrong-family", lineno, col, f"{exc} (state {name})") from None
     return SpecDocument(settings=settings, states=tuple(states), selections=tuple(selections))
 
 
@@ -366,6 +378,10 @@ def _build_params(rid, kv, lineno, col) -> RelationParams:
         n, n1 = _parse_int(kv["N"], lineno, col), _parse_int(kv["N1"], lineno, col)
         if n == n1:
             raise SpecParseError("param-constraint", lineno, col, "R12 requires N != N1")
+        try:
+            relations.delta_chi(n, n1)
+        except ValueError as exc:
+            raise SpecParseError("param-constraint", lineno, col, str(exc)) from None
         return RelationParams(N=n, N1=n1)
     if rid == RelationId.R60:
         if "a" not in kv or "b" not in kv:

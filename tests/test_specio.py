@@ -100,6 +100,10 @@ _ERROR_CODES = [
     (_S + "relations R8\n", "param-constraint"),
     (_S + "relations R12(N=1)\n", "param-constraint"),
     (_S + "relations R60(a=Lz)\n", "param-constraint"),
+    (_S + "relations R12(N=0,N1=1)\n", "param-constraint"),
+    (_S + f"relations R12(N={10**160},N1=0)\n", "param-constraint"),
+    (_S + "relations R36\n", "wrong-family"),
+    ("state pendulum n=0\nrelations R60(a=Lz,b=SinPhi)\n", "wrong-family"),
 ]
 
 
@@ -200,6 +204,19 @@ class TestParseErrors:
         assert excinfo.value.code == "bad-value"
         assert excinfo.value.line == 0
         assert str(excinfo.value).startswith("[bad-value]")
+
+    def test_wrong_family_is_raised_at_the_selection_in_report_order(self):
+        """States come first in report order: s1's R36 fails before the pendulum's R60 side."""
+        with pytest.raises(SpecParseError) as excinfo:
+            parse("state circular m=1\nstate pendulum name=p n=0\nrelations R5 R60(a=Lz,b=SinPhi) R36\n")
+        assert str(excinfo.value) == (
+            "line 3, col 33: [wrong-family] relation R36 is not defined on the circular family (state s1)"
+        )
+        with pytest.raises(SpecParseError) as excinfo:
+            parse("state pendulum name=p n=0\nstate circular m=1\nrelations R5 R60(a=Lz,b=SinPhi) R36\n")
+        assert str(excinfo.value) == (
+            "line 3, col 14: [wrong-family] observable SinPhi is not defined on the pendulum family (state p)"
+        )
 
     def test_error_position_is_reported(self):
         with pytest.raises(SpecParseError) as excinfo:
