@@ -10,7 +10,7 @@ positive, and every coefficient must be finite.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import cmath
 import math
 from typing import Union
@@ -51,7 +51,6 @@ class RotorSuperposition:
 
     coefficients: tuple
     hbar: float = 1.0
-    normalize: bool = field(default=False, compare=False)
 
     def __init__(self, coefficients, hbar: float = 1.0, normalize: bool = False):
         if isinstance(coefficients, Mapping):
@@ -68,7 +67,6 @@ class RotorSuperposition:
         values = _normalized([c for _, c in pairs], normalize)
         object.__setattr__(self, "coefficients", tuple(zip([m for m, _ in pairs], values)))
         object.__setattr__(self, "hbar", float(hbar))
-        object.__setattr__(self, "normalize", bool(normalize))
         _require_finite_positive(hbar=self.hbar)
 
     @property
@@ -84,7 +82,6 @@ class SphericalState:
     coefficients: tuple
     hbar: float = 1.0
     inertia: float = 1.0
-    normalize: bool = field(default=False, compare=False)
 
     def __init__(self, l, coefficients, hbar=1.0, inertia=1.0, normalize=False):
         l = int(l)
@@ -107,7 +104,6 @@ class SphericalState:
         object.__setattr__(self, "coefficients", tuple(vec))
         object.__setattr__(self, "hbar", float(hbar))
         object.__setattr__(self, "inertia", float(inertia))
-        object.__setattr__(self, "normalize", bool(normalize))
         _require_finite_positive(hbar=self.hbar, inertia=self.inertia)
 
 
