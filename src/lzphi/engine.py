@@ -14,10 +14,12 @@ Each rule is sized from what it samples, never from a setting: see
 Every spherical grid and every oracle matrix table of degree l reads its
 polar factors from one read-only table, ``numerics.polar_table(l,
 theta_rule_size(l))`` (see ``polar_tables``), built at the first use of l.
+Their azimuthal waves are ``numerics.waves`` on the phi rule.
 
 The pendulum grid reads one read-only table per rule size,
 ``_hermite_table(size)``: rows H_0..H_K at the rule's nodes, with
-K = MAX_HERMITE_DEGREE + MAX_CORRELATION_ORDER. Its psi is A*H_n, row n
+K = MAX_HERMITE_DEGREE + MAX_CORRELATION_ORDER, stacked from the one
+Hermite recurrence, ``_kernels.hermite_rows``. Its psi is A*H_n, row n
 times the amplitude. Lz acts on the coefficient vector of the Hermite
 series by an exact two-term ladder (see ``PendulumGrid``), and ``lz_pow``
 reads the result out through the table's rows: the oracle stays a
@@ -30,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import numerics
+from . import _kernels, numerics
 from . import states as st
 # unused here: perfbench's tracer patches this name in engine, and its tests check it
 from ._kernels import fourier_sum  # noqa: F401
@@ -81,15 +83,10 @@ def polar_tables(ms, l):
 def _hermite_table(size: int) -> np.ndarray:
     """Read-only rows H_0..H_HERMITE_TABLE_DEGREE at the nodes of the Hermite rule of ``size`` nodes.
 
-    The three-term recurrence runs in the order of ``_kernels.hermite_grid``,
-    so row n is bit-identical to ``numerics.hermite_poly(n, nodes)``.
+    Row n is ``numerics.hermite_poly(n, nodes)`` bit for bit: both read ``_kernels.hermite_rows``.
     """
     xi = numerics.hermite_rule(size).nodes
-    out = np.empty((HERMITE_TABLE_DEGREE + 1, size))
-    out[0] = 1.0
-    out[1] = 2.0 * xi
-    for k in range(1, HERMITE_TABLE_DEGREE):
-        out[k + 1] = 2.0 * xi * out[k] - 2.0 * k * out[k - 1]
+    out = np.stack(list(_kernels.hermite_rows(HERMITE_TABLE_DEGREE, xi)))
     out.flags.writeable = False
     return out
 
@@ -114,7 +111,7 @@ class AngularGrid:
         # the waves are exp(i*(m - m0)*phi): the common phase cancels in every inner product
         m0 = st.middle_m(ms)
         offsets = [m - m0 for m in ms]
-        _, self._waves = numerics.basis_on_grid(offsets, None, None, self.phi)
+        self._waves = numerics.waves(offsets, self.phi)
         self.lz_origin = state.hbar * m0
         self._lz = state.hbar * np.array(offsets, dtype=np.float64)
         self._coeffs = st.coeff_vector(state)

@@ -1,14 +1,13 @@
 """Quadrature rules and special functions behind every analytic cross-check.
 
-``basis_on_grid`` tabulates the basis theta_lm(theta) * exp(i*m*phi)/sqrt(2*pi)
-on a grid of any shape; the wave functions and the engine's azimuthal
-waves are built from it. On a polar rule the polar factors come from
-``polar_table(l, n)``: rows theta_l,|m| at the nodes of the n-node rule on
-[0, pi], built once per (l, n). The analytic polar overlaps read it on
-their 2l + 32 nodes, the oracle's grids and matrix tables on
-``engine.theta_rule_size(l)`` nodes. Two routes tabulate on their own: the
-oracle matrix tables sum their phi side over offsets m' - m, and the
-pendulum grid evaluates a Hermite series.
+One recurrence tabulates each basis function. ``theta_lm_grid`` reads
+rows theta_lm off ``_kernels.legendre_grid``, which gives every order
+0..l; on the n-node polar rule ``polar_table(l, n)`` holds them once per
+(l, n), for the analytic overlaps (2l + 32 nodes) and the oracle
+(``engine.theta_rule_size(l)`` nodes). ``waves`` gives the rows
+exp(i*m*phi)/sqrt(2*pi), one exp per |m|, and ``_kernels.hermite_rows``
+the Hermite rows. The oracle matrix tables sum weighted exp(i*k*phi) over
+offsets k = m' - m, which are not basis waves, so they build that sum.
 
 Every Gauss-Legendre rule in the package, analytic or oracle, is an affine
 map of ``_leggauss(n)``: Newton's method on the Legendre three-term
@@ -191,50 +190,36 @@ def theta_lm(l: int, m: int, theta):
     arr = np.asarray(theta, dtype=np.float64)
     if np.any(arr < -1e-12) or np.any(arr > math.pi + 1e-12):
         raise ValueError("theta_lm needs theta in [0, pi]")
-    out = theta_lm_grid(l, m, arr)
+    out = theta_lm_grid(l, (m,), arr)[0]
     return float(out) if arr.ndim == 0 else out
 
 
-def theta_lm_grid(l: int, m: int, theta: np.ndarray) -> np.ndarray:
-    """theta_lm values on an array of any shape; no domain checks."""
-    polar, _ = basis_on_grid((m,), l, theta, None)
-    return polar[0]
+def theta_lm_grid(l: int, ms, theta: np.ndarray) -> np.ndarray:
+    """Rows theta_lm, one per m of ``ms``, on an array of any shape; no domain checks."""
+    return polar_rows(_kernels.legendre_grid(l, np.cos(np.asarray(theta, dtype=np.float64))), ms)
 
 
-def basis_on_grid(ms, l, theta, phi):
-    """Polar and azimuthal basis tables on grids of any shape; no domain checks.
+def waves(ms, phi: np.ndarray) -> np.ndarray:
+    """Rows exp(i*m*phi)/sqrt(2*pi), one per m of ``ms``, on an array of any shape.
 
-    Returns ``(polar, azimuthal)`` with ``polar[k] = theta_lm(l, ms[k], theta)``
-    and ``azimuthal[k] = exp(i*ms[k]*phi)/sqrt(2*pi)``. ``polar`` is None when
-    ``l`` is None (the circle-only families) and ``azimuthal`` is None when
-    ``phi`` is None. Both are computed once per order |m|: a negative
-    order's wave is the conjugate of its positive one.
+    Each order |m| is computed once: a negative order's wave is the
+    conjugate of its positive one.
     """
     orders = sorted({abs(m) for m in ms})
     position = {order: row for row, order in enumerate(orders)}
-    rows = [position[abs(m)] for m in ms]
-    polar = None
-    if l is not None:
-        table = _kernels.legendre_grid(l, orders, np.cos(np.asarray(theta, dtype=np.float64)))
-        polar = polar_rows(table, ms, rows)
-    azimuthal = None
-    if phi is not None:
-        orders_f = np.array(orders, dtype=np.float64)
-        angles = np.multiply.outer(orders_f, np.asarray(phi, dtype=np.float64))
-        azimuthal = (np.exp(1j * angles) / math.sqrt(TWO_PI))[rows]
-        negative = [m < 0 for m in ms]
-        azimuthal[negative] = np.conj(azimuthal[negative])
-    return polar, azimuthal
+    angles = np.multiply.outer(np.array(orders, dtype=np.float64), phi)
+    out = (np.exp(1j * angles) / math.sqrt(TWO_PI))[[position[abs(m)] for m in ms]]
+    negative = [m < 0 for m in ms]
+    out[negative] = np.conj(out[negative])
+    return out
 
 
-def polar_rows(table, ms, rows=None) -> np.ndarray:
-    """Rows theta_lm, one per m of ``ms``, from a table of rows theta_l,|m|.
+def polar_rows(table, ms) -> np.ndarray:
+    """Rows theta_lm, one per m of ``ms``, from a table of rows theta_l,|m|, |m| = 0..l.
 
-    Row ``rows[k]`` of the table holds order |ms[k]|; by default the table
-    has a row for every order 0..l, so that row is |ms[k]|. Negative orders
-    follow theta_l,-m = (-1)**m * theta_lm. The result is a fresh array.
+    Negative orders follow theta_l,-m = (-1)**m * theta_lm; the result is a fresh array.
     """
-    out = table[[abs(m) for m in ms] if rows is None else rows]
+    out = table[[abs(m) for m in ms]]
     odd_negative = [m < 0 and m % 2 == 1 for m in ms]
     out[odd_negative] = -out[odd_negative]
     return out
@@ -250,7 +235,7 @@ def polar_table(l: int, n: int) -> np.ndarray:
     the analytic and the oracle polar rule is about 4.6 MB.
     """
     nodes = gauss_legendre(n, 0.0, math.pi).nodes
-    out = _kernels.legendre_grid(l, range(l + 1), np.cos(nodes))
+    out = _kernels.legendre_grid(l, np.cos(nodes))
     out.flags.writeable = False
     return out
 

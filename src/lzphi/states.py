@@ -254,7 +254,8 @@ def wavefunction(state: State, point):
         phi = np.asarray(phi, dtype=np.float64)
         _check_range(theta, 0.0, math.pi, "theta")
         _check_range(phi, 0.0, TWO_PI, "phi")
-        tl, ph = numerics.basis_on_grid(basis_ms(state), state.l, theta, phi)
+        ms = basis_ms(state)
+        tl, ph = numerics.theta_lm_grid(state.l, ms, theta), numerics.waves(ms, phi)
         out = np.einsum("m,m...,m...->...", coeff_vector(state), tl, ph)
         return complex(out) if out.ndim == 0 else out
 
@@ -269,7 +270,7 @@ def wavefunction(state: State, point):
         # oracle grids, so an m near 2^52 costs |psi| no digits
         ms = basis_ms(state)
         m0 = middle_m(ms)
-        _, ph = numerics.basis_on_grid([m - m0 for m in ms], None, None, phi)
+        ph = numerics.waves([m - m0 for m in ms], phi)
         out = np.tensordot(coeff_vector(state), ph, axes=1) * np.exp(1j * (float(m0) * phi))
     return complex(out) if phi.ndim == 0 else out
 

@@ -229,10 +229,9 @@ def theta_overlap_per_power(l, power):
 
     rule = numerics.gauss_legendre(2 * l + 32, 0.0, math.pi)
     th = rule.nodes
-    orders = list(range(l + 1))
-    table = _kernels.legendre_grid(l, orders, np.cos(th))
+    table = _kernels.legendre_grid(l, np.cos(th))
     ms = range(-l, l + 1)
-    big = table[[orders.index(abs(m)) for m in ms]]
+    big = table[[abs(m) for m in ms]]
     odd_negative = [m < 0 and m % 2 == 1 for m in ms]
     big[odd_negative] = -big[odd_negative]
     weighted = big * (rule.weights * np.sin(th) * th**power)

@@ -3,6 +3,8 @@ import pytest
 
 from lzphi import _kernels
 
+from . import oracles
+
 
 @pytest.fixture(scope="module")
 def grids():
@@ -33,22 +35,32 @@ def test_fourier_sum_matches_direct_sum(grids):
 
 @pytest.mark.parametrize("l", [0, 1, 2, 9, 33, 64])
 def test_legendre_grid_rows_match_one_order_at_a_time(l):
-    """One recurrence over many orders gives each row bit for bit as that order alone."""
-    x = np.cos(np.linspace(0.01, np.pi - 0.01, 41))
-    orders = list(range(l + 1))
-    table = _kernels.legendre_grid(l, orders, x)
-    assert table.shape == (l + 1, x.size)
-    for m in orders:
-        assert np.array_equal(table[m], _kernels.legendre_grid(l, [m], x)[0])
-    sparse = orders[::3] + ([l] if l % 3 else [])
-    assert np.array_equal(_kernels.legendre_grid(l, sparse, x), table[sparse])
+    """One recurrence over every order gives each row bit for bit as that order's recurrence alone."""
+    theta = np.linspace(0.01, np.pi - 0.01, 41)
+    table = _kernels.legendre_grid(l, np.cos(theta))
+    assert table.shape == (l + 1, theta.size)
+    for m in range(l + 1):
+        assert np.array_equal(table[m], oracles.theta_part(l, m, theta)), m
 
 
 @pytest.mark.parametrize("l", [0, 1, 5, 20, 64])
 def test_legendre_grid_is_orthonormal(l):
+    """Each row of the all-orders table is normalized and orthogonal to its order at degree l - 1."""
     x, w = np.polynomial.legendre.leggauss(l + 2)
-    for m in range(l + 1):
-        row = _kernels.legendre_grid(l, [m], x)[0]
-        assert abs(np.dot(w, row * row) - 1.0) < 1e-12
+    table = _kernels.legendre_grid(l, x)
+    assert np.max(np.abs(table**2 @ w - 1.0)) < 1e-12
+    if l:
+        below = _kernels.legendre_grid(l - 1, x)
+        assert np.max(np.abs((table[:l] * below) @ w)) < 1e-12
     want = np.polynomial.legendre.legval(x, [0.0] * l + [1.0]) * np.sqrt((2 * l + 1) / 2.0)
-    assert np.max(np.abs(_kernels.legendre_grid(l, [0], x)[0] - want)) < 1e-12
+    assert np.max(np.abs(table[0] - want)) < 1e-12
+
+
+def test_hermite_rows_are_hermite_grid_bit_for_bit(grids):
+    """Row k of the one recurrence is H_k, and the rows stop at H_n."""
+    top = 70
+    rows = list(_kernels.hermite_rows(top, grids["xi"]))
+    assert len(rows) == top + 1
+    for k, row in enumerate(rows):
+        assert np.array_equal(row, _kernels.hermite_grid(k, grids["xi"])), k
+    assert len(list(_kernels.hermite_rows(0, grids["xi"]))) == 1

@@ -14,7 +14,6 @@ from lzphi.numerics import (
     MAX_LEGENDRE_NODES,
     MAX_ORBITAL_L,
     _leggauss,
-    basis_on_grid,
     gauss_hermite,
     gauss_legendre,
     hermite_poly,
@@ -22,8 +21,10 @@ from lzphi.numerics import (
     polar_rows,
     polar_table,
     theta_lm,
+    theta_lm_grid,
     theta_overlap_matrix,
     theta_rule,
+    waves,
 )
 
 from . import oracles
@@ -336,12 +337,8 @@ class TestPolarTable:
                 table = polar_table(l, n)
                 assert table.shape == (l + 1, n) and not table.flags.writeable, (l, n)
                 nodes = theta_rule(n).nodes
-                polar, _ = basis_on_grid(range(-l, l + 1), l, nodes, None)
+                polar = theta_lm_grid(l, range(-l, l + 1), nodes)
                 assert np.array_equal(polar_rows(table, range(-l, l + 1)), polar), (l, n)
-                # a row is the bits of its order's recurrence alone
-                for m in {0, l // 2, l, -l, -((l + 1) // 2)}:
-                    alone, _ = basis_on_grid((m,), l, nodes, None)
-                    assert np.array_equal(polar_rows(table, (m,)), alone), (l, n, m)
 
     def test_tables_are_read_only(self):
         table = polar_table(8, 48)
@@ -370,9 +367,8 @@ class TestWaves:
             phi = phi_rule(n).nodes
             span = (n - 64) // 2  # the widest span phi_rule_size puts on n nodes
             for ms in (range(-(span // 2), span - span // 2 + 1), range(-span, 1), (3, -3, 0, 1, -7)):
-                _, waves = basis_on_grid(ms, None, None, phi)
                 want = np.exp(1j * np.multiply.outer(np.asarray(ms, dtype=np.float64), phi))
-                assert np.array_equal(waves, want / math.sqrt(TWO_PI)), (n, ms)
+                assert np.array_equal(waves(ms, phi), want / math.sqrt(TWO_PI)), (n, ms)
 
 
 class TestThetaOverlapBounds:
@@ -396,7 +392,7 @@ class TestThetaOverlapRule:
     @pytest.mark.parametrize("l", [0, 1, 8, 16, 32, 48, 64])
     def test_matches_the_finest_rule(self, l):
         rule = theta_rule(MAX_LEGENDRE_NODES)
-        polar, _ = basis_on_grid(range(-l, l + 1), l, rule.nodes, None)
+        polar = theta_lm_grid(l, range(-l, l + 1), rule.nodes)
         for power in (0, 1, 2, 6, 12):
             fine = (polar * (rule.weights * np.sin(rule.nodes) * rule.nodes**power)) @ polar.T
             error = np.max(np.abs(theta_overlap_matrix(l, power) - fine))
