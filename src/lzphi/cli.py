@@ -224,12 +224,18 @@ def _apply_sweep(doc, param: str, value):
 
 
 def _swept(rid, params, name: str, value):
-    """``params`` of ``rid`` with ``name`` set (an R60's Chi sides for ``N``), else ``params`` itself."""
+    """``params`` of ``rid`` with ``name`` set (an R60's Chi sides for ``N``), else ``params`` itself.
+
+    New params that ``rid`` refuses raise ValueError here, as the point is built.
+    """
     if name in relations.CATALOG[rid][1]:
-        return replace(params, **{name: float(value) if name == "alpha" else int(value)})
-    if name == "N" and rid == RelationId.R60 and any(k.name == "Chi" for k in params.pair or ()):
+        params = replace(params, **{name: float(value) if name == "alpha" else int(value)})
+    elif name == "N" and rid == RelationId.R60 and any(k.name == "Chi" for k in params.pair or ()):
         pair = tuple(chi_kind(int(value)) if k.name == "Chi" else k for k in params.pair)
-        return replace(params, pair=pair)
+        params = replace(params, pair=pair)
+    else:
+        return params
+    relations.param_constants(rid, params)
     return params
 
 

@@ -260,6 +260,11 @@ def _check_family(relation, params, state) -> None:
 def _checked_constants(relation, params, state) -> dict:
     """The diagnostics that depend on ``params`` alone; raises on a family or params it does not take."""
     _check_family(relation, params, state)
+    return param_constants(relation, params)
+
+
+def param_constants(relation, params) -> dict:
+    """The diagnostics of ``params`` alone (alpha, delta_chi); ValueError on params ``relation`` refuses."""
     if relation == RelationId.R8:
         if params.alpha is None or not math.isfinite(params.alpha):
             raise ValueError("R8 requires a finite real parameter alpha")

@@ -191,7 +191,13 @@ def _parse_int(text: str, lineno: int, col: int) -> int:
         raise SpecParseError(
             "bad-value", lineno, col, f"expected an integer without a decimal point, got {text!r}"
         )
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() reads
+        digits = len(text.lstrip("+-"))
+        raise SpecParseError(
+            "bad-value", lineno, col, f"an integer of {digits} digits is too long to read"
+        ) from None
 
 
 def _parse_float(text: str, lineno: int, col: int) -> float:

@@ -721,22 +721,17 @@ class TestInputErrors:
         assert [row["lhs"] for row in json.loads(out)] == [3.5e150] * 3
 
     @pytest.mark.parametrize(
-        "selection,message",
-        [
-            ("R12(N=1,N1=0)", "delta_chi requires N != N1"),
-            (
-                "R12(N=1,N1=0) R8(alpha=1e200)",
-                "relation R8 is not finite on this state (lhs=inf, rhs=5e+199); its moments overflow",
-            ),
-        ],
-        ids=["params", "row-first"],
+        "selection", ["R12(N=1,N1=0)", "R12(N=1,N1=0) R8(alpha=1e200)"], ids=["params", "row-first"]
     )
-    def test_first_error_in_report_order(self, tmp_path, capsys, selection, message):
-        """Point N = -1 is evaluated before N = 0 meets N == N1; its own rows come first."""
+    def test_first_error_in_report_order(self, tmp_path, capsys, selection):
+        """Point N = 0 meets N == N1 as it is built, before any row is evaluated.
+
+        R8 overflows on point N = -1, whose rows come first in report order.
+        """
         spec = write(tmp_path, "s.spec", f"state circular m=1\nrelations {selection}\n")
         code, out, err = run_main(["scan", spec, "--sweep", "N=-1:1:3"], capsys)
         assert code == 3
-        assert err == f"error: {message}\n"
+        assert err == "error: sweep 'N=-1:1:3': delta_chi requires N != N1\n"
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -856,7 +851,7 @@ class TestInputErrors:
     EVERY_TARGET = (
         "state circular m=2\nstate rotor c={0:(0.6,0),1:(0,0.8)}\n"
         "state spherical l=2 c=[(0,0),(0.6,0),(0,0),(0,0.8),(0,0)]\nstate pendulum n=1\n"
-        "relations R5 R8(alpha=1) R12(N=2,N1=0) R60(a=Lz,b=Phi)\n"
+        "relations R5 R8(alpha=1) R12(N=2,N1=-1) R60(a=Lz,b=Phi)\n"
     )
 
     @pytest.mark.parametrize(
@@ -879,6 +874,22 @@ class TestInputErrors:
         states, selections = cli._apply_sweep(doc, param, values[0])
         pairs = zip(labels, states + selections, doc.states + doc.selections)
         assert [label for label, new, old in pairs if new[1] is not old[1]] == reached
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ("N=-1:1:3", "delta_chi requires N != N1"),
+            ("N1=2:3:2", "delta_chi radicand is negative (-4 + 1/12) for N=1, N1=2"),
+            ("N=1:1e300:2", "delta_chi is not a finite float: the windings N, N1 are too large"),
+        ],
+        ids=["equal", "radicand", "width"],
+    )
+    def test_a_point_its_relation_refuses_is_refused_as_built(self, tmp_path, capsys, sweep, message):
+        """The first refused point names the sweep, and no point is evaluated."""
+        spec = write(tmp_path, "s.spec", "state circular m=1\nrelations R8(alpha=1e200) R12(N=1,N1=0)\n")
+        code, out, err = run_main(["scan", spec, "--sweep", sweep], capsys)
+        assert code == 3 and out == ""
+        assert err == f"error: sweep {sweep!r}: {message}\n"
 
     @pytest.mark.parametrize(
         "sweep, message",

@@ -186,6 +186,26 @@ class TestParseErrors:
         with pytest.raises(ValueError, match="hbar"):
             EngineSettings(hbar=hbar)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("state circular m={big}\n" + _R, (1, 16)),
+            ("state pendulum n={big}\n" + _R, (1, 16)),
+            ("state spherical l={big} c=[(1,0)]\n" + _R, (1, 17)),
+            ("state rotor c={{{big}:(1,0)}}\n" + _R, (1, 13)),
+            ("state spherical l=1 c={{-{big}:(1,0)}}\n" + _R, (1, 21)),
+            (_S + "relations R12(N={big},N1=0)\n", (2, 11)),
+            (_S + "relations R12(N=0,N1={big})\n", (2, 11)),
+            (_S + "relations R60(a=Chi,b=Lz,N={big})\n", (2, 11)),
+        ],
+    )
+    def test_integers_past_the_digit_limit_are_coded_at_their_token(self, text, where):
+        """An integer longer than int() reads is a bad value at its own token, not Python's text."""
+        with pytest.raises(SpecParseError, match="5000 digits is too long to read") as excinfo:
+            parse(text.format(big="9" * 5000))
+        assert excinfo.value.code == "bad-value"
+        assert (excinfo.value.line, excinfo.value.col) == where
+
     @pytest.mark.parametrize("key", ["phi_nodes", "theta_nodes", "hermite_nodes"])
     def test_node_counts_are_unknown_settings(self, key):
         """The oracle sizes its own rules: no node count is a setting."""
