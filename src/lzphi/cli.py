@@ -134,10 +134,16 @@ def _run_eval(args) -> int:
 
 
 def _report(args, points, tol, sweep=None) -> int:
-    """Emit the reports of ``points``, (states, selections) pairs; return the exit code."""
+    """Emit the reports of ``points``, (states, selections) pairs; return the exit code.
+
+    The points share their selections (``eval``, a state sweep) or their
+    states (a selection sweep), so every row of each column the walk yields
+    is reported, and the exit code reads the verdicts of the distinct columns.
+    """
     rows = list(relations.report_rows(points, tol))
     _emit(args, specio.serialize_report(rows, args.format, sweep=sweep))
-    return exit_code_for(report.verdict for _, report in rows)
+    columns = {report.column for _, report in rows}
+    return exit_code_for(v for column in columns for v in column.distinct_verdicts)
 
 
 def _run_catalog(args) -> int:
@@ -165,7 +171,11 @@ def _run_scan(args) -> int:
     if all(new[1] is old[1] for new, old in zip(states + selections, doc.states + doc.selections)):
         base, _, index = param.partition(":")
         raise ValueError(f"sweep {args.sweep!r}: " + _IDLE_REASONS[base].format(m=_spec_int(index)))
-    return _report(args, points, doc.settings.tolerance, (param, [float(v) for v in values]))
+    swept = [float(v) for v in values]
+    try:
+        return _report(args, points, doc.settings.tolerance, (param, swept))
+    except relations.RowOverflowError as exc:
+        raise ValueError(f"sweep {args.sweep!r} at {param}={swept[exc.point]:.12g}: {exc}") from None
 
 
 def _parse_sweep(text: str):
@@ -249,11 +259,14 @@ def _mixed(state, angle: float):
     """
     if not isinstance(state, SphericalState):
         return state
+    l = state.l
     c0, cl = math.cos(angle), 1j * math.sin(angle)
-    coeffs = {0: c0 + cl} if state.l == 0 else {0: c0, state.l: cl}
-    return SphericalState(
-        l=state.l, coefficients=coeffs, hbar=state.hbar, inertia=state.inertia, normalize=True
-    )
+    vec = [0j] * (2 * l + 1)  # m = -l..l: c_0 at index l, c_l at index 2l
+    if l == 0:
+        vec[0] = c0 + cl
+    else:
+        vec[l], vec[2 * l] = c0, cl
+    return SphericalState(l, vec, hbar=state.hbar, inertia=state.inertia, normalize=True)
 
 
 def _spec_int(text: str):

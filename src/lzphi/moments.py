@@ -7,8 +7,9 @@ spherical states, and the padded oscillator number basis of the
 pendulum's width. It lives in ``MomentStack``, which holds the moments of
 a stack of states that share one basis: every quantity is a quadratic
 form (c, M c) over basis matrices M that do not depend on the state, or a
-binomial combination of them, so each M is built once per stack and each
-form is taken over all rows at once; the seam density of
+binomial combination of them, so each M is built once per basis
+(``observables.cached_symbol_matrix``) and each form is taken over all rows
+of a stack at once; the seam density of
 ``observables.seam_densities``, which the boundary terms of R15, R52 and
 R58 read, is one such form. On the oscillator basis no matrix is
 built: phi and Lz act on the number-state rows as ladder steps. An Lz
@@ -116,12 +117,13 @@ def stacks(states) -> list:
     """One MomentStack per basis over the distinct state objects in ``states``.
 
     Rows keep the order in which the states first appear; pendulum states
-    of one width form one stack whatever their n.
+    of one width form one stack whatever their n. Each state's basis is
+    derived once, here.
     """
     groups = {}
     for state in {id(s): s for s in states}.values():
         groups.setdefault(obs.basis_of(state), []).append(state)
-    return [MomentStack(group) for group in groups.values()]
+    return [MomentStack(group, basis=basis) for basis, group in groups.items()]
 
 
 def _memoized(method):
@@ -138,10 +140,12 @@ class MomentStack:
     """Analytic moments of a stack of states, each quantity computed once for all rows.
 
     The rows share one basis; their coefficient vectors are the rows of a
-    P x n matrix C. A basis matrix M (the ``symbol_matrix`` of a product of
-    observable symbols, or of a phi derivative) enters only through the
-    products M c_p of every row, built on first use, so the stack holds
-    O(P*n) numbers per matrix and never a P x n x n array. Lz scales each
+    P x n matrix C, built by one ``np.array`` over the rows' amplitudes. A
+    basis matrix M (the ``symbol_matrix`` of a product of observable
+    symbols, or of a phi derivative, kept once per basis by
+    ``observables.cached_symbol_matrix``) enters only through the products
+    M c_p of every row, built on first use, so the stack holds O(P*n)
+    numbers per matrix and never a P x n x n array. Lz scales each
     row by its own hbar through the diagonal hbar*m. A pendulum row is its
     number n, the 1 of |n> scattered into the padded number basis; there
     means and standard deviations are closed forms in n, and phi and Lz act
@@ -149,16 +153,19 @@ class MomentStack:
     ``observables.lz_step``), with no matrix built. Every method returns
     one value per row, in the order of ``states``. No setting enters: the
     stack keeps its states alive, and a state's moments depend only on the
-    state, so a stack never goes stale.
+    state, so a stack never goes stale. ``basis``, when given, is the
+    states' shared ``observables.basis_of``, already derived (``stacks``);
+    else it is derived and checked here.
     """
 
-    def __init__(self, states):
+    def __init__(self, states, *, basis=None):
         self.states = tuple(states)
         if not self.states:
             raise ValueError("a moment stack needs at least one state")
-        basis = obs.basis_of(self.states[0])
-        if any(obs.basis_of(s) != basis for s in self.states[1:]):
-            raise ValueError("stacked states must share one basis")
+        if basis is None:
+            basis = obs.basis_of(self.states[0])
+            if any(obs.basis_of(s) != basis for s in self.states[1:]):
+                raise ValueError("stacked states must share one basis")
         self._basis = basis
         #: hbar of every row
         self.hbar = np.array([s.hbar for s in self.states])
@@ -166,7 +173,8 @@ class MomentStack:
             self._coeffs = np.zeros((len(self.states), basis.size), dtype=np.complex128)
             self._coeffs[np.arange(len(self.states)), [s.n for s in self.states]] = 1.0
         else:
-            self._coeffs = np.array([st.coeff_vector(s) for s in self.states])
+            self._coeffs = np.array([st.amplitudes(s) for s in self.states],
+                                    dtype=np.complex128)
             m0 = st.middle_m(basis.ms)
             offsets = np.array([m - m0 for m in basis.ms], dtype=np.float64)
             # Lz = hbar*m0 + hbar*(m - m0); the rows center the offsets by their own mean
@@ -192,8 +200,8 @@ class MomentStack:
         key = ("applied", *sorted(sym.terms.items()))
         if isinstance(self._basis, obs.OscillatorBasis):
             return self.once(key, obs.polynomial_rows, sym, self._basis, self._coeffs)
-        return self.once(key, lambda: obs.apply_to_rows(obs.symbol_matrix(sym, self._basis),
-                                                        self._coeffs))
+        return self.once(key, lambda: obs.apply_to_rows(
+            obs.cached_symbol_matrix(sym, self._basis), self._coeffs))
 
     def _form(self, sym, left=None) -> np.ndarray:
         """(left_p, M c_p) for every row p; ``left`` defaults to C."""

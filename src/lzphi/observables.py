@@ -8,8 +8,10 @@ integration-by-parts recurrence. The phi factor of element (m, m') depends
 only on the offset m' - m, so each term's matrix is Toeplitz: every
 distinct offset's moment is computed once and indexed out. On the fixed-l
 spherical basis each term factorizes into a polar overlap integral times
-the rotor element, so no 2-D quadrature enters the analytic path. On the
-pendulum's oscillator basis there are no matrices: phi and Lz/hbar act
+the rotor element, so no 2-D quadrature enters the analytic path. None
+of these matrices depends on the state, so each is built once per basis
+and kept read-only (``cached_symbol_matrix``, within SYMBOL_CACHE_BYTES).
+On the pendulum's oscillator basis there are no matrices: phi and Lz/hbar act
 on each number-state row as two-term ladder steps, level k of the result
 reading levels k - 1 and k + 1 with weights sqrt(k) (``x_steps``,
 ``lz_step``).
@@ -23,9 +25,11 @@ R15/R52 boundary term and R58's gamma sum read it through
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 import math
+import threading
 from typing import ClassVar
 
 import numpy as np
@@ -249,7 +253,12 @@ class OscillatorBasis:
 
 @dataclass(frozen=True)
 class MatrixElementTable:
-    """Dense matrix of <basis_i| A |basis_j> with its provenance."""
+    """Dense matrix of <basis_i| A |basis_j> with its provenance.
+
+    ``matrix`` is read-only: an analytic table of a multiplicative kind is
+    the kept ``cached_symbol_matrix``, shared with every moment stack on the
+    basis.
+    """
 
     basis: object
     kind: ObservableKind
@@ -290,6 +299,59 @@ def symbol_matrix(sym: Symbol, basis) -> np.ndarray:
         theta_fac = numerics.theta_overlap_matrix(basis.l, a) if spherical else 1.0
         out = out + v * theta_fac * phi_fac
     return out
+
+
+#: the most bytes of symbol matrices ``cached_symbol_matrix`` keeps: about a dozen
+#: matrices at l = 64 (266 KB each); a rotor basis of more than 443 modes (3.7 MB at
+#: span 480) has matrices larger than that, which are built and not kept
+SYMBOL_CACHE_BYTES = 3 * 2**20
+
+
+class _MatrixCache:
+    """Read-only matrices by key, the least recently used dropped first past ``max_bytes``."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key):
+        with self._lock:
+            mat = self._entries.get(key)
+            if mat is not None:
+                self._entries.move_to_end(key)
+            return mat
+
+    def put(self, key, mat: np.ndarray) -> None:
+        """Keep ``mat``, unless it alone is larger than the bound."""
+        if mat.nbytes > self.max_bytes:
+            return
+        with self._lock:
+            old = self._entries.pop(key, None)
+            self.nbytes += mat.nbytes - (0 if old is None else old.nbytes)
+            self._entries[key] = mat
+            while self.nbytes > self.max_bytes:
+                self.nbytes -= self._entries.popitem(last=False)[1].nbytes
+
+
+SYMBOL_MATRICES = _MatrixCache(SYMBOL_CACHE_BYTES)
+
+
+def cached_symbol_matrix(sym: Symbol, basis) -> np.ndarray:
+    """``symbol_matrix(sym, basis)``, built once per (symbol, basis) and returned read-only.
+
+    The key holds the symbol's terms in insertion order: ``symbol_matrix``
+    sums the terms in that order, so a kept matrix is a fresh build bit for
+    bit. At most SYMBOL_CACHE_BYTES of matrices are kept (``SYMBOL_MATRICES``).
+    """
+    key = (basis, tuple(sym.terms.items()))
+    mat = SYMBOL_MATRICES.get(key)
+    if mat is None:
+        mat = symbol_matrix(sym, basis)
+        mat.flags.writeable = False
+        SYMBOL_MATRICES.put(key, mat)
+    return mat
 
 
 def apply_to_rows(mat: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -363,14 +425,16 @@ def matrix_table(
     if method == "analytic":
         if kind.name == "Lz":
             mat = np.diag(hbar * np.array(basis.ms, dtype=np.float64)).astype(np.complex128)
+            mat.flags.writeable = False
             prov = "analytic"
         else:
-            mat = symbol_matrix(kind_symbol(kind), basis)
+            mat = cached_symbol_matrix(kind_symbol(kind), basis)
             prov = "quadrature" if isinstance(basis, SphericalBasis) else "analytic"
         return MatrixElementTable(basis, kind, mat, prov)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     matrix = _quadrature_matrix(kind, basis, hbar)
+    matrix.flags.writeable = False
     return MatrixElementTable(basis, kind, matrix, "quadrature")
 
 

@@ -79,6 +79,16 @@ class RelationParams:
 NO_PARAMS = RelationParams()
 
 
+class RowOverflowError(ValueError):
+    """A report whose lhs, rhs or a diagnostic is not a finite float: its moments overflow.
+
+    An input error, coded ``[overflow]`` in its message. ``point`` is the
+    index of the point ``report_rows`` was walking (0 for a lone ``evaluate``).
+    """
+
+    point = 0
+
+
 class RelationReport:
     """One report: row ``index`` of a relation's column, for the state named ``state_name``.
 
@@ -209,7 +219,7 @@ def report_rows(points, tol: float):
     per basis, so each quantity and verdict is computed once for all rows.
     The order is point, then state, then selection; a report that cannot be
     made raises when it is reached, so the first error in report order is
-    the one raised.
+    the one raised (a ``RowOverflowError`` names its point).
     """
     global _shared
     points = list(points)
@@ -217,7 +227,12 @@ def report_rows(points, tol: float):
     for point, (states, selections) in enumerate(points):
         for name, state in states:
             for relation, params in selections:
-                yield point, evaluate(relation, state, params, tol, state_name=name)
+                try:
+                    report = evaluate(relation, state, params, tol, state_name=name)
+                except RowOverflowError as exc:
+                    exc.point = point
+                    raise
+                yield point, report
 
 
 def evaluate(
@@ -230,18 +245,19 @@ def evaluate(
 ) -> RelationReport:
     """Evaluate one relation against one state and report the verdict.
 
-    Raises ValueError on family mismatch, invalid parameters, or a left
-    side, right side or diagnostic that is not finite; every other numeric
-    outcome (including trivial 0 >= 0 degenerations and gate failures)
-    comes back as a report.
+    Raises ValueError on family mismatch or invalid parameters, and its
+    ``RowOverflowError`` on a left side, right side or diagnostic that is
+    not finite; every other numeric outcome (including trivial 0 >= 0
+    degenerations and gate failures) comes back as a report.
     """
     params = params or NO_PARAMS
     stack, index = _moment_row(state)
     # a str names its RelationId in the key: the two hash and compare alike
     column = stack.once((relation, params, tol), _column, stack, relation, params, tol)
     if not column.finite[index]:
-        raise ValueError(
-            f"relation {column.relation.value} is not finite on this state "
+        raise RowOverflowError(
+            f"[overflow] relation {column.relation.value} is not finite on "
+            f"{f'state {state_name}' if state_name else 'this state'} "
             f"(lhs={column.lhs[index]!r}, rhs={column.rhs[index]!r}); its moments overflow"
         )
     return RelationReport(column, index, state_name)
@@ -289,11 +305,12 @@ _VERDICTS = (
 
 
 class _Column:
-    """One relation's numbers for every row of a moment stack, as Python lists, and
-    ``constants``, the diagnostics of the params alone (alpha, delta_chi)."""
+    """One relation's numbers for every row of a moment stack, as Python lists,
+    ``distinct_verdicts``, the verdicts its rows take, and ``constants``, the
+    diagnostics of the params alone (alpha, delta_chi)."""
 
-    __slots__ = ("relation", "lhs", "rhs", "verdicts", "condition31", "trivial", "finite",
-                 "diagnostics", "constants")
+    __slots__ = ("relation", "lhs", "rhs", "verdicts", "distinct_verdicts", "condition31",
+                 "trivial", "finite", "diagnostics", "constants")
 
     def __init__(self, relation, lhs, rhs, codes, condition31, trivial, diagnostics):
         finite = np.isfinite(lhs) & np.isfinite(rhs)
@@ -302,7 +319,9 @@ class _Column:
         self.relation = relation
         self.lhs = lhs.tolist()
         self.rhs = rhs.tolist()
-        self.verdicts = [_VERDICTS[code] for code in codes.tolist()]
+        codes = codes.tolist()
+        self.verdicts = [_VERDICTS[code] for code in codes]
+        self.distinct_verdicts = tuple(_VERDICTS[code] for code in set(codes))
         self.condition31 = condition31.tolist()
         self.trivial = trivial.tolist()
         self.finite = finite.tolist()

@@ -27,7 +27,7 @@ import re
 
 from . import observables as obs
 from . import relations
-from .relations import CATALOG, RelationId, RelationParams
+from .relations import CATALOG, RelationId, RelationParams, Verdict
 from .states import (
     CircularState,
     PendulumState,
@@ -485,55 +485,72 @@ def serialize_report(reports, format: str = "json", *, sweep=None) -> str:
 
     ``reports`` holds ``RelationReport`` objects or the (point index,
     report) pairs of ``relations.report_rows``; ``sweep``, for a scan, is
-    (parameter name, one value per point). The reports of one column and
-    state name share a template, and each report fills in its numbers.
-    CSV columns: state_name, relation, lhs, rhs, verdict, condition31,
-    deficit_abs (plus sweep_param, sweep_value for a scan).
+    (parameter name, one value per point). The first report of a column
+    and state name formats every row of that column in one pass; each
+    sweep point's text is formatted once; a report's line is its row's
+    text around its point's. CSV columns: state_name, relation, lhs, rhs,
+    verdict, condition31, deficit_abs (plus sweep_param, sweep_value for a
+    scan).
     """
     reports = list(reports)
     if not reports:
         raise ValueError("serialize_report needs at least one report")
     if format not in ("json", "csv"):
         raise ValueError(f"unknown report format {format!r}")
-    param, values = sweep if sweep is not None else (None, ())
     json = format == "json"
-    columns, layouts, lines = {}, {}, []
-    for item in reports:
-        point, report = item if isinstance(item, tuple) else (0, item)
-        column, index = report.column, report.index
-        # one template per (column, state name, trivial); ``reports`` keeps each column alive
-        key = (id(column), report.state_name, column.trivial[index])
-        layout = layouts.get(key)
-        if layout is None:
-            if id(column) not in columns:
-                columns[id(column)] = _printed(column)
-            template = (_json_template if json else _csv_template)(
-                column, report.state_name, key[2], param)
-            layout = layouts[key] = (template, *columns[id(column)])
-        template, numbers, verdicts = layout
-        row = (*numbers[index], *(() if sweep is None else (values[point],)), verdicts[index])
-        lines.append(template % row if json else template.format(*row))
+    if sweep is None:
+        points = ("",)
+    else:
+        param, values = sweep
+        if json:
+            field = f', "sweep_param": {_quoted(param)}, "sweep_value": '
+            points = [field + "%.12g" % v for v in values]
+        else:
+            points = [f",{param},{v:.12g}" for v in values]
+    if not isinstance(reports[0], tuple):
+        reports = [(0, report) for report in reports]
+    texts, lines = {}, []
+    for point, report in reports:
+        key = (report.column, report.state_name)
+        rows = texts.get(key)
+        if rows is None:
+            rows = texts[key] = _column_texts(report.column, report.state_name, json)
+        head, tail = rows[report.index]
+        lines.append(head + points[point] + tail)
     if json:
         return "[\n" + ",\n".join(lines) + "\n]\n"
     header = "state_name,relation,lhs,rhs,verdict,condition31,deficit_abs"
-    return "\n".join([header + ("" if param is None else ",sweep_param,sweep_value"), *lines]) + "\n"
+    return "\n".join([header + ("" if sweep is None else ",sweep_param,sweep_value"), *lines]) + "\n"
 
 
-def _printed(column):
-    """Per row, the values a template takes before the sweep value, and the verdict it takes last.
+#: the text after a JSON report's sweep fields, by verdict
+_JSON_TAILS = {verdict: f', "verdict": "{verdict.value}"}}' for verdict in Verdict}
 
-    The values are condition31, deficit_abs (0 when the column has none),
-    the other diagnostics by sorted key, lhs and rhs.
+
+def _column_texts(column, name, json) -> list:
+    """Per row of ``column``, the report text before and after the sweep fields, for ``name``.
+
+    A row's values are condition31, deficit_abs (0 when the column has
+    none), the other diagnostics by sorted key, lhs and rhs.
     """
     diag = dict(column.diagnostics)
     deficit = diag.pop("deficit_abs", None) or [0.0] * len(column.lhs)
     truth = ["true" if c else "false" for c in column.condition31]
     numbers = zip(truth, deficit, *(diag[key] for key in sorted(diag)), column.lhs, column.rhs)
-    return list(numbers), [v.value for v in column.verdicts]
+    if json:
+        templates = [_json_template(column, name, trivial) for trivial in (False, True)]
+        return [(templates[trivial] % row, _JSON_TAILS[verdict])
+                for row, trivial, verdict in zip(numbers, column.trivial, column.verdicts)]
+    template = _csv_template(column, name)
+    return [(template.format(*row, verdict.value), "")
+            for row, verdict in zip(numbers, column.verdicts)]
 
 
-def _json_template(column, name, trivial, param) -> str:
-    """The %-template of a column's reports for one state name, every key sorted; constants written in."""
+def _json_template(column, name, trivial) -> str:
+    """The %-template of a column's reports for one state name up to the sweep fields, every key sorted.
+
+    The constants are written in.
+    """
     inner = {key: "%.12g" for key, _ in column.diagnostics if key != "deficit_abs"}
     inner.update((key, "%.12g" % value) for key, value in column.constants.items())
     if trivial:
@@ -542,21 +559,17 @@ def _json_template(column, name, trivial, param) -> str:
     fields = ['"condition31": %s', '"deficit_abs": %.12g', '"diagnostics": {' + printed + "}",
               '"lhs": %.12g', f'"relation": "{column.relation.value}"', '"rhs": %.12g',
               '"state_name": ' + _quoted(name).replace("%", "%%")]
-    if param is not None:
-        fields += ['"sweep_param": ' + _quoted(param).replace("%", "%%"), '"sweep_value": %.12g']
-    return "  {" + ", ".join(fields + ['"verdict": "%s"']) + "}"
+    return "  {" + ", ".join(fields)
 
 
-def _csv_template(column, name, trivial, param) -> str:
-    """The str.format template of a column's CSV lines for one state name.
+def _csv_template(column, name) -> str:
+    """The str.format template of a column's CSV lines for one state name, up to the sweep fields.
 
-    It picks lhs, rhs, the verdict, condition31, deficit_abs and the sweep
-    value out of the values ``_printed`` gives.
+    It picks lhs, rhs, the verdict (the last value), condition31 and
+    deficit_abs out of a row's values.
     """
     lhs = 2 + sum(key != "deficit_abs" for key, _ in column.diagnostics)
-    name, param_text = (t.replace("{", "{{").replace("}", "}}") for t in (name, param or ""))
+    name = name.replace("{", "{{").replace("}", "}}")
     fields = [name, column.relation.value, f"{{{lhs}:.12g}}", f"{{{lhs + 1}:.12g}}",
-              f"{{{lhs + 2 + (param is not None)}}}", "{0}", "{1:.12g}"]
-    if param is not None:
-        fields += [param_text, f"{{{lhs + 2}:.12g}}"]
+              f"{{{lhs + 2}}}", "{0}", "{1:.12g}"]
     return ",".join(fields)

@@ -225,15 +225,22 @@ def middle_m(ms) -> int:
     return (min(ms) + max(ms)) // 2
 
 
-def coeff_vector(state: State) -> np.ndarray:
-    """Complex amplitudes aligned with basis_ms(state), or over the number states |0>..|n> of a pendulum."""
+def amplitudes(state: State) -> tuple:
+    """The complex amplitudes aligned with basis_ms(state); a pendulum has none."""
     fam = family_of(state)
     if fam == "circular":
-        return np.array([1.0 + 0.0j])
+        return (1.0 + 0.0j,)
     if fam == "rotor":
-        return np.array([c for _, c in state.coefficients])
+        return tuple(c for _, c in state.coefficients)
     if fam == "spherical":
-        return np.array(state.coefficients)
+        return state.coefficients
+    raise ValueError("pendulum states have no azimuthal Fourier basis")
+
+
+def coeff_vector(state: State) -> np.ndarray:
+    """Complex amplitudes aligned with basis_ms(state), or over the number states |0>..|n> of a pendulum."""
+    if not isinstance(state, PendulumState):
+        return np.array(amplitudes(state), dtype=np.complex128)
     out = np.zeros(state.n + 1, dtype=np.complex128)
     out[state.n] = 1.0
     return out

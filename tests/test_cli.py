@@ -696,6 +696,32 @@ class TestInputErrors:
         assert "R8 is not finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "text, argv, message",
+        [
+            ("state circular m=1\nrelations R8(alpha=1e200)\n", [],
+             "[overflow] relation R8 is not finite on state s1 (lhs=inf, rhs=5e+199); "
+             "its moments overflow"),
+            ("state pendulum name=osc n=0 inertia=1e-200 omega=1 hbar=1e100\nrelations R5 R14\n", [],
+             "[overflow] relation R14 is not finite on state osc (lhs=inf, rhs=1e+200); "
+             "its moments overflow"),
+            ("state circular name=ring m=1\nrelations R5 R8(alpha=1)\n", ["--sweep", "alpha=1:1e200:2"],
+             "sweep 'alpha=1:1e200:2' at alpha=1e+200: [overflow] relation R8 is not finite on "
+             "state ring (lhs=inf, rhs=5e+199); its moments overflow"),
+            ("state circular m=1\nrelations R8(alpha=1)\n", ["--sweep", "alpha=1e200:2e200:2"],
+             "sweep 'alpha=1e200:2e200:2' at alpha=1e+200: [overflow] relation R8 is not finite on "
+             "state s1 (lhs=inf, rhs=5e+199); its moments overflow"),
+        ],
+        ids=["eval-alpha", "eval-pendulum", "scan-second-point", "scan-first-point"],
+    )
+    def test_an_overflowing_row_is_coded_and_named(self, tmp_path, capsys, text, argv, message):
+        """The code, the state and the relation; in a scan also the sweep and the point's value."""
+        spec = write(tmp_path, "s.spec", text)
+        for fmt in ("json", "csv"):
+            command = ["scan", spec, *argv] if argv else ["eval", spec]
+            code, out, err = run_main([*command, "--format", fmt], capsys)
+            assert (code, out, err) == (3, "", f"error: {message}\n")
+
     def test_integer_sweeps_do_not_wrap(self, tmp_path, capsys):
         """Sweep values beyond int64 stay exact Python ints: answered or refused, never wrapped."""
         assert cli._parse_sweep("N=1:1e19:2")[1] == [1, 10**19]

@@ -657,3 +657,43 @@ def test_one_centered_vector_per_quadrature_variance(monkeypatch):
     for k in range(20):
         std_dev(PHI if k % 2 else LZ, states[k % 2], method="quadrature")
     assert len(calls) == 20
+
+
+def test_stacks_derive_each_basis_once_and_take_the_rows_bit_for_bit(monkeypatch):
+    """Mixed families: each stack's P x n block holds ``coeff_vector`` of every state, bit for bit."""
+    from lzphi import states as st
+
+    rng = np.random.default_rng(17)
+    ring = CircularState(m=3)
+    states = [
+        random_spherical(rng, 2), random_spherical(rng, 5), random_spherical(rng, 2),
+        SphericalState(5, {-5: 0.6, 5: 0.8j}, hbar=0.5),
+        ring, RotorSuperposition({3: -1j}), RotorSuperposition({-1: 0.6, 2: 0.8j}), ring,
+        *pendulums_of_two_widths(),
+    ]
+    calls = []
+    basis_of = observables.basis_of
+
+    def counted(state):
+        calls.append(state)
+        return basis_of(state)
+
+    monkeypatch.setattr(observables, "basis_of", counted)
+    stacks = moments.stacks(states)
+    distinct = list({id(s): s for s in states}.values())
+    assert len(calls) == len(distinct) and all(a is b for a, b in zip(calls, distinct))
+    assert [len(stack.states) for stack in stacks] == [2, 2, 2, 1, len(pendulums_of_two_widths()) - 1, 1]
+    for stack in stacks:
+        for state, row in zip(stack.states, stack._coeffs):
+            if isinstance(state, PendulumState):
+                want = np.zeros(row.size, dtype=np.complex128)
+                want[state.n] = 1.0
+            else:
+                want = st.coeff_vector(state)
+            assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+            assert stack._basis == basis_of(state)
+    # the moments of a row do not depend on which states share its stack
+    for stack in stacks:
+        for index, state in enumerate(stack.states):
+            lone = moments.MomentStack((state,))
+            assert stack.std(PHI)[index].tobytes() == lone.std(PHI)[0].tobytes()

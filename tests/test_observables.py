@@ -271,3 +271,134 @@ def _mixed_rotor():
     from lzphi import RotorSuperposition
 
     return RotorSuperposition({-1: 0.6, 1: 0.8})
+
+
+class TestSymbolMatrixCache:
+    """``cached_symbol_matrix`` keeps one read-only matrix per (symbol, basis) within a byte bound."""
+
+    @pytest.mark.parametrize(
+        "state, orders",
+        [
+            (SphericalState(0, [1.0]), 6),
+            (SphericalState(1, [0.6, 0.0, 0.8j]), 6),
+            (SphericalState(8, {-3: 0.6, 5: 0.8j}), 3),
+            (SphericalState(64, {0: 0.6, 1: 0.8j}), 1),
+            (RotorSuperposition({-2: 0.6, 1: 0.48j, 5: 0.64}), 6),
+        ],
+        ids=["l0", "l1", "l8", "l64", "rotor"],
+    )
+    def test_every_matrix_a_stack_reads_is_a_fresh_build_bit_for_bit(self, state, orders, monkeypatch):
+        """Each product ``MomentStack.pair`` forms, and each phi derivative, as built and as kept."""
+        from lzphi import moments, observables
+
+        read = []
+        cached = observables.cached_symbol_matrix
+
+        def spy(sym, basis):
+            mat = cached(sym, basis)
+            read.append((sym, basis, mat))
+            return mat
+
+        monkeypatch.setattr(observables, "cached_symbol_matrix", spy)
+        kinds = [k for k in _MULTIPLICATIVE_KINDS if applicable(k, observables.basis_of(state).family)]
+        for stack in (moments.MomentStack((state,)), moments.MomentStack((state,))):
+            for a in [LZ, *kinds]:
+                for b in kinds:
+                    stack.commutator(a, b)
+                    for r in range(1, orders + 1):
+                        stack.pair(a, b, r, orders + 1 - r)
+        built = len(read) // 2
+        assert built > 0 and len(read) == 2 * built
+        # the second stack reads the first one's matrices, unless they outgrow the bound
+        fits = sum(mat.nbytes for _, _, mat in read[:built]) <= observables.SYMBOL_CACHE_BYTES
+        for (sym, basis, first), (_, _, second) in zip(read[:built], read[built:]):
+            # insertion order is part of the key: sorting the terms would change the sum
+            assert second is first or not fits
+            fresh = symbol_matrix(sym, basis)
+            assert first.tobytes() == fresh.tobytes() and second.tobytes() == fresh.tobytes()
+
+    def test_kept_matrices_are_read_only(self):
+        from lzphi.observables import cached_symbol_matrix
+
+        basis = SphericalBasis(3)
+        mat = cached_symbol_matrix(kind_symbol(THETA_PHI), basis)
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+        assert cached_symbol_matrix(kind_symbol(THETA_PHI), basis) is mat
+        for kind in (PHI, LZ):
+            for method in ("analytic", "quadrature"):
+                table = matrix_table(kind, basis, method=method)
+                assert not table.matrix.flags.writeable, (kind, method)
+        assert matrix_table(PHI, basis).matrix is cached_symbol_matrix(kind_symbol(PHI), basis)
+
+    def test_the_byte_bound_holds_as_span_480_rotors_fill_it(self):
+        """Rotor bases of span 480: the least recently used go first; a matrix past the bound is not kept."""
+        from lzphi.observables import SYMBOL_CACHE_BYTES, SYMBOL_MATRICES, cached_symbol_matrix
+
+        rng = np.random.default_rng(480)
+        kept = []
+        for modes in (100, 200, 300, 443, 481, 250, 150):
+            ms = tuple(sorted({0, 480, *(int(m) for m in rng.choice(np.arange(1, 480), modes - 2,
+                                                                        replace=False))}))
+            basis = RotorBasis(ms)
+            assert len(ms) == modes
+            for kind in (PHI, PHI_SQUARED):
+                mat = cached_symbol_matrix(kind_symbol(kind), basis)
+                assert mat.shape == (modes, modes) and not mat.flags.writeable
+                kept.append(((basis, tuple(kind_symbol(kind).terms.items())), mat))
+                assert SYMBOL_MATRICES.nbytes <= SYMBOL_MATRICES.max_bytes == SYMBOL_CACHE_BYTES
+                entries = SYMBOL_MATRICES._entries
+                assert SYMBOL_MATRICES.nbytes == sum(m.nbytes for m in entries.values())
+                if mat.nbytes > SYMBOL_CACHE_BYTES:
+                    assert modes == 481 and kept[-1][0] not in entries
+                else:
+                    assert entries[kept[-1][0]] is mat
+        # the most recently used matrices that fit are the ones kept
+        total, expected = 0, []
+        for key, mat in reversed(kept):
+            if mat.nbytes > SYMBOL_CACHE_BYTES:
+                continue
+            if total + mat.nbytes > SYMBOL_CACHE_BYTES:
+                break
+            total += mat.nbytes
+            expected.append(key)
+        assert list(SYMBOL_MATRICES._entries) == expected[::-1]
+
+    def test_threads_sharing_the_cache_keep_its_count(self, monkeypatch):
+        """More threads than cores, a short switch interval and a small bound: no lost update."""
+        import sys
+        import threading
+
+        from lzphi import observables
+
+        cache = observables._MatrixCache(200_000)
+        monkeypatch.setattr(observables, "SYMBOL_MATRICES", cache)
+        bases = [SphericalBasis(l) for l in range(2, 12)]
+        symbols = [kind_symbol(k) for k in (PHI, THETA, THETA_PHI)]
+        failures = []
+
+        def work(offset):
+            try:
+                for i in range(60):
+                    basis = bases[(offset + i) % len(bases)]
+                    sym = symbols[i % len(symbols)]
+                    mat = observables.cached_symbol_matrix(sym, basis)
+                    if mat.tobytes() != symbol_matrix(sym, basis).tobytes():
+                        failures.append((sym.terms, basis))
+            except Exception as exc:  # reported below; a thread's exception is otherwise lost
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert cache.nbytes == sum(m.nbytes for m in cache._entries.values()) <= cache.max_bytes

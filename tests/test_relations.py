@@ -636,6 +636,16 @@ class TestRelationColumns:
         report = evaluate(RelationId.R8, CircularState(m=1), RelationParams(alpha=1e150))
         assert report.rhs == pytest.approx(0.5e150, rel=1e-15)
 
+    def test_an_overflowing_row_is_a_coded_error_naming_its_state(self):
+        from lzphi.relations import RowOverflowError
+
+        params = RelationParams(alpha=1e200)
+        with pytest.raises(RowOverflowError, match=r"^\[overflow\] relation R8 is not finite on this state "):
+            evaluate(RelationId.R8, CircularState(m=1), params)
+        with pytest.raises(RowOverflowError, match=r"^\[overflow\] relation R8 is not finite on state ring ") as exc:
+            evaluate(RelationId.R8, CircularState(m=1), params, state_name="ring")
+        assert isinstance(exc.value, ValueError) and exc.value.point == 0
+
     def test_overflowing_pendulum_relations_raise(self):
         """n = 3 with inertia, omega and hbar in 1e-200..1e200: every report is finite or refused."""
         import itertools
