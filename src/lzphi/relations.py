@@ -14,8 +14,11 @@ the gate's Lz-phi deficit is i*hbar times it, and R15, R52 and R58 all
 read rhs = (hbar/2)*|1 - seam density|. A relation is evaluated the same
 way: for each ``(relation, params, tol)`` its lhs, rhs, verdict,
 condition31 and diagnostics are one column over all rows of a stack,
-computed (and the params checked) on first use and kept in the stack's
-one memo, beside its moments. A report is a row of its column.
+computed on first use and kept in the stack's one memo, beside its
+moments. One builder, ``_relation_column``, checks the family and the
+params, computes lhs, rhs and the diagnostics (the params-only alpha and
+delta_chi as columns of equal rows), and ends in one decision step that
+reads the column's own numbers alone. A report is a row of its column.
 ``report_rows`` stacks every state it walks, one stack per basis, then
 walks a document in report order (point, state, selection), one
 ``evaluate`` per report; a lone ``evaluate`` on any other state is a
@@ -28,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import enum
 import math
+import numbers
+import operator
 
 import numpy as np
 
@@ -112,9 +117,8 @@ class RelationReport:
 
     @property
     def diagnostics(self) -> dict:
-        """The row's diagnostics, then the constants, then trivial_zero = 1 on a trivial 0 >= 0 row."""
+        """The row's diagnostics, then trivial_zero = 1 on a trivial 0 >= 0 row."""
         diag = {name: values[self.index] for name, values in self.column.diagnostics}
-        diag.update(self.column.constants)
         if self.column.trivial[self.index]:
             diag["trivial_zero"] = 1.0
         return diag
@@ -245,7 +249,7 @@ def evaluate(
 ) -> RelationReport:
     """Evaluate one relation against one state and report the verdict.
 
-    Raises ValueError on family mismatch or invalid parameters, and its
+    Raises ValueError on family mismatch, invalid parameters or tolerance, and its
     ``RowOverflowError`` on a left side, right side or diagnostic that is
     not finite; every other numeric outcome (including trivial 0 >= 0
     degenerations and gate failures) comes back as a report.
@@ -253,7 +257,7 @@ def evaluate(
     params = params or NO_PARAMS
     stack, index = _moment_row(state)
     # a str names its RelationId in the key: the two hash and compare alike
-    column = stack.once((relation, params, tol), _column, stack, relation, params, tol)
+    column = stack.once((relation, params, tol), _relation_column, stack, relation, params, tol)
     if not column.finite[index]:
         raise RowOverflowError(
             f"[overflow] relation {column.relation.value} is not finite on "
@@ -269,28 +273,30 @@ def _check_family(relation, params, state) -> None:
     if fam not in CATALOG[relation][0]:
         raise ValueError(f"relation {relation.value} is not defined on the {fam} family")
     if relation == RelationId.R60:
-        for kind in params.pair or ():
+        for kind in params.pair:
             obs.check_applicable(kind, state)
-
-
-def _checked_constants(relation, params, state) -> dict:
-    """The diagnostics that depend on ``params`` alone; raises on a family or params it does not take."""
-    _check_family(relation, params, state)
-    return param_constants(relation, params)
 
 
 def param_constants(relation, params) -> dict:
     """The diagnostics of ``params`` alone (alpha, delta_chi); ValueError on params ``relation`` refuses."""
     if relation == RelationId.R8:
-        if params.alpha is None or not math.isfinite(params.alpha):
+        alpha = params.alpha
+        if not (isinstance(alpha, numbers.Real) and math.isfinite(alpha)):
             raise ValueError("R8 requires a finite real parameter alpha")
-        return {"alpha": params.alpha}
+        return {"alpha": float(alpha)}
     if relation == RelationId.R12:
-        if params.N is None or params.N1 is None:
-            raise ValueError("R12 requires integer parameters N and N1")
-        return {"delta_chi": delta_chi(params.N, params.N1)}
-    if relation == RelationId.R60 and params.N is not None:
-        raise ValueError("R60 takes no N: a Chi side carries its own winding (observables.chi)")
+        try:
+            N, N1 = operator.index(params.N), operator.index(params.N1)
+        except TypeError:
+            raise ValueError("R12 requires integer parameters N and N1") from None
+        return {"delta_chi": delta_chi(N, N1)}
+    if relation == RelationId.R60:
+        if params.N is not None:
+            raise ValueError("R60 takes no N: a Chi side carries its own winding (observables.chi)")
+        pair = params.pair
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and all(isinstance(kind, obs.ObservableKind) for kind in pair)):
+            raise ValueError(f"R60 requires an observable pair in params: two ObservableKinds, got {pair!r}")
     return {}
 
 
@@ -306,11 +312,10 @@ _VERDICTS = (
 
 class _Column:
     """One relation's numbers for every row of a moment stack, as Python lists,
-    ``distinct_verdicts``, the verdicts its rows take, and ``constants``, the
-    diagnostics of the params alone (alpha, delta_chi)."""
+    and ``distinct_verdicts``, the verdicts its rows take."""
 
     __slots__ = ("relation", "lhs", "rhs", "verdicts", "distinct_verdicts", "condition31",
-                 "trivial", "finite", "diagnostics", "constants")
+                 "trivial", "finite", "diagnostics")
 
     def __init__(self, relation, lhs, rhs, codes, condition31, trivial, diagnostics):
         finite = np.isfinite(lhs) & np.isfinite(rhs)
@@ -328,23 +333,19 @@ class _Column:
         self.diagnostics = [(name, values.tolist()) for name, values in diagnostics.items()]
 
 
-def _column(stack, relation, params, tol) -> _Column:
-    """The column of ``(relation, params, tol)`` on ``stack``; the params are checked first."""
-    relation = RelationId(relation)
-    constants = _checked_constants(relation, params, stack.states[0])
-    # a row whose numbers overflow is refused when it is read
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        column = _relation_column(stack, relation, params, tol)
-    column.constants = constants
-    return column
-
-
+# a row whose numbers overflow is refused when evaluate reads it
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _relation_column(stack, relation, params, tol) -> _Column:
     """lhs, rhs, verdict, condition31 and diagnostics of ``relation`` on every row.
 
-    Each expression is the scalar formula of the catalog applied to whole
-    rows.
+    The family and the params are checked first; each expression is the catalog's scalar
+    formula applied to whole rows; one decision step reads the column's numbers alone.
     """
+    relation = RelationId(relation)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    constants = param_constants(relation, params)  # first: _check_family reads R60's pair
+    _check_family(relation, params, stack.states[0])
     # the ab and ba symmetry deficits; the aa and bb deficits are 0 by structure
     a, b = _operative_pair(relation, params)
     ab, ba = stack.deficit(a, b), stack.deficit(b, a)
@@ -353,8 +354,6 @@ def _relation_column(stack, relation, params, tol) -> _Column:
     diag = {"deficit_ab_re": ab.real, "deficit_ab_im": ab.imag, "deficit_abs": deficit_abs}
 
     hbar = stack.hbar
-    gated = relation in (RelationId.R33, RelationId.R60)
-    indeterminate = np.zeros(len(hbar), dtype=bool)
 
     if relation in (RelationId.R5, RelationId.R33):
         lhs = stack.std(obs.LZ) * stack.std(obs.PHI)
@@ -363,18 +362,16 @@ def _relation_column(stack, relation, params, tol) -> _Column:
         dphi = stack.std(obs.PHI)
         den = 1.0 - 3.0 * (dphi / math.pi) ** 2
         diag["denominator"] = den
-        indeterminate = (den <= 0) | (np.abs(den) < tol)
-        lhs = np.where(indeterminate, 0.0, stack.std(obs.LZ) * dphi / den)
+        lhs = stack.std(obs.LZ) * dphi / den
         rhs = 0.16 * hbar
     elif relation == RelationId.R7:
         dphi = stack.std(obs.PHI)
         den = 1.0 - dphi**2
         diag["denominator"] = den
-        indeterminate = (den <= 0) | (np.abs(den) < tol)
-        lhs = np.where(indeterminate, 0.0, stack.std(obs.LZ) ** 2 * dphi**2 / den)
+        lhs = stack.std(obs.LZ) ** 2 * dphi**2 / den
         rhs = hbar**2 / 4.0
     elif relation == RelationId.R8:
-        alpha = params.alpha
+        alpha = constants["alpha"]
         lhs = stack.std(obs.LZ) ** 2 + (hbar * alpha / 2.0) ** 2 * stack.std(obs.PHI) ** 2
         rhs = hbar**2 / 2.0 * (math.hypot(3.0 / math.pi, alpha) - 3.0 / math.pi**2)
     elif relation in (RelationId.R10, RelationId.R11):
@@ -385,7 +382,7 @@ def _relation_column(stack, relation, params, tol) -> _Column:
         lhs = stack.std(obs.LZ) ** 2 * stack.std(trig) ** 2
         rhs = hbar**2 / 4.0 * sq
     elif relation == RelationId.R12:
-        lhs = stack.std(obs.LZ) * delta_chi(params.N, params.N1)
+        lhs = stack.std(obs.LZ) * constants["delta_chi"]
         rhs = hbar / 2.0
     elif relation == RelationId.R14:
         lhs = stack.std(obs.LZ) ** 2 + hbar**2 * stack.std(obs.PHI) ** 2
@@ -416,8 +413,13 @@ def _relation_column(stack, relation, params, tol) -> _Column:
     else:  # pragma: no cover - closed enumeration
         raise AssertionError(relation)
 
-    # the decision rule; np.select takes the first condition that holds
+    diag.update((name, np.full(len(hbar), value)) for name, value in constants.items())
+    # the decision step; a vanishing denominator prints lhs 0; np.select takes the first that holds
+    gated = relation in (RelationId.R33, RelationId.R60)
     not_applicable = ~condition31 if gated else np.zeros_like(condition31)
+    den = diag.get("denominator")
+    indeterminate = np.zeros_like(condition31) if den is None else (den <= 0) | (np.abs(den) < tol)
+    lhs = np.where(indeterminate, 0.0, lhs)
     trivial = (lhs <= tol) & (rhs <= tol)
     codes = np.select(
         [not_applicable, indeterminate, trivial, np.abs(lhs - rhs) <= tol, lhs >= rhs - tol],
@@ -461,8 +463,6 @@ def _operative_pair(relation, params):
     if relation == RelationId.R36:
         return (obs.THETA, obs.PHI)
     if relation == RelationId.R60:
-        if not params.pair:
-            raise ValueError("R60 requires an observable pair in params")
         return params.pair
     return (obs.LZ, obs.PHI)
 

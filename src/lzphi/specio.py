@@ -530,11 +530,11 @@ _JSON_TAILS = {verdict: f', "verdict": "{verdict.value}"}}' for verdict in Verdi
 def _column_texts(column, name, json) -> list:
     """Per row of ``column``, the report text before and after the sweep fields, for ``name``.
 
-    A row's values are condition31, deficit_abs (0 when the column has
-    none), the other diagnostics by sorted key, lhs and rhs.
+    A row's values are condition31, deficit_abs, the other diagnostics by
+    sorted key, lhs and rhs.
     """
     diag = dict(column.diagnostics)
-    deficit = diag.pop("deficit_abs", None) or [0.0] * len(column.lhs)
+    deficit = diag.pop("deficit_abs")
     truth = ["true" if c else "false" for c in column.condition31]
     numbers = zip(truth, deficit, *(diag[key] for key in sorted(diag)), column.lhs, column.rhs)
     if json:
@@ -547,12 +547,8 @@ def _column_texts(column, name, json) -> list:
 
 
 def _json_template(column, name, trivial) -> str:
-    """The %-template of a column's reports for one state name up to the sweep fields, every key sorted.
-
-    The constants are written in.
-    """
+    """The %-template of a column's reports for one state name up to the sweep fields, every key sorted."""
     inner = {key: "%.12g" for key, _ in column.diagnostics if key != "deficit_abs"}
-    inner.update((key, "%.12g" % value) for key, value in column.constants.items())
     if trivial:
         inner["trivial_zero"] = "1"
     printed = ", ".join(f'"{key.replace("%", "%%")}": {inner[key]}' for key in sorted(inner))
@@ -568,7 +564,7 @@ def _csv_template(column, name) -> str:
     It picks lhs, rhs, the verdict (the last value), condition31 and
     deficit_abs out of a row's values.
     """
-    lhs = 2 + sum(key != "deficit_abs" for key, _ in column.diagnostics)
+    lhs = 1 + len(column.diagnostics)  # after condition31, deficit_abs and the other diagnostics
     name = name.replace("{", "{{").replace("}", "}}")
     fields = [name, column.relation.value, f"{{{lhs}:.12g}}", f"{{{lhs + 1}:.12g}}",
               f"{{{lhs + 2}}}", "{0}", "{1:.12g}"]

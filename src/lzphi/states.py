@@ -4,7 +4,8 @@ All states are immutable value objects. ``hbar`` (and, where relevant,
 ``inertia`` / ``omega``) live on the state so mixed-unit sweeps work;
 the dimensionless default is hbar = 1. Each state checks them on
 construction: they, hbar**2 and the pendulum's widths must be finite and
-positive, and every coefficient must be finite.
+positive, every coefficient must be finite, and each quantum number (m, n,
+l, a coefficient's m) must be a finite integer; it is stored as an int.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 import cmath
 import math
+import numbers
+import operator
 from typing import Union
 
 import numpy as np
@@ -36,6 +39,7 @@ class CircularState:
     hbar: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _integer(self.m, "m"))
         _require_bounded_m(self.m)
         _require_finite_positive(hbar=self.hbar)
 
@@ -57,7 +61,7 @@ class RotorSuperposition:
             items = coefficients.items()
         else:
             items = coefficients
-        pairs = sorted((int(m), complex(c)) for m, c in items)
+        pairs = sorted((_integer(m, "m"), complex(c)) for m, c in items)
         if not pairs:
             raise ValueError("rotor superposition needs at least one coefficient")
         if len({m for m, _ in pairs}) != len(pairs):
@@ -84,11 +88,11 @@ class SphericalState:
     inertia: float = 1.0
 
     def __init__(self, l, coefficients, hbar=1.0, inertia=1.0, normalize=False):
-        l = int(l)
+        l = _integer(l, "l")
         if l < 0 or l > numerics.MAX_ORBITAL_L:
             raise ValueError(f"l must be in 0..{numerics.MAX_ORBITAL_L}")
         if isinstance(coefficients, Mapping):
-            by_m = {int(m): c for m, c in coefficients.items()}
+            by_m = {_integer(m, "m"): c for m, c in coefficients.items()}
             if len(by_m) != len(coefficients):
                 raise ValueError("duplicate m in spherical coefficients")
             for m in by_m:
@@ -120,6 +124,7 @@ class PendulumState:
     hbar: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 0 or self.n > numerics.MAX_HERMITE_DEGREE:
             raise ValueError(f"n must be in 0..{numerics.MAX_HERMITE_DEGREE}")
         _require_finite_positive(inertia=self.inertia, omega=self.omega, hbar=self.hbar)
@@ -154,6 +159,27 @@ _FAMILIES = {
     SphericalState: "spherical",
     PendulumState: "pendulum",
 }
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int: an integral number, a float with an integer value or an integer string.
+
+    Anything else, a non-finite float included, is a ValueError naming ``name``.
+    """
+    if type(value) is int:
+        return value
+    try:
+        return operator.index(value)
+    except TypeError:
+        pass
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, numbers.Real) and math.isfinite(value) and value == math.floor(value):
+        return int(value)
+    raise ValueError(f"{name} must be a finite integer, got {value!r}")
 
 
 def _require_bounded_m(m):

@@ -4,7 +4,10 @@ A change that moves report bytes on purpose rewrites the digests with
 ``python benchmarks/corpus.py --update`` and states the counts it prints.
 """
 
+import contextlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,36 @@ def test_replayed_outputs_match_the_committed_digests(corpus):
         f"{key}: {committed.get(key, ['missing'])[:3]} -> {replayed.get(key, ['missing'])[:3]}"
         for key in differ[:20]
     )
+
+
+def test_every_json_verdict_is_one_the_benchmark_rule_allows(corpus):
+    """Each report of each JSON output the corpus prints, edge documents included: its verdict is
+    among ``perfbench.ops.possible_verdicts`` of its printed numbers at the document's tolerance.
+
+    The benchmark restates the decision rule on purpose, so this checks
+    ``relations`` against an independent statement of it.
+    """
+    from lzphi import cli
+    from perfbench import ops
+
+    outputs = reports = 0
+    wrong = []
+    for key, argv in corpus.documents():
+        if argv[-2:] != ["--format", "json"]:
+            continue
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        if code == cli.EXIT_INPUT_ERROR:
+            continue
+        tol = cli._load_document(cli._build_parser().parse_args(argv)).settings.tolerance
+        outputs += 1
+        for index, report in enumerate(json.loads(stdout.getvalue())):
+            reports += 1
+            if report["verdict"] not in ops.possible_verdicts(report, tol):
+                wrong.append(f"{key} report {index}: {report}")
+    assert outputs > 300 and reports > 40000, (outputs, reports)
+    assert not wrong, "\n".join(wrong[:20])
 
 
 def test_every_spec_file_is_replayed_in_both_formats(corpus):

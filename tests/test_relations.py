@@ -711,3 +711,24 @@ def test_family_mismatch_raises():
         evaluate(RelationId.R36, CircularState(m=0))
     with pytest.raises(ValueError):
         evaluate(RelationId.R58, PendulumState(n=0))
+
+
+@pytest.mark.parametrize(
+    "relation, params, tol, match",
+    [
+        (RelationId.R60, RelationParams(pair=(LZ,)), 1e-9, "R60 requires an observable pair"),
+        (RelationId.R60, RelationParams(pair=(LZ, PHI, PHI)), 1e-9, "R60 requires an observable pair"),
+        (RelationId.R60, RelationParams(pair=("Lz", "Phi")), 1e-9, "R60 requires an observable pair"),
+        (RelationId.R12, RelationParams(N=1.5, N1=0), 1e-9, "R12 requires integer parameters"),
+        (RelationId.R12, RelationParams(N=2, N1=0.0), 1e-9, "R12 requires integer parameters"),
+        (RelationId.R8, RelationParams(alpha="1"), 1e-9, "R8 requires a finite real parameter"),
+        (RelationId.R8, RelationParams(alpha=1j), 1e-9, "R8 requires a finite real parameter"),
+        (RelationId.R5, None, math.nan, r"tolerance must be finite and >= 0, got nan"),
+        (RelationId.R5, None, -1.0, r"tolerance must be finite and >= 0, got -1.0"),
+        (RelationId.R5, None, math.inf, r"tolerance must be finite and >= 0, got inf"),
+    ],
+)
+def test_params_the_parser_cannot_build_are_refused(relation, params, tol, match):
+    """What the spec parser refuses, the library refuses too, with a ValueError naming it."""
+    with pytest.raises(ValueError, match=match):
+        evaluate(relation, CircularState(m=1), params, tol)

@@ -209,3 +209,27 @@ def test_m_beyond_2_to_the_52_rejected(build):
 def test_m_at_2_to_the_52_accepted():
     assert CircularState(m=2**52).m == 2**52
     assert RotorSuperposition({2**52: 0.6, -(2**52): 0.8}).coeff_map[-(2**52)] == 0.8
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("m", lambda: CircularState(m=1.5)),
+        ("m", lambda: CircularState(m=NAN)),
+        ("n", lambda: PendulumState(n=1.5)),
+        ("m", lambda: RotorSuperposition({1.5: 1.0})),
+        ("l", lambda: SphericalState(1.5, [1, 0, 0])),
+        ("m", lambda: SphericalState(1, {0.5: 1.0})),
+    ],
+)
+def test_quantum_numbers_that_are_not_integers_rejected(field, build):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite integer"):
+        build()
+
+
+def test_integral_quantum_numbers_are_stored_as_int():
+    """numpy integers, integer-valued floats and integer-string keys convert to the int they name."""
+    assert type(CircularState(m=np.int64(3)).m) is int
+    assert type(PendulumState(n=2.0).n) is int
+    assert type(SphericalState(np.int64(1), (0, 1, 0)).l) is int
+    assert RotorSuperposition({"1": 0.6, 0: 0.8}).coeff_map == {0: 0.8, 1: 0.6}
