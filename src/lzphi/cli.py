@@ -180,11 +180,9 @@ def _run_scan(args) -> int:
 
 def _parse_sweep(text: str):
     """(name, values) of ``NAME=START:STOP:STEPS``; the numbers follow the spec's grammar."""
-    if "=" not in text:
-        raise ValueError("sweep reads NAME=START:STOP:STEPS")
-    name, spec = text.split("=", 1)
+    name, eq, spec = text.partition("=")
     pieces = spec.split(":")
-    if len(pieces) != 3:
+    if not eq or len(pieces) != 3:
         raise ValueError("sweep reads NAME=START:STOP:STEPS")
     start = stop = math.nan
     if specio._FLOAT_RE.match(pieces[0]) and specio._FLOAT_RE.match(pieces[1]):

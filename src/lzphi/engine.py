@@ -101,7 +101,7 @@ class AngularGrid:
     """
 
     def __init__(self, state):
-        ms = st.basis_ms(state)
+        ms, self._coeffs = st.expansion(state)
         rule = numerics.phi_rule(phi_rule_size(ms))
         l = state.l if st.family_of(state) == "spherical" else None
         self.phi = rule.nodes
@@ -114,7 +114,6 @@ class AngularGrid:
         self._waves = numerics.waves(offsets, self.phi)
         self.lz_origin = state.hbar * m0
         self._lz = state.hbar * np.array(offsets, dtype=np.float64)
-        self._coeffs = st.coeff_vector(state)
         self.psi = self._sample(self._coeffs)
 
     def _sample(self, coeffs) -> np.ndarray:

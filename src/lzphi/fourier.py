@@ -58,14 +58,15 @@ def coefficients(state, *, method: str = "analytic") -> FourierCoefficients:
     if fam == "pendulum":
         raise ValueError("pendulum states have a line transform, not Fourier coefficients")
     l = state.l if fam == "spherical" else None
+    ms, amps = st.expansion(state)
     if method == "analytic":
-        return FourierCoefficients(st.basis_ms(state), tuple(st.coeff_vector(state)), l=l)
+        return FourierCoefficients(ms, tuple(amps), l=l)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     grid = engine.state_grid(state)
     bm = grid.azimuthal_coefficients(grid.psi)
     vals = np.einsum("t,mt,tm->m", grid.polar_weights, grid.polar, bm)
-    return FourierCoefficients(st.basis_ms(state), tuple(complex(v) for v in vals), l=l)
+    return FourierCoefficients(ms, tuple(complex(v) for v in vals), l=l)
 
 
 def parseval_check(state) -> float:

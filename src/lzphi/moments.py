@@ -173,8 +173,7 @@ class MomentStack:
             self._coeffs = np.zeros((len(self.states), basis.size), dtype=np.complex128)
             self._coeffs[np.arange(len(self.states)), [s.n for s in self.states]] = 1.0
         else:
-            self._coeffs = np.array([st.amplitudes(s) for s in self.states],
-                                    dtype=np.complex128)
+            self._coeffs = np.array([st.expansion(s)[1] for s in self.states])
             m0 = st.middle_m(basis.ms)
             offsets = np.array([m - m0 for m in basis.ms], dtype=np.float64)
             # Lz = hbar*m0 + hbar*(m - m0); the rows center the offsets by their own mean

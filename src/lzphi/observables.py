@@ -274,7 +274,7 @@ def basis_of(state) -> RotorBasis | SphericalBasis | OscillatorBasis:
     """The basis of the state's coefficient vector; equal bases share every matrix."""
     fam = st.family_of(state)
     if fam in ("circular", "rotor"):
-        return RotorBasis(st.basis_ms(state))
+        return RotorBasis(st.expansion(state)[0])
     if fam == "spherical":
         return SphericalBasis(state.l)
     return OscillatorBasis(state.scale)
@@ -509,8 +509,9 @@ def symmetry_deficit(
         return _deficit_quadrature(a, b, state)
     if method != "analytic":
         raise ValueError(f"unknown method {method!r}")
-    c = st.coeff_vector(state)[None, :]
-    return complex(symmetry_deficits(a, b, basis_of(state), c, state.hbar)[0])
+    basis = basis_of(state)  # a pendulum's row: the oscillator basis reads zero deficits
+    c = np.zeros((1, 1)) if isinstance(basis, OscillatorBasis) else st.expansion(state)[1][None, :]
+    return complex(symmetry_deficits(a, b, basis, c, state.hbar)[0])
 
 
 def seam_densities(basis, coeffs, theta_power: int = 0) -> np.ndarray:

@@ -257,7 +257,11 @@ def evaluate(
     params = params or NO_PARAMS
     stack, index = _moment_row(state)
     # a str names its RelationId in the key: the two hash and compare alike
-    column = stack.once((relation, params, tol), _relation_column, stack, relation, params, tol)
+    try:
+        column = stack.once((relation, params, tol), _relation_column, stack, relation, params, tol)
+    except TypeError:
+        param_constants(RelationId(relation), params)  # an unhashable field it refuses: ValueError
+        raise
     if not column.finite[index]:
         raise RowOverflowError(
             f"[overflow] relation {column.relation.value} is not finite on "

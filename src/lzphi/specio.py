@@ -103,7 +103,7 @@ def parse(text: str, overrides: dict | None = None) -> SpecDocument:
     at the selection, naming the state, for the first such pair in report
     order).
     """
-    lines = text.splitlines()
+    lines = [_tokens(raw) for raw in text.splitlines()]
     settings = _collect_settings(lines)
     if overrides:
         settings = _with_settings(settings, overrides, 0, 0)
@@ -111,8 +111,7 @@ def parse(text: str, overrides: dict | None = None) -> SpecDocument:
     selections: list = []
     where: list = []  # (line, col) of each selection
     auto = 0
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = _tokens(raw)
+    for lineno, tokens in enumerate(lines, start=1):
         if not tokens:
             continue
         word, col = tokens[0]
@@ -149,8 +148,7 @@ def parse(text: str, overrides: dict | None = None) -> SpecDocument:
 
 def _collect_settings(lines) -> EngineSettings:
     settings = DEFAULT_SETTINGS
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = _tokens(raw)
+    for lineno, tokens in enumerate(lines, start=1):
         if not tokens or tokens[0][0] != "setting":
             continue
         if len(tokens) != 3:
@@ -366,6 +364,10 @@ def _parse_selection(token: str, lineno: int, col: int):
             key, value = item.split("=", 1)
             kv[key] = value
     params = _build_params(rid, kv, lineno, col)
+    try:  # relations.param_constants alone holds the rules a relation's params obey
+        relations.param_constants(rid, params)
+    except ValueError as exc:
+        raise SpecParseError("param-constraint", lineno, col, str(exc)) from None
     return (rid, params)
 
 
@@ -381,14 +383,7 @@ def _build_params(rid, kv, lineno, col) -> RelationParams:
     if rid == RelationId.R12:
         if "N" not in kv or "N1" not in kv:
             raise SpecParseError("param-constraint", lineno, col, "R12 requires N= and N1=")
-        n, n1 = _parse_int(kv["N"], lineno, col), _parse_int(kv["N1"], lineno, col)
-        if n == n1:
-            raise SpecParseError("param-constraint", lineno, col, "R12 requires N != N1")
-        try:
-            relations.delta_chi(n, n1)
-        except ValueError as exc:
-            raise SpecParseError("param-constraint", lineno, col, str(exc)) from None
-        return RelationParams(N=n, N1=n1)
+        return RelationParams(N=_parse_int(kv["N"], lineno, col), N1=_parse_int(kv["N1"], lineno, col))
     if rid == RelationId.R60:
         if "a" not in kv or "b" not in kv:
             raise SpecParseError("param-constraint", lineno, col, "R60 requires a=<kind> and b=<kind>")

@@ -6,6 +6,8 @@ the dimensionless default is hbar = 1. Each state checks them on
 construction: they, hbar**2 and the pendulum's widths must be finite and
 positive, every coefficient must be finite, and each quantum number (m, n,
 l, a coefficient's m) must be a finite integer; it is stored as an int.
+``expansion`` is the one reader of a periodic state's (m, amplitude) pairs,
+from which every route takes its moments; a pendulum has none.
 """
 
 from __future__ import annotations
@@ -230,16 +232,18 @@ def family_of(state: State) -> str:
         raise TypeError(f"not a state: {state!r}") from None
 
 
-def basis_ms(state: State) -> tuple:
-    """Angular-momentum indices spanned by the state's basis expansion."""
+def expansion(state: State) -> tuple:
+    """(ms, amplitudes): each basis function's m and its complex128 amplitude; a pendulum has none."""
     fam = family_of(state)
     if fam == "circular":
-        return (state.m,)
-    if fam == "rotor":
-        return tuple(m for m, _ in state.coefficients)
-    if fam == "spherical":
-        return tuple(range(-state.l, state.l + 1))
-    raise ValueError("pendulum states have no azimuthal Fourier basis")
+        ms, amps = (state.m,), (1.0,)
+    elif fam == "rotor":
+        ms, amps = zip(*state.coefficients)
+    elif fam == "spherical":
+        ms, amps = tuple(range(-state.l, state.l + 1)), state.coefficients
+    else:
+        raise ValueError("pendulum states have no azimuthal Fourier basis")
+    return ms, np.array(amps, dtype=np.complex128)
 
 
 def middle_m(ms) -> int:
@@ -249,27 +253,6 @@ def middle_m(ms) -> int:
     an m near the parser's bound 2^52 costs no digits.
     """
     return (min(ms) + max(ms)) // 2
-
-
-def amplitudes(state: State) -> tuple:
-    """The complex amplitudes aligned with basis_ms(state); a pendulum has none."""
-    fam = family_of(state)
-    if fam == "circular":
-        return (1.0 + 0.0j,)
-    if fam == "rotor":
-        return tuple(c for _, c in state.coefficients)
-    if fam == "spherical":
-        return state.coefficients
-    raise ValueError("pendulum states have no azimuthal Fourier basis")
-
-
-def coeff_vector(state: State) -> np.ndarray:
-    """Complex amplitudes aligned with basis_ms(state), or over the number states |0>..|n> of a pendulum."""
-    if not isinstance(state, PendulumState):
-        return np.array(amplitudes(state), dtype=np.complex128)
-    out = np.zeros(state.n + 1, dtype=np.complex128)
-    out[state.n] = 1.0
-    return out
 
 
 def wavefunction(state: State, point):
@@ -287,9 +270,9 @@ def wavefunction(state: State, point):
         phi = np.asarray(phi, dtype=np.float64)
         _check_range(theta, 0.0, math.pi, "theta")
         _check_range(phi, 0.0, TWO_PI, "phi")
-        ms = basis_ms(state)
+        ms, amps = expansion(state)
         tl, ph = numerics.theta_lm_grid(state.l, ms, theta), numerics.waves(ms, phi)
-        out = np.einsum("m,m...,m...->...", coeff_vector(state), tl, ph)
+        out = np.einsum("m,m...,m...->...", amps, tl, ph)
         return complex(out) if out.ndim == 0 else out
 
     phi = np.asarray(point, dtype=np.float64)
@@ -301,10 +284,10 @@ def wavefunction(state: State, point):
         _check_range(phi, 0.0, TWO_PI, "phi")
         # waves about the middle m0, times the common phase exp(i*m0*phi) last, as on the
         # oracle grids, so an m near 2^52 costs |psi| no digits
-        ms = basis_ms(state)
+        ms, amps = expansion(state)
         m0 = middle_m(ms)
         ph = numerics.waves([m - m0 for m in ms], phi)
-        out = np.tensordot(coeff_vector(state), ph, axes=1) * np.exp(1j * (float(m0) * phi))
+        out = np.tensordot(amps, ph, axes=1) * np.exp(1j * (float(m0) * phi))
     return complex(out) if phi.ndim == 0 else out
 
 

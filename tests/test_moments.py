@@ -660,7 +660,7 @@ def test_one_centered_vector_per_quadrature_variance(monkeypatch):
 
 
 def test_stacks_derive_each_basis_once_and_take_the_rows_bit_for_bit(monkeypatch):
-    """Mixed families: each stack's P x n block holds ``coeff_vector`` of every state, bit for bit."""
+    """Mixed families: each stack's P x n block holds every state's ``expansion`` amplitudes, bit for bit."""
     from lzphi import states as st
 
     rng = np.random.default_rng(17)
@@ -689,7 +689,7 @@ def test_stacks_derive_each_basis_once_and_take_the_rows_bit_for_bit(monkeypatch
                 want = np.zeros(row.size, dtype=np.complex128)
                 want[state.n] = 1.0
             else:
-                want = st.coeff_vector(state)
+                want = st.expansion(state)[1]
             assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
             assert stack._basis == basis_of(state)
     # the moments of a row do not depend on which states share its stack

@@ -726,6 +726,9 @@ def test_family_mismatch_raises():
         (RelationId.R5, None, math.nan, r"tolerance must be finite and >= 0, got nan"),
         (RelationId.R5, None, -1.0, r"tolerance must be finite and >= 0, got -1.0"),
         (RelationId.R5, None, math.inf, r"tolerance must be finite and >= 0, got inf"),
+        # unhashable fields, which the column memo's key cannot hold
+        (RelationId.R60, RelationParams(pair=[LZ, PHI]), 1e-9, "R60 requires an observable pair"),
+        (RelationId.R8, RelationParams(alpha={}), 1e-9, "R8 requires a finite real parameter"),
     ],
 )
 def test_params_the_parser_cannot_build_are_refused(relation, params, tol, match):
