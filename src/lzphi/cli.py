@@ -184,11 +184,10 @@ def _parse_sweep(text: str):
     pieces = spec.split(":")
     if not eq or len(pieces) != 3:
         raise ValueError("sweep reads NAME=START:STOP:STEPS")
-    start = stop = math.nan
-    if specio._FLOAT_RE.match(pieces[0]) and specio._FLOAT_RE.match(pieces[1]):
-        start, stop = float(pieces[0]), float(pieces[1])
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ValueError(f"sweep {text!r} needs a finite START and STOP")
+    try:
+        start, stop = (specio._parse_float(piece, 0, 0) for piece in pieces[:2])
+    except SpecParseError:
+        raise ValueError(f"sweep {text!r} needs a finite START and STOP") from None
     steps = _spec_int(pieces[2]) or 0
     if not 1 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(
@@ -270,8 +269,8 @@ def _mixed(state, angle: float):
 def _spec_int(text: str):
     """``text`` as an integer of the spec grammar, else None."""
     try:
-        return int(text) if specio._INT_RE.match(text) else None
-    except ValueError:  # more digits than int() reads
+        return specio._parse_int(text, 0, 0)
+    except SpecParseError:
         return None
 
 

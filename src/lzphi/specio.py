@@ -480,12 +480,12 @@ def serialize_report(reports, format: str = "json", *, sweep=None) -> str:
 
     ``reports`` holds ``RelationReport`` objects or the (point index,
     report) pairs of ``relations.report_rows``; ``sweep``, for a scan, is
-    (parameter name, one value per point). The first report of a column
-    and state name formats every row of that column in one pass; each
-    sweep point's text is formatted once; a report's line is its row's
-    text around its point's. CSV columns: state_name, relation, lhs, rhs,
-    verdict, condition31, deficit_abs (plus sweep_param, sweep_value for a
-    scan).
+    (parameter name, one value per point). Row text is keyed by column
+    alone: the first report of a column formats every row of it once,
+    each distinct state name and each sweep point is formatted once, and
+    a report's line joins its row's pieces with its name's and its
+    point's text. CSV columns: state_name, relation, lhs, rhs, verdict,
+    condition31, deficit_abs (plus sweep_param, sweep_value for a scan).
     """
     reports = list(reports)
     if not reports:
@@ -504,14 +504,16 @@ def serialize_report(reports, format: str = "json", *, sweep=None) -> str:
             points = [f",{param},{v:.12g}" for v in values]
     if not isinstance(reports[0], tuple):
         reports = [(0, report) for report in reports]
-    texts, lines = {}, []
+    texts, names, lines = {}, {}, []
     for point, report in reports:
-        key = (report.column, report.state_name)
-        rows = texts.get(key)
+        rows = texts.get(report.column)
         if rows is None:
-            rows = texts[key] = _column_texts(report.column, report.state_name, json)
-        head, tail = rows[report.index]
-        lines.append(head + points[point] + tail)
+            rows = texts[report.column] = _column_texts(report.column, json)
+        name = names.get(report.state_name)
+        if name is None:
+            name = names[report.state_name] = _quoted(report.state_name) if json else report.state_name
+        head, middle, tail = rows[report.index]
+        lines.append(head + name + middle + points[point] + tail)
     if json:
         return "[\n" + ",\n".join(lines) + "\n]\n"
     header = "state_name,relation,lhs,rhs,verdict,condition31,deficit_abs"
@@ -522,8 +524,8 @@ def serialize_report(reports, format: str = "json", *, sweep=None) -> str:
 _JSON_TAILS = {verdict: f', "verdict": "{verdict.value}"}}' for verdict in Verdict}
 
 
-def _column_texts(column, name, json) -> list:
-    """Per row of ``column``, the report text before and after the sweep fields, for ``name``.
+def _column_texts(column, json) -> list:
+    """Per row of ``column``, the report text before the state name, up to the sweep fields and after.
 
     A row's values are condition31, deficit_abs, the other diagnostics by
     sorted key, lhs and rhs.
@@ -533,34 +535,33 @@ def _column_texts(column, name, json) -> list:
     truth = ["true" if c else "false" for c in column.condition31]
     numbers = zip(truth, deficit, *(diag[key] for key in sorted(diag)), column.lhs, column.rhs)
     if json:
-        templates = [_json_template(column, name, trivial) for trivial in (False, True)]
-        return [(templates[trivial] % row, _JSON_TAILS[verdict])
+        templates = [_json_template(column, trivial) for trivial in (False, True)]
+        return [(templates[trivial] % row, "", _JSON_TAILS[verdict])
                 for row, trivial, verdict in zip(numbers, column.trivial, column.verdicts)]
-    template = _csv_template(column, name)
-    return [(template.format(*row, verdict.value), "")
+    template = _csv_template(column)
+    return [("", template.format(*row, verdict.value), "")
             for row, verdict in zip(numbers, column.verdicts)]
 
 
-def _json_template(column, name, trivial) -> str:
-    """The %-template of a column's reports for one state name up to the sweep fields, every key sorted."""
+def _json_template(column, trivial) -> str:
+    """The %-template of a column's reports up to the state name's value, every key sorted."""
     inner = {key: "%.12g" for key, _ in column.diagnostics if key != "deficit_abs"}
     if trivial:
         inner["trivial_zero"] = "1"
     printed = ", ".join(f'"{key.replace("%", "%%")}": {inner[key]}' for key in sorted(inner))
     fields = ['"condition31": %s', '"deficit_abs": %.12g', '"diagnostics": {' + printed + "}",
               '"lhs": %.12g', f'"relation": "{column.relation.value}"', '"rhs": %.12g',
-              '"state_name": ' + _quoted(name).replace("%", "%%")]
+              '"state_name": ']
     return "  {" + ", ".join(fields)
 
 
-def _csv_template(column, name) -> str:
-    """The str.format template of a column's CSV lines for one state name, up to the sweep fields.
+def _csv_template(column) -> str:
+    """The str.format template of a column's CSV lines after the state name, up to the sweep fields.
 
     It picks lhs, rhs, the verdict (the last value), condition31 and
     deficit_abs out of a row's values.
     """
     lhs = 1 + len(column.diagnostics)  # after condition31, deficit_abs and the other diagnostics
-    name = name.replace("{", "{{").replace("}", "}}")
-    fields = [name, column.relation.value, f"{{{lhs}:.12g}}", f"{{{lhs + 1}:.12g}}",
+    fields = ["", column.relation.value, f"{{{lhs}:.12g}}", f"{{{lhs + 1}:.12g}}",
               f"{{{lhs + 2}}}", "{0}", "{1:.12g}"]
     return ",".join(fields)

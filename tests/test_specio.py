@@ -21,6 +21,7 @@ from lzphi import (
 )
 from lzphi.specio import EngineSettings, SpecDocument, SpecParseError, _split_top
 
+from .conftest import random_spherical
 from .oracles import split_top
 
 
@@ -334,6 +335,36 @@ class TestSerialization:
         assert serialize_report([report, report], "csv") == (
             f"state_name,relation,lhs,rhs,verdict,condition31,deficit_abs\n{row}\n{row}\n"
         )
+
+    def test_each_column_is_formatted_once_whatever_its_state_names(self, monkeypatch):
+        """A walk of two stacks under R relations formats 2R columns, not one per (column, name).
+
+        Each line is the body line of the report serialized alone.
+        """
+        from lzphi import relations, specio
+
+        rng = np.random.default_rng(30)
+        states = [(f"sph{k}", random_spherical(rng, 2)) for k in range(12)] + [
+            (f"osc{n}", PendulumState(n=n, inertia=1.3, omega=0.7)) for n in range(6)
+        ]
+        selection = ((RelationId.R5, None), (RelationId.R8, RelationParams(alpha=1.5)),
+                     (RelationId.R14, None), (RelationId.R33, None))
+        rows = list(relations.report_rows([(tuple(states), selection)], 1e-9))
+        assert len(rows) == 18 * len(selection)
+        calls = []
+        real = specio._column_texts
+
+        def counted(column, *args):
+            calls.append(column)
+            return real(column, *args)
+
+        monkeypatch.setattr(specio, "_column_texts", counted)
+        for fmt in ("json", "csv"):
+            calls.clear()
+            lines = serialize_report(rows, fmt).splitlines()[1:len(rows) + 1]
+            assert len(calls) == len(set(calls)) == 2 * len(selection)
+            for line, (_, report) in zip(lines, rows):
+                assert line.rstrip(",") == serialize_report([report], fmt).splitlines()[1]
 
     def test_unknown_format(self):
         report = evaluate(RelationId.R5, PendulumState(n=0))
