@@ -101,7 +101,8 @@ class AngularGrid:
     """
 
     def __init__(self, state):
-        ms, self._coeffs = st.expansion(state)
+        ms, amps = st.expansion(state)
+        self._coeffs = np.array(amps, dtype=np.complex128)
         rule = numerics.phi_rule(phi_rule_size(ms))
         l = state.l if st.family_of(state) == "spherical" else None
         self.phi = rule.nodes

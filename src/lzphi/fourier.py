@@ -60,7 +60,7 @@ def coefficients(state, *, method: str = "analytic") -> FourierCoefficients:
     l = state.l if fam == "spherical" else None
     ms, amps = st.expansion(state)
     if method == "analytic":
-        return FourierCoefficients(ms, tuple(amps), l=l)
+        return FourierCoefficients(ms, amps, l=l)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     grid = engine.state_grid(state)

@@ -8,13 +8,14 @@ pendulum's width. It lives in ``MomentStack``, which holds the moments of
 a stack of states that share one basis: every quantity is a quadratic
 form (c, M c) over basis matrices M that do not depend on the state, or a
 binomial combination of them, so each M is built once per basis
-(``observables.cached_symbol_matrix``) and each form is taken over all rows
-of a stack at once; the seam density of
-``observables.seam_densities``, which the boundary terms of R15, R52 and
-R58 read, is one such form. On the oscillator basis no matrix is
-built: phi and Lz act on the number-state rows as ladder steps. An Lz
-side, and every side on the oscillator basis, is centered before it is
-powered. All a stack computes, the relation columns of ``relations``
+(``observables.cached_symbol_matrix``), the symbol algebra behind it once
+per process (``observables.kind_symbol``, ``observables.product_symbol``),
+and each form once per stack, over all of its rows at once; the seam
+density of ``observables.seam_densities``, which the symmetry deficits and
+the boundary terms of R15, R52 and R58 read, is one such form. On the
+oscillator basis no matrix is built: phi and Lz act on the number-state
+rows as ladder steps. An Lz side, and every side on the oscillator basis,
+is centered before it is powered. All a stack computes, the relation columns of ``relations``
 included, is kept in its one memo.
 The public analytic functions below are the one-row case, and no setting
 enters them. The quadrature path re-derives every number on the family's
@@ -173,7 +174,7 @@ class MomentStack:
             self._coeffs = np.zeros((len(self.states), basis.size), dtype=np.complex128)
             self._coeffs[np.arange(len(self.states)), [s.n for s in self.states]] = 1.0
         else:
-            self._coeffs = np.array([st.expansion(s)[1] for s in self.states])
+            self._coeffs = np.array([st.expansion(s)[1] for s in self.states], dtype=np.complex128)
             m0 = st.middle_m(basis.ms)
             offsets = np.array([m - m0 for m in basis.ms], dtype=np.float64)
             # Lz = hbar*m0 + hbar*(m - m0); the rows center the offsets by their own mean
@@ -196,16 +197,25 @@ class MomentStack:
 
     def _applied(self, sym) -> np.ndarray:
         """Row p holds M c_p for the symbol's basis matrix M, or S(X) c_p by ladder steps."""
-        key = ("applied", *sorted(sym.terms.items()))
+        key = ("applied", sym.key)
         if isinstance(self._basis, obs.OscillatorBasis):
             return self.once(key, obs.polynomial_rows, sym, self._basis, self._coeffs)
         return self.once(key, lambda: obs.apply_to_rows(
             obs.cached_symbol_matrix(sym, self._basis), self._coeffs))
 
     def _form(self, sym, left=None) -> np.ndarray:
-        """(left_p, M c_p) for every row p; ``left`` defaults to C."""
-        left = self._coeffs if left is None else left
+        """(left_p, M c_p) for every row p; ``left`` defaults to C, whose forms are kept.
+
+        A kept form (c, M c) is computed once per symbol and read by every
+        mean, binomial term and commutator of the stack, with conj(C) taken once.
+        """
+        if left is None:
+            return self.once(("form", sym.key), self._default_form, sym)
         return np.einsum("pi,pi->p", np.conj(left), self._applied(sym))
+
+    def _default_form(self, sym) -> np.ndarray:
+        conj = self.once(("conj",), np.conj, self._coeffs)
+        return np.einsum("pi,pi->p", conj, self._applied(sym))
 
     def _centered(self, kind, mu, power) -> np.ndarray:
         """Row p holds (A - mu_p)^power c_p, each factor applied to the row.
@@ -265,17 +275,15 @@ class MomentStack:
             # both sides centered directly: Lz with Lz, or any pair on the oscillator basis
             right = self._centered(b, mu_b, s)
             return np.einsum("pi,pi->p", np.conj(self._centered(a, mu_a, r)), right)
-        sym_b = obs.kind_symbol(b)
         if a.name == "Lz":
             left = self._centered(a, mu_a, r)
             return sum(
-                math.comb(s, k) * (-mu_b) ** (s - k) * self._form(sym_b**k, left)
+                math.comb(s, k) * (-mu_b) ** (s - k) * self._form(obs.product_symbol(b, k), left)
                 for k in range(s + 1)
             )
-        sym_a = obs.kind_symbol(a)
         return sum(
             math.comb(r, i) * math.comb(s, k) * (-mu_a) ** (r - i) * (-mu_b) ** (s - k)
-            * self._form(sym_a**i * sym_b**k)
+            * self._form(obs.product_symbol(a, i, b, k))
             for i in range(r + 1)
             for k in range(s + 1)
         )
@@ -295,12 +303,15 @@ class MomentStack:
     def deficit(self, a, b) -> np.ndarray:
         """(A Psi, B Psi) - (Psi, A B Psi) for every row; see ``observables.symmetry_deficit``."""
         self._check(a, b)
-        return obs.symmetry_deficits(a, b, self._basis, self._coeffs, self.hbar)
+        return obs.symmetry_deficits(a, b, self._basis, self._coeffs, self.hbar, self.seam)
 
-    @_memoized
-    def seam(self) -> np.ndarray:
-        """The seam density of every row: |sum_m c_m|^2, or the gamma sum (c, Gamma c) on a sphere."""
-        return obs.seam_densities(self._basis, self._coeffs)
+    def seam(self, theta_power: int = 0) -> np.ndarray:
+        """The seam density of every row: |sum_m c_m|^2, or the gamma sum (c, Gamma c) on a sphere.
+
+        ``theta_power`` weights a sphere's seam by theta^a (``observables.seam_densities``).
+        """
+        return self.once(("seam", theta_power), obs.seam_densities,
+                         self._basis, self._coeffs, theta_power)
 
 
 def _unwound(kind):

@@ -27,9 +27,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 import math
 import threading
+from types import MappingProxyType
 from typing import ClassVar
 
 import numpy as np
@@ -104,12 +105,16 @@ class Symbol:
 
     Keys are (a, j, p) triples. The algebra is closed under products,
     integer powers and d/dphi, which is all the moment machinery needs.
+    ``terms`` is read-only, since the symbols of ``kind_symbol`` and
+    ``product_symbol`` are shared by the whole process; ``key`` holds the
+    terms sorted, equal for equal symbols whatever the order of their terms.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "key")
 
     def __init__(self, terms):
-        self.terms = {k: complex(v) for k, v in terms.items() if v != 0}
+        self.terms = MappingProxyType({k: complex(v) for k, v in terms.items() if v != 0})
+        self.key = tuple(sorted(self.terms.items()))
 
     @classmethod
     def constant(cls, value) -> "Symbol":
@@ -167,8 +172,9 @@ class Symbol:
         return total
 
 
+@lru_cache(maxsize=1024)
 def kind_symbol(kind: ObservableKind) -> Symbol:
-    """The symbol of a multiplicative observable (everything but Lz)."""
+    """The symbol of a multiplicative observable (everything but Lz), built once per process."""
     if kind.name == "Phi":
         return Symbol({(0, 0, 1): 1.0})
     if kind.name == "PhiSquared":
@@ -184,6 +190,14 @@ def kind_symbol(kind: ObservableKind) -> Symbol:
     if kind.name == "Chi":
         return Symbol({(0, 0, 1): 1.0, (0, 0, 0): TWO_PI * kind.winding})
     raise ValueError(f"{kind} is not multiplicative")
+
+
+@lru_cache(maxsize=1024)
+def product_symbol(a: ObservableKind, i: int, b=None, k: int = 0) -> Symbol:
+    """kind_symbol(a)**i * kind_symbol(b)**k, or kind_symbol(a)**i alone, built once per process."""
+    if b is None:
+        return kind_symbol(a) ** i
+    return kind_symbol(a) ** i * kind_symbol(b) ** k
 
 
 @lru_cache(maxsize=4096)
@@ -510,7 +524,10 @@ def symmetry_deficit(
     if method != "analytic":
         raise ValueError(f"unknown method {method!r}")
     basis = basis_of(state)  # a pendulum's row: the oscillator basis reads zero deficits
-    c = np.zeros((1, 1)) if isinstance(basis, OscillatorBasis) else st.expansion(state)[1][None, :]
+    if isinstance(basis, OscillatorBasis):
+        c = np.zeros((1, 1))
+    else:
+        c = np.array([st.expansion(state)[1]], dtype=np.complex128)
     return complex(symmetry_deficits(a, b, basis, c, state.hbar)[0])
 
 
@@ -531,13 +548,14 @@ def seam_densities(basis, coeffs, theta_power: int = 0) -> np.ndarray:
     return np.abs(coeffs.sum(axis=1)) ** 2
 
 
-def symmetry_deficits(a, b, basis, coeffs, hbar) -> np.ndarray:
+def symmetry_deficits(a, b, basis, coeffs, hbar, seam=None) -> np.ndarray:
     """``symmetry_deficit(a, b)`` for each row of a P x n coefficient matrix.
 
     The rows are states on one basis; ``hbar`` is a scalar or one value
     per row. The deficit is i*hbar times the boundary jump of B in units of
     2*pi, each theta power a of the jump weighted by ``seam_densities(basis,
-    coeffs, a)``; the Phi jump is exactly 1, so a circular mode reads
+    coeffs, a)``, or by ``seam(a)`` when given (a moment stack's kept
+    densities); the Phi jump is exactly 1, so a circular mode reads
     exactly i*hbar. B is real and each density is real, so every deficit's
     real part is an exact +0.0. The pendulum's line has no boundary, so on
     the oscillator basis every deficit is zero.
@@ -548,9 +566,9 @@ def symmetry_deficits(a, b, basis, coeffs, hbar) -> np.ndarray:
     jump = kind_symbol(b).boundary_jump()
     if not jump:
         return out
-    total = sum(
-        coeff.real * seam_densities(basis, coeffs, a_pow) for a_pow, coeff in jump.items()
-    )
+    if seam is None:
+        seam = partial(seam_densities, basis, coeffs)
+    total = sum(coeff.real * seam(a_pow) for a_pow, coeff in jump.items())
     # set the imaginary part alone: 1j * x would give the real part -0.0 for x < 0
     out.imag = hbar * total
     return out

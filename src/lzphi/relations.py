@@ -17,11 +17,11 @@ condition31 and diagnostics are one column over all rows of a stack,
 computed on first use and kept in the stack's one memo, beside its
 moments. One builder, ``_relation_column``, checks the family and the
 params, computes lhs, rhs and the diagnostics (the params-only alpha and
-delta_chi as columns of equal rows), and ends in one decision step that
-reads the column's own numbers alone. A report is a row of its column.
-``report_rows`` stacks every state it walks, one stack per basis, then
-walks a document in report order (point, state, selection), one
-``evaluate`` per report; a lone ``evaluate`` on any other state is a
+delta_chi as columns of equal rows), and ends in one decision step,
+``_decide``, that reads the column's own numbers alone. A report is a row
+of its column. ``report_rows`` stacks every state it walks, one stack per
+basis, then walks a document in report order (point, state, selection),
+one ``evaluate`` per report; a lone ``evaluate`` on any other state is a
 one-row stack. No setting enters these moments and states are immutable,
 so an identical state always has the same moments.
 """
@@ -43,6 +43,9 @@ from . import states as st
 
 
 class RelationId(str, enum.Enum):
+    # a member hashes as its value: "R5" and RelationId.R5 find one memo entry
+    __hash__ = str.__hash__
+
     R5 = "R5"
     R6 = "R6"
     R7 = "R7"
@@ -305,13 +308,13 @@ def param_constants(relation, params) -> dict:
 
 
 #: verdict codes of a column, in the order the decision rule tries them
-_VERDICTS = (
+_VERDICTS = np.array([
     Verdict.NOT_APPLICABLE,
     Verdict.INDETERMINATE,
     Verdict.SATISFIED_WITH_EQUALITY,
     Verdict.SATISFIED,
     Verdict.VIOLATED,
-)
+], dtype=object)
 
 
 class _Column:
@@ -322,19 +325,16 @@ class _Column:
                  "trivial", "finite", "diagnostics")
 
     def __init__(self, relation, lhs, rhs, codes, condition31, trivial, diagnostics):
-        finite = np.isfinite(lhs) & np.isfinite(rhs)
-        for values in diagnostics.values():
-            finite &= np.isfinite(values)
+        # lhs, rhs and the diagnostics as the rows of one block: one finiteness test, one list
+        block = np.array([lhs, rhs, *diagnostics.values()])
         self.relation = relation
-        self.lhs = lhs.tolist()
-        self.rhs = rhs.tolist()
-        codes = codes.tolist()
-        self.verdicts = [_VERDICTS[code] for code in codes]
-        self.distinct_verdicts = tuple(_VERDICTS[code] for code in set(codes))
+        self.lhs, self.rhs, *values = block.tolist()
+        self.verdicts = _VERDICTS[codes].tolist()
+        self.distinct_verdicts = tuple(_VERDICTS[np.bincount(codes, minlength=len(_VERDICTS)) > 0])
         self.condition31 = condition31.tolist()
         self.trivial = trivial.tolist()
-        self.finite = finite.tolist()
-        self.diagnostics = [(name, values.tolist()) for name, values in diagnostics.items()]
+        self.finite = np.isfinite(block).all(axis=0).tolist()
+        self.diagnostics = list(zip(diagnostics, values))
 
 
 # a row whose numbers overflow is refused when evaluate reads it
@@ -418,20 +418,36 @@ def _relation_column(stack, relation, params, tol) -> _Column:
         raise AssertionError(relation)
 
     diag.update((name, np.full(len(hbar), value)) for name, value in constants.items())
-    # the decision step; a vanishing denominator prints lhs 0; np.select takes the first that holds
     gated = relation in (RelationId.R33, RelationId.R60)
-    not_applicable = ~condition31 if gated else np.zeros_like(condition31)
-    den = diag.get("denominator")
-    indeterminate = np.zeros_like(condition31) if den is None else (den <= 0) | (np.abs(den) < tol)
-    lhs = np.where(indeterminate, 0.0, lhs)
-    trivial = (lhs <= tol) & (rhs <= tol)
-    codes = np.select(
-        [not_applicable, indeterminate, trivial, np.abs(lhs - rhs) <= tol, lhs >= rhs - tol],
-        [0, 1, 2, 2, 3],
-        default=4,
-    )
-    trivial &= ~not_applicable & ~indeterminate
+    lhs, codes, trivial = _decide(lhs, rhs, condition31, diag.get("denominator"), gated, tol)
     return _Column(relation, lhs, rhs, codes, condition31, trivial, diag)
+
+
+def _decide(lhs, rhs, condition31, den, gated: bool, tol: float):
+    """The decision step over a column's rows: (lhs, verdict codes, trivial flags).
+
+    A row takes the first rule that holds: NotApplicable (a gated relation
+    with condition31 false), Indeterminate (a denominator ``den`` <= 0 or
+    below tol in size), SatisfiedWithEquality (a trivial 0 >= 0, lhs and rhs
+    both <= tol, or |lhs - rhs| <= tol), Satisfied (lhs >= rhs - tol), else
+    Violated. Each rule, from the last to the first, overwrites the codes of
+    the rows it holds on. An indeterminate row prints lhs 0; ``trivial``
+    marks the trivial rows that no earlier rule took.
+    """
+    indeterminate = None if den is None else (den <= 0) | (np.abs(den) < tol)
+    if indeterminate is not None:
+        lhs = np.where(indeterminate, 0.0, lhs)
+    trivial = (lhs <= tol) & (rhs <= tol)
+    codes = np.full(len(lhs), 4)
+    codes[lhs >= rhs - tol] = 3
+    codes[trivial | (np.abs(lhs - rhs) <= tol)] = 2
+    if indeterminate is not None:
+        codes[indeterminate] = 1
+        trivial &= ~indeterminate
+    if gated:
+        codes[~condition31] = 0
+        trivial &= condition31
+    return lhs, codes, trivial
 
 
 def _cabs(z: np.ndarray) -> np.ndarray:

@@ -52,7 +52,7 @@ class EngineSettings:
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
-        _require_finite_positive(hbar=self.hbar)
+        _require_finite_positive(("hbar",), self.hbar)
 
 
 DEFAULT_SETTINGS = EngineSettings()

@@ -43,7 +43,7 @@ class CircularState:
     def __post_init__(self):
         object.__setattr__(self, "m", _integer(self.m, "m"))
         _require_bounded_m(self.m)
-        _require_finite_positive(hbar=self.hbar)
+        _require_finite_positive(("hbar",), self.hbar)
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,9 @@ class RotorSuperposition:
     hbar: float = 1.0
 
     def __init__(self, coefficients, hbar: float = 1.0, normalize: bool = False):
-        if isinstance(coefficients, Mapping):
+        items = coefficients
+        if not isinstance(coefficients, (list, tuple)) and isinstance(coefficients, Mapping):
             items = coefficients.items()
-        else:
-            items = coefficients
         pairs = sorted((_integer(m, "m"), complex(c)) for m, c in items)
         if not pairs:
             raise ValueError("rotor superposition needs at least one coefficient")
@@ -73,7 +72,7 @@ class RotorSuperposition:
         values = _normalized([c for _, c in pairs], normalize)
         object.__setattr__(self, "coefficients", tuple(zip([m for m, _ in pairs], values)))
         object.__setattr__(self, "hbar", float(hbar))
-        _require_finite_positive(hbar=self.hbar)
+        _require_finite_positive(("hbar",), self.hbar)
 
     @property
     def coeff_map(self) -> dict:
@@ -93,7 +92,7 @@ class SphericalState:
         l = _integer(l, "l")
         if l < 0 or l > numerics.MAX_ORBITAL_L:
             raise ValueError(f"l must be in 0..{numerics.MAX_ORBITAL_L}")
-        if isinstance(coefficients, Mapping):
+        if not isinstance(coefficients, (list, tuple)) and isinstance(coefficients, Mapping):
             by_m = {_integer(m, "m"): c for m, c in coefficients.items()}
             if len(by_m) != len(coefficients):
                 raise ValueError("duplicate m in spherical coefficients")
@@ -110,7 +109,7 @@ class SphericalState:
         object.__setattr__(self, "coefficients", tuple(vec))
         object.__setattr__(self, "hbar", float(hbar))
         object.__setattr__(self, "inertia", float(inertia))
-        _require_finite_positive(hbar=self.hbar, inertia=self.inertia)
+        _require_finite_positive(("hbar", "inertia"), self.hbar, self.inertia)
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ class PendulumState:
         object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 0 or self.n > numerics.MAX_HERMITE_DEGREE:
             raise ValueError(f"n must be in 0..{numerics.MAX_HERMITE_DEGREE}")
-        _require_finite_positive(inertia=self.inertia, omega=self.omega, hbar=self.hbar)
+        _require_finite_positive(("inertia", "omega", "hbar"), self.inertia, self.omega, self.hbar)
         # the widths scale as hbar/(I*omega) and hbar*I*omega, the grids as
         # I*omega/hbar; none of them may overflow or vanish
         stiffness = self.inertia * self.omega
@@ -189,11 +188,22 @@ def _require_bounded_m(m):
         raise ValueError(f"|m| must be at most 2**52, got m={m}")
 
 
-def _require_finite_positive(**values):
-    """Each value must be finite and > 0, and so must hbar**2, which the bounds use."""
-    if "hbar" in values:
-        values["hbar**2"] = values["hbar"] * values["hbar"]
-    for name, value in values.items():
+def _require_finite_positive(names: tuple, *values) -> None:
+    """Each value must be finite and > 0, and so must hbar**2, which the bounds use.
+
+    ``names`` names ``values`` in order; one of them is hbar, and hbar**2
+    is checked after them all. Floats in range pass without a call; any
+    other value takes the named checks, which raise at the first failure.
+    """
+    hbar = values[names.index("hbar")]
+    squared = hbar * hbar
+    for value in values:
+        if type(value) is not float or not 0.0 < value < math.inf:
+            break
+    else:
+        if 0.0 < squared < math.inf:
+            return
+    for name, value in zip((*names, "hbar**2"), (*values, squared)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
@@ -233,17 +243,19 @@ def family_of(state: State) -> str:
 
 
 def expansion(state: State) -> tuple:
-    """(ms, amplitudes): each basis function's m and its complex128 amplitude; a pendulum has none."""
+    """(ms, amplitudes): two tuples, each basis function's m and its complex amplitude.
+
+    No array is built: a reader that needs one builds it, with dtype
+    complex128. A pendulum has no expansion.
+    """
     fam = family_of(state)
     if fam == "circular":
-        ms, amps = (state.m,), (1.0,)
-    elif fam == "rotor":
-        ms, amps = zip(*state.coefficients)
-    elif fam == "spherical":
-        ms, amps = tuple(range(-state.l, state.l + 1)), state.coefficients
-    else:
-        raise ValueError("pendulum states have no azimuthal Fourier basis")
-    return ms, np.array(amps, dtype=np.complex128)
+        return (state.m,), (1 + 0j,)
+    if fam == "rotor":
+        return tuple(zip(*state.coefficients))
+    if fam == "spherical":
+        return tuple(range(-state.l, state.l + 1)), state.coefficients
+    raise ValueError("pendulum states have no azimuthal Fourier basis")
 
 
 def middle_m(ms) -> int:

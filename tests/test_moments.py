@@ -659,6 +659,37 @@ def test_one_centered_vector_per_quadrature_variance(monkeypatch):
     assert len(calls) == 20
 
 
+def test_each_default_form_is_computed_once_per_stack(monkeypatch):
+    """R5 R30 R36 R58 on one spherical stack take each distinct form (c, M c) once.
+
+    Fourteen default-left forms enter those columns: the Phi and Theta means
+    and the binomial terms of std(Phi), std(Theta) and C(Theta, Phi). They
+    come from six symbols (1, phi, phi^2, theta, theta*phi, theta^2); the
+    seam density (c, Gamma c), which R5's gate and R58's rhs both read, is
+    a seventh. Every einsum whose left factor is conj(C) is counted by its
+    right factor M C.
+    """
+    from lzphi import relations
+
+    rng = np.random.default_rng(11)
+    states = [random_spherical(rng, 3) for _ in range(4)]
+    conj = np.conj(np.array([s.coefficients for s in states]))
+    einsum = np.einsum
+    forms = []
+
+    def counted(subscripts, *operands, **kwargs):
+        left = operands[0]
+        if subscripts == "pi,pi->p" and left.shape == conj.shape and np.array_equal(left, conj):
+            forms.append(operands[1].tobytes())
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    named = tuple((f"s{k}", state) for k, state in enumerate(states))
+    selection = tuple((rid, None) for rid in (RelationId.R5, RelationId.R30, RelationId.R36, RelationId.R58))
+    assert len(list(relations.report_rows([(named, selection)], 1e-9))) == 16
+    assert len(forms) == len(set(forms)) == 7
+
+
 def test_stacks_derive_each_basis_once_and_take_the_rows_bit_for_bit(monkeypatch):
     """Mixed families: each stack's P x n block holds every state's ``expansion`` amplitudes, bit for bit."""
     from lzphi import states as st
@@ -689,7 +720,7 @@ def test_stacks_derive_each_basis_once_and_take_the_rows_bit_for_bit(monkeypatch
                 want = np.zeros(row.size, dtype=np.complex128)
                 want[state.n] = 1.0
             else:
-                want = st.expansion(state)[1]
+                want = np.array(st.expansion(state)[1], dtype=np.complex128)
             assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
             assert stack._basis == basis_of(state)
     # the moments of a row do not depend on which states share its stack

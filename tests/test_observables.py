@@ -29,6 +29,7 @@ from lzphi.observables import (
     applicable,
     kind_symbol,
     phi_fourier_moment,
+    product_symbol,
     symbol_matrix,
 )
 
@@ -235,6 +236,34 @@ def _double_sum_matrix(sym, basis):
 
 
 _MULTIPLICATIVE_KINDS = (PHI, PHI_SQUARED, SIN_PHI, COS_PHI, THETA, THETA_PHI, chi(1), chi(-2))
+
+
+class TestSharedSymbols:
+    """The symbols of the kinds and their products are built once per process and read-only."""
+
+    KINDS = (PHI, PHI_SQUARED, SIN_PHI, COS_PHI, THETA, THETA_PHI, chi(3))
+
+    def test_a_kept_symbol_cannot_be_written(self):
+        phi = kind_symbol(PHI)
+        assert kind_symbol(ObservableKind("Phi")) is phi
+        with pytest.raises(TypeError):
+            phi.terms[(0, 0, 1)] = 2.0
+        with pytest.raises(TypeError):
+            del phi.terms[(0, 0, 1)]
+        assert dict(phi.terms) == {(0, 0, 1): 1.0}
+
+    def test_products_and_derivatives_leave_their_factors_unchanged(self):
+        before = {kind: dict(kind_symbol(kind).terms) for kind in self.KINDS}
+        for a in self.KINDS:
+            for b in self.KINDS:
+                product = kind_symbol(a) ** 2 * kind_symbol(b) * 3.0
+                product.phi_derivative()
+                kept = product_symbol(a, 2, b, 1)
+                assert product_symbol(a, 2, b, 1) is kept
+                assert kept.terms == (kind_symbol(a) ** 2 * kind_symbol(b)).terms
+            kind_symbol(a).phi_derivative()
+            assert product_symbol(a, 0).key == (((0, 0, 0), 1 + 0j),)
+        assert {kind: dict(kind_symbol(kind).terms) for kind in self.KINDS} == before
 
 
 class TestToeplitzSymbolMatrix:

@@ -586,6 +586,69 @@ class TestRelationColumns:
         want[(5, RelationId.R8, RelationParams(alpha=-0.5), 1e-9)] = 1
         assert computed == want
 
+    def test_a_name_and_its_member_find_one_column(self):
+        """The column memo keys on the relation: "R5" and RelationId.R5 hash and compare alike."""
+        for rid in RelationId:
+            assert hash(rid) == hash(rid.value) and rid == rid.value
+        state = random_spherical(np.random.default_rng(5), 2)
+        by_name, by_member = evaluate("R5", state), evaluate(RelationId.R5, state)
+        assert by_name.column is by_member.column and by_name.index == by_member.index
+        assert by_name.relation is RelationId.R5
+
+    def test_the_decision_step_takes_the_first_rule_that_holds(self):
+        """``_decide`` over whole columns gives the verdict of the catalog's rule, row by row.
+
+        The rule, restated for one row: NotApplicable if gated and condition31
+        is false; Indeterminate if the denominator is <= 0 or below tol in size
+        (lhs then prints 0); SatisfiedWithEquality if lhs and rhs are both
+        <= tol (a trivial row) or |lhs - rhs| <= tol; Satisfied if lhs >= rhs - tol;
+        else Violated. tol = 0.25 keeps every edge exact in binary.
+        """
+        from lzphi import relations
+
+        tol, nan = 0.25, math.nan
+
+        def rule(gated, c31, den, lhs, rhs):
+            """(verdict, printed lhs, trivial) of one row."""
+            indeterminate = den is not None and (den <= 0 or abs(den) < tol)
+            if indeterminate:
+                lhs = 0.0
+            if gated and not c31:
+                return Verdict.NOT_APPLICABLE, lhs, False
+            if indeterminate:
+                return Verdict.INDETERMINATE, lhs, False
+            if lhs <= tol and rhs <= tol:
+                return Verdict.SATISFIED_WITH_EQUALITY, lhs, True
+            if abs(lhs - rhs) <= tol:
+                return Verdict.SATISFIED_WITH_EQUALITY, lhs, False
+            if lhs >= rhs - tol:
+                return Verdict.SATISFIED, lhs, False
+            return Verdict.VIOLATED, lhs, False
+
+        pairs = [  # (lhs, rhs): NaN, the +-tol edges, trivial rows and plain ones
+            (nan, 1.0), (1.0, nan), (nan, nan), (1.0, 1.25), (1.0, 0.75), (1.0, 1.5),
+            (1.0, 1.25 + 2**-40), (1.25 + 2**-40, 1.0), (2.0, 1.0), (0.25, 0.25), (0.0, 0.0),
+            (0.25, 0.0), (0.0, 0.5), (0.5, 0.0), (-1.0, 0.0), (3.0, -1.0),
+        ]
+        dens = [None, 1.0, 0.25, 0.25 - 2**-40, 0.0, -0.0, -2.0, nan]
+        checked = 0
+        for gated in (False, True):
+            for den in dens:
+                for c31 in ((True, False) if gated else (True,)):
+                    lhs, rhs = (np.array(side) for side in zip(*pairs))
+                    column_den = None if den is None else np.full(len(pairs), den)
+                    condition31 = np.full(len(pairs), c31)
+                    out_lhs, codes, trivial = relations._decide(
+                        lhs, rhs, condition31, column_den, gated, tol)
+                    for k, (l, r) in enumerate(pairs):
+                        verdict, printed, is_trivial = rule(gated, c31, den, l, r)
+                        case = (gated, c31, den, l, r)
+                        assert relations._VERDICTS[codes[k]] is verdict, case
+                        assert np.array_equal(out_lhs[k], printed, equal_nan=True), case
+                        assert bool(trivial[k]) is is_trivial, case
+                        checked += 1
+        assert checked == len(pairs) * len(dens) * 3
+
     def test_lone_and_stacked_rows_serialize_the_same(self, fixture_states, monkeypatch):
         """Every relation on every fixture state: a one-row stack and a shared stack agree byte for byte."""
         from lzphi import PHI_SQUARED, relations, specio
