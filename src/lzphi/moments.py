@@ -15,8 +15,8 @@ density of ``observables.seam_densities``, which the symmetry deficits and
 the boundary terms of R15, R52 and R58 read, is one such form. On the
 oscillator basis no matrix is built: phi and Lz act on the number-state
 rows as ladder steps. An Lz side, and every side on the oscillator basis,
-is centered before it is powered. All a stack computes, the relation columns of ``relations``
-included, is kept in its one memo.
+is centered before it is powered. All a stack computes, the relation
+columns of ``relations`` included, is kept in its one memo.
 The public analytic functions below are the one-row case, and no setting
 enters them. The quadrature path re-derives every number on the family's
 grid as the oracle, with rules sized from the state (see ``engine``);
@@ -278,7 +278,7 @@ class MomentStack:
         if a.name == "Lz":
             left = self._centered(a, mu_a, r)
             return sum(
-                math.comb(s, k) * (-mu_b) ** (s - k) * self._form(obs.product_symbol(b, k), left)
+                math.comb(s, k) * (-mu_b) ** (s - k) * self._form(obs.kind_symbol(b) ** k, left)
                 for k in range(s + 1)
             )
         return sum(

@@ -193,10 +193,8 @@ def kind_symbol(kind: ObservableKind) -> Symbol:
 
 
 @lru_cache(maxsize=1024)
-def product_symbol(a: ObservableKind, i: int, b=None, k: int = 0) -> Symbol:
-    """kind_symbol(a)**i * kind_symbol(b)**k, or kind_symbol(a)**i alone, built once per process."""
-    if b is None:
-        return kind_symbol(a) ** i
+def product_symbol(a: ObservableKind, i: int, b: ObservableKind, k: int) -> Symbol:
+    """kind_symbol(a)**i * kind_symbol(b)**k, built once per process."""
     return kind_symbol(a) ** i * kind_symbol(b) ** k
 
 
@@ -528,7 +526,8 @@ def symmetry_deficit(
         c = np.zeros((1, 1))
     else:
         c = np.array([st.expansion(state)[1]], dtype=np.complex128)
-    return complex(symmetry_deficits(a, b, basis, c, state.hbar)[0])
+    seam = partial(seam_densities, basis, c)
+    return complex(symmetry_deficits(a, b, basis, c, state.hbar, seam)[0])
 
 
 def seam_densities(basis, coeffs, theta_power: int = 0) -> np.ndarray:
@@ -548,14 +547,14 @@ def seam_densities(basis, coeffs, theta_power: int = 0) -> np.ndarray:
     return np.abs(coeffs.sum(axis=1)) ** 2
 
 
-def symmetry_deficits(a, b, basis, coeffs, hbar, seam=None) -> np.ndarray:
+def symmetry_deficits(a, b, basis, coeffs, hbar, seam) -> np.ndarray:
     """``symmetry_deficit(a, b)`` for each row of a P x n coefficient matrix.
 
     The rows are states on one basis; ``hbar`` is a scalar or one value
     per row. The deficit is i*hbar times the boundary jump of B in units of
-    2*pi, each theta power a of the jump weighted by ``seam_densities(basis,
-    coeffs, a)``, or by ``seam(a)`` when given (a moment stack's kept
-    densities); the Phi jump is exactly 1, so a circular mode reads
+    2*pi, each theta power a of the jump weighted by ``seam(a)``, the rows'
+    ``seam_densities(basis, coeffs, a)`` (a moment stack passes its kept
+    ones); the Phi jump is exactly 1, so a circular mode reads
     exactly i*hbar. B is real and each density is real, so every deficit's
     real part is an exact +0.0. The pendulum's line has no boundary, so on
     the oscillator basis every deficit is zero.
@@ -566,8 +565,6 @@ def symmetry_deficits(a, b, basis, coeffs, hbar, seam=None) -> np.ndarray:
     jump = kind_symbol(b).boundary_jump()
     if not jump:
         return out
-    if seam is None:
-        seam = partial(seam_densities, basis, coeffs)
     total = sum(coeff.real * seam(a_pow) for a_pow, coeff in jump.items())
     # set the imaginary part alone: 1j * x would give the real part -0.0 for x < 0
     out.imag = hbar * total

@@ -43,9 +43,6 @@ from . import states as st
 
 
 class RelationId(str, enum.Enum):
-    # a member hashes as its value: "R5" and RelationId.R5 find one memo entry
-    __hash__ = str.__hash__
-
     R5 = "R5"
     R6 = "R6"
     R7 = "R7"

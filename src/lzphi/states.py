@@ -59,9 +59,10 @@ class RotorSuperposition:
     hbar: float = 1.0
 
     def __init__(self, coefficients, hbar: float = 1.0, normalize: bool = False):
-        items = coefficients
-        if not isinstance(coefficients, (list, tuple)) and isinstance(coefficients, Mapping):
+        if isinstance(coefficients, Mapping):
             items = coefficients.items()
+        else:
+            items = coefficients
         pairs = sorted((_integer(m, "m"), complex(c)) for m, c in items)
         if not pairs:
             raise ValueError("rotor superposition needs at least one coefficient")
@@ -92,7 +93,7 @@ class SphericalState:
         l = _integer(l, "l")
         if l < 0 or l > numerics.MAX_ORBITAL_L:
             raise ValueError(f"l must be in 0..{numerics.MAX_ORBITAL_L}")
-        if not isinstance(coefficients, (list, tuple)) and isinstance(coefficients, Mapping):
+        if isinstance(coefficients, Mapping):
             by_m = {_integer(m, "m"): c for m, c in coefficients.items()}
             if len(by_m) != len(coefficients):
                 raise ValueError("duplicate m in spherical coefficients")
@@ -191,19 +192,10 @@ def _require_bounded_m(m):
 def _require_finite_positive(names: tuple, *values) -> None:
     """Each value must be finite and > 0, and so must hbar**2, which the bounds use.
 
-    ``names`` names ``values`` in order; one of them is hbar, and hbar**2
-    is checked after them all. Floats in range pass without a call; any
-    other value takes the named checks, which raise at the first failure.
+    ``names`` names ``values`` in order; one of them is hbar.
     """
     hbar = values[names.index("hbar")]
-    squared = hbar * hbar
-    for value in values:
-        if type(value) is not float or not 0.0 < value < math.inf:
-            break
-    else:
-        if 0.0 < squared < math.inf:
-            return
-    for name, value in zip((*names, "hbar**2"), (*values, squared)):
+    for name, value in zip((*names, "hbar**2"), (*values, hbar * hbar)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 

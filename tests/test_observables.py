@@ -262,7 +262,7 @@ class TestSharedSymbols:
                 assert product_symbol(a, 2, b, 1) is kept
                 assert kept.terms == (kind_symbol(a) ** 2 * kind_symbol(b)).terms
             kind_symbol(a).phi_derivative()
-            assert product_symbol(a, 0).key == (((0, 0, 0), 1 + 0j),)
+            assert product_symbol(a, 0, a, 0).key == (((0, 0, 0), 1 + 0j),)
         assert {kind: dict(kind_symbol(kind).terms) for kind in self.KINDS} == before
 
 
