@@ -10,9 +10,10 @@ form (c, M c) over basis matrices M that do not depend on the state, or a
 binomial combination of them, so each M is built once per basis
 (``observables.cached_symbol_matrix``), the symbol algebra behind it once
 per process (``observables.kind_symbol``, ``observables.product_symbol``),
-and each form once per stack, over all of its rows at once; the seam
-density of ``observables.seam_densities``, which the symmetry deficits and
-the boundary terms of R15, R52 and R58 read, is one such form. On the
+and each form once per stack, over all of its rows at once. The seam
+density (``MomentStack.seam``) is one such form; the symmetry deficits
+(``MomentStack.deficit``, and ``observables.symmetry_deficit`` as its
+one-row case) and the boundary terms of R15, R52 and R58 read it. On the
 oscillator basis no matrix is built: phi and Lz act on the number-state
 rows as ladder steps. An Lz side, and every side on the oscillator basis,
 is centered before it is powered. All a stack computes, the relation
@@ -33,7 +34,7 @@ import math
 
 import numpy as np
 
-from . import engine
+from . import engine, numerics
 from . import observables as obs
 from . import states as st
 
@@ -301,17 +302,46 @@ class MomentStack:
 
     @_memoized
     def deficit(self, a, b) -> np.ndarray:
-        """(A Psi, B Psi) - (Psi, A B Psi) for every row; see ``observables.symmetry_deficit``."""
+        """(A Psi, B Psi) - (Psi, A B Psi) for every row; see ``observables.symmetry_deficit``.
+
+        The deficit is i*hbar times the boundary jump of B in units of
+        2*pi, each theta power a of the jump weighted by the rows'
+        ``seam(a)``; the Phi jump is exactly 1, so a circular mode reads
+        exactly i*hbar. B is real and each density is real, so every
+        deficit's real part is an exact +0.0. The pendulum's line has no
+        boundary, so on the oscillator basis every deficit is zero.
+        """
         self._check(a, b)
-        return obs.symmetry_deficits(a, b, self._basis, self._coeffs, self.hbar, self.seam)
+        out = np.zeros(len(self.states), dtype=np.complex128)
+        if a.name != "Lz" or b.name == "Lz" or isinstance(self._basis, obs.OscillatorBasis):
+            return out
+        jump = obs.kind_symbol(b).boundary_jump()
+        if not jump:
+            return out
+        total = sum(coeff.real * self.seam(a_pow) for a_pow, coeff in jump.items())
+        # set the imaginary part alone: 1j * x would give the real part -0.0 for x < 0
+        out.imag = self.hbar * total
+        return out
 
     def seam(self, theta_power: int = 0) -> np.ndarray:
-        """The seam density of every row: |sum_m c_m|^2, or the gamma sum (c, Gamma c) on a sphere.
+        """The density 2*pi*|psi|^2 along the seam phi = 0 = 2*pi of every row.
 
-        ``theta_power`` weights a sphere's seam by theta^a (``observables.seam_densities``).
+        exp(i*m*2*pi) = 1 for every integer m, so on a rotor basis it is
+        exactly |sum_m c_m|^2, with no phase formed in floating point. On a
+        spherical basis it is the polar-overlap form Re (c, T_a c), T_a the
+        overlap of theta^``theta_power`` (``numerics.theta_overlap_matrix``);
+        T_0 is R58's gamma table. The pendulum's line has no seam.
         """
-        return self.once(("seam", theta_power), obs.seam_densities,
-                         self._basis, self._coeffs, theta_power)
+        return self.once(("seam", theta_power), self._seam, theta_power)
+
+    def _seam(self, theta_power):
+        if isinstance(self._basis, obs.OscillatorBasis):
+            raise ValueError("the pendulum's line has no seam")
+        if isinstance(self._basis, obs.SphericalBasis):
+            table = numerics.theta_overlap_matrix(self._basis.l, theta_power)
+            rows = obs.apply_to_rows(table, self._coeffs)
+            return np.einsum("pi,pi->p", np.conj(self._coeffs), rows).real
+        return np.abs(self._coeffs.sum(axis=1)) ** 2
 
 
 def _unwound(kind):

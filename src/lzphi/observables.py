@@ -17,17 +17,18 @@ reading levels k - 1 and k + 1 with weights sqrt(k) (``x_steps``,
 ``lz_step``).
 
 Every boundary term is one number per state, its seam density
-2*pi*|psi|^2 along phi = 0 = 2*pi (``seam_densities``): the symmetry
-deficits are i*hbar/(2*pi) times a boundary jump weighted by it, and the
-R15/R52 boundary term and R58's gamma sum read it through
-``moments.MomentStack.seam``.
+2*pi*|psi|^2 along phi = 0 = 2*pi: the symmetry deficits are i*hbar
+times a boundary jump weighted by it, and the R15/R52 boundary term and
+R58's gamma sum read it too. Both are rows of a ``moments.MomentStack``
+(``seam``, ``deficit``); the analytic ``symmetry_deficit`` is the
+one-row case, and this module keeps the oracle's ``_deficit_quadrature``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 import math
 import threading
 from types import MappingProxyType
@@ -497,7 +498,7 @@ def matrix_element(
 def lz_phi_symmetry_deficit(state, *, method: str = "analytic") -> complex:
     """(Lz Psi, phi Psi) - (Psi, Lz phi Psi), the condition gate for the pair.
 
-    It is i*hbar times the state's seam density (``seam_densities``): i*hbar
+    It is i*hbar times the state's seam density (``moments.MomentStack.seam``): i*hbar
     for a single circular mode, i*hbar*|sum_m c_m|^2 for rotor
     superpositions, i*hbar*(c, Gamma c) over the polar overlaps for
     spherical states, and exactly 0 for the pendulum (nothing survives at
@@ -513,7 +514,8 @@ def symmetry_deficit(
 
     Nonzero only when A is Lz and B carries a phi power whose boundary
     values at 0 and 2*pi differ; multiplicative A never contributes, and
-    the pendulum family has no boundary at all.
+    the pendulum family has no boundary at all. The analytic value is the
+    row of a one-row ``moments.MomentStack`` (``deficit``).
     """
     check_applicable(a, state)
     check_applicable(b, state)
@@ -521,54 +523,9 @@ def symmetry_deficit(
         return _deficit_quadrature(a, b, state)
     if method != "analytic":
         raise ValueError(f"unknown method {method!r}")
-    basis = basis_of(state)  # a pendulum's row: the oscillator basis reads zero deficits
-    if isinstance(basis, OscillatorBasis):
-        c = np.zeros((1, 1))
-    else:
-        c = np.array([st.expansion(state)[1]], dtype=np.complex128)
-    seam = partial(seam_densities, basis, c)
-    return complex(symmetry_deficits(a, b, basis, c, state.hbar, seam)[0])
+    from . import moments  # moments imports this module
 
-
-def seam_densities(basis, coeffs, theta_power: int = 0) -> np.ndarray:
-    """The density 2*pi*|psi|^2 along the seam phi = 0 = 2*pi for each row of ``coeffs``.
-
-    exp(i*m*2*pi) = 1 for every integer m, so on a rotor basis it is
-    exactly |sum_m c_m|^2, with no phase formed in floating point. On a
-    spherical basis it is the polar-overlap form Re (c, T_a c), T_a the
-    overlap of theta^``theta_power`` (``numerics.theta_overlap_matrix``);
-    T_0 is R58's gamma table. The pendulum's line has no seam.
-    """
-    if isinstance(basis, OscillatorBasis):
-        raise ValueError("the pendulum's line has no seam")
-    if isinstance(basis, SphericalBasis):
-        table = numerics.theta_overlap_matrix(basis.l, theta_power)
-        return np.einsum("pi,pi->p", np.conj(coeffs), apply_to_rows(table, coeffs)).real
-    return np.abs(coeffs.sum(axis=1)) ** 2
-
-
-def symmetry_deficits(a, b, basis, coeffs, hbar, seam) -> np.ndarray:
-    """``symmetry_deficit(a, b)`` for each row of a P x n coefficient matrix.
-
-    The rows are states on one basis; ``hbar`` is a scalar or one value
-    per row. The deficit is i*hbar times the boundary jump of B in units of
-    2*pi, each theta power a of the jump weighted by ``seam(a)``, the rows'
-    ``seam_densities(basis, coeffs, a)`` (a moment stack passes its kept
-    ones); the Phi jump is exactly 1, so a circular mode reads
-    exactly i*hbar. B is real and each density is real, so every deficit's
-    real part is an exact +0.0. The pendulum's line has no boundary, so on
-    the oscillator basis every deficit is zero.
-    """
-    out = np.zeros(len(coeffs), dtype=np.complex128)
-    if a.name != "Lz" or b.name == "Lz" or isinstance(basis, OscillatorBasis):
-        return out
-    jump = kind_symbol(b).boundary_jump()
-    if not jump:
-        return out
-    total = sum(coeff.real * seam(a_pow) for a_pow, coeff in jump.items())
-    # set the imaginary part alone: 1j * x would give the real part -0.0 for x < 0
-    out.imag = hbar * total
-    return out
+    return complex(moments.MomentStack((state,)).deficit(a, b)[0])
 
 
 def _deficit_quadrature(a, b, state) -> complex:
