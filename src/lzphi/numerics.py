@@ -258,6 +258,8 @@ def theta_overlap_matrix(l: int, power: int) -> np.ndarray:
     th = rule.nodes
     big = polar_rows(polar_table(l, size), range(-l, l + 1))
     weighted = big * (rule.weights * np.sin(th) * th**power)
-    out = weighted @ big.T
+    # einsum, not `weighted @ big.T`: a BLAS gemm's summation order follows its
+    # thread count and kernel, and with it the last bits of every spherical report
+    out = np.einsum("it,jt->ij", weighted, big)
     out.flags.writeable = False
     return out

@@ -235,7 +235,7 @@ def theta_overlap_per_power(l, power):
     odd_negative = [m < 0 and m % 2 == 1 for m in ms]
     big[odd_negative] = -big[odd_negative]
     weighted = big * (rule.weights * np.sin(th) * th**power)
-    return weighted @ big.T
+    return np.einsum("it,jt->ij", weighted, big)
 
 
 def symbol_sum(symbol, constant):

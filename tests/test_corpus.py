@@ -8,9 +8,14 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
+
+import lzphi
 
 _SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "corpus.py"
 
@@ -32,6 +37,62 @@ def test_replayed_outputs_match_the_committed_digests(corpus):
         f"{key}: {committed.get(key, ['missing'])[:3]} -> {replayed.get(key, ['missing'])[:3]}"
         for key in differ[:20]
     )
+
+
+#: the spherical documents at l >= 60, the largest polar overlap products the corpus reads
+_HIGH_L = ("edge/l64.spec", "gen/*.spherical.l6[24]*")
+
+#: prints the replayed outputs of the corpus documents whose paths match argv[2:]
+_REPLAY = """
+import fnmatch, importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("corpus", sys.argv[1])
+corpus = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(corpus)
+print(json.dumps({key: corpus.run(argv) for key, argv in corpus.documents()
+                  if any(fnmatch.fnmatch(key.rsplit(" ", 1)[0], p) for p in sys.argv[2:])}))
+"""
+
+
+def _replay_high_l(**blas_env) -> dict:
+    """The outputs of the ``_HIGH_L`` documents, replayed in a fresh interpreter under ``blas_env``.
+
+    The child sees no BLAS variable but those given, and imports the lzphi this suite imports.
+    """
+    env = {"PATH": os.environ.get("PATH", ""), **blas_env,
+           "PYTHONPATH": str(Path(lzphi.__file__).resolve().parent.parent)}
+    done = subprocess.run([sys.executable, "-c", _REPLAY, str(_SCRIPT), *_HIGH_L],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def one_thread_replay(corpus):
+    replayed = _replay_high_l(OPENBLAS_NUM_THREADS="1")
+    specs = [path for pattern in _HIGH_L for path in corpus.CORPUS.glob(pattern)]
+    assert len(specs) > 30 and len(replayed) == 2 * len(specs)
+    return replayed
+
+
+def _has_haswell_kernels() -> bool:
+    """OpenBLAS's Haswell kernels run only where the CPU has AVX2 and FMA."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX2") and __cpu_features__.get("FMA3"))
+
+
+@pytest.mark.parametrize("blas_env", [{"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_CORETYPE": "Haswell"}],
+                         ids=["two-threads", "haswell"])
+def test_report_bytes_do_not_depend_on_the_blas(one_thread_replay, blas_env):
+    """The l >= 60 spherical documents print the same bytes at 1 and 2 BLAS threads and on
+    OpenBLAS's Haswell kernels: no report reads a BLAS product, whose summation order follows
+    the thread count and the kernel."""
+    if "OPENBLAS_CORETYPE" in blas_env and not _has_haswell_kernels():
+        pytest.skip("the CPU lacks AVX2 or FMA, which OpenBLAS's Haswell kernels need")
+    replayed = _replay_high_l(**blas_env)
+    differ = sorted(key for key in one_thread_replay if replayed.get(key) != one_thread_replay[key])
+    assert not differ, differ
 
 
 def test_every_json_verdict_is_one_the_benchmark_rule_allows(corpus):
