@@ -21,8 +21,8 @@ delta_chi as columns of equal rows), and ends in one decision step,
 ``_decide``, that reads the column's own numbers alone. A report is a row
 of its column. ``report_rows`` stacks every state it walks, one stack per
 basis, then walks a document in report order (point, state, selection),
-one ``evaluate`` per report; a lone ``evaluate`` on any other state is a
-one-row stack. No setting enters these moments and states are immutable,
+one ``evaluate`` per report, and releases its stacks when it ends; a lone
+``evaluate`` on any other state is a one-row stack. No setting enters these moments and states are immutable,
 so an identical state always has the same moments.
 """
 
@@ -223,20 +223,24 @@ def report_rows(points, tol: float):
     per basis, so each quantity and verdict is computed once for all rows.
     The order is point, then state, then selection; a report that cannot be
     made raises when it is reached, so the first error in report order is
-    the one raised (a ``RowOverflowError`` names its point).
+    the one raised (a ``RowOverflowError`` names its point). The stacks are
+    released when the walk ends, however it ends.
     """
     global _shared
     points = list(points)
     _shared = _stacked(state for states, _ in points for _, state in states)
-    for point, (states, selections) in enumerate(points):
-        for name, state in states:
-            for relation, params in selections:
-                try:
-                    report = evaluate(relation, state, params, tol, state_name=name)
-                except RowOverflowError as exc:
-                    exc.point = point
-                    raise
-                yield point, report
+    try:
+        for point, (states, selections) in enumerate(points):
+            for name, state in states:
+                for relation, params in selections:
+                    try:
+                        report = evaluate(relation, state, params, tol, state_name=name)
+                    except RowOverflowError as exc:
+                        exc.point = point
+                        raise
+                    yield point, report
+    finally:
+        _shared = {}
 
 
 def evaluate(
@@ -461,8 +465,8 @@ def _stacked(states):
             for stack in mo.stacks(states) for index, state in enumerate(stack.states)}
 
 
-#: the rows of the last walk or lone state; replaced in one assignment,
-#: so a thread race costs a recomputation, not a wrong number
+#: the rows of the walk under way or of the last lone state; replaced in one
+#: assignment, so a thread race costs a recomputation, not a wrong number
 _shared = {}
 
 

@@ -177,6 +177,32 @@ class TestScan:
             lhs = [float(row.split(",")[2]) for row in rows[k::4]]
             assert lhs == pytest.approx([lhs[0]] * 3, abs=1e-12)
 
+    def test_a_scan_releases_its_stacks(self, tmp_path):
+        """What a 2000-point l = 64 scan computed goes with it: under 2 MB stays traced after it.
+
+        A 2-point scan first warms the process-wide caches (symbol matrices, overlap tables), so
+        what stays traced is the walk's own; the reports go to the null device.
+        """
+        import contextlib
+        import gc
+        import os
+        import tracemalloc
+
+        coefficients = ",".join("(1,0)" if m == 0 else "(0,0)" for m in range(-64, 65))
+        spec = write(tmp_path, "l64.spec", f"state spherical l=64 c=[{coefficients}]\nrelations R5 R30 R58\n")
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            codes = [main(["scan", spec, "--sweep", "mix=0:1:2"])]
+            gc.collect()
+            tracemalloc.start()
+            try:
+                codes.append(main(["scan", spec, "--sweep", "mix=0:1:2000"]))
+                gc.collect()
+                traced = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+        assert codes == [1, 1]  # R5 is Violated at mix = 0
+        assert traced < 2 * 2**20, traced
+
     def test_alpha_sweep_varies_rhs(self, tmp_path, capsys):
         spec = write(tmp_path, "a.spec", "state circular m=1\nrelations R8(alpha=0)\n")
         code, out, _ = run_main(

@@ -7,8 +7,10 @@ import pytest
 from lzphi import (
     LZ,
     PHI,
+    PHI_SQUARED,
     SIN_PHI,
     THETA,
+    THETA_PHI,
     CircularState,
     PendulumState,
     RelationId,
@@ -16,6 +18,7 @@ from lzphi import (
     RotorSuperposition,
     SphericalState,
     Verdict,
+    chi,
     delta_chi,
     evaluate,
     fourier_boundary_term,
@@ -23,6 +26,7 @@ from lzphi import (
     lz_phi_symmetry_deficit,
     symmetry_deficit,
 )
+from lzphi.observables import applicable
 from lzphi.relations import gamma_weighted_sum
 from lzphi.states import family_of
 
@@ -215,6 +219,18 @@ class TestSeamDensity:
         for point, report in relations.report_rows(points, 1e-9):
             stacked[point].append(_report_values(report))
         assert stacked == lone
+        # every pair with a boundary jump, ThetaPhi's weighted by the theta-weighted seam: the
+        # one-state deficit is, bit for bit, the deficit_ab of R60(a=Lz, b) walked on shared stacks
+        for b in (PHI, PHI_SQUARED, THETA_PHI, chi(1), chi(-3)):
+            named = tuple((f"s{k}", state) for k, state in enumerate(states)
+                          if applicable(b, family_of(state)))
+            selection = ((RelationId.R60, RelationParams(pair=(LZ, b))),)
+            walked = [report for _, report in relations.report_rows([(named, selection)], 1e-9)]
+            assert len(walked) == len(named) and max(len(r.column.lhs) for r in walked) > 1, b
+            deficits = [symmetry_deficit(LZ, b, state) for _, state in named]
+            assert repr([(r.diagnostics["deficit_ab_re"], r.diagnostics["deficit_ab_im"]) for r in walked]) \
+                == repr([(d.real, d.imag) for d in deficits]), b
+            assert sum(d.imag != 0.0 for d in deficits) > len(deficits) // 2, b
 
     def test_gamma_sum_needs_a_sphere(self):
         for state in (CircularState(m=1), RotorSuperposition({0: 0.6, 1: 0.8}), PendulumState(n=1)):
@@ -575,14 +591,15 @@ class TestRelationColumns:
         selection = _SPHERICAL_SELECTION + ((RelationId.R8, RelationParams(alpha=-0.5)),)
         # two points of the same states: the walk stacks them once
         assert len(list(relations.report_rows([(named, selection)] * 2, 1e-9))) == 2 * 5 * 9
-        # a lone evaluate after the walk reads the walk's stacks
-        for _ in range(2):
-            for state in states:
+        # the walk's stacks end with it: a lone evaluate after it builds its state's one-row
+        # stack, which a second evaluate on the same state reads
+        for state in states:
+            for _ in range(2):
                 evaluate(RelationId.R5, state, tol=1e-6)
         want = {
             (5, rid, params or relations.NO_PARAMS, 1e-9): 1 for rid, params in _SPHERICAL_SELECTION
         }
-        want[(5, RelationId.R5, relations.NO_PARAMS, 1e-6)] = 1
+        want[(1, RelationId.R5, relations.NO_PARAMS, 1e-6)] = 5
         want[(5, RelationId.R8, RelationParams(alpha=-0.5), 1e-9)] = 1
         assert computed == want
 
@@ -649,9 +666,10 @@ class TestRelationColumns:
                         checked += 1
         assert checked == len(pairs) * len(dens) * 3
 
-    def test_lone_and_stacked_rows_serialize_the_same(self, fixture_states, monkeypatch):
-        """Every relation on every fixture state: a one-row stack and a shared stack agree byte for byte."""
-        from lzphi import PHI_SQUARED, relations, specio
+    def test_lone_and_stacked_rows_serialize_the_same(self, fixture_states):
+        """Every relation on every fixture state: a one-row stack and a walk's shared stacks agree
+        byte for byte."""
+        from lzphi import relations, specio
 
         rng = np.random.default_rng(8)
         states = list(fixture_states) + [random_spherical(rng, 3) for _ in range(3)] + [
@@ -668,28 +686,34 @@ class TestRelationColumns:
             (RelationId.R60, RelationParams(pair=(THETA, PHI))),
         ]
 
-        def outcomes():
-            out = []
-            for index, state in enumerate(states):
-                for rid, params in selection:
-                    try:
-                        report = evaluate(rid, state, params, state_name=f"s{index}")
-                    except ValueError as exc:
-                        out.append(str(exc))
-                    else:
-                        out.append(specio.serialize_report([report]))
-            return out
+        def lone(index, state, rid, params):
+            """(the selection, its report's bytes) on a one-row stack, or (None, the error)."""
+            try:
+                report = evaluate(rid, state, params, state_name=f"s{index}")
+            except ValueError as exc:
+                return None, str(exc)
+            assert len(report.column.lhs) == 1
+            return (rid, params), specio.serialize_report([report])
 
-        # nothing shared: each state gets its own one-row stack
-        monkeypatch.setattr(relations, "_shared", {})
-        lone = outcomes()
-        # a walk of R5, defined on every family, stacks every state; evaluate then reads its stacks
-        walked = relations.report_rows([(tuple(("s", s) for s in states), ((RelationId.R5, None),))],
-                                       1e-9)
-        assert max(len(report.column.lhs) for _, report in walked) == 65
-        stacked = outcomes()
-        assert stacked == lone
-        assert sum(text.startswith("[") for text in lone) > 200
+        outcomes = [[lone(index, state, rid, params) for rid, params in selection]
+                    for index, state in enumerate(states)]
+        reported = [text for rows in outcomes for made, text in rows if made is not None]
+        assert len(reported) > 200
+        # one walk stacks every state, one point per state with the selections it reports on
+        points = [(((f"s{index}", state),), [made for made, _ in rows if made is not None])
+                  for index, (state, rows) in enumerate(zip(states, outcomes))]
+        walked = [report for _, report in relations.report_rows(points, 1e-9)]
+        assert max(len(report.column.lhs) for report in walked) == 65
+        assert [specio.serialize_report([report]) for report in walked] == reported
+        # a refused selection raises the same error on a walk that stacks every state
+        everyone = (tuple(("s", s) for s in states), ())
+        for index, (state, rows) in enumerate(zip(states, outcomes)):
+            for (rid, params), (made, text) in zip(selection, rows):
+                if made is None:
+                    with pytest.raises(ValueError) as exc:
+                        list(relations.report_rows(
+                            [everyone, (((f"s{index}", state),), ((rid, params),))], 1e-9))
+                    assert str(exc.value) == text
 
     def test_huge_alpha_raises(self):
         """An lhs that overflows at |alpha| > 1.3e154 is refused; the rhs stays finite."""
@@ -714,7 +738,7 @@ class TestRelationColumns:
         import itertools
         import json
 
-        from lzphi import PHI_SQUARED, specio
+        from lzphi import specio
 
         selection = (
             (RelationId.R5, None),
@@ -757,7 +781,7 @@ class TestRelationColumns:
         """d(phi^2) is a closed form, not the root of a variance that overflows."""
         import warnings
 
-        from lzphi import PHI_SQUARED, std_dev
+        from lzphi import std_dev
 
         state = PendulumState(n=3, inertia=1e-200, omega=1e-100, hbar=1.0)
         with warnings.catch_warnings():
