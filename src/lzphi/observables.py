@@ -498,11 +498,11 @@ def matrix_element(
 def lz_phi_symmetry_deficit(state, *, method: str = "analytic") -> complex:
     """(Lz Psi, phi Psi) - (Psi, Lz phi Psi), the condition gate for the pair.
 
-    It is i*hbar times the state's seam density (``moments.MomentStack.seam``): i*hbar
-    for a single circular mode, i*hbar*|sum_m c_m|^2 for rotor
-    superpositions, i*hbar*(c, Gamma c) over the polar overlaps for
-    spherical states, and exactly 0 for the pendulum (nothing survives at
-    the line's infinities).
+    It is i*hbar times the state's seam density
+    (``moments.MomentStack.seam``): i*hbar for a single circular mode,
+    i*hbar*|sum_m c_m|^2 for rotor superpositions, i*hbar*(c, Gamma c) over
+    the polar overlaps for spherical states, and exactly 0 for the pendulum
+    (nothing survives at the line's infinities).
     """
     return symmetry_deficit(LZ, PHI, state, method=method)
 

@@ -22,8 +22,9 @@ delta_chi as columns of equal rows), and ends in one decision step,
 of its column. ``report_rows`` stacks every state it walks, one stack per
 basis, then walks a document in report order (point, state, selection),
 one ``evaluate`` per report, and releases its stacks when it ends; a lone
-``evaluate`` on any other state is a one-row stack. No setting enters these moments and states are immutable,
-so an identical state always has the same moments.
+``evaluate`` on any other state is a one-row stack. No setting enters
+these moments and states are immutable, so an identical state always has
+the same moments.
 """
 
 from __future__ import annotations

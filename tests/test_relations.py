@@ -228,8 +228,8 @@ class TestSeamDensity:
             walked = [report for _, report in relations.report_rows([(named, selection)], 1e-9)]
             assert len(walked) == len(named) and max(len(r.column.lhs) for r in walked) > 1, b
             deficits = [symmetry_deficit(LZ, b, state) for _, state in named]
-            assert repr([(r.diagnostics["deficit_ab_re"], r.diagnostics["deficit_ab_im"]) for r in walked]) \
-                == repr([(d.real, d.imag) for d in deficits]), b
+            rows = [(r.diagnostics["deficit_ab_re"], r.diagnostics["deficit_ab_im"]) for r in walked]
+            assert repr(rows) == repr([(d.real, d.imag) for d in deficits]), b
             assert sum(d.imag != 0.0 for d in deficits) > len(deficits) // 2, b
 
     def test_gamma_sum_needs_a_sphere(self):
