@@ -10,10 +10,12 @@ form (c, M c) over basis matrices M that do not depend on the state, or a
 binomial combination of them, so each M is built once per basis
 (``observables.cached_symbol_matrix``), the symbol algebra behind it once
 per process (``observables.kind_symbol``, ``observables.product_symbol``),
-and each form once per stack, over all of its rows at once. The seam
-density (``MomentStack.seam``) is one such form; the symmetry deficits
-(``MomentStack.deficit``, and ``observables.symmetry_deficit`` as its
-one-row case) and the boundary terms of R15, R52 and R58 read it. On the
+and each form once per stack, over all of its rows at once. One key, the
+symbol's sorted terms (``observables.Symbol.key``), names both its kept
+matrix and its forms. The seam density (``MomentStack.seam``) is one such
+form; the symmetry deficits (``MomentStack.deficit``, and
+``observables.symmetry_deficit`` as its one-row case) and the boundary
+terms of R15, R52 and R58 read it. On the
 oscillator basis no matrix is built: phi and Lz act on the number-state
 rows as ladder steps. An Lz side, and every side on the oscillator basis,
 is centered before it is powered. All a stack computes, the relation
@@ -204,19 +206,14 @@ class MomentStack:
         return self.once(key, lambda: obs.apply_to_rows(
             obs.cached_symbol_matrix(sym, self._basis), self._coeffs))
 
-    def _form(self, sym, left=None) -> np.ndarray:
-        """(left_p, M c_p) for every row p; ``left`` defaults to C, whose forms are kept.
+    def _form(self, sym) -> np.ndarray:
+        """(c_p, M c_p) for every row p, computed once per symbol (``sym.key``).
 
-        A kept form (c, M c) is computed once per symbol and read by every
-        mean, binomial term and commutator of the stack, with conj(C) taken once.
+        Every mean, binomial term and commutator of the stack reads these
+        forms; conj(C) is taken with the first one, not before.
         """
-        if left is None:
-            return self.once(("form", sym.key), self._default_form, sym)
-        return np.einsum("pi,pi->p", np.conj(left), self._applied(sym))
-
-    def _default_form(self, sym) -> np.ndarray:
-        conj = self.once(("conj",), np.conj, self._coeffs)
-        return np.einsum("pi,pi->p", conj, self._applied(sym))
+        return self.once(("form", sym.key), lambda: np.einsum(
+            "pi,pi->p", self.once(("conj",), np.conj, self._coeffs), self._applied(sym)))
 
     def _centered(self, kind, mu, power) -> np.ndarray:
         """Row p holds (A - mu_p)^power c_p, each factor applied to the row.
@@ -277,9 +274,10 @@ class MomentStack:
             right = self._centered(b, mu_b, s)
             return np.einsum("pi,pi->p", np.conj(self._centered(a, mu_a, r)), right)
         if a.name == "Lz":
-            left = self._centered(a, mu_a, r)
+            left = np.conj(self._centered(a, mu_a, r))
             return sum(
-                math.comb(s, k) * (-mu_b) ** (s - k) * self._form(obs.kind_symbol(b) ** k, left)
+                math.comb(s, k) * (-mu_b) ** (s - k)
+                * np.einsum("pi,pi->p", left, self._applied(obs.kind_symbol(b) ** k))
                 for k in range(s + 1)
             )
         return sum(
@@ -323,7 +321,8 @@ class MomentStack:
         out.imag = self.hbar * total
         return out
 
-    def seam(self, theta_power: int = 0) -> np.ndarray:
+    @_memoized
+    def seam(self, theta_power: int) -> np.ndarray:
         """The density 2*pi*|psi|^2 along the seam phi = 0 = 2*pi of every row.
 
         exp(i*m*2*pi) = 1 for every integer m, so on a rotor basis it is
@@ -332,9 +331,6 @@ class MomentStack:
         overlap of theta^``theta_power`` (``numerics.theta_overlap_matrix``);
         T_0 is R58's gamma table. The pendulum's line has no seam.
         """
-        return self.once(("seam", theta_power), self._seam, theta_power)
-
-    def _seam(self, theta_power):
         if isinstance(self._basis, obs.OscillatorBasis):
             raise ValueError("the pendulum's line has no seam")
         if isinstance(self._basis, obs.SphericalBasis):

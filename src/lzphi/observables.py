@@ -107,15 +107,16 @@ class Symbol:
     Keys are (a, j, p) triples. The algebra is closed under products,
     integer powers and d/dphi, which is all the moment machinery needs.
     ``terms`` is read-only, since the symbols of ``kind_symbol`` and
-    ``product_symbol`` are shared by the whole process; ``key`` holds the
-    terms sorted, equal for equal symbols whatever the order of their terms.
+    ``product_symbol`` are shared by the whole process, and sorted, so equal
+    symbols are summed in one order. ``key``, the terms as a tuple, names the
+    symbol in ``cached_symbol_matrix`` and in every ``MomentStack`` memo.
     """
 
     __slots__ = ("terms", "key")
 
     def __init__(self, terms):
-        self.terms = MappingProxyType({k: complex(v) for k, v in terms.items() if v != 0})
-        self.key = tuple(sorted(self.terms.items()))
+        self.key = tuple(sorted((k, complex(v)) for k, v in terms.items() if v != 0))
+        self.terms = MappingProxyType(dict(self.key))
 
     @classmethod
     def constant(cls, value) -> "Symbol":
@@ -354,11 +355,11 @@ SYMBOL_MATRICES = _MatrixCache(SYMBOL_CACHE_BYTES)
 def cached_symbol_matrix(sym: Symbol, basis) -> np.ndarray:
     """``symbol_matrix(sym, basis)``, built once per (symbol, basis) and returned read-only.
 
-    The key holds the symbol's terms in insertion order: ``symbol_matrix``
-    sums the terms in that order, so a kept matrix is a fresh build bit for
-    bit. At most SYMBOL_CACHE_BYTES of matrices are kept (``SYMBOL_MATRICES``).
+    The key is (basis, ``sym.key``): equal symbols sum their sorted terms in
+    one order, so they share one kept matrix, a fresh build bit for bit. At
+    most SYMBOL_CACHE_BYTES of matrices are kept (``SYMBOL_MATRICES``).
     """
-    key = (basis, tuple(sym.terms.items()))
+    key = (basis, sym.key)
     mat = SYMBOL_MATRICES.get(key)
     if mat is None:
         mat = symbol_matrix(sym, basis)

@@ -207,14 +207,14 @@ def fourier_boundary_term(state) -> float:
     fam = st.family_of(state)
     if fam not in _PERIODIC:
         raise ValueError(f"fourier_boundary_term needs a periodic family, got {fam}")
-    return float(np.abs(1.0 - mo.MomentStack((state,)).seam()[0]))
+    return float(np.abs(1.0 - mo.MomentStack((state,)).seam(0)[0]))
 
 
 def gamma_weighted_sum(state) -> float:
     """sum_mm' conj(c_m) c_m' gamma(l, m, m'), the seam density of a spherical state."""
     if st.family_of(state) != "spherical":
         raise ValueError("the gamma-weighted sum needs spherical states")
-    return float(mo.MomentStack((state,)).seam()[0])
+    return float(mo.MomentStack((state,)).seam(0)[0])
 
 
 def report_rows(points, tol: float):
@@ -395,7 +395,7 @@ def _relation_column(stack, relation, params, tol) -> _Column:
         rhs = hbar**2
     elif relation in (RelationId.R15, RelationId.R52, RelationId.R58):
         # |1 - seam density|: |1 - 2*pi*|psi(2*pi)|^2| on the circle, |1 - gamma sum| on a sphere
-        seam = stack.seam()
+        seam = stack.seam(0)
         boundary = np.abs(1.0 - seam)
         if relation == RelationId.R58:
             diag["gamma_sum"] = seam

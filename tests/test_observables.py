@@ -341,7 +341,7 @@ class TestSymbolMatrixCache:
         # the second stack reads the first one's matrices, unless they outgrow the bound
         fits = sum(mat.nbytes for _, _, mat in read[:built]) <= observables.SYMBOL_CACHE_BYTES
         for (sym, basis, first), (_, _, second) in zip(read[:built], read[built:]):
-            # insertion order is part of the key: sorting the terms would change the sum
+            # the key is the symbol's sorted terms, the order symbol_matrix sums them in
             assert second is first or not fits
             fresh = symbol_matrix(sym, basis)
             assert first.tobytes() == fresh.tobytes() and second.tobytes() == fresh.tobytes()
@@ -360,6 +360,19 @@ class TestSymbolMatrixCache:
                 table = matrix_table(kind, basis, method=method)
                 assert not table.matrix.flags.writeable, (kind, method)
         assert matrix_table(PHI, basis).matrix is cached_symbol_matrix(kind_symbol(PHI), basis)
+
+    def test_one_symbol_has_one_key_and_one_kept_matrix(self):
+        """A product built in either order holds one term order and reads one kept matrix."""
+        from lzphi.observables import cached_symbol_matrix
+
+        basis = RotorBasis(tuple(range(-4, 5)))
+        first = kind_symbol(chi(1)) * kind_symbol(SIN_PHI)
+        second = kind_symbol(SIN_PHI) * kind_symbol(chi(1))
+        assert list(first.terms) == list(second.terms) == sorted(first.terms)
+        assert first.key == second.key == tuple(first.terms.items())
+        mat = cached_symbol_matrix(first, basis)
+        assert cached_symbol_matrix(second, basis) is mat
+        assert mat.tobytes() == symbol_matrix(second, basis).tobytes()
 
     def test_the_byte_bound_holds_as_span_480_rotors_fill_it(self):
         """Rotor bases of span 480: the least recently used go first; a matrix past the bound is not kept."""
