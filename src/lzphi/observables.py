@@ -202,13 +202,25 @@ def product_symbol(a: ObservableKind, i: int, b: ObservableKind, k: int) -> Symb
 
 @lru_cache(maxsize=4096)
 def phi_fourier_moment(k: int, p: int) -> complex:
-    """(1/2*pi) * int_0^2pi phi^p exp(i*k*phi) dphi, exact by recurrence."""
+    """(1/2*pi) * int_0^2pi phi^p exp(i*k*phi) dphi, exact by recurrence.
+
+    By parts, t_q = ((2*pi)^(q-1) - q*t_(q-1))/(i*k). Run forward, each step
+    scales an error by q/(2*pi*|k|), so it runs forward only while
+    p <= 2*pi*|k|. Past that, u_q = t_q/(2*pi)^q runs backward,
+    u_(q-1) = (1 - 2*pi*i*k*u_q)/q from u_(p+60) = 0, and each step scales
+    the start's error by 2*pi*|k|/q < 1 (Gautschi, SIAM Rev. 9 (1967) 24).
+    """
     if k == 0:
         return TWO_PI**p / (p + 1)
-    t = 0.0 + 0.0j
-    for q in range(1, p + 1):
-        t = TWO_PI ** (q - 1) / (1j * k) - (q / (1j * k)) * t
-    return t
+    if p <= TWO_PI * abs(k):
+        t = 0.0 + 0.0j
+        for q in range(1, p + 1):
+            t = TWO_PI ** (q - 1) / (1j * k) - (q / (1j * k)) * t
+        return t
+    u = 0.0 + 0.0j
+    for q in range(p + 60, p, -1):
+        u = (1.0 - 1j * TWO_PI * k * u) / q
+    return u * TWO_PI**p
 
 
 def _offset_index(ms):

@@ -6,6 +6,8 @@ machinery, so analytic paths are checked against a genuinely separate
 route.
 """
 
+import decimal
+from fractions import Fraction
 import math
 
 import numpy as np
@@ -243,3 +245,39 @@ def symbol_sum(symbol, constant):
     terms = dict(symbol.terms)
     terms[(0, 0, 0)] = terms.get((0, 0, 0), 0.0) + constant
     return type(symbol)(terms)
+
+
+def decimal_pi(digits):
+    """pi to ``digits`` significant digits, by the series of the decimal module's recipe."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 2
+        lasts, t, s, n, na, d, da = 0, decimal.Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+        ctx.prec = digits
+        return +s
+
+
+def phi_fourier_moment_exact(k, p, digits=60):
+    """(1/2*pi) int_0^2pi phi^p exp(i*k*phi) dphi for k != 0, summed at ``digits`` digits.
+
+    p integrations by parts with exp(2*pi*i*k) = 1 leave the finite sum
+    (2*pi)^p sum_(j=0..p-1) (-1)^j p!/(p-j)! (2*pi*i*k)^(-(j+1)). Its
+    coefficients are exact fractions and its powers of i exact signs; only
+    pi is rounded.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        two_pi = 2 * decimal_pi(digits)
+        parts = [decimal.Decimal(0), decimal.Decimal(0)]
+        for j in range(p):
+            coeff = Fraction((-1) ** j * math.factorial(p) // math.factorial(p - j), k ** (j + 1))
+            value = decimal.Decimal(coeff.numerator) / coeff.denominator * two_pi ** (p - j - 1)
+            # i^(-(j+1)) = (-i)^(j+1) is -i, -1, i, 1 in turn
+            part, sign = [(1, -1), (0, -1), (1, 1), (0, 1)][j % 4]
+            parts[part] += sign * value
+        return complex(float(parts[0]), float(parts[1]))

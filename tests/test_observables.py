@@ -25,6 +25,7 @@ from lzphi import (
 )
 from lzphi.numerics import theta_overlap_matrix
 from lzphi.observables import (
+    MAX_CORRELATION_ORDER,
     ObservableKind,
     applicable,
     kind_symbol,
@@ -34,7 +35,7 @@ from lzphi.observables import (
 )
 
 from .conftest import random_spherical
-from .oracles import SphericalOracle, lz_phi_deficit, symbol_sum
+from .oracles import SphericalOracle, lz_phi_deficit, phi_fourier_moment_exact, symbol_sum
 
 ROTOR_7 = RotorBasis(tuple(range(-3, 4)))
 
@@ -69,6 +70,16 @@ class TestRotorElements:
         table = matrix_table(chi(3), ROTOR_7)
         assert table.element(0, 0) == pytest.approx(math.pi + 6 * math.pi)
         assert table.element(0, 1) == pytest.approx(matrix_element(PHI, ROTOR_7, 0, 1))
+
+
+def test_phi_fourier_moments_match_the_exact_sum():
+    """Every moment a stack reads, up to the order-6 products of PhiSquared, to 1e-14."""
+    top = 4 * MAX_CORRELATION_ORDER
+    for k in (*range(-10, 0), *range(1, 11)):
+        assert phi_fourier_moment(k, 0) == 0
+        for p in range(1, top + 1):
+            exact = phi_fourier_moment_exact(k, p)
+            assert abs(phi_fourier_moment(k, p) - exact) <= 1e-14 * abs(exact), (k, p)
 
 
 class TestHermiticity:
