@@ -284,8 +284,6 @@ def _parse_state(tokens, lineno, settings, auto_index):
                 inertia=take_float("inertia", 1.0),
                 normalize=settings.normalize,
             )
-    except SpecParseError:
-        raise
     except ValueError as exc:
         code = "not-normalized" if "normalize" in str(exc) else "bad-value"
         raise SpecParseError(code, lineno, fcol, str(exc)) from exc
