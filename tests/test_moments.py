@@ -662,9 +662,9 @@ def test_one_centered_vector_per_quadrature_variance(monkeypatch):
 def test_each_default_form_is_computed_once_per_stack(monkeypatch):
     """R5 R30 R36 R58 on one spherical stack take each distinct form (c, M c) once.
 
-    Fourteen reads of a form (c, M c) enter those columns: the Phi and Theta means
-    and the binomial terms of std(Phi), std(Theta) and C(Theta, Phi). They
-    come from six symbols (1, phi, phi^2, theta, theta*phi, theta^2); the
+    Fourteen reads of a form (c, M c) enter those columns: the Phi and Theta
+    means and the binomial terms of std(Phi), std(Theta) and C(Theta, Phi).
+    They come from six symbols (1, phi, phi^2, theta, theta*phi, theta^2); the
     seam density (c, Gamma c), which R5's gate and R58's rhs both read, is
     a seventh. Every einsum whose left factor is conj(C) is counted by its
     right factor M C.
