@@ -20,11 +20,11 @@ params, computes lhs, rhs and the diagnostics (the params-only alpha and
 delta_chi as columns of equal rows), and ends in one decision step,
 ``_decide``, that reads the column's own numbers alone. A report is a row
 of its column. ``report_rows`` stacks every state it walks, one stack per
-basis, then walks a document in report order (point, state, selection),
-one ``evaluate`` per report, and releases its stacks when it ends; a lone
-``evaluate`` on any other state is a one-row stack. No setting enters
-these moments and states are immutable, so an identical state always has
-the same moments.
+basis, and keeps each state's row (stack, index) to itself; it walks a
+document in report order (point, state, selection) and hands each
+``evaluate`` its row. A lone ``evaluate`` is always its own one-row
+stack. No setting enters these moments and states are immutable, so an
+identical state always has the same moments.
 """
 
 from __future__ import annotations
@@ -222,26 +222,27 @@ def report_rows(points, tol: float):
 
     The states of all points are stacked first, one ``moments.MomentStack``
     per basis, so each quantity and verdict is computed once for all rows.
+    The walk alone maps each state to its row (stack, index) and hands the
+    row to ``evaluate``, so nothing run during the walk reaches its stacks.
     The order is point, then state, then selection; a report that cannot be
     made raises when it is reached, so the first error in report order is
-    the one raised (a ``RowOverflowError`` names its point). The stacks are
-    released when the walk ends, however it ends.
+    the one raised (a ``RowOverflowError`` names its point).
     """
-    global _shared
     points = list(points)
-    _shared = _stacked(state for states, _ in points for _, state in states)
-    try:
-        for point, (states, selections) in enumerate(points):
-            for name, state in states:
-                for relation, params in selections:
-                    try:
-                        report = evaluate(relation, state, params, tol, state_name=name)
-                    except RowOverflowError as exc:
-                        exc.point = point
-                        raise
-                    yield point, report
-    finally:
-        _shared = {}
+    # each stack holds its states, so an id found here names that state
+    rows = {id(state): (stack, index)
+            for stack in mo.stacks(state for states, _ in points for _, state in states)
+            for index, state in enumerate(stack.states)}
+    for point, (states, selections) in enumerate(points):
+        for name, state in states:
+            row = rows[id(state)]
+            for relation, params in selections:
+                try:
+                    report = evaluate(relation, state, params, tol, state_name=name, row=row)
+                except RowOverflowError as exc:
+                    exc.point = point
+                    raise
+                yield point, report
 
 
 def evaluate(
@@ -251,16 +252,22 @@ def evaluate(
     tol: float = 1e-9,
     *,
     state_name: str = "",
+    row: tuple | None = None,
 ) -> RelationReport:
     """Evaluate one relation against one state and report the verdict.
 
-    Raises ValueError on family mismatch, invalid parameters or tolerance, and its
-    ``RowOverflowError`` on a left side, right side or diagnostic that is
-    not finite; every other numeric outcome (including trivial 0 >= 0
-    degenerations and gate failures) comes back as a report.
+    ``row`` is the state's (``moments.MomentStack``, index) in a walk's
+    stacks (``report_rows``); without it the state is its own one-row stack.
+    Raises ValueError on a row that does not name ``state``, family mismatch,
+    invalid parameters or tolerance, and its ``RowOverflowError`` on a left
+    side, right side or diagnostic that is not finite; every other numeric
+    outcome (including trivial 0 >= 0 degenerations and gate failures) comes
+    back as a report.
     """
     params = params or NO_PARAMS
-    stack, index = _moment_row(state)
+    stack, index = (mo.MomentStack((state,)), 0) if row is None else row
+    if not (0 <= index < len(stack.states) and stack.states[index] is state):
+        raise ValueError(f"row {index} of the stack is not this state")
     # a str names its RelationId in the key: the two hash and compare alike
     try:
         column = stack.once((relation, params, tol), _relation_column, stack, relation, params, tol)
@@ -455,30 +462,6 @@ def _decide(lhs, rhs, condition31, den, gated: bool, tol: float):
 def _cabs(z: np.ndarray) -> np.ndarray:
     """|z| by libm hypot, as Python's abs(complex) computes it."""
     return np.hypot(z.real, z.imag)
-
-
-def _stacked(states):
-    """{id(state): (stack, index)} over the stacks of ``states``.
-
-    Each stack holds its states, so an id found here names that state.
-    """
-    return {id(state): (stack, index)
-            for stack in mo.stacks(states) for index, state in enumerate(stack.states)}
-
-
-#: the rows of the walk under way or of the last lone state; replaced in one
-#: assignment, so a thread race costs a recomputation, not a wrong number
-_shared = {}
-
-
-def _moment_row(state):
-    """(stack, index) of ``state`` in the shared stacks, or of a fresh one-row stack."""
-    global _shared
-    row = _shared.get(id(state))
-    if row is None:
-        _shared = fresh = _stacked((state,))
-        row = fresh[id(state)]
-    return row
 
 
 def _operative_pair(relation, params):

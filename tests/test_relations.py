@@ -196,14 +196,13 @@ _SEAM_RELATIONS = {
 class TestSeamDensity:
     """The gate deficit, the R15/R52 boundary term and R58's gamma sum read one seam density."""
 
-    def test_every_reader_takes_the_same_seam(self, fixture_states, monkeypatch):
+    def test_every_reader_takes_the_same_seam(self, fixture_states):
         from lzphi import relations
 
         states = list(fixture_states) + _seam_states()
         selections = [[(rid, None) for rid in _SEAM_RELATIONS[family_of(state)]] for state in states]
 
         # nothing shared: each state is its own one-row stack
-        monkeypatch.setattr(relations, "_shared", {})
         lone = [[_report_values(evaluate(rid, state)) for rid, _ in sel]
                 for state, sel in zip(states, selections)]
         for state, rows in zip(states, lone):
@@ -429,7 +428,7 @@ _SPHERICAL_SELECTION = (
 
 
 class TestMomentTable:
-    """evaluate computes a state's moments once and reuses them per state object."""
+    """A walk computes each state's moments once, however many relations read them."""
 
     def test_std_dev_once_per_kind_per_state(self, monkeypatch):
         from lzphi import relations, specio
@@ -452,11 +451,7 @@ class TestMomentTable:
         # count the computations behind the stack's memo, one per row and kind
         monkeypatch.setattr(mo.MomentStack, "std", mo._memoized(std))
         tol = doc.settings.tolerance
-        reports = [
-            relations.evaluate(rid, state, params, tol)
-            for _, state in doc.states
-            for rid, params in doc.selections
-        ]
+        reports = list(relations.report_rows([(doc.states, doc.selections)], tol))
         assert len(reports) == 3 * 10
         # Lz, Phi, SinPhi and CosPhi on each of the three states
         assert len(calls) == 3 * 4
@@ -591,26 +586,77 @@ class TestRelationColumns:
         selection = _SPHERICAL_SELECTION + ((RelationId.R8, RelationParams(alpha=-0.5)),)
         # two points of the same states: the walk stacks them once
         assert len(list(relations.report_rows([(named, selection)] * 2, 1e-9))) == 2 * 5 * 9
-        # the walk's stacks end with it: a lone evaluate after it builds its state's one-row
-        # stack, which a second evaluate on the same state reads
+        # the walk's stacks are its own: each lone evaluate, after it too, builds its state's
+        # one-row stack, so two on one state build two
         for state in states:
             for _ in range(2):
                 evaluate(RelationId.R5, state, tol=1e-6)
         want = {
             (5, rid, params or relations.NO_PARAMS, 1e-9): 1 for rid, params in _SPHERICAL_SELECTION
         }
-        want[(1, RelationId.R5, relations.NO_PARAMS, 1e-6)] = 5
+        want[(1, RelationId.R5, relations.NO_PARAMS, 1e-6)] = 10
         want[(5, RelationId.R8, RelationParams(alpha=-0.5), 1e-9)] = 1
         assert computed == want
 
     def test_a_name_and_its_member_find_one_column(self):
         """The column memo keys on the relation: "R5" and RelationId.R5 hash and compare alike."""
+        from lzphi import relations
+
         for rid in RelationId:
             assert hash(rid) == hash(rid.value) and rid == rid.value
         state = random_spherical(np.random.default_rng(5), 2)
-        by_name, by_member = evaluate("R5", state), evaluate(RelationId.R5, state)
+        walked = relations.report_rows([((("s", state),), (("R5", None), (RelationId.R5, None)))], 1e-9)
+        (_, by_name), (_, by_member) = walked
         assert by_name.column is by_member.column and by_name.index == by_member.index
         assert by_name.relation is RelationId.R5
+
+    def test_a_walk_keeps_its_own_rows_when_something_else_runs_during_it(self):
+        """Two walks run interleaved, or lone evaluations between a walk's reports, leave each
+        walk reading its own stacks, with the bytes of a walk that runs alone."""
+        import itertools
+
+        from lzphi import relations, specio
+
+        rng = np.random.default_rng(12)
+        selection = ((RelationId.R5, None), (RelationId.R30, None))
+        small = [(tuple((f"a{k}", random_spherical(rng, 2)) for k in range(4)), selection)]
+        large = [(tuple((f"b{k}", random_spherical(rng, 3)) for k in range(5)), selection)]
+        other = random_spherical(rng, 2)
+
+        def walk(points):
+            return (report for _, report in relations.report_rows(points, 1e-9))
+
+        def text(reports):
+            return [specio.serialize_report([report]) for report in reports]
+
+        # (a) two walks zipped: every report has its own walk's rows, 4 or 5
+        zipped = list(itertools.zip_longest(walk(small), walk(large)))
+        small_zipped = [report for report, _ in zipped if report is not None]
+        large_zipped = [report for _, report in zipped]
+        assert [len(report.column.lhs) for report in small_zipped] == [4] * 8
+        assert [len(report.column.lhs) for report in large_zipped] == [5] * 10
+        # (b) a lone evaluate of another state after each report of a walk
+        between = []
+        for report in walk(small):
+            between.append(report)
+            evaluate(RelationId.R5, other)
+        assert [len(report.column.lhs) for report in between] == [4] * 8
+        # (c) the bytes of a walk with nothing run during it
+        assert text(small_zipped) == text(between) == text(walk(small))
+        assert text(large_zipped) == text(walk(large))
+
+    def test_a_row_must_name_its_state(self):
+        """evaluate reads the row it is handed, and refuses one that holds another state or none."""
+        from lzphi import moments as mo
+
+        rng = np.random.default_rng(13)
+        states = [random_spherical(rng, 2) for _ in range(2)]
+        stack = mo.MomentStack(states)
+        report = evaluate(RelationId.R5, states[1], row=(stack, 1))
+        assert report.column.lhs == [evaluate(RelationId.R5, state).lhs for state in states]
+        for index in (0, 2, -1):
+            with pytest.raises(ValueError, match="is not this state"):
+                evaluate(RelationId.R5, states[1], row=(stack, index))
 
     def test_the_decision_step_takes_the_first_rule_that_holds(self):
         """``_decide`` over whole columns gives the verdict of the catalog's rule, row by row.
