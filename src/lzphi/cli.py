@@ -277,7 +277,7 @@ def _spec_int(text: str):
 def _retuned(state, index: int, base: str, value: float):
     """Set the magnitude or phase of coefficient m = index, then renormalize; else ``state`` itself."""
     if isinstance(state, RotorSuperposition):
-        cmap = state.coeff_map
+        cmap = dict(state.coefficients)
         if index in cmap:
             cmap[index] = _adjust(cmap[index], base, value)
             return RotorSuperposition(cmap, hbar=state.hbar, normalize=True)

@@ -11,7 +11,7 @@ binomial combination of them, so each M is built once per basis
 (``observables.cached_symbol_matrix``), the symbol algebra behind it once
 per process (``observables.kind_symbol``, ``observables.product_symbol``),
 and each form once per stack, over all of its rows at once. One key, the
-symbol's sorted terms (``observables.Symbol.key``), names both its kept
+symbol's sorted terms (``observables.Symbol.terms``), names both its kept
 matrix and its forms. The seam density (``MomentStack.seam``) is one such
 form; the symmetry deficits (``MomentStack.deficit``, and
 ``observables.symmetry_deficit`` as its one-row case) and the boundary
@@ -200,19 +200,19 @@ class MomentStack:
 
     def _applied(self, sym) -> np.ndarray:
         """Row p holds M c_p for the symbol's basis matrix M, or S(X) c_p by ladder steps."""
-        key = ("applied", sym.key)
+        key = ("applied", sym.terms)
         if isinstance(self._basis, obs.OscillatorBasis):
             return self.once(key, obs.polynomial_rows, sym, self._basis, self._coeffs)
         return self.once(key, lambda: obs.apply_to_rows(
             obs.cached_symbol_matrix(sym, self._basis), self._coeffs))
 
     def _form(self, sym) -> np.ndarray:
-        """(c_p, M c_p) for every row p, computed once per symbol (``sym.key``).
+        """(c_p, M c_p) for every row p, computed once per symbol (``sym.terms``).
 
         Every mean, binomial term and commutator of the stack reads these
         forms; conj(C) is taken with the first one, not before.
         """
-        return self.once(("form", sym.key), lambda: np.einsum(
+        return self.once(("form", sym.terms), lambda: np.einsum(
             "pi,pi->p", self.once(("conj",), np.conj, self._coeffs), self._applied(sym)))
 
     def _centered(self, kind, mu, power) -> np.ndarray:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 import math
 import threading
-from types import MappingProxyType
 from typing import ClassVar
 
 import numpy as np
@@ -104,19 +103,18 @@ def check_applicable(kind: ObservableKind, state) -> str:
 class Symbol:
     """Finite sum of coeff * theta^a * phi^p * exp(i*j*phi) terms.
 
-    Keys are (a, j, p) triples. The algebra is closed under products,
-    integer powers and d/dphi, which is all the moment machinery needs.
-    ``terms`` is read-only, since the symbols of ``kind_symbol`` and
-    ``product_symbol`` are shared by the whole process, and sorted, so equal
-    symbols are summed in one order. ``key``, the terms as a tuple, names the
-    symbol in ``cached_symbol_matrix`` and in every ``MomentStack`` memo.
+    ``terms`` is the sorted tuple of ((a, j, p), coeff) pairs. The algebra
+    is closed under products, integer powers and d/dphi, which is all the
+    moment machinery needs. A tuple cannot be written, so ``kind_symbol``
+    and ``product_symbol`` share their symbols process-wide; sorted, equal
+    symbols sum in one order, and ``terms`` names the symbol in
+    ``cached_symbol_matrix`` and every ``MomentStack`` memo.
     """
 
-    __slots__ = ("terms", "key")
+    __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.key = tuple(sorted((k, complex(v)) for k, v in terms.items() if v != 0))
-        self.terms = MappingProxyType(dict(self.key))
+        self.terms = tuple(sorted((k, complex(v)) for k, v in terms.items() if v != 0))
 
     @classmethod
     def constant(cls, value) -> "Symbol":
@@ -124,10 +122,10 @@ class Symbol:
 
     def __mul__(self, other):
         if not isinstance(other, Symbol):
-            return Symbol({k: v * other for k, v in self.terms.items()})
+            return Symbol({k: v * other for k, v in self.terms})
         out = {}
-        for (a1, j1, p1), v1 in self.terms.items():
-            for (a2, j2, p2), v2 in other.terms.items():
+        for (a1, j1, p1), v1 in self.terms:
+            for (a2, j2, p2), v2 in other.terms:
                 k = (a1 + a2, j1 + j2, p1 + p2)
                 out[k] = out.get(k, 0.0) + v1 * v2
         return Symbol(out)
@@ -142,7 +140,7 @@ class Symbol:
 
     def phi_derivative(self) -> "Symbol":
         out = {}
-        for (a, j, p), v in self.terms.items():
+        for (a, j, p), v in self.terms:
             if p:
                 k = (a, j, p - 1)
                 out[k] = out.get(k, 0.0) + v * p
@@ -154,7 +152,7 @@ class Symbol:
     def boundary_jump(self) -> dict:
         """Per theta-power totals of term(2*pi) - term(0) along phi, in units of 2*pi."""
         out = {}
-        for (a, j, p), v in self.terms.items():
+        for (a, j, p), v in self.terms:
             if p:
                 out[a] = out.get(a, 0.0) + v * TWO_PI ** (p - 1)
         return out
@@ -162,7 +160,7 @@ class Symbol:
     def evaluate(self, theta, phi):
         """Pointwise values; theta is None for the plain periodic families."""
         total = 0.0
-        for (a, j, p), v in self.terms.items():
+        for (a, j, p), v in self.terms:
             term = v * phi**p if p else v * np.ones_like(phi, dtype=np.complex128)
             if j:
                 term = term * np.exp(1j * j * phi)
@@ -317,9 +315,9 @@ def symbol_matrix(sym: Symbol, basis) -> np.ndarray:
     ks, index = _offset_index(basis.ms)
     out = np.zeros(index.shape, dtype=np.complex128)
     spherical = isinstance(basis, SphericalBasis)
-    if not spherical and not all(a == 0 for (a, _, _) in sym.terms):
+    if not spherical and not all(a == 0 for (a, _, _), _ in sym.terms):
         raise ValueError("theta-dependent symbol on a non-spherical basis")
-    for (a, j, p), v in sym.terms.items():
+    for (a, j, p), v in sym.terms:
         # element (m, m') of the phi factor is phi_fourier_moment(m' - m + j, p)
         phi_fac = np.array([phi_fourier_moment(k + j, p) for k in ks])[index]
         theta_fac = numerics.theta_overlap_matrix(basis.l, a) if spherical else 1.0
@@ -367,11 +365,11 @@ SYMBOL_MATRICES = _MatrixCache(SYMBOL_CACHE_BYTES)
 def cached_symbol_matrix(sym: Symbol, basis) -> np.ndarray:
     """``symbol_matrix(sym, basis)``, built once per (symbol, basis) and returned read-only.
 
-    The key is (basis, ``sym.key``): equal symbols sum their sorted terms in
-    one order, so they share one kept matrix, a fresh build bit for bit. At
+    The key is (basis, ``sym.terms``): equal symbols sum their sorted terms
+    in one order, so they share one kept matrix, a fresh build bit for bit. At
     most SYMBOL_CACHE_BYTES of matrices are kept (``SYMBOL_MATRICES``).
     """
-    key = (basis, sym.key)
+    key = (basis, sym.terms)
     mat = SYMBOL_MATRICES.get(key)
     if mat is None:
         mat = symbol_matrix(sym, basis)
@@ -425,9 +423,9 @@ def lz_step(basis: OscillatorBasis, rows: np.ndarray) -> np.ndarray:
 
 def polynomial_rows(sym: Symbol, basis: OscillatorBasis, rows: np.ndarray) -> np.ndarray:
     """Row p holds S(X) c_p for a polynomial symbol S in phi, each phi^q as ``x_steps``."""
-    if any(a or j for (a, j, _) in sym.terms):
+    if any(a or j for (a, j, _), _ in sym.terms):
         raise ValueError("only polynomials in phi act on the oscillator basis")
-    return sum((v * x_steps(basis, rows, q) for (_, _, q), v in sym.terms.items()),
+    return sum((v * x_steps(basis, rows, q) for (_, _, q), v in sym.terms),
                np.zeros_like(rows))
 
 

@@ -50,7 +50,7 @@ class CircularState:
 class RotorSuperposition:
     """Finite superposition sum_m c_m exp(i*m*phi)/sqrt(2*pi) on [0, 2*pi].
 
-    ``coefficients`` maps integer m to a complex amplitude. Input whose
+    ``coefficients`` holds the (m, c) pairs, sorted by m. Input whose
     squared amplitudes do not sum to 1 within NORM_INPUT_TOL is rejected
     unless ``normalize=True``, in which case the whole vector is rescaled.
     """
@@ -74,10 +74,6 @@ class RotorSuperposition:
         object.__setattr__(self, "coefficients", tuple(zip([m for m, _ in pairs], values)))
         object.__setattr__(self, "hbar", float(hbar))
         _require_finite_positive(("hbar",), self.hbar)
-
-    @property
-    def coeff_map(self) -> dict:
-        return dict(self.coefficients)
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,7 @@ def test_m_beyond_2_to_the_52_rejected(build):
 
 def test_m_at_2_to_the_52_accepted():
     assert CircularState(m=2**52).m == 2**52
-    assert RotorSuperposition({2**52: 0.6, -(2**52): 0.8}).coeff_map[-(2**52)] == 0.8
+    assert dict(RotorSuperposition({2**52: 0.6, -(2**52): 0.8}).coefficients)[-(2**52)] == 0.8
 
 
 @pytest.mark.parametrize(
@@ -232,4 +232,4 @@ def test_integral_quantum_numbers_are_stored_as_int():
     assert type(CircularState(m=np.int64(3)).m) is int
     assert type(PendulumState(n=2.0).n) is int
     assert type(SphericalState(np.int64(1), (0, 1, 0)).l) is int
-    assert RotorSuperposition({"1": 0.6, 0: 0.8}).coeff_map == {0: 0.8, 1: 0.6}
+    assert dict(RotorSuperposition({"1": 0.6, 0: 0.8}).coefficients) == {0: 0.8, 1: 0.6}
