@@ -56,7 +56,7 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors are input errors (exit 3): argparse's exit 2 means Indeterminate here."""
 
     def error(self, message):  # add_subparsers builds each subcommand with this class
-        raise ValueError(f"{self.prog}: {message}")
+        raise ValueError(f"[usage] {self.prog}: {message}")
 
 
 @functools.cache
@@ -170,7 +170,8 @@ def _run_scan(args) -> int:
     states, selections = points[0]
     if all(new[1] is old[1] for new, old in zip(states + selections, doc.states + doc.selections)):
         base, _, index = param.partition(":")
-        raise ValueError(f"sweep {args.sweep!r}: " + _IDLE_REASONS[base].format(m=_spec_int(index)))
+        raise ValueError(f"sweep {args.sweep!r}: [idle-sweep] "
+                         + _IDLE_REASONS[base].format(m=_spec_int(index)))
     swept = [float(v) for v in values]
     try:
         return _report(args, points, doc.settings.tolerance, (param, swept))
@@ -183,22 +184,25 @@ def _parse_sweep(text: str):
     name, eq, spec = text.partition("=")
     pieces = spec.split(":")
     if not eq or len(pieces) != 3:
-        raise ValueError("sweep reads NAME=START:STOP:STEPS")
+        raise ValueError("[syntax] sweep reads NAME=START:STOP:STEPS")
     try:
         start, stop = (specio._parse_float(piece, 0, 0) for piece in pieces[:2])
     except SpecParseError:
-        raise ValueError(f"sweep {text!r} needs a finite START and STOP") from None
+        raise ValueError(f"[bad-value] sweep {text!r} needs a finite START and STOP") from None
+    if not math.isfinite(stop - start):
+        # np.linspace forms STOP - START, which would overflow to inf
+        raise ValueError(f"sweep {text!r}: [bad-value] STOP - START is not a finite float")
     steps = _spec_int(pieces[2]) or 0
     if not 1 <= steps <= MAX_SWEEP_STEPS:
         raise ValueError(
-            f"sweep {text!r}: STEPS must be a whole number from 1 to {MAX_SWEEP_STEPS}, "
+            f"sweep {text!r}: [bad-value] STEPS must be a whole number from 1 to {MAX_SWEEP_STEPS}, "
             f"got {pieces[2]!r}"
         )
     base, colon, index = name.partition(":")
     if base not in _IDLE_REASONS or (colon and base not in ("cmag", "cphase")):
-        raise ValueError(f"unknown sweep parameter {name!r}; choose one of {_SWEEPABLE}")
+        raise ValueError(f"[unknown-key] unknown sweep parameter {name!r}; choose one of {_SWEEPABLE}")
     if base in ("cmag", "cphase") and _spec_int(index) is None:
-        raise ValueError(f"sweep {name!r} reads {base}:<m>=START:STOP:STEPS")
+        raise ValueError(f"[syntax] sweep {name!r} reads {base}:<m>=START:STOP:STEPS")
     values = np.linspace(start, stop, steps) if steps > 1 else np.array([start])
     if base in ("n", "N", "N1"):
         # Python ints, rounded half to even: a numpy int64 cast would wrap
@@ -211,38 +215,48 @@ def _apply_sweep(doc, param: str, value):
 
     Each state and params object the sweep does not reach is the
     document's own, so a point that is the document itself changes nothing.
+    A point that a state refuses raises a ``[bad-value]`` ValueError.
     """
     base = param.split(":", 1)[0]
-    states = doc.states
-    selections = doc.selections
     if base in ("alpha", "N", "N1"):
-        selections = tuple((rid, _swept(rid, p, base, value)) for rid, p in selections)
-    elif base == "n":
-        states = tuple(
-            (name, replace(s, n=int(value)) if isinstance(s, PendulumState) else s)
-            for name, s in states
-        )
-    elif base == "mix":
-        states = tuple((name, _mixed(s, float(value))) for name, s in states)
-    else:
-        index = int(param.partition(":")[2])
-        states = tuple((name, _retuned(s, index, base, float(value))) for name, s in states)
-    return states, selections
+        return doc.states, tuple((rid, _swept(rid, p, base, value)) for rid, p in doc.selections)
+    try:
+        if base == "n":
+            states = tuple(
+                (name, replace(s, n=int(value)) if isinstance(s, PendulumState) else s)
+                for name, s in doc.states
+            )
+        elif base == "mix":
+            states = tuple((name, _mixed(s, float(value))) for name, s in doc.states)
+        else:
+            index = int(param.partition(":")[2])
+            states = tuple((name, _retuned(s, index, base, float(value))) for name, s in doc.states)
+    except ValueError as exc:
+        raise ValueError(f"[bad-value] {exc}") from None
+    return states, doc.selections
 
 
 def _swept(rid, params, name: str, value):
     """``params`` of ``rid`` with ``name`` set (an R60's Chi sides for ``N``), else ``params`` itself.
 
-    New params that ``rid`` refuses raise ValueError here, as the point is built.
+    New params that ``rid`` refuses raise ValueError here, as the point is built,
+    coded as ``eval`` codes them: a winding past a float is a ``[bad-value]``,
+    the rest a ``[param-constraint]``.
     """
     if name in relations.CATALOG[rid][1]:
         params = replace(params, **{name: float(value) if name == "alpha" else int(value)})
     elif name == "N" and rid == RelationId.R60 and any(k.name == "Chi" for k in params.pair or ()):
-        pair = tuple(chi_kind(int(value)) if k.name == "Chi" else k for k in params.pair)
+        try:
+            pair = tuple(chi_kind(int(value)) if k.name == "Chi" else k for k in params.pair)
+        except ValueError as exc:
+            raise ValueError(f"[bad-value] {exc}") from None
         params = replace(params, pair=pair)
     else:
         return params
-    relations.param_constants(rid, params)
+    try:
+        relations.param_constants(rid, params)
+    except ValueError as exc:
+        raise ValueError(f"[param-constraint] {exc}") from None
     return params
 
 

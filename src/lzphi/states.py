@@ -63,7 +63,8 @@ class RotorSuperposition:
             items = coefficients.items()
         else:
             items = coefficients
-        pairs = sorted((_integer(m, "m"), complex(c)) for m, c in items)
+        # sorted on m alone, so a repeated m reaches the duplicate check
+        pairs = sorted(((_integer(m, "m"), complex(c)) for m, c in items), key=lambda mc: mc[0])
         if not pairs:
             raise ValueError("rotor superposition needs at least one coefficient")
         if len({m for m, _ in pairs}) != len(pairs):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -626,7 +627,7 @@ class TestInputErrors:
         spec = write(tmp_path, "s.spec", self.SPEC)
         code, out, err = run_main([a.format(spec=spec) for a in args], capsys)
         assert code == 3
-        assert err.startswith("error: lzphi") and "Traceback" not in err
+        assert err.startswith("error: [usage] lzphi") and "Traceback" not in err
         assert out == ""
 
     @pytest.mark.parametrize("args", [["--help"], ["eval", "--help"], ["scan", "--help"]])
@@ -760,7 +761,7 @@ class TestInputErrors:
         assert code == 3 and "delta_chi" in err and out == ""
         spec = write(tmp_path, "p.spec", "state pendulum n=0\nrelations R5\n")
         code, out, err = run_main(["scan", spec, "--sweep", "n=0:1e19:2"], capsys)
-        assert code == 3 and err == "error: sweep 'n=0:1e19:2': n must be in 0..64\n" and out == ""
+        assert code == 3 and err == "error: sweep 'n=0:1e19:2': [bad-value] n must be in 0..64\n" and out == ""
 
     def test_extreme_pendulum_products_stay_finite(self, tmp_path, capsys):
         spec = write(
@@ -783,7 +784,7 @@ class TestInputErrors:
         spec = write(tmp_path, "s.spec", f"state circular m=1\nrelations {selection}\n")
         code, out, err = run_main(["scan", spec, "--sweep", "N=-1:1:3"], capsys)
         assert code == 3
-        assert err == "error: sweep 'N=-1:1:3': delta_chi requires N != N1\n"
+        assert err == "error: sweep 'N=-1:1:3': [param-constraint] delta_chi requires N != N1\n"
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -827,6 +828,16 @@ class TestInputErrors:
         assert sweep in err
         assert out == ""
 
+    @pytest.mark.parametrize("sweep", ["alpha=-1e308:1e308:3", "mix=1.7e308:-1.7e308:2", "N=-1e308:1e308:3"])
+    def test_a_sweep_whose_span_overflows_is_refused(self, tmp_path, capsys, sweep):
+        """STOP - START past a float is refused before any point is built, and numpy never warns."""
+        spec = write(tmp_path, "s.spec", "state circular m=1\nrelations R8(alpha=1)\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(["scan", spec, "--sweep", sweep], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: sweep {sweep!r}: [bad-value] STOP - START is not a finite float\n"
+
     @pytest.mark.parametrize("sweep", ["cphase:9=0:1:3", "cmag:-3=0:1:3", "cphase=0:1:3"])
     def test_coefficient_no_state_carries(self, tmp_path, capsys, sweep):
         spec = write(
@@ -849,7 +860,7 @@ class TestInputErrors:
         sweep = f"mix=0:1:{steps}"
         code, out, err = run_main(["scan", spec, "--sweep", sweep], capsys)
         assert code == 3
-        assert err.startswith(f"error: sweep {sweep!r}: STEPS must be a whole number from 1 to 10000")
+        assert err.startswith(f"error: sweep {sweep!r}: [bad-value] STEPS must be a whole number from 1 to 10000")
         assert "Traceback" not in err and out == ""
 
     def test_sweep_steps_at_the_bound_run(self, tmp_path, capsys):
@@ -879,7 +890,7 @@ class TestInputErrors:
         path = write(tmp_path, "s.spec", spec)
         code, out, err = run_main(["scan", path, "--sweep", sweep], capsys)
         assert code == 3
-        assert err.startswith(f"error: sweep {sweep!r}") and reason in err
+        assert err.startswith(f"error: sweep {sweep!r}: [idle-sweep] ") and reason in err
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -941,16 +952,16 @@ class TestInputErrors:
         spec = write(tmp_path, "s.spec", "state circular m=1\nrelations R8(alpha=1e200) R12(N=1,N1=0)\n")
         code, out, err = run_main(["scan", spec, "--sweep", sweep], capsys)
         assert code == 3 and out == ""
-        assert err == f"error: sweep {sweep!r}: {message}\n"
+        assert err == f"error: sweep {sweep!r}: [param-constraint] {message}\n"
 
     @pytest.mark.parametrize(
         "sweep, message",
         [
-            ("alpha:junk=0:1:2", "unknown sweep parameter 'alpha:junk'; choose one of alpha, n,"),
-            ("n:1=0:2:3", "unknown sweep parameter 'n:1'; choose one of alpha, n,"),
-            ("mix:=0:1:2", "unknown sweep parameter 'mix:'; choose one of alpha, n,"),
-            ("cmag:1_0=0:1:2", "sweep 'cmag:1_0' reads cmag:<m>=START:STOP:STEPS"),
-            ("cphase: 1=0:1:2", "sweep 'cphase: 1' reads cphase:<m>=START:STOP:STEPS"),
+            ("alpha:junk=0:1:2", "[unknown-key] unknown sweep parameter 'alpha:junk'; choose one of alpha, n,"),
+            ("n:1=0:2:3", "[unknown-key] unknown sweep parameter 'n:1'; choose one of alpha, n,"),
+            ("mix:=0:1:2", "[unknown-key] unknown sweep parameter 'mix:'; choose one of alpha, n,"),
+            ("cmag:1_0=0:1:2", "[syntax] sweep 'cmag:1_0' reads cmag:<m>=START:STOP:STEPS"),
+            ("cphase: 1=0:1:2", "[syntax] sweep 'cphase: 1' reads cphase:<m>=START:STOP:STEPS"),
         ],
         ids=["alpha-suffix", "n-suffix", "mix-empty-suffix", "cmag-underscore", "cphase-space"],
     )
@@ -1012,14 +1023,14 @@ class TestInputErrors:
             (f"state rotor c={{0:(1,0)}}\nrelations R60(a=Lz,b=Chi,N={10**400})\n", [],
              "line 2, col 11: [bad-value] Chi's winding N is too large"),
             ("state spherical l=1 c=[(0,0),(1,0),(0,0)]\nrelations R5\n", ["--sweep", "mix=a:1:3"],
-             "sweep 'mix=a:1:3' needs a finite START and STOP"),
+             "[bad-value] sweep 'mix=a:1:3' needs a finite START and STOP"),
             ("state circular m=1\nrelations R8(alpha=1)\n", ["--sweep", "alpha=0:1e400x:3"],
-             "sweep 'alpha=0:1e400x:3' needs a finite START and STOP"),
+             "[bad-value] sweep 'alpha=0:1e400x:3' needs a finite START and STOP"),
             # the spec grammar has no digit separators and no spaces, which float() accepts
             ("state circular m=1\nrelations R8(alpha=1)\n", ["--sweep", "alpha=1_0:2_0:2"],
-             "sweep 'alpha=1_0:2_0:2' needs a finite START and STOP"),
+             "[bad-value] sweep 'alpha=1_0:2_0:2' needs a finite START and STOP"),
             ("state circular m=1\nrelations R8(alpha=1)\n", ["--sweep", "alpha= 0:1:2"],
-             "sweep 'alpha= 0:1:2' needs a finite START and STOP"),
+             "[bad-value] sweep 'alpha= 0:1:2' needs a finite START and STOP"),
         ],
         ids=["alpha", "inertia", "coefficient", "chi-winding", "sweep-start", "sweep-stop",
              "sweep-underscore", "sweep-space"],

@@ -159,6 +159,19 @@ class TestWidthProduct:
         for n in range(6):
             assert width_product(PendulumState(n=n)) == pytest.approx((n + 0.5) ** 2, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: width_product(CircularState(m=1)), "defined for pendulum states"),
+            (lambda: width_product(PendulumState(n=1), method="x"), "unknown method 'x'"),
+            (lambda: coefficients(CircularState(m=1), method="x"), "unknown method 'x'"),
+        ],
+        ids=["circular", "width-method", "coefficients-method"],
+    )
+    def test_refused_inputs(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_bound_saturates_only_at_ground(self):
         assert width_product(PendulumState(n=0)) == pytest.approx(0.25, abs=1e-9)
         for n in range(1, 5):

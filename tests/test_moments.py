@@ -486,6 +486,21 @@ def test_symbol_matrices_are_refused_on_the_oscillator_basis():
         observables.symbol_matrix(observables.kind_symbol(PHI), basis)
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: moments.MomentStack(()), "at least one state"),
+        (lambda: moments.MomentStack((CircularState(m=1), CircularState(m=2))), "share one basis"),
+        (lambda: moments.MomentStack((PendulumState(n=1),)).seam(0), "has no seam"),
+        (lambda: mean(PHI, CircularState(m=1), method="x"), "unknown method 'x'"),
+    ],
+    ids=["empty", "two-bases", "pendulum-seam", "mean-method"],
+)
+def test_a_stack_refuses_what_it_cannot_hold(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 @pytest.mark.parametrize("n", [0, 20, 64])
 @pytest.mark.parametrize("a, b, r, s", [(PHI, LZ, 1, 2), (LZ, PHI, 1, 3), (PHI_SQUARED, LZ, 3, 1)])
 def test_mixed_orders_on_the_pendulum(n, a, b, r, s):

@@ -13,6 +13,7 @@ from lzphi.numerics import (
     MAX_HERMITE_NODES,
     MAX_LEGENDRE_NODES,
     MAX_ORBITAL_L,
+    QuadratureRule,
     _leggauss,
     gauss_hermite,
     gauss_legendre,
@@ -235,6 +236,15 @@ class TestRuleLimits:
             build(100000)  # refused before any node is computed
 
     @pytest.mark.parametrize(
+        "weights, match",
+        [([1.0], "equal length >= 2"), ([1.0, 0.0], "weights must be positive")],
+        ids=["lengths-differ", "zero-weight"],
+    )
+    def test_a_malformed_rule_is_refused(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            QuadratureRule(np.array([0.0, 1.0]), np.array(weights))
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("tolerance", float("nan")),
@@ -287,6 +297,10 @@ class TestHermitePoly:
 
 
 class TestThetaLm:
+    def test_rejects_l_past_the_range(self):
+        with pytest.raises(ValueError, match="0 <= l <= 64"):
+            theta_lm(65, 0, 0.1)
+
     def test_constant_mode(self):
         for theta in (0.0, 1.0, math.pi):
             assert theta_lm(0, 0, theta) == pytest.approx(1 / math.sqrt(2))

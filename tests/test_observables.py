@@ -23,13 +23,16 @@ from lzphi import (
     matrix_table,
     symmetry_deficit,
 )
+from lzphi import engine
 from lzphi.numerics import theta_overlap_matrix
 from lzphi.observables import (
     MAX_CORRELATION_ORDER,
     ObservableKind,
+    OscillatorBasis,
     applicable,
     kind_symbol,
     phi_fourier_moment,
+    polynomial_rows,
     product_symbol,
     symbol_matrix,
 )
@@ -136,6 +139,27 @@ class TestKindValidation:
     def test_winding_only_for_chi(self):
         with pytest.raises(ValueError):
             ObservableKind("Phi", winding=2)
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: kind_symbol(LZ), "Lz is not multiplicative"),
+            (lambda: symbol_matrix(kind_symbol(THETA), RotorBasis((0, 1))), "non-spherical basis"),
+            (lambda: polynomial_rows(kind_symbol(SIN_PHI), OscillatorBasis(1.0),
+                                     np.zeros((1, OscillatorBasis.size), dtype=complex)),
+             "only polynomials in phi"),
+            (lambda: matrix_table(LZ, OscillatorBasis(1.0)), "not matrix tables"),
+            (lambda: engine.state_grid(CircularState(m=1)).symbol_values(kind_symbol(THETA)),
+             "circle-only grid"),
+            (lambda: matrix_table(PHI, ROTOR_7, method="x"), "unknown method 'x'"),
+            (lambda: symmetry_deficit(LZ, PHI, CircularState(m=1), method="x"), "unknown method 'x'"),
+        ],
+        ids=["lz-symbol", "theta-on-rotor-basis", "sin-phi-on-ladder", "lz-table-on-oscillator",
+             "theta-on-circle-grid", "table-method", "deficit-method"],
+    )
+    def test_a_symbol_or_method_outside_its_domain_is_refused(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
 
 class TestSymmetryDeficit:

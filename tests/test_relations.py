@@ -143,6 +143,10 @@ class TestBoundaryRelation:
         single = RotorSuperposition({0: 1.0})
         assert fourier_boundary_term(single) == pytest.approx(0.0, abs=1e-12)
 
+    def test_boundary_term_needs_a_periodic_family(self):
+        with pytest.raises(ValueError, match="needs a periodic family, got spherical"):
+            fourier_boundary_term(SphericalState(1, (0, 1, 0)))
+
     @pytest.mark.parametrize("top", [10**12, 2**52])
     def test_boundary_term_is_exact_at_large_m(self, top):
         """2*pi*|psi(2*pi)|^2 = |sum_m c_m|^2 for integer m; no phase m*2*pi is formed."""

@@ -89,6 +89,7 @@ _ERROR_CODES = [
     ("state circular name=1a m=0\n" + _R, "bad-value"),
     ("state rotor c=[(1,0)]\n" + _R, "bad-value"),
     ("state rotor c={}\n" + _R, "bad-value"),
+    ("state rotor c={1(0,1)}\n" + _R, "bad-value"),
     ("state spherical l=0 c=(1,0)\n" + _R, "bad-value"),
     ("state circular\n" + _R, "missing-field"),
     ("state rotor\n" + _R, "missing-field"),

@@ -16,6 +16,7 @@ from lzphi import (
     std_dev,
     wavefunction,
 )
+from lzphi.states import expansion, family_of
 
 TWO_PI = 2.0 * math.pi
 
@@ -142,6 +143,36 @@ def test_spherical_mapping_keys_are_converted_before_use():
     assert state.coefficients == (0, 0.8, 0.6)
     with pytest.raises(ValueError, match="duplicate m"):
         SphericalState(l=1, coefficients={1: 0.6, "1": 0.8}, normalize=True)
+
+
+def test_rotor_mapping_keys_are_converted_before_use():
+    """A key that int() accepts names that m; an m repeated after conversion is refused, not compared."""
+    state = RotorSuperposition({"1": 0.6, 0: 0.8})
+    assert state.coefficients == ((0, 0.8), (1, 0.6))
+    with pytest.raises(ValueError, match="duplicate m"):
+        RotorSuperposition({"1": 0.6, 1: 0.8})
+    with pytest.raises(ValueError, match="duplicate m"):
+        RotorSuperposition([(1, 0.6), (1, 0.8j)])
+
+
+def test_rotor_pairs_build_the_state_a_mapping_builds():
+    pairs = RotorSuperposition([(1, 0.6), (0, 0.8j)])
+    assert pairs == RotorSuperposition({0: 0.8j, 1: 0.6})
+    assert pairs.coefficients == ((0, 0.8j), (1, 0.6))
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: RotorSuperposition({}), ValueError, "at least one coefficient"),
+        (lambda: expansion(PendulumState(n=1)), ValueError, "no azimuthal Fourier basis"),
+        (lambda: family_of(3), TypeError, "not a state: 3"),
+    ],
+    ids=["empty-rotor", "pendulum-expansion", "not-a-state"],
+)
+def test_what_no_family_holds_is_refused(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_wavefunction_array_broadcast():
