@@ -1031,9 +1031,11 @@ class TestInputErrors:
              "[bad-value] sweep 'alpha=1_0:2_0:2' needs a finite START and STOP"),
             ("state circular m=1\nrelations R8(alpha=1)\n", ["--sweep", "alpha= 0:1:2"],
              "[bad-value] sweep 'alpha= 0:1:2' needs a finite START and STOP"),
+            ("state rotor c={0:(1,0)}\nrelations R60(a=Lz,b=Chi)\n", ["--sweep", "N=0:1e308:2"],
+             "sweep 'N=0:1e308:2': [bad-value] Chi's winding N is too large"),
         ],
         ids=["alpha", "inertia", "coefficient", "chi-winding", "sweep-start", "sweep-stop",
-             "sweep-underscore", "sweep-space"],
+             "sweep-underscore", "sweep-space", "sweep-chi-winding"],
     )
     def test_values_past_a_float_are_coded_at_their_token(self, tmp_path, capsys, text, args, expected):
         spec = write(tmp_path, "o.spec", text)
