@@ -106,17 +106,25 @@ def _flag_overrides(args) -> dict:
 
 
 def _load_document(args) -> specio.SpecDocument:
-    with open(args.specfile, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(args.specfile, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"[encoding] spec file {args.specfile!r} is not UTF-8: {exc}") from None
+    except OSError as exc:
+        raise ValueError(f"[io] spec file {args.specfile!r}: {exc.strerror or exc}") from None
     return specio.parse(text, overrides=_flag_overrides(args))
 
 
 def _emit(args, text: str) -> None:
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"[io] output file {args.output!r}: {exc.strerror or exc}") from None
 
 
 def exit_code_for(verdicts) -> int:

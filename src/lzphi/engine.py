@@ -1,10 +1,10 @@
 """The oracle: its rule sizes and the quadrature grids behind every oracle path.
 
 Grids sample a state on the family's quadrature rule, and every grid has
-one interface: ``psi``, ``lz_origin``, ``lz_pow(j, mu)``,
-``symbol_values(sym)`` and ``inner(f, g)``; ``lz_pow`` measures Lz from
-``lz_origin``. Circular, rotor and spherical states share one grid,
-``AngularGrid``; the pendulum has ``PendulumGrid``. Operator applications
+one interface: ``psi``, ``hbar``, ``lz_origin``, ``lz_pow(j, mu)``,
+``symbol_values(sym)``, ``inner(f, g)`` and ``moment(state, sides, compute,
+*args)``; ``lz_pow`` measures Lz from ``lz_origin``. Each circular, rotor and
+spherical state has its own ``AngularGrid``. Operator applications
 never differentiate numerically: (Lz - mu)^j acts before sampling, by the
 exact per-mode factor (periodic families) or on the Hermite series
 (pendulum family), so a centered power is never expanded binomially.
@@ -19,11 +19,10 @@ Their azimuthal waves are ``numerics.waves`` on the phi rule.
 The pendulum grid reads one read-only table per rule size,
 ``_hermite_table(size)``: rows H_0..H_K at the rule's nodes, with
 K = MAX_HERMITE_DEGREE + MAX_CORRELATION_ORDER, stacked from the one
-Hermite recurrence, ``_kernels.hermite_rows``. Its psi is A*H_n, row n
-times the amplitude. Lz acts on the coefficient vector of the Hermite
-series by an exact two-term ladder (see ``PendulumGrid``), and ``lz_pow``
-reads the result out through the table's rows: the oracle stays a
-quadrature of sampled values.
+Hermite recurrence. Its psi is A*H_n, row n times the amplitude, and Lz
+acts on the Hermite series by an exact two-term ladder (see
+``PendulumGrid``): the oracle stays a quadrature of sampled values. All
+pendulums of one n share one width-free ``PendulumGrid`` (``oracle_grid``).
 """
 
 from __future__ import annotations
@@ -113,9 +112,13 @@ class AngularGrid:
         m0 = st.middle_m(ms)
         offsets = [m - m0 for m in ms]
         self._waves = numerics.waves(offsets, self.phi)
+        self.hbar = state.hbar
         self.lz_origin = state.hbar * m0
         self._lz = state.hbar * np.array(offsets, dtype=np.float64)
         self.psi = self._sample(self._coeffs)
+
+    def moment(self, state, sides, compute, *args):
+        return compute(self, *args)  # the state's own grid, sampled for this one call
 
     def _sample(self, coeffs) -> np.ndarray:
         return (coeffs[:, None] * self.polar).T @ self._waves
@@ -147,7 +150,9 @@ class PendulumGrid:
     exactly on the Hermite series f of the state before sampling,
     Lz [exp(-xi^2/2) f] = -i*hbar*scale * exp(-xi^2/2) * (f' - xi*f).
     By H_k' = 2k H_(k-1) and xi H_k = H_(k+1)/2 + k H_(k-1), f' - xi*f maps
-    c_k H_k to k c_k H_(k-1) - c_k/2 H_(k+1).
+    c_k H_k to k c_k H_(k-1) - c_k/2 H_(k+1). In xi the pendulums of one n are
+    one function, phi = xi/scale and Lz = hbar*scale*(-i d/dxi), so ``moment``
+    carries a moment to any width.
     """
 
     lz_origin = 0.0
@@ -163,6 +168,24 @@ class PendulumGrid:
         self._amplitude = state.amplitude
         self._table = _hermite_table(size)
         self.psi = state.amplitude * self._table[state.n]
+        self._memo = {}
+
+    def moment(self, state, sides, compute, *args):
+        """``compute(self, *args)``, kept in the memo, at the width of ``state`` (with no sides, None).
+
+        Per power of each (kind name, power) side, relative to this grid: hbar*scale for Lz,
+        1/scale for phi (PhiSquared twice), taken in turns so only a moment past a float overflows.
+        """
+        key = (compute, *args)
+        value = self._memo.get(key)  # a moment is a number, never None
+        if value is None:
+            value = self._memo[key] = compute(self, *args)
+        lz = sum(power for name, power in sides if name == "Lz")
+        phi = sum(power * (1 + (name == "PhiSquared")) for name, power in sides) - lz
+        for k in range(max(lz, phi)):
+            value *= state.hbar * state.scale / (self.hbar * self.scale) if k < lz else 1.0
+            value *= self.scale / state.scale if k < phi else 1.0
+        return value
 
     def lz_pow(self, j: int, mu: float = 0.0) -> np.ndarray:
         """Values of (Lz - mu)^j Psi: j ladder steps on the Hermite coefficients, read out by the table.
@@ -194,7 +217,19 @@ class PendulumGrid:
         return complex(np.dot(self.weights, h + h[::-1]) / 2)
 
 
-def state_grid(state):
-    if st.family_of(state) == "pendulum":
-        return PendulumGrid(state)
+def state_grid(state) -> AngularGrid:
     return AngularGrid(state)
+
+
+def oracle_grid(state):
+    """The state's own grid; a pendulum's is the width-free grid of its n at the rule size read now."""
+    if st.family_of(state) != "pendulum":
+        return state_grid(state)
+    return _unit_pendulum_grid(state.n, hermite_rule_size(state.n))
+
+
+@lru_cache(maxsize=4 * (numerics.MAX_HERMITE_DEGREE + 1))
+def _unit_pendulum_grid(n: int, size: int) -> PendulumGrid:
+    grid = PendulumGrid(st.PendulumState(n=n))  # of ``size`` nodes: the key reads the size now
+    grid.psi.flags.writeable = grid.weights.flags.writeable = False  # one grid serves every caller
+    return grid

@@ -11,7 +11,7 @@ weights, the folded Hermite sum F_n(t) on them and Parseval's position
 norm therefore depend on n alone: ``_k_table(n)`` builds them once per n
 (read-only, like the cached rules of ``numerics``), and a state only
 scales them. They are still quadratures of sampled values, never a
-closed form.
+closed form; so are <t^2> (``_k_spread``) and the width-free position side.
 """
 
 from __future__ import annotations
@@ -148,6 +148,13 @@ def _k_table(n: int) -> tuple:
     return t, w, folded, float(rule.weights @ (herm * herm))
 
 
+@lru_cache(maxsize=numerics.MAX_HERMITE_DEGREE + 1)
+def _k_spread(n: int) -> float:
+    """<t^2> = (sum w t^2 F_n^2)/(sum w F_n^2) on ``_k_table(n)``; F_n^2 is even, so <t> = 0."""
+    t, w, folded, _ = _k_table(n)
+    return float(w @ (t * t * folded * folded)) / float(w @ (folded * folded))
+
+
 def _prefactor(state) -> float:
     """psi~(k) = prefactor * F_n(k/scale), times -i for odd n."""
     return 2.0 * state.amplitude * math.sqrt(2.0) / (state.scale * math.sqrt(TWO_PI))
@@ -184,7 +191,7 @@ def width_product(state, *, method: str = "analytic") -> float:
 
     Analytic path uses the ladder-relation moments (equals (n + 1/2)^2);
     the quadrature path integrates |psi~|^2 on the momentum rule of _k_table
-    and |psi|^2 on the state's oracle grid.
+    and |psi|^2 on the pendulum's width-free oracle grid.
     """
     if st.family_of(state) != "pendulum":
         raise ValueError("width_product is defined for pendulum states")
@@ -195,9 +202,6 @@ def width_product(state, *, method: str = "analytic") -> float:
         return var_k * var_phi
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    var_phi = mo.std_dev(obs.PHI, state, method="quadrature") ** 2
-    t, w, folded, _ = _k_table(state.n)
-    density = folded * folded
-    # the density is even in k, so <k> = 0 and no mean is subtracted; k = scale*t
-    var_k = state.scale**2 * float(w @ (t * t * density)) / float(w @ density)
-    return var_k * var_phi
+    # <k^2> = scale^2 <t^2> with k = scale*t; scale*std(phi) is in range at every width
+    wide_phi = state.scale * mo.std_dev(obs.PHI, state, method="quadrature")
+    return _k_spread(state.n) * wide_phi * wide_phi

@@ -23,9 +23,10 @@ columns of ``relations`` included, is kept in its one memo.
 The public analytic functions below are the one-row case, and no setting
 enters them. The quadrature path re-derives every number on the family's
 grid as the oracle, with rules sized from the state (see ``engine``);
-each call samples the state on one grid and takes the means it centers
-by from that same grid, and its Lz sides are centered before they are
-powered too.
+each call centers by the means of that same grid, and its Lz sides are
+centered before they are powered too. A pendulum's grid is the width-free
+grid of its n: its memo keeps each dimensionless mean and centered pair,
+and the state's width enters as factors (``engine.PendulumGrid.moment``).
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def mean(kind, state, *, method: str = "analytic") -> float:
     if method == "analytic":
         return float(MomentStack((state,)).mean(kind)[0])
     grid = _quadrature_grid(state, method)
-    return (grid.lz_origin if kind.name == "Lz" else 0.0) + _grid_mean(grid, kind)
+    mu = grid.moment(state, [(kind.name, 1)], _grid_mean, kind)
+    return (grid.lz_origin if kind.name == "Lz" else 0.0) + mu
 
 
 def std_dev(kind, state, *, method: str = "analytic") -> float:
@@ -79,8 +81,7 @@ def std_dev(kind, state, *, method: str = "analytic") -> float:
     obs.check_applicable(kind, state)
     if method == "analytic":
         return float(MomentStack((state,)).std(kind)[0])
-    var = _grid_pair(_quadrature_grid(state, method), kind, kind, 1, 1)
-    return math.sqrt(max(float(np.real(var)), 0.0))
+    return _quadrature_grid(state, method).moment(state, [(kind.name, 1)], _grid_std, kind)
 
 
 def moment_set(kind, state, *, method: str = "analytic") -> MomentSet:
@@ -105,7 +106,8 @@ def higher_correlation(a, b, r: int, s: int, state, *, method: str = "analytic")
         return complex(MomentStack((state,)).pair(a, b, r, s)[0])
     obs.check_applicable(a, state)
     obs.check_applicable(b, state)
-    return complex(_grid_pair(_quadrature_grid(state, method), a, b, r, s))
+    grid = _quadrature_grid(state, method)
+    return complex(grid.moment(state, [(a.name, r), (b.name, s)], _grid_pair, a, b, r, s))
 
 
 def commutator_mean(a, b, state) -> complex:
@@ -121,13 +123,13 @@ def stacks(states) -> list:
     """One MomentStack per basis over the distinct state objects in ``states``.
 
     Rows keep the order in which the states first appear; pendulum states
-    of one width form one stack whatever their n. Each state's basis is
-    derived once, here.
+    of one width form one stack whatever their n. Each group of equal
+    ``observables.basis_key`` derives its basis once, here.
     """
     groups = {}
     for state in {id(s): s for s in states}.values():
-        groups.setdefault(obs.basis_of(state), []).append(state)
-    return [MomentStack(group, basis=basis) for basis, group in groups.items()]
+        groups.setdefault(obs.basis_key(state), []).append(state)
+    return [MomentStack(group, basis=obs.basis_of(group[0])) for group in groups.values()]
 
 
 def _memoized(method):
@@ -374,7 +376,7 @@ def _pendulum_closed_std(kind, state) -> float:
 def _quadrature_grid(state, method):
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
-    return engine.state_grid(state)
+    return engine.oracle_grid(state)
 
 
 def _grid_mean(grid, kind) -> float:
@@ -387,11 +389,15 @@ def _grid_pair(grid, a, b, r, s):
     A variance, (a, r) == (b, s), builds its one centered vector once.
     """
     a, b = _unwound(a), _unwound(b)
-    va = _centered_grid_vector(grid, a, r, _grid_mean(grid, a))
+    va = _centered_grid_vector(grid, a, r, grid.moment(None, (), _grid_mean, a))
     if (a, r) == (b, s):
         return grid.inner(va, va)
-    vb = _centered_grid_vector(grid, b, s, _grid_mean(grid, b))
+    vb = _centered_grid_vector(grid, b, s, grid.moment(None, (), _grid_mean, b))
     return grid.inner(va, vb)
+
+
+def _grid_std(grid, kind) -> float:
+    return math.sqrt(max(float(np.real(_grid_pair(grid, kind, kind, 1, 1))), 0.0))
 
 
 def _centered_grid_vector(grid, kind, power, mu):

@@ -294,14 +294,18 @@ class MatrixElementTable:
         return complex(self.matrix[ms.index(mi), ms.index(mj)])
 
 
-def basis_of(state) -> RotorBasis | SphericalBasis | OscillatorBasis:
-    """The basis of the state's coefficient vector; equal bases share every matrix."""
+def basis_key(state) -> tuple:
+    """("periodic", ms), ("spherical", l) or ("pendulum", scale): equal exactly when the bases are."""
     fam = st.family_of(state)
     if fam in ("circular", "rotor"):
-        return RotorBasis(st.expansion(state)[0])
-    if fam == "spherical":
-        return SphericalBasis(state.l)
-    return OscillatorBasis(state.scale)
+        return "periodic", st.expansion(state)[0]
+    return fam, state.l if fam == "spherical" else state.scale
+
+
+def basis_of(state) -> RotorBasis | SphericalBasis | OscillatorBasis:
+    """The basis of the state's coefficient vector; equal bases share every matrix."""
+    family, field = basis_key(state)
+    return {"periodic": RotorBasis, "spherical": SphericalBasis, "pendulum": OscillatorBasis}[family](field)
 
 
 def symbol_matrix(sym: Symbol, basis) -> np.ndarray:
@@ -540,15 +544,19 @@ def symmetry_deficit(
 
 
 def _deficit_quadrature(a, b, state) -> complex:
-    """Oracle twin of symmetry_deficit: both inner products on the grid.
+    """Oracle twin of symmetry_deficit: ``_grid_deficit`` on the state's oracle grid."""
+    return engine.oracle_grid(state).moment(state, [(a.name, 1), (b.name, 1)], _grid_deficit, a, b)
+
+
+def _grid_deficit(grid, a, b) -> complex:
+    """(A Psi, B Psi) - (Psi, A B Psi) on ``grid``.
 
     Lz acts through the grid's exact derivative (per-mode factors on the
     periodic families, the Hermite series on the pendulum) and Lz B Psi
     through the product rule; the only numerics is the final weighted sum,
     so no integration by parts is ever performed.
     """
-    grid = engine.state_grid(state)
-    hbar = state.hbar
+    hbar = grid.hbar
     psi = grid.psi
     lz_psi = grid.lz_pow(1)
     if a.name == "Lz" and b.name == "Lz":

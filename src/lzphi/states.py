@@ -296,7 +296,7 @@ def norm(state: State) -> float:
     """(Psi, Psi)^(1/2) computed on the family's oracle grid."""
     from . import engine
 
-    grid = engine.state_grid(state)
+    grid = engine.oracle_grid(state)
     return math.sqrt(abs(grid.inner(grid.psi, grid.psi)))
 
 

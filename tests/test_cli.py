@@ -630,6 +630,37 @@ class TestInputErrors:
         assert err.startswith("error: [usage] lzphi") and "Traceback" not in err
         assert out == ""
 
+    #: per kind of unreadable spec file, its code and the reason its message gives
+    UNREADABLE = {
+        "missing": ("io", "No such file or directory"),
+        "directory": ("io", "Is a directory"),
+        "not-utf8": ("encoding", "is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    @pytest.mark.parametrize("command", [["eval"], ["scan", "--sweep", "alpha=0:1:2"]])
+    def test_unreadable_spec_files_are_coded(self, tmp_path, capsys, case, command):
+        """A spec file that cannot be read is an input error that names its code and the file."""
+        path = tmp_path / "s.spec"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not-utf8":
+            path.write_bytes(b"state circular m=1 \xff\nrelations R5\n")
+        code, reason = self.UNREADABLE[case]
+        exit_code, out, err = run_main([command[0], str(path), *command[1:]], capsys)
+        assert exit_code == 3 and out == ""
+        assert err.startswith(f"error: [{code}] spec file {str(path)!r}") and reason in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["eval"], ["scan", "--sweep", "mix=0:1:2"]])
+    def test_an_output_path_that_cannot_be_written_is_coded(self, tmp_path, capsys, command):
+        spec = write(tmp_path, "s.spec", self.SPEC)
+        target = tmp_path / "out"
+        target.mkdir()
+        exit_code, out, err = run_main([command[0], spec, *command[1:], "--output", str(target)], capsys)
+        assert exit_code == 3 and out == ""
+        assert err == f"error: [io] output file {str(target)!r}: Is a directory\n"
+
     @pytest.mark.parametrize("args", [["--help"], ["eval", "--help"], ["scan", "--help"]])
     def test_help_exits_zero(self, capsys, args):
         with pytest.raises(SystemExit) as excinfo:

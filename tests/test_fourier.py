@@ -184,6 +184,14 @@ class TestWidthProduct:
                 (n + 0.5) ** 2, abs=1e-8
             )
 
+    @pytest.mark.parametrize("inertia", [1e-200, 1e200, 1e300])
+    def test_quadrature_oracle_at_extreme_widths(self, inertia):
+        """scale^2 * sum w t^2 F^2 overflowed at I = 1e200 before the division: the oracle gave inf."""
+        state = PendulumState(n=64, inertia=inertia)
+        quad = width_product(state, method="quadrature")
+        assert quad == pytest.approx(width_product(state), rel=1e-12)
+        assert quad == pytest.approx(64.5**2, rel=1e-12)
+
     @pytest.mark.parametrize("nodes", [None, MAX_HERMITE_NODES])
     def test_quadrature_oracle_up_to_n_64(self, nodes, oracle_rule):
         oracle_rule("hermite_rule_size", nodes)

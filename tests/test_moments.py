@@ -348,6 +348,46 @@ def test_pendulum_oracle_over_the_whole_range(nodes, oracle_rule):
         assert abs(deficit) <= 1e-9, n
 
 
+#: the documented pendulum domain's corners: n at both ends of each Hermite-rule step,
+#: I and omega at 1e-2 and 1e2, and hbar in natural and in small units
+WIDTH_DOMAIN = [
+    PendulumState(n=n, inertia=inertia, omega=omega, hbar=hbar)
+    for n in (0, 1, 19, 20, 63, 64)
+    for inertia, omega in itertools.product((1e-2, 1e2), repeat=2)
+    for hbar in (1.0, 1e-3)
+]
+
+
+@pytest.mark.parametrize("state", WIDTH_DOMAIN, ids=lambda s: f"n{s.n}-I{s.inertia:g}-w{s.omega:g}-h{s.hbar:g}")
+def test_pendulum_oracle_across_the_width_domain(state):
+    """Both routes agree to 1e-12 on the Cauchy-Schwarz scale, every order to (6, 6), at every corner."""
+    quad = {"method": "quadrature"}
+    spread = {(k, r): abs(higher_correlation(k, k, r, r, state)) for k in PENDULUM_KINDS for r in range(1, 7)}
+    for kind in PENDULUM_KINDS:
+        scale = math.sqrt(spread[kind, 1])
+        assert abs(mean(kind, state, **quad) - mean(kind, state)) <= 1e-12 * scale, kind
+        assert abs(std_dev(kind, state, **quad) - std_dev(kind, state)) <= 1e-12 * scale, kind
+    for a, b in PENDULUM_PAIRS:
+        scale = math.sqrt(spread[a, 1] * spread[b, 1])
+        got = symmetry_deficit(a, b, state, **quad)
+        assert abs(got - symmetry_deficit(a, b, state)) <= 1e-12 * scale, (a, b)
+        for r, s in itertools.product(range(1, 7), repeat=2):
+            scale = math.sqrt(spread[a, r] * spread[b, s])
+            got = higher_correlation(a, b, r, s, state, **quad)
+            assert abs(got - higher_correlation(a, b, r, s, state)) <= 1e-12 * scale, (a, b, r, s)
+    want = fourier.width_product(state)
+    assert abs(fourier.width_product(state, **quad) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [10, 64])
+def test_lz_spread_of_a_wide_pendulum_is_finite(n):
+    """At I = 1e200 (scale 1e100) the Lz series of the state's own grid overflowed to nan."""
+    state = PendulumState(n=n, inertia=1e200)
+    quad = std_dev(LZ, state, method="quadrature")
+    assert quad == pytest.approx(std_dev(LZ, state), rel=1e-12)
+    assert quad == pytest.approx(1e100 * math.sqrt(n + 0.5), rel=1e-12)
+
+
 class TestPendulumLadder:
     """Lz on the pendulum grid: a ladder on the Hermite coefficients, read out through one table."""
 
@@ -623,7 +663,11 @@ def test_pendulums_stack_by_width():
     assert [stack.states for stack in moments.stacks(states)] == [sweep, (states[-1],)]
 
 
-def test_one_grid_per_quadrature_check(monkeypatch):
+def test_one_grid_per_quadrature_check(monkeypatch, oracle_rule):
+    """A periodic check samples its state once; a pendulum check samples no grid of its own.
+
+    Pendulums read the width-free grid of their n, built at most once per (n, rule size).
+    """
     calls = []
     build = engine.state_grid
 
@@ -650,16 +694,29 @@ def test_one_grid_per_quadrature_check(monkeypatch):
         fourier.parseval_check,
         lambda s: fourier.coefficients(s, **quad),
     )
+    engine._unit_pendulum_grid.cache_clear()
     for state in states:
         periodic = not isinstance(state, PendulumState)
         for check in checks + fourier_checks * periodic:
             calls.clear()
             check(state)
-            assert calls == [state]
+            assert calls == ([state] if periodic else [])
+    widths = [PendulumState(n=5, inertia=inertia, omega=2.0) for inertia in (0.01, 1.0, 100.0)]
+    for nodes, builds in ((None, 1), (128, 2)):
+        oracle_rule("hermite_rule_size", nodes)
+        for state in widths:
+            for check in checks:
+                check(state)
+        assert engine._unit_pendulum_grid.cache_info().misses == builds
+    assert calls == []
 
 
 def test_one_centered_vector_per_quadrature_variance(monkeypatch):
-    """A quadrature std_dev takes its side's grid mean once, not once per side."""
+    """A quadrature std_dev takes its side's grid mean once, not once per side.
+
+    A spherical state's grid is its own, so each call takes the mean again; pendulums
+    of one n, at any width, take it once per (n, rule size, kind) from their unit grid.
+    """
     calls = []
     grid_mean = moments._grid_mean
 
@@ -668,10 +725,12 @@ def test_one_centered_vector_per_quadrature_variance(monkeypatch):
         return grid_mean(grid, kind)
 
     monkeypatch.setattr(moments, "_grid_mean", counted)
+    engine._unit_pendulum_grid.cache_clear()
     states = [random_spherical(np.random.default_rng(5), 3), PendulumState(n=4)]
     for k in range(20):
-        std_dev(PHI if k % 2 else LZ, states[k % 2], method="quadrature")
-    assert len(calls) == 20
+        state = states[k % 2] if k % 4 != 3 else PendulumState(n=4, inertia=3.0)
+        std_dev(PHI if k % 2 else LZ, state, method="quadrature")
+    assert calls.count(LZ) == 10 and calls.count(PHI) == 1
 
 
 def test_each_default_form_is_computed_once_per_stack(monkeypatch):
@@ -705,6 +764,25 @@ def test_each_default_form_is_computed_once_per_stack(monkeypatch):
     assert len(forms) == len(set(forms)) == 7
 
 
+def test_stacks_group_by_a_plain_key_and_derive_one_basis_per_group(monkeypatch):
+    """A circle and a rotor on one m share a stack, a spherical l = 0 state does not, and
+    ``basis_of`` runs once per stack, on its first state."""
+    calls = []
+    basis_of = observables.basis_of
+
+    def counted(state):
+        calls.append(state)
+        return basis_of(state)
+
+    monkeypatch.setattr(observables, "basis_of", counted)
+    ring, rotor = CircularState(m=0), RotorSuperposition({0: 1j})
+    zonal = SphericalState(l=0, coefficients=(1,))
+    low, high = PendulumState(n=2, inertia=3.0), PendulumState(n=9, inertia=3.0)
+    stacks = moments.stacks([ring, zonal, low, rotor, high, ring])
+    assert [stack.states for stack in stacks] == [(ring, rotor), (zonal,), (low, high)]
+    assert len(calls) == 3 and all(a is stack.states[0] for a, stack in zip(calls, stacks))
+
+
 def test_stacks_derive_each_basis_once_and_take_the_rows_bit_for_bit(monkeypatch):
     """Mixed families: each stack's P x n block holds every state's ``expansion`` amplitudes, bit for bit."""
     from lzphi import states as st
@@ -726,8 +804,7 @@ def test_stacks_derive_each_basis_once_and_take_the_rows_bit_for_bit(monkeypatch
 
     monkeypatch.setattr(observables, "basis_of", counted)
     stacks = moments.stacks(states)
-    distinct = list({id(s): s for s in states}.values())
-    assert len(calls) == len(distinct) and all(a is b for a, b in zip(calls, distinct))
+    assert len(calls) == len(stacks) and all(a is stack.states[0] for a, stack in zip(calls, stacks))
     assert [len(stack.states) for stack in stacks] == [2, 2, 2, 1, len(pendulums_of_two_widths()) - 1, 1]
     for stack in stacks:
         for state, row in zip(stack.states, stack._coeffs):
