@@ -7,11 +7,10 @@ envelope.
 
 The pendulum's momentum rule is held in units of the state's scale,
 k = scale*t, so the angle k*u/scale = t*u carries no scale. Its nodes and
-weights, the folded Hermite sum F_n(t) on them and Parseval's position
-norm therefore depend on n alone: ``_k_table(n)`` builds them once per n
-(read-only, like the cached rules of ``numerics``), and a state only
-scales them. They are still quadratures of sampled values, never a
-closed form; so are <t^2> (``_k_spread``) and the width-free position side.
+weights, the folded Hermite sum F_n(t) on them, <t^2> and the Parseval
+residual therefore depend on n alone: ``_k_table(n)`` builds them once
+per n (read-only, like the cached rules of ``numerics``), and a state
+only scales them. All are quadratures of sampled values, never a closed form.
 """
 
 from __future__ import annotations
@@ -76,21 +75,15 @@ def parseval_check(state) -> float:
     with b_m(theta) from direct azimuthal integration at each polar node of
     the state's grid, against the grid norm of psi (a circle has one polar
     node of weight 1). Pendulum: the k-integral of the numerically
-    transformed |psi~|^2 against the Gauss-Hermite position norm, both from
-    the table of n (see _k_table).
+    transformed |psi~|^2 against the Gauss-Hermite position norm, one
+    number per n (see _k_table).
     """
     if st.family_of(state) != "pendulum":
         grid = engine.state_grid(state)
         position = float(np.real(grid.inner(grid.psi, grid.psi)))
         bm = grid.azimuthal_coefficients(grid.psi)
         return abs(float(grid.polar_weights @ np.sum(np.abs(bm) ** 2, axis=1)) - position)
-    # pendulum: int |psi|^2 dphi = (A^2/s) int exp(-xi^2) H_n(xi)^2 dxi, exact on the rule;
-    # int |psi~(k)|^2 dk = s * prefactor^2 * int F_n(t)^2 dt with k = s*t
-    _, w, folded, norm = _k_table(state.n)
-    s = state.scale
-    position = state.amplitude**2 / s * norm
-    momentum = s * _prefactor(state) ** 2 * float(w @ (folded * folded))
-    return abs(momentum - position)
+    return _k_table(state.n)[4]
 
 
 def _rule_nodes(n: int) -> int:
@@ -127,32 +120,30 @@ def _folded(n: int, t) -> np.ndarray:
 
 @lru_cache(maxsize=numerics.MAX_HERMITE_DEGREE + 1)
 def _k_table(n: int) -> tuple:
-    """Read-only (t, w, F_n(t), position norm) of the pendulum with number n, built once per n.
+    """(t, w, F_n(t)) read-only, <t^2> and the Parseval residual of the pendulum with number n.
 
     (t, w) is the nonnegative half of the symmetric Legendre rule of
     _rule_nodes(n) nodes over t in +-_reach(n), with doubled weights, so it
     integrates a function even in t, such as F_n(t)^2, exactly as the full
     rule does. The momentum rule of a state is k = scale*t with weights
-    scale*w, so the scale cancels from every angle k*u/scale = t*u. The
-    position norm is sum w H_n(xi)^2 on the Hermite rule of _folded.
+    scale*w, so the scale cancels from every angle k*u/scale = t*u. <t^2> is
+    (sum w t^2 F_n^2)/(sum w F_n^2); F_n^2 is even, so <t> = 0. Parseval
+    compares s * prefactor^2 * sum w F_n^2 with (A^2/s) * sum w H_n(xi)^2 on
+    the Hermite rule of _folded, and both factors are the same at every s.
     """
     size, reach = _rule_nodes(n), _reach(n)
     full = numerics.gauss_legendre(size, -reach, reach)
     half = size // 2
     t, w = full.nodes[half:], 2.0 * full.weights[half:]
     folded = _folded(n, t)
-    rule = numerics.hermite_rule(size)
-    herm = numerics.hermite_poly(n, rule.nodes)
     for arr in (t, w, folded):
         arr.flags.writeable = False
-    return t, w, folded, float(rule.weights @ (herm * herm))
-
-
-@lru_cache(maxsize=numerics.MAX_HERMITE_DEGREE + 1)
-def _k_spread(n: int) -> float:
-    """<t^2> = (sum w t^2 F_n^2)/(sum w F_n^2) on ``_k_table(n)``; F_n^2 is even, so <t> = 0."""
-    t, w, folded, _ = _k_table(n)
-    return float(w @ (t * t * folded * folded)) / float(w @ (folded * folded))
+    rule, unit = numerics.hermite_rule(size), st.PendulumState(n=n)
+    herm = numerics.hermite_poly(n, rule.nodes)
+    momentum = float(w @ (folded * folded))
+    position = unit.amplitude**2 * float(rule.weights @ (herm * herm))
+    spread = float(w @ (t * t * folded * folded)) / momentum
+    return t, w, folded, spread, abs(_prefactor(unit) ** 2 * momentum - position)
 
 
 def _prefactor(state) -> float:
@@ -204,4 +195,4 @@ def width_product(state, *, method: str = "analytic") -> float:
         raise ValueError(f"unknown method {method!r}")
     # <k^2> = scale^2 <t^2> with k = scale*t; scale*std(phi) is in range at every width
     wide_phi = state.scale * mo.std_dev(obs.PHI, state, method="quadrature")
-    return _k_spread(state.n) * wide_phi * wide_phi
+    return _k_table(state.n)[3] * wide_phi * wide_phi

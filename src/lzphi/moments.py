@@ -21,12 +21,9 @@ rows as ladder steps. An Lz side, and every side on the oscillator basis,
 is centered before it is powered. All a stack computes, the relation
 columns of ``relations`` included, is kept in its one memo.
 The public analytic functions below are the one-row case, and no setting
-enters them. The quadrature path re-derives every number on the family's
-grid as the oracle, with rules sized from the state (see ``engine``);
-each call centers by the means of that same grid, and its Lz sides are
-centered before they are powered too. A pendulum's grid is the width-free
-grid of its n: its memo keeps each dimensionless mean and centered pair,
-and the state's width enters as factors (``engine.PendulumGrid.moment``).
+enters them. Their quadrature route is the oracle: it reads each moment
+off the state's oracle grid (``engine.oracle_grid``), where all of the
+oracle's algebra lives (``engine._Grid``).
 """
 
 from __future__ import annotations
@@ -66,14 +63,19 @@ class Correlation:
     hermitized: float
 
 
+def _quadrature_grid(state, method):
+    """The state's oracle grid, whose methods are every quadrature moment."""
+    if method != "quadrature":
+        raise ValueError(f"unknown method {method!r}")
+    return engine.oracle_grid(state)
+
+
 def mean(kind, state, *, method: str = "analytic") -> float:
     """<A> = (Psi, A Psi)."""
     obs.check_applicable(kind, state)
     if method == "analytic":
         return float(MomentStack((state,)).mean(kind)[0])
-    grid = _quadrature_grid(state, method)
-    mu = grid.moment(state, [(kind.name, 1)], _grid_mean, kind)
-    return (grid.lz_origin if kind.name == "Lz" else 0.0) + mu
+    return _quadrature_grid(state, method).mean(kind, state)
 
 
 def std_dev(kind, state, *, method: str = "analytic") -> float:
@@ -81,7 +83,7 @@ def std_dev(kind, state, *, method: str = "analytic") -> float:
     obs.check_applicable(kind, state)
     if method == "analytic":
         return float(MomentStack((state,)).std(kind)[0])
-    return _quadrature_grid(state, method).moment(state, [(kind.name, 1)], _grid_std, kind)
+    return _quadrature_grid(state, method).std(kind, state)
 
 
 def moment_set(kind, state, *, method: str = "analytic") -> MomentSet:
@@ -106,8 +108,7 @@ def higher_correlation(a, b, r: int, s: int, state, *, method: str = "analytic")
         return complex(MomentStack((state,)).pair(a, b, r, s)[0])
     obs.check_applicable(a, state)
     obs.check_applicable(b, state)
-    grid = _quadrature_grid(state, method)
-    return complex(grid.moment(state, [(a.name, r), (b.name, s)], _grid_pair, a, b, r, s))
+    return complex(_quadrature_grid(state, method).pair(a, b, r, s, state))
 
 
 def commutator_mean(a, b, state) -> complex:
@@ -267,7 +268,7 @@ class MomentStack:
         """
         if "Chi" in (a.name, b.name):
             self._check(a, b)
-            return self.pair(_unwound(a), _unwound(b), r, s)
+            return self.pair(obs.unwound(a), obs.unwound(b), r, s)
         mu_a, mu_b = self.mean(a), self.mean(b)
         if b.name == "Lz" and a.name != "Lz":
             return np.conj(self.pair(b, a, s, r))
@@ -342,11 +343,6 @@ class MomentStack:
         return np.abs(self._coeffs.sum(axis=1)) ** 2
 
 
-def _unwound(kind):
-    """Phi for Chi = phi + 2*pi*N, whose centered powers are Phi's; else ``kind``."""
-    return obs.PHI if kind.name == "Chi" else kind
-
-
 # ---------------------------------------------------------------------------
 # pendulum family: closed forms of the means and standard deviations
 
@@ -368,41 +364,3 @@ def _pendulum_closed_std(kind, state) -> float:
     if kind.name == "PhiSquared":
         return state.hbar / stiffness * math.sqrt((state.n * (state.n + 1) + 1) / 2.0)
     raise ValueError(f"observable {kind} is not defined on the pendulum family")
-
-
-# ---------------------------------------------------------------------------
-# quadrature path: centered operator applications on the family grid
-
-def _quadrature_grid(state, method):
-    if method != "quadrature":
-        raise ValueError(f"unknown method {method!r}")
-    return engine.oracle_grid(state)
-
-
-def _grid_mean(grid, kind) -> float:
-    return float(np.real(grid.inner(grid.psi, _centered_grid_vector(grid, kind, 1, 0.0))))
-
-
-def _grid_pair(grid, a, b, r, s):
-    """((dA)^r Psi, (dB)^s Psi) on one grid, centered by that grid's own means.
-
-    A variance, (a, r) == (b, s), builds its one centered vector once.
-    """
-    a, b = _unwound(a), _unwound(b)
-    va = _centered_grid_vector(grid, a, r, grid.moment(None, (), _grid_mean, a))
-    if (a, r) == (b, s):
-        return grid.inner(va, va)
-    vb = _centered_grid_vector(grid, b, s, grid.moment(None, (), _grid_mean, b))
-    return grid.inner(va, vb)
-
-
-def _grid_std(grid, kind) -> float:
-    return math.sqrt(max(float(np.real(_grid_pair(grid, kind, kind, 1, 1))), 0.0))
-
-
-def _centered_grid_vector(grid, kind, power, mu):
-    """(A - mu)^power Psi: the grid's exact centered Lz powers, else pointwise."""
-    if kind.name == "Lz":
-        return grid.lz_pow(power, mu)
-    vals = grid.symbol_values(obs.kind_symbol(kind))
-    return (vals - mu) ** power * grid.psi

@@ -31,6 +31,8 @@ TWO_PI = 2.0 * math.pi
 #: documented upper bounds for the recurrence-based special functions
 MAX_HERMITE_DEGREE = 64
 MAX_ORBITAL_L = 64
+#: highest order r, s of a centered moment ((A - <A>)^r Psi, (B - <B>)^s Psi)
+MAX_CORRELATION_ORDER = 6
 
 #: the largest node counts. The Legendre bound is the oracle's widest phi
 #: rule, 2*480 + 64 nodes (tens of ms to build; the cost grows as n^2).

@@ -21,7 +21,7 @@ Every boundary term is one number per state, its seam density
 times a boundary jump weighted by it, and the R15/R52 boundary term and
 R58's gamma sum read it too. Both are rows of a ``moments.MomentStack``
 (``seam``, ``deficit``); the analytic ``symmetry_deficit`` is the
-one-row case, and this module keeps the oracle's ``_deficit_quadrature``.
+one-row case, and its oracle is the grid's (``engine._Grid.deficit``).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from . import engine, numerics
 from . import states as st
 from .numerics import TWO_PI
 
-MAX_CORRELATION_ORDER = engine.MAX_CORRELATION_ORDER
+MAX_CORRELATION_ORDER = numerics.MAX_CORRELATION_ORDER
 
 _KIND_NAMES = ("Lz", "Phi", "PhiSquared", "SinPhi", "CosPhi", "Theta", "ThetaPhi", "Chi")
 
@@ -79,6 +79,11 @@ THETA_PHI = ObservableKind("ThetaPhi")
 def chi(n: int) -> ObservableKind:
     """The unwound angle chi = phi + 2*pi*N."""
     return ObservableKind("Chi", int(n))
+
+
+def unwound(kind: ObservableKind) -> ObservableKind:
+    """Phi for Chi = phi + 2*pi*N, whose centered powers are Phi's; else ``kind``."""
+    return PHI if kind.name == "Chi" else kind
 
 
 _PENDULUM_KINDS = ("Lz", "Phi", "PhiSquared")
@@ -544,32 +549,5 @@ def symmetry_deficit(
 
 
 def _deficit_quadrature(a, b, state) -> complex:
-    """Oracle twin of symmetry_deficit: ``_grid_deficit`` on the state's oracle grid."""
-    return engine.oracle_grid(state).moment(state, [(a.name, 1), (b.name, 1)], _grid_deficit, a, b)
-
-
-def _grid_deficit(grid, a, b) -> complex:
-    """(A Psi, B Psi) - (Psi, A B Psi) on ``grid``.
-
-    Lz acts through the grid's exact derivative (per-mode factors on the
-    periodic families, the Hermite series on the pendulum) and Lz B Psi
-    through the product rule; the only numerics is the final weighted sum,
-    so no integration by parts is ever performed.
-    """
-    hbar = grid.hbar
-    psi = grid.psi
-    lz_psi = grid.lz_pow(1)
-    if a.name == "Lz" and b.name == "Lz":
-        return grid.inner(lz_psi, lz_psi) - grid.inner(psi, grid.lz_pow(2))
-    if a.name == "Lz":
-        sym = kind_symbol(b)
-        b_vals = grid.symbol_values(sym)
-        deriv_vals = grid.symbol_values(sym.phi_derivative())
-        first = grid.inner(lz_psi, b_vals * psi)
-        second = grid.inner(psi, -1j * hbar * deriv_vals * psi + b_vals * lz_psi)
-        return first - second
-    a_vals = grid.symbol_values(kind_symbol(a))
-    if b.name == "Lz":
-        return grid.inner(a_vals * psi, lz_psi) - grid.inner(psi, a_vals * lz_psi)
-    b_vals = grid.symbol_values(kind_symbol(b))
-    return grid.inner(a_vals * psi, b_vals * psi) - grid.inner(psi, a_vals * b_vals * psi)
+    """Oracle twin of symmetry_deficit, on the state's oracle grid (``engine._Grid.deficit``)."""
+    return engine.oracle_grid(state).deficit(a, b, state)

@@ -261,8 +261,9 @@ def wavefunction(state: State, point):
 
     ``point`` is phi for circular/rotor/pendulum states and a
     (theta, phi) pair for spherical states. Points outside the domain
-    (phi in [0, 2*pi], theta in [0, pi]; pendulum phi unrestricted)
-    are rejected. Arrays broadcast.
+    (phi in [0, 2*pi], theta in [0, pi]; pendulum phi any finite float)
+    are rejected. Arrays broadcast. Past |xi| = 40, where exp(-xi^2/2) is already
+    0.0 in floating point, a pendulum's amplitude is 0 and H_n (it overflows) is not formed.
     """
     fam = family_of(state)
     if fam == "spherical":
@@ -278,9 +279,11 @@ def wavefunction(state: State, point):
 
     phi = np.asarray(point, dtype=np.float64)
     if fam == "pendulum":
-        xi = phi * state.scale
+        _check_range(phi, -math.inf, math.inf, "phi")
+        far = np.abs(phi) > 40.0 / state.scale
+        xi = np.where(far, 0.0, phi) * state.scale
         vals = state.amplitude * np.exp(-(xi**2) / 2.0) * numerics.hermite_poly(state.n, xi)
-        out = np.asarray(vals, dtype=np.complex128)
+        out = np.where(far, 0.0, vals).astype(np.complex128)
     else:
         _check_range(phi, 0.0, TWO_PI, "phi")
         # waves about the middle m0, times the common phase exp(i*m0*phi) last, as on the
@@ -313,5 +316,5 @@ def energy(state: State):
 
 
 def _check_range(arr, lo, hi, name):
-    if np.any(arr < lo - 1e-12) or np.any(arr > hi + 1e-12):
-        raise ValueError(f"{name} outside [{lo}, {hi}]")
+    if not np.all(np.isfinite(arr) & (arr >= lo - 1e-12) & (arr <= hi + 1e-12)):
+        raise ValueError(f"{name} must be finite and in [{lo}, {hi}]")

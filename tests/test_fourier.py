@@ -225,7 +225,7 @@ class TestPendulumTables:
     def test_line_transform_reads_the_tabulated_sum(self):
         """One folded kernel: where k = scale*t gives t back exactly, the values are the table's."""
         for n in range(65):
-            t, _, folded, _ = fourier._k_table(n)
+            t, _, folded, _, _ = fourier._k_table(n)
             # scales 2**-7 and 2**7: k/scale is exact, so line_transform sums at the table's t
             for inertia in (2.0**-14, 2.0**14):
                 state = PendulumState(n=n, inertia=inertia, omega=1.0, hbar=1.0)
@@ -239,7 +239,7 @@ class TestPendulumTables:
 
     def test_tables_are_read_only(self):
         for n in (0, 33, 64):
-            t, w, folded, _ = fourier._k_table(n)
+            t, w, folded, _, _ = fourier._k_table(n)
             size = engine.hermite_rule_size(n)
             for arr in (t, w, folded, engine._hermite_table(size)):
                 assert not arr.flags.writeable

@@ -393,8 +393,8 @@ class TestPendulumLadder:
 
     def test_lz_pow_matches_the_series_algebra(self):
         for n in range(65):
-            state = PendulumState(n=n, inertia=1.3, omega=0.7, hbar=1.1)
-            grid = engine.PendulumGrid(state)
+            state = PendulumState(n=n)
+            grid = engine.PendulumGrid(n, engine.hermite_rule_size(n))
             for j in range(engine.MAX_CORRELATION_ORDER + 1):
                 for mu in (0.0, 0.37, -2.5):
                     want = pendulum_lz_pow(state, j, mu, grid.xi)
@@ -403,8 +403,8 @@ class TestPendulumLadder:
 
     def test_psi_is_the_tabulated_hermite_row(self):
         for n in range(65):
-            state = PendulumState(n=n, inertia=0.4, omega=2.1, hbar=0.9)
-            grid = engine.PendulumGrid(state)
+            state = PendulumState(n=n)
+            grid = engine.PendulumGrid(n, engine.hermite_rule_size(n))
             assert np.array_equal(grid.psi, state.amplitude * numerics.hermite_poly(n, grid.xi)), n
 
     @pytest.mark.parametrize("size", [16, 80, numerics.MAX_HERMITE_NODES])
@@ -417,7 +417,7 @@ class TestPendulumLadder:
 
     @pytest.mark.parametrize("n, j", [(64, 7), (60, 11), (0, 71)])
     def test_a_degree_past_the_table_is_refused(self, n, j):
-        grid = engine.PendulumGrid(PendulumState(n=n))
+        grid = engine.PendulumGrid(n, engine.hermite_rule_size(n))
         with pytest.raises(ValueError, match=str(engine.HERMITE_TABLE_DEGREE)):
             grid.lz_pow(j)
         assert grid.lz_pow(engine.HERMITE_TABLE_DEGREE - n).shape == grid.xi.shape
@@ -718,13 +718,13 @@ def test_one_centered_vector_per_quadrature_variance(monkeypatch):
     of one n, at any width, take it once per (n, rule size, kind) from their unit grid.
     """
     calls = []
-    grid_mean = moments._grid_mean
+    grid_mean = engine._Grid._mean
 
     def counted(grid, kind):
         calls.append(kind)
         return grid_mean(grid, kind)
 
-    monkeypatch.setattr(moments, "_grid_mean", counted)
+    monkeypatch.setattr(engine._Grid, "_mean", counted)
     engine._unit_pendulum_grid.cache_clear()
     states = [random_spherical(np.random.default_rng(5), 3), PendulumState(n=4)]
     for k in range(20):
@@ -820,3 +820,47 @@ def test_stacks_derive_each_basis_once_and_take_the_rows_bit_for_bit(monkeypatch
         for index, state in enumerate(stack.states):
             lone = moments.MomentStack((state,))
             assert stack.std(PHI)[index].tobytes() == lone.std(PHI)[0].tobytes()
+
+
+def test_the_oracle_reads_no_analytic_table(monkeypatch, fixture_states):
+    """Every quadrature route runs with the analytic tables and the moment stack made to raise.
+
+    The oracle is a quadrature of sampled values: no symbol matrix, Fourier
+    moment, polar overlap or ``MomentStack`` enters it.
+    """
+    from lzphi import coefficients, matrix_table, norm, parseval_check, width_product
+    from lzphi.states import family_of
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle read an analytic table")
+
+    for module, name in ((observables, "cached_symbol_matrix"), (observables, "symbol_matrix"),
+                         (observables, "phi_fourier_moment"), (numerics, "theta_overlap_matrix"),
+                         (moments, "MomentStack")):
+        monkeypatch.setattr(module, name, refuse)
+    for analytic in (lambda: std_dev(PHI, CircularState(m=1)),
+                     lambda: matrix_table(PHI, observables.RotorBasis((0, 1)))):
+        with pytest.raises(AssertionError, match="analytic table"):
+            analytic()
+    engine._unit_pendulum_grid.cache_clear()
+    fourier._k_table.cache_clear()
+    quad = {"method": "quadrature"}
+    kinds = (LZ, PHI, PHI_SQUARED, SIN_PHI, COS_PHI, THETA, THETA_PHI, chi(2))
+    values = []
+    for state in fixture_states:
+        family = family_of(state)
+        own = [k for k in kinds if observables.applicable(k, family)]
+        values += [norm(state), parseval_check(state)]
+        for a in own:
+            values += [mean(a, state, **quad), std_dev(a, state, **quad)]
+            for b in own:
+                values += [higher_correlation(a, b, 2, 3, state, **quad),
+                           symmetry_deficit(a, b, state, **quad)]
+        if family == "pendulum":
+            values.append(width_product(state, **quad))
+            continue
+        values += coefficients(state, **quad).values
+        basis = observables.basis_of(state)
+        for a in own:
+            values += matrix_table(a, basis, **quad).matrix.ravel().tolist()
+    assert all(map(np.isfinite, values))

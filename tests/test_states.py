@@ -57,6 +57,34 @@ class TestWavefunction:
     def test_pendulum_domain_is_the_line(self):
         assert abs(wavefunction(PendulumState(n=0), -9.0)) < 1e-15
 
+    @pytest.mark.parametrize("state, point", [
+        (PendulumState(n=64), 1e20),  # H_64 overflows from |xi| ~ 3.3e4
+        (PendulumState(n=64), -3.4e4),
+        (PendulumState(n=5), 1e200),  # xi^2 overflows
+        (PendulumState(n=5), -1.7e308),
+        (PendulumState(n=64, inertia=1e200), 1e300),  # phi*scale overflows
+    ])
+    def test_a_far_pendulum_point_is_exactly_zero(self, state, point):
+        """Past |xi| = 40, where exp(-xi^2/2) is 0.0, the amplitude is 0 with no float warning."""
+        assert wavefunction(state, point) == 0
+        near = 0.5 / state.scale
+        vals = wavefunction(state, np.array([point, near, -point]))
+        assert vals[0] == vals[2] == 0 and vals[1] == wavefunction(state, near) != 0
+
+    @pytest.mark.parametrize("state, point", [
+        (CircularState(m=1), math.nan),
+        (RotorSuperposition({0: 0.6, 1: 0.8}), math.nan),
+        (RotorSuperposition({0: 0.6, 1: 0.8}), np.array([1.0, math.nan])),
+        (SphericalState(l=1, coefficients=(0, 1, 0)), (math.nan, 1.0)),
+        (SphericalState(l=1, coefficients=(0, 1, 0)), (1.0, math.nan)),
+        (PendulumState(n=5), math.nan),
+        (PendulumState(n=5), math.inf),
+        (PendulumState(n=64), np.array([0.0, -math.inf])),
+    ])
+    def test_a_non_finite_point_is_refused(self, state, point):
+        with pytest.raises(ValueError, match="must be finite"):
+            wavefunction(state, point)
+
     @pytest.mark.parametrize("m0", [10**6, 2**30, 2**52 - 1])
     def test_density_at_large_m_is_that_at_m_zero(self, m0):
         """The waves are taken about the middle m, so |psi|^2 keeps its digits near m = 2^52."""
