@@ -185,10 +185,9 @@ class AngularGrid(_Grid):
         ms, amps = st.expansion(state)
         self._coeffs = np.array(amps, dtype=np.complex128)
         rule = numerics.phi_rule(phi_rule_size(ms))
-        l = state.l if st.family_of(state) == "spherical" else None
         self.phi = rule.nodes
         self.phi_weights = rule.weights
-        self.polar, self.polar_weights, self.theta = polar_tables(ms, l)
+        self.polar, self.polar_weights, self.theta = polar_tables(ms, state.l)
         self.weights = np.outer(self.polar_weights, self.phi_weights)
         # the waves are exp(i*(m - m0)*phi): the common phase cancels in every inner product
         m0 = st.middle_m(ms)

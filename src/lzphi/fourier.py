@@ -53,19 +53,17 @@ def coefficients(state, *, method: str = "analytic") -> FourierCoefficients:
     index support. Pendulum states have a continuous transform instead;
     see line_transform.
     """
-    fam = st.family_of(state)
-    if fam == "pendulum":
+    if st.family_of(state) == "pendulum":
         raise ValueError("pendulum states have a line transform, not Fourier coefficients")
-    l = state.l if fam == "spherical" else None
     ms, amps = st.expansion(state)
     if method == "analytic":
-        return FourierCoefficients(ms, amps, l=l)
+        return FourierCoefficients(ms, amps, l=state.l)
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     grid = engine.state_grid(state)
     bm = grid.azimuthal_coefficients(grid.psi)
     vals = np.einsum("t,mt,tm->m", grid.polar_weights, grid.polar, bm)
-    return FourierCoefficients(ms, tuple(complex(v) for v in vals), l=l)
+    return FourierCoefficients(ms, tuple(complex(v) for v in vals), l=state.l)
 
 
 def parseval_check(state) -> float:

@@ -2,7 +2,8 @@
 
 Multiplicative observables are carried as finite symbol sums
 ``coeff * theta^a * phi^p * exp(i*j*phi)``, exact matrices on each
-family's basis (``basis_of``). In the exp(i*m*phi)/sqrt(2*pi) basis they
+family's basis (``basis_of``). The kinds a family takes are its state
+class's ``kinds`` (``applicable``). In the exp(i*m*phi)/sqrt(2*pi) basis they
 close over azimuthal Fourier moments of phi^p, which obey an exact
 integration-by-parts recurrence. The phi factor of element (m, m') depends
 only on the offset m' - m, so each term's matrix is Toeplitz: every
@@ -86,16 +87,8 @@ def unwound(kind: ObservableKind) -> ObservableKind:
     return PHI if kind.name == "Chi" else kind
 
 
-_PENDULUM_KINDS = ("Lz", "Phi", "PhiSquared")
-_SPHERICAL_ONLY = ("Theta", "ThetaPhi")
-
-
 def applicable(kind: ObservableKind, family: str) -> bool:
-    if family == "pendulum":
-        return kind.name in _PENDULUM_KINDS
-    if kind.name in _SPHERICAL_ONLY:
-        return family == "spherical"
-    return family in ("circular", "rotor", "spherical")
+    return kind.name in st.FAMILIES[family].kinds
 
 
 def check_applicable(kind: ObservableKind, state) -> str:
@@ -245,26 +238,23 @@ def _offset_index(ms):
 class RotorBasis:
     """Fourier basis exp(i*m*phi)/sqrt(2*pi) over an explicit index tuple."""
 
-    ms: tuple
+    family: ClassVar[str] = "rotor"
+    l: ClassVar[None] = None
 
-    @property
-    def family(self) -> str:
-        return "rotor"
+    ms: tuple
 
 
 @dataclass(frozen=True)
 class SphericalBasis:
     """Spherical harmonics Y_lm at fixed l, m = -l..l."""
 
+    family: ClassVar[str] = "spherical"
+
     l: int
 
     @property
     def ms(self) -> tuple:
         return tuple(range(-self.l, self.l + 1))
-
-    @property
-    def family(self) -> str:
-        return "spherical"
 
 
 @dataclass(frozen=True)
@@ -484,8 +474,7 @@ def _quadrature_matrix(kind, basis, hbar):
     """
     ms = basis.ms
     prule = numerics.phi_rule(engine.phi_rule_size(ms))
-    l = basis.l if isinstance(basis, SphericalBasis) else None
-    polar, polar_weights, theta = engine.polar_tables(ms, l)
+    polar, polar_weights, theta = engine.polar_tables(ms, basis.l)
     # Lz: integrand 1, then column j scaled by the eigenvalue hbar*m_j
     sym = Symbol.constant(1.0) if kind.name == "Lz" else kind_symbol(kind)
     integrand = np.broadcast_to(

@@ -7,7 +7,10 @@ whitespace)::
     state <family> <key>=<value> ...
     relations <ID>[(<k>=<v>,...)] ...
 
-Families: circular | rotor | spherical | pendulum. Complex numbers are
+Families are the names of ``states.FAMILIES``. A state line's keys are its
+class's fields, the coefficients written ``c``; the parser reads them in
+field order, so a spherical ``l`` is range-checked before ``c`` is read,
+and the printer prints them in it. Complex numbers are
 written ``(re,im)``; spherical coefficients as ``c=[(re,im),...]`` (or a
 ``{m:(re,im),...}`` map), rotor coefficients as ``c={m:(re,im),...}``.
 Settings apply document-wide regardless of position. Integers must not
@@ -21,20 +24,15 @@ moment or grid does. Observable names are those of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 import math
 import re
 
 from . import observables as obs
 from . import relations
+from . import states as st
 from .relations import CATALOG, RelationId, RelationParams, Verdict
-from .states import (
-    CircularState,
-    PendulumState,
-    RotorSuperposition,
-    SphericalState,
-    _require_finite_positive,
-)
+from .states import _require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -234,61 +232,46 @@ def _parse_state(tokens, lineno, settings, auto_index):
     if len(tokens) < 2:
         raise SpecParseError("syntax", lineno, tokens[0][1], "state lines name a family")
     family, fcol = tokens[1]
-    if family not in ("circular", "rotor", "spherical", "pendulum"):
+    cls = st.FAMILIES.get(family)
+    if cls is None:
         raise SpecParseError("unknown-family", lineno, fcol, f"unknown family {family!r}")
-    fields = {}
+    given = {}
     cols = {}
     for tok, col in tokens[2:]:
         if "=" not in tok:
             raise SpecParseError("syntax", lineno, col, f"expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
-        if key in fields:
+        if key in given:
             raise SpecParseError("bad-value", lineno, col, f"duplicate key {key!r}")
-        fields[key] = value
+        given[key] = value
         cols[key] = col
-    name = fields.pop("name", f"s{auto_index}")
+    name = given.pop("name", f"s{auto_index}")
     if not _NAME_RE.match(name):
         raise SpecParseError("bad-value", lineno, cols.get("name", fcol), f"bad state name {name!r}")
-    hbar = _parse_float(fields.pop("hbar"), lineno, cols.get("hbar", fcol)) if "hbar" in fields else settings.hbar
-
-    def take_int(key):
-        if key not in fields:
-            raise SpecParseError("missing-field", lineno, fcol, f"{family} state needs {key}=")
-        return _parse_int(fields.pop(key), lineno, cols[key])
-
-    def take_float(key, default):
-        if key not in fields:
-            return default
-        return _parse_float(fields.pop(key), lineno, cols[key])
-
+    hbar = _parse_float(given.pop("hbar"), lineno, cols.get("hbar", fcol)) if "hbar" in given else settings.hbar
+    # the class's fields in order, each read from its key (the coefficients' is c)
+    values = {"hbar": hbar}
     try:
-        if family == "circular":
-            state = CircularState(m=take_int("m"), hbar=hbar)
-        elif family == "pendulum":
-            state = PendulumState(
-                n=take_int("n"),
-                inertia=take_float("inertia", 1.0),
-                omega=take_float("omega", 1.0),
-                hbar=hbar,
-            )
-        elif family == "rotor":
-            cmap = _coeff_map(fields, cols, lineno, fcol)
-            state = RotorSuperposition(cmap, hbar=hbar, normalize=settings.normalize)
-        else:
-            l = take_int("l")
-            coeffs = _spherical_coeffs(l, fields, cols, lineno, fcol)
-            state = SphericalState(
-                l=l,
-                coefficients=coeffs,
-                hbar=hbar,
-                inertia=take_float("inertia", 1.0),
-                normalize=settings.normalize,
-            )
+        for field in fields(cls):
+            key = "c" if field.name == "coefficients" else field.name
+            if key == "c" and "l" in values:
+                l = st.require_degree(values["l"])
+                values[field.name] = _spherical_coeffs(l, given, cols, lineno, fcol)
+            elif key == "c":
+                values[field.name] = _coeff_map(given, cols, lineno, fcol)
+            elif key in given:
+                parse = _parse_int if field.type == "int" else _parse_float
+                values[field.name] = parse(given.pop(key), lineno, cols[key])
+            elif field.default is MISSING:
+                raise SpecParseError("missing-field", lineno, fcol, f"{family} state needs {key}=")
+        if "coefficients" in values:
+            values["normalize"] = settings.normalize
+        state = cls(**values)
     except ValueError as exc:
         code = "not-normalized" if "normalize" in str(exc) else "bad-value"
         raise SpecParseError(code, lineno, fcol, str(exc)) from exc
-    if fields:
-        stray = sorted(fields)[0]
+    if given:
+        stray = sorted(given)[0]
         raise SpecParseError("unknown-key", lineno, cols[stray], f"unknown key {stray!r} for {family}")
     return (name, state)
 
@@ -429,21 +412,17 @@ def _cpx(z: complex) -> str:
 
 
 def _state_line(name, state) -> str:
-    if isinstance(state, CircularState):
-        return f"state circular name={name} m={state.m} hbar={state.hbar!r}"
-    if isinstance(state, PendulumState):
-        return (
-            f"state pendulum name={name} n={state.n} inertia={state.inertia!r} "
-            f"omega={state.omega!r} hbar={state.hbar!r}"
-        )
-    if isinstance(state, RotorSuperposition):
-        body = ",".join(f"{m}:{_cpx(c)}" for m, c in state.coefficients)
-        return f"state rotor name={name} c={{{body}}} hbar={state.hbar!r}"
-    body = ",".join(_cpx(c) for c in state.coefficients)
-    return (
-        f"state spherical name={name} l={state.l} c=[{body}] "
-        f"hbar={state.hbar!r} inertia={state.inertia!r}"
-    )
+    """The state's spec line: its class's fields in order, the coefficients written c."""
+    parts = [f"state {state.family} name={name}"]
+    for field in fields(state):
+        value = getattr(state, field.name)
+        if field.name != "coefficients":
+            parts.append(f"{field.name}={value!r}")
+        elif state.l is None:  # a rotor's (m, c) pairs
+            parts.append("c={" + ",".join(f"{m}:{_cpx(c)}" for m, c in value) + "}")
+        else:
+            parts.append("c=[" + ",".join(map(_cpx, value)) + "]")
+    return " ".join(parts)
 
 
 def _selection_text(sel) -> str:

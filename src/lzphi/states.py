@@ -1,5 +1,10 @@
 """The four rotational state families, with exact normalization metadata.
 
+Each state class is its family's record: ``family`` names it, ``kinds``
+lists the ``ObservableKind`` names it takes, ``l`` is its polar degree
+(None on the circle), and its fields, in order, are its spec line's keys.
+``FAMILIES`` maps each name to its class.
+
 All states are immutable value objects. ``hbar`` (and, where relevant,
 ``inertia`` / ``omega``) live on the state so mixed-unit sweeps work;
 the dimensionless default is hbar = 1. Each state checks them on
@@ -18,7 +23,7 @@ import cmath
 import math
 import numbers
 import operator
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -32,10 +37,17 @@ NORM_INPUT_TOL = 1e-6
 #: float, and every offset m' - m of a basis fits in int64
 MAX_ABS_M = 2**52
 
+#: the kinds of a periodic family: every kind but the polar ones
+_PERIODIC_KINDS = ("Lz", "Phi", "PhiSquared", "SinPhi", "CosPhi", "Chi")
+
 
 @dataclass(frozen=True)
 class CircularState:
     """Single angular-momentum eigenstate exp(i*m*phi)/sqrt(2*pi) on [0, 2*pi]."""
+
+    family: ClassVar[str] = "circular"
+    kinds: ClassVar[tuple] = _PERIODIC_KINDS
+    l: ClassVar[None] = None
 
     m: int
     hbar: float = 1.0
@@ -54,6 +66,10 @@ class RotorSuperposition:
     squared amplitudes do not sum to 1 within NORM_INPUT_TOL is rejected
     unless ``normalize=True``, in which case the whole vector is rescaled.
     """
+
+    family: ClassVar[str] = "rotor"
+    kinds: ClassVar[tuple] = _PERIODIC_KINDS
+    l: ClassVar[None] = None
 
     coefficients: tuple
     hbar: float = 1.0
@@ -81,15 +97,16 @@ class RotorSuperposition:
 class SphericalState:
     """Fixed-l superposition sum_m c_m Y_lm(theta, phi), m = -l..l."""
 
+    family: ClassVar[str] = "spherical"
+    kinds: ClassVar[tuple] = _PERIODIC_KINDS + ("Theta", "ThetaPhi")
+
     l: int
     coefficients: tuple
     hbar: float = 1.0
     inertia: float = 1.0
 
     def __init__(self, l, coefficients, hbar=1.0, inertia=1.0, normalize=False):
-        l = _integer(l, "l")
-        if l < 0 or l > numerics.MAX_ORBITAL_L:
-            raise ValueError(f"l must be in 0..{numerics.MAX_ORBITAL_L}")
+        l = require_degree(_integer(l, "l"))
         if isinstance(coefficients, Mapping):
             by_m = {_integer(m, "m"): c for m, c in coefficients.items()}
             if len(by_m) != len(coefficients):
@@ -116,6 +133,9 @@ class PendulumState:
 
     The wave function is N_n exp(-xi^2/2) H_n(xi) with xi = phi*sqrt(I*omega/hbar).
     """
+
+    family: ClassVar[str] = "pendulum"
+    kinds: ClassVar[tuple] = ("Lz", "Phi", "PhiSquared")
 
     n: int
     inertia: float = 1.0
@@ -152,12 +172,8 @@ class PendulumState:
 
 State = Union[CircularState, RotorSuperposition, SphericalState, PendulumState]
 
-_FAMILIES = {
-    CircularState: "circular",
-    RotorSuperposition: "rotor",
-    SphericalState: "spherical",
-    PendulumState: "pendulum",
-}
+#: each family's name to its class
+FAMILIES = {cls.family: cls for cls in (CircularState, RotorSuperposition, SphericalState, PendulumState)}
 
 
 def _integer(value, name: str) -> int:
@@ -179,6 +195,13 @@ def _integer(value, name: str) -> int:
     elif isinstance(value, numbers.Real) and math.isfinite(value) and value == math.floor(value):
         return int(value)
     raise ValueError(f"{name} must be a finite integer, got {value!r}")
+
+
+def require_degree(l: int) -> int:
+    """``l`` if it is a spherical degree in 0..MAX_ORBITAL_L, else ValueError."""
+    if l < 0 or l > numerics.MAX_ORBITAL_L:
+        raise ValueError(f"l must be in 0..{numerics.MAX_ORBITAL_L}")
+    return l
 
 
 def _require_bounded_m(m):
@@ -225,10 +248,9 @@ def _normalized(coeffs: list, normalize: bool) -> list:
 
 def family_of(state: State) -> str:
     """One of 'circular', 'rotor', 'spherical', 'pendulum'."""
-    try:
-        return _FAMILIES[type(state)]
-    except KeyError:
-        raise TypeError(f"not a state: {state!r}") from None
+    if FAMILIES.get(getattr(state, "family", None)) is not type(state):
+        raise TypeError(f"not a state: {state!r}")
+    return state.family
 
 
 def expansion(state: State) -> tuple:
@@ -262,8 +284,10 @@ def wavefunction(state: State, point):
     ``point`` is phi for circular/rotor/pendulum states and a
     (theta, phi) pair for spherical states. Points outside the domain
     (phi in [0, 2*pi], theta in [0, pi]; pendulum phi any finite float)
-    are rejected. Arrays broadcast. Past |xi| = 40, where exp(-xi^2/2) is already
-    0.0 in floating point, a pendulum's amplitude is 0 and H_n (it overflows) is not formed.
+    are rejected. Arrays broadcast. A pendulum's amplitude is formed as
+    exp(-xi^2/4) * H_n * exp(-xi^2/4) * N_n, so no factor underflows while
+    the amplitude is a normal double. Past |xi| = 43, where it is below the
+    smallest subnormal for every n <= 64, it is 0 and H_n (it overflows) is not formed.
     """
     fam = family_of(state)
     if fam == "spherical":
@@ -280,9 +304,10 @@ def wavefunction(state: State, point):
     phi = np.asarray(point, dtype=np.float64)
     if fam == "pendulum":
         _check_range(phi, -math.inf, math.inf, "phi")
-        far = np.abs(phi) > 40.0 / state.scale
+        far = np.abs(phi) > 43.0 / state.scale
         xi = np.where(far, 0.0, phi) * state.scale
-        vals = state.amplitude * np.exp(-(xi**2) / 2.0) * numerics.hermite_poly(state.n, xi)
+        half = np.exp(-(xi**2) / 4.0)
+        vals = half * numerics.hermite_poly(state.n, xi) * half * state.amplitude
         out = np.where(far, 0.0, vals).astype(np.complex128)
     else:
         _check_range(phi, 0.0, TWO_PI, "phi")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,11 +27,13 @@ from lzphi import (
 )
 from lzphi import engine
 from lzphi.numerics import theta_overlap_matrix
+from lzphi.states import family_of
 from lzphi.observables import (
     MAX_CORRELATION_ORDER,
     ObservableKind,
     OscillatorBasis,
     applicable,
+    check_applicable,
     kind_symbol,
     phi_fourier_moment,
     polynomial_rows,
@@ -161,6 +164,34 @@ class TestKindValidation:
     def test_a_symbol_or_method_outside_its_domain_is_refused(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()
+
+
+#: the kinds each family takes, written out: per kind, y for each family that takes it,
+#: in the order circular, rotor, spherical, pendulum
+_APPLICABLE = {
+    LZ: "yyyy",
+    PHI: "yyyy",
+    PHI_SQUARED: "yyyy",
+    SIN_PHI: "yyy-",
+    COS_PHI: "yyy-",
+    THETA: "--y-",
+    THETA_PHI: "--y-",
+    chi(2): "yyy-",
+}
+
+
+@pytest.mark.parametrize("kind", list(_APPLICABLE), ids=str)
+def test_each_family_takes_the_kinds_of_its_record(kind, fixture_states):
+    for family, takes in zip(("circular", "rotor", "spherical", "pendulum"), _APPLICABLE[kind]):
+        assert applicable(kind, family) is (takes == "y")
+    for state in fixture_states:
+        family = family_of(state)
+        if applicable(kind, family):
+            assert check_applicable(kind, state) == family
+        else:
+            with pytest.raises(ValueError, match=rf"^observable {re.escape(str(kind))} is not "
+                                                 rf"defined on the {family} family$"):
+                check_applicable(kind, state)
 
 
 class TestSymmetryDeficit:

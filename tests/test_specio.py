@@ -247,6 +247,19 @@ class TestParseErrors:
         assert excinfo.value.col == 14
 
 
+@pytest.mark.parametrize("line", [
+    "state spherical l=-1 c={0:(1,0)}",
+    "state spherical l=-1 c=[]",
+    "state spherical l=65 c=[(1,0)]",
+    "state spherical l=65 c={0:(1,0)}",
+    "state spherical l=-1",
+])
+def test_an_out_of_range_l_is_refused_before_its_coefficients_are_read(line):
+    with pytest.raises(SpecParseError, match=r"\[bad-value\] l must be in 0\.\.64$") as excinfo:
+        parse(line + "\nrelations R5\n")
+    assert (excinfo.value.line, excinfo.value.col) == (1, 7)
+
+
 class TestRoundTrip:
     def test_canonical_identity_on_random_documents(self):
         rng = np.random.default_rng(123)
@@ -256,6 +269,30 @@ class TestRoundTrip:
             again = parse(text)
             assert again == doc
             assert canonical_text(again) == text
+
+    def test_every_field_of_every_family_round_trips(self):
+        """Each field off its default: m near 2^52, l = 64, n = 64, a sparse rotor, inertia, omega, hbar."""
+        rng = np.random.default_rng(44)
+        states = (
+            ("c", CircularState(m=2**52 - 3, hbar=0.5)),
+            ("cneg", CircularState(m=-(2**52), hbar=3.0)),
+            ("r", RotorSuperposition({-2**52: 0.6, 7: 0.48j, 2**52 - 1: -0.64}, hbar=2.5)),
+            ("sp", SphericalState(l=64, coefficients=random_spherical(rng, 64).coefficients,
+                                  hbar=1.5, inertia=3.25)),
+            ("p", PendulumState(n=64, inertia=2.5, omega=0.75, hbar=1.25)),
+        )
+        doc = SpecDocument(EngineSettings(tolerance=1e-7, hbar=0.25, normalize=True), states,
+                           ((RelationId.R5, RelationParams()),))
+        text = canonical_text(doc)
+        assert parse(text) == doc
+        assert canonical_text(parse(text)) == text
+        lines = text.splitlines()
+        assert lines[3] == "state circular name=c m=4503599627370493 hbar=0.5"
+        assert lines[5] == ("state rotor name=r c={-4503599627370496:(0.6,0.0),7:(0.0,0.48),"
+                            "4503599627370495:(-0.64,0.0)} hbar=2.5")
+        assert lines[6].startswith("state spherical name=sp l=64 c=[(")
+        assert lines[6].endswith(")] hbar=1.5 inertia=3.25")
+        assert lines[7] == "state pendulum name=p n=64 inertia=2.5 omega=0.75 hbar=1.25"
 
     def test_round_trip_keeps_settings(self):
         doc = parse("setting tolerance 1e-7\nstate circular m=1\nrelations R5\n")

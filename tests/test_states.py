@@ -1,3 +1,4 @@
+from decimal import Decimal, localcontext
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from lzphi import (
     std_dev,
     wavefunction,
 )
-from lzphi.states import expansion, family_of
+from lzphi.states import FAMILIES, expansion, family_of
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,7 +66,7 @@ class TestWavefunction:
         (PendulumState(n=64, inertia=1e200), 1e300),  # phi*scale overflows
     ])
     def test_a_far_pendulum_point_is_exactly_zero(self, state, point):
-        """Past |xi| = 40, where exp(-xi^2/2) is 0.0, the amplitude is 0 with no float warning."""
+        """Past |xi| = 43, where the amplitude is below every double, it is 0 with no float warning."""
         assert wavefunction(state, point) == 0
         near = 0.5 / state.scale
         vals = wavefunction(state, np.array([point, near, -point]))
@@ -94,6 +95,40 @@ class TestWavefunction:
         assert want[-1] == pytest.approx(0.9480, abs=1e-4)
         psi = wavefunction(state, phi)
         assert np.max(np.abs(TWO_PI * np.abs(psi) ** 2 - want)) < 1e-12
+
+
+_PI_50 = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+def _pendulum_amplitude(n: int, xi: float) -> float:
+    """N_n exp(-xi^2/2) H_n(xi) at unit scale, to 50 digits at the exact float xi."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(xi)
+        below, h = Decimal(0), Decimal(1)
+        for k in range(n):  # H_{k+1} = 2 xi H_k - 2k H_{k-1}
+            below, h = h, 2 * x * h - 2 * k * below
+        norm_n = (1 / _PI_50).sqrt().sqrt() / Decimal(2**n * math.factorial(n)).sqrt()
+        return float(norm_n * (-(x * x) / 2).exp() * h)
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 30, 64])
+def test_a_pendulum_amplitude_is_right_wherever_it_is_a_normal_double(n):
+    """No factor of the amplitude underflows first: at n = 64 it is 6.18e-218 at xi = 36."""
+    xi = np.array([12.0, 20.0, 30.0, 35.0, 36.0, 37.0, 38.0, 39.0, 40.0, 41.0, 42.0])
+    want = np.array([_pendulum_amplitude(n, x) for x in xi])
+    normal = np.abs(want) >= np.finfo(float).tiny
+    got = wavefunction(PendulumState(n=n), xi)
+    assert np.all(got[normal] != 0)
+    assert np.max(np.abs(got[normal] / want[normal] - 1)) < 1e-12
+
+
+def test_each_state_class_is_its_familys_record():
+    for state in (CircularState(m=1), RotorSuperposition({0: 1.0}),
+                  SphericalState(l=1, coefficients=(0, 1, 0)), PendulumState(n=2)):
+        assert FAMILIES[state.family] is type(state)
+        assert family_of(state) == state.family
+    assert list(FAMILIES) == ["circular", "rotor", "spherical", "pendulum"]
 
 
 class TestEnergy:
